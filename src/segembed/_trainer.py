@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import neuralcore as nc
 from .corpus import Corpus, make_batches
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .pairmine import DistanceCounter, PairSets, knn_graph_pairs, topk_global_pairs
 from .seeding import derive_seed, rng_for
 
@@ -331,11 +331,23 @@ def save_model(path, model: DisentangledModel, extra_meta: dict | None = None):
     )
 
 
-def load_model(path) -> DisentangledModel:
+def _load_kind(path, kind: str, names):
+    """Components and dims of a checkpoint that must be of ``kind`` and
+    hold every component in ``names``."""
     components, meta = nc.load_checkpoint(path)
-    if meta.get("kind") != "disentangled":
-        raise DataError(f"{path}: not a disentangled-model checkpoint")
-    dims = nc.ModelDims(**meta["dims"])
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} checkpoint")
+    missing = [name for name in names if name not in components]
+    if missing:
+        raise ParseError(f"{path}: missing components {missing}")
+    try:
+        return components, nc.ModelDims(**meta["dims"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: invalid model dims: {exc}") from exc
+
+
+def load_model(path) -> DisentangledModel:
+    components, dims = _load_kind(path, "disentangled", ("E_p", "E_s", "Dec", "D_s"))
     return DisentangledModel(
         dims,
         components["E_p"],
@@ -353,10 +365,8 @@ def save_refine_model(path, refine: RefineModel, extra_meta: dict | None = None)
 
 
 def load_refine_model(path) -> RefineModel:
-    components, meta = nc.load_checkpoint(path)
-    if meta.get("kind") != "refine":
-        raise DataError(f"{path}: not a refinement checkpoint")
-    return RefineModel(nc.ModelDims(**meta["dims"]), components["refine"])
+    components, dims = _load_kind(path, "refine", ("refine",))
+    return RefineModel(dims, components["refine"])
 
 
 # -- embedding extraction ----------------------------------------------------

@@ -138,10 +138,24 @@ def _labels_by_id(corpus):
     return {s.segment_id: s.unit_label for s in corpus.segments}
 
 
-def _labeled_vectors(entries, labels):
-    keep = [(sid, vec) for sid, vec in entries if labels.get(sid) is not None]
+def _labeled_entries(path, labels):
+    """Embedding entries of segments that carry a unit label. Every
+    segment id must be in the corpus."""
+    entries = load_embeddings(path)
+    unknown = [sid for sid, _ in entries if sid not in labels]
+    if unknown:
+        raise DataError(
+            f"{path}: {len(unknown)} segment ids not in the corpus, "
+            f"first {unknown[0]!r}"
+        )
+    keep = [(sid, vec) for sid, vec in entries if labels[sid] is not None]
     if not keep:
-        raise DataError("no labeled segments to evaluate")
+        raise DataError(f"{path}: no labeled segments to evaluate")
+    return keep
+
+
+def _labeled_vectors(path, labels):
+    keep = _labeled_entries(path, labels)
     return np.asarray([vec for _, vec in keep]), [labels[sid] for sid, _ in keep]
 
 
@@ -253,7 +267,7 @@ def _run(args) -> str:
     if args.command == "eval-sim":
         rows = []
         for variant, path in tagged:
-            vectors, kept = _labeled_vectors(load_embeddings(path), labels)
+            vectors, kept = _labeled_vectors(path, labels)
             rows.append((variant, corpus.level, evalcluster.intra_inter_stats(vectors, kept)))
         path = args.output or out_dir / "cosine_gap.csv"
         evalcluster.write_cosine_gap_csv(path, rows)
@@ -264,7 +278,7 @@ def _run(args) -> str:
         n_values = _parse_n_values(args.n) if args.n else cfg.eval.n_values
         curves = {}
         for variant, path in tagged:
-            vectors, kept = _labeled_vectors(load_embeddings(path), labels)
+            vectors, kept = _labeled_vectors(path, labels)
             curves[variant] = evalcluster.accuracy_curve(
                 vectors, kept, cfg.eval.m, n_values, derive_seed(master, "eval-cluster")
             )
@@ -279,13 +293,8 @@ def _run(args) -> str:
         table = {}
         n_rel = 0
         for variant, path in tagged:
-            entries = [
-                (sid, vec)
-                for sid, vec in load_embeddings(path)
-                if labels.get(sid) is not None
-            ]
             index, queries = evalstd.build_retrieval_task(
-                entries,
+                _labeled_entries(path, labels),
                 labels,
                 cfg.eval.n_documents,
                 cfg.eval.n_queries,

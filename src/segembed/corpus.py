@@ -18,6 +18,7 @@ from .errors import (
     DataError,
     DimensionError,
     EmptyCorpusError,
+    NumericError,
     ParseError,
 )
 from .seeding import rng_for
@@ -292,7 +293,10 @@ def save_embeddings(path, entries) -> None:
 
 
 def load_embeddings(path):
-    """Read a JSON-lines embedding file -> list of (segment_id, vector)."""
+    """Read a JSON-lines embedding file -> list of (segment_id, vector).
+
+    Every vector must be 1-D, of one shared dimension, and finite.
+    """
     out = []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,7 +306,7 @@ def load_embeddings(path):
             try:
                 rec = json.loads(line)
                 sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if vec.ndim != 1:
                 raise DimensionError(f"{path}:{lineno}: vector must be 1-D")
@@ -312,6 +316,8 @@ def load_embeddings(path):
                 raise DimensionError(
                     f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}"
                 )
+            if not np.isfinite(vec).all():
+                raise NumericError(f"{path}:{lineno}: non-finite vector entry")
             out.append((sid, vec))
     return out
 

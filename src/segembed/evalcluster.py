@@ -17,16 +17,25 @@ from .errors import DataError, EvaluationError, NumericError
 from .seeding import derive_seed
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity of two equal-length nonzero vectors."""
+def cosine(a, b):
+    """Cosine similarity of two equal-length nonzero vectors.
+
+    With a 2-D ``a`` of shape (n, d) and a 1-D ``b`` of length d, returns
+    the (n,) array of cosines between each row of ``a`` and ``b``. Each
+    row's dot product and norm are computed from that row alone, so equal
+    rows get bit-equal cosines wherever they sit in ``a``, and a 1-D ``a``
+    gets the same float as the same row of a 2-D ``a``.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError(f"vectors must be 1-D of equal length: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    rows = a[None] if a.ndim == 1 else a
+    if rows.ndim != 2 or b.ndim != 1 or rows.shape[1] != b.shape[0]:
+        raise DataError(f"vectors must be of equal length: {a.shape} vs {b.shape}")
+    na, nb = np.linalg.norm(rows, axis=1), np.linalg.norm(b)
+    if nb == 0.0 or np.any(na == 0.0):
         raise NumericError("cosine undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    sims = np.clip(np.einsum("ij,j->i", rows, b) / (na * nb), -1.0, 1.0)
+    return float(sims[0]) if a.ndim == 1 else sims
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ TF-IDF over the transcripts, each query is represented by the embedding of
 one sampled spoken realization, documents are ranked by the mean of the
 top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
+
+Scoring is batched per query. A ``DocumentIndex`` stacks every word vector
+into one matrix and keeps each document's word slots as a padded index
+array, so one query is scored against the whole archive with one row-wise
+``cosine`` call, one sort along the padded axis and a sequential cumulative
+sum read at each document's effective k.
 """
 
 import csv
@@ -41,9 +47,20 @@ class Document:
 
 @dataclass(frozen=True)
 class DocumentIndex:
-    """Immutable archive of spoken documents sharing one embedding dim."""
+    """Immutable archive of spoken documents sharing one embedding dim.
+
+    Construction also builds the scoring arrays: ``matrix`` stacks every
+    word vector in document order, row ``r`` of ``slots`` lists document
+    ``r``'s rows of ``matrix`` padded with ``len(matrix)``, ``lengths``
+    holds the word counts and ``id_ranks`` each doc id's rank in sorted
+    order, the tie-break of ``rank_documents``.
+    """
 
     documents: tuple
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    id_ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         docs = tuple(self.documents)
@@ -56,6 +73,17 @@ class DocumentIndex:
         if len(dims) != 1:
             raise DataError(f"mixed embedding dimensions across documents: {dims}")
         object.__setattr__(self, "documents", docs)
+        matrix = np.array([v for d in docs for _, v in d.words])
+        lengths = np.array([len(d.words) for d in docs])
+        starts = np.cumsum(lengths) - lengths
+        cols = np.arange(lengths.max())
+        slots = np.where(cols < lengths[:, None], starts[:, None] + cols, len(matrix))
+        id_ranks = np.empty(len(docs), dtype=np.intp)
+        id_ranks[sorted(range(len(docs)), key=ids.__getitem__)] = np.arange(len(docs))
+        for name, value in (("matrix", matrix), ("slots", slots),
+                            ("lengths", lengths), ("id_ranks", id_ranks)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.documents)
@@ -106,28 +134,32 @@ def tfidf_select_queries(transcripts, n_queries: int):
     return [tok for tok, _ in scored[:n_queries]]
 
 
-def relevance_score(query_embedding, document: Document, top_k: int) -> float:
+def relevance_score(query_embedding, document, top_k: int):
     """Mean of the top min(k, |d|) cosine similarities between the query
-    embedding and the document's word embeddings (ties by word position)."""
+    embedding and a document's word embeddings.
+
+    ``document`` is a ``Document``, scored as a float, or a
+    ``DocumentIndex``, scored as one float64 per document in index order.
+    The top similarities are summed in descending order, left to right.
+    """
     if top_k < 1:
         raise DataError("top_k must be >= 1")
-    if not document.words:
-        raise DataError("empty document")
+    index = DocumentIndex((document,)) if isinstance(document, Document) else document
+    if not isinstance(index, DocumentIndex):
+        raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")
     q = np.asarray(query_embedding, dtype=np.float64)
-    sims = [cosine(v, q) for _, v in document.words]
-    order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
-    k_eff = min(top_k, len(sims))
-    return float(sum(sims[i] for i in order[:k_eff]) / k_eff)
+    padded = np.append(cosine(index.matrix, q), -np.inf)[index.slots]
+    descending = np.sort(padded, axis=1)[:, ::-1]
+    k_eff = np.minimum(top_k, index.lengths)
+    scores = np.cumsum(descending, axis=1)[np.arange(len(index)), k_eff - 1] / k_eff
+    return scores if index is document else float(scores[0])
 
 
 def rank_documents(query: QuerySpec, index: DocumentIndex, top_k: int):
     """All documents sorted by descending relevance score (ties by id)."""
-    scored = [
-        (doc.doc_id, relevance_score(query.embedding, doc, top_k))
-        for doc in index.documents
-    ]
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return scored
+    scores = relevance_score(query.embedding, index, top_k)
+    order = np.lexsort((index.id_ranks, -scores))
+    return [(index.documents[i].doc_id, float(scores[i])) for i in order]
 
 
 def average_precision(ranked_ids, relevant) -> float:

@@ -13,13 +13,14 @@ the embedding dimension. A unidirectional recurrent encoder is available as
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, DimensionError, NumericError
+from .errors import DataError, DimensionError, NumericError, ParseError
 
 COMPONENT_NAMES = ("E_p", "E_s", "Dec", "D_s", "refine")
 
@@ -379,17 +380,49 @@ def save_checkpoint(path, components: dict, meta: dict | None = None) -> None:
         json.dump(doc, fh)
 
 
+def _require_object(path, key, value) -> None:
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: {key} must be a JSON object, got {type(value).__name__}")
+
+
+def _checkpoint_array(path, name, key, entry) -> np.ndarray:
+    try:
+        data = np.asarray(entry["data"], dtype=np.float64)
+        shape = [int(n) for n in entry["shape"]]
+    except KeyError as exc:
+        raise ParseError(f"{path}: {name}.{key}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {name}.{key}: {exc}") from exc
+    if data.ndim != 1 or min(shape, default=0) < 0 or data.size != math.prod(shape):
+        raise ParseError(
+            f"{path}: {name}.{key}: {data.size} values do not fill shape {shape}"
+        )
+    return data.reshape(shape)
+
+
 def load_checkpoint(path):
-    """Inverse of save_checkpoint -> (components dict, meta dict)."""
+    """Inverse of save_checkpoint -> (components dict, meta dict).
+
+    Invalid JSON, a missing ``components``, ``data`` or ``shape`` key, a
+    ``components``, component or ``meta`` value that is not a JSON object,
+    and data whose size does not match its shape raise ``ParseError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "components" not in doc:
+        raise ParseError(f"{path}: missing key 'components'")
+    _require_object(path, "components", doc["components"])
+    _require_object(path, "meta", doc.get("meta", {}))
     components = {}
     for name, arrays in doc["components"].items():
-        parsed = {}
-        for key, entry in arrays.items():
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            parsed[key] = arr
-        components[name] = ComponentParams(name, parsed)
+        _require_object(path, f"components.{name}", arrays)
+        components[name] = ComponentParams(
+            name,
+            {key: _checkpoint_array(path, name, key, entry) for key, entry in arrays.items()},
+        )
     return components, doc.get("meta", {})
 
 

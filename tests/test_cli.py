@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from segembed.cli import main
@@ -233,3 +234,140 @@ class TestPipeline:
         assert "model.embed_dim = 8" in text
         assert "synth.feature_dim = 6" in text
         capsys.readouterr()
+
+
+class TestBadInputs:
+    """Each malformed input exits 1 with a ``segembed: error:`` message."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def corpus_dir(tmp_path_factory):
+        out = tmp_path_factory.mktemp("bad")
+        assert run_cli(out, "synth") == 0
+        return out
+
+    @staticmethod
+    def _embeddings(corpus_dir, tmp_path, edit):
+        """Write one random 4-d vector per corpus segment, then let ``edit``
+        change the records; returns the file path."""
+        ids = [
+            json.loads(line)["segment_id"]
+            for line in (corpus_dir / "corpus.jsonl").read_text().splitlines()
+        ]
+        vectors = np.random.default_rng(3).normal(size=(len(ids), 4)).tolist()
+        records = [{"segment_id": s, "vector": v} for s, v in zip(ids, vectors)]
+        edit(records)
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    @staticmethod
+    def _error(capsys, code):
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("segembed: error:")
+        return err
+
+    def _eval(self, corpus_dir, tmp_path, command, path):
+        return run_cli(
+            tmp_path, command, "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--embeddings", f"a={path}",
+        )
+
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-std"])
+    def test_non_finite_vector(self, corpus_dir, tmp_path, capsys, command):
+        def poison(records):
+            records[5]["vector"][2] = float("nan")
+
+        path = self._embeddings(corpus_dir, tmp_path, poison)
+        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        assert f"{path}:6: non-finite vector entry" in err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"segment_id": "x", "vector": ["a"]}, "could not convert string to float"),
+            ([0.5, 0.25], "list indices must be integers"),
+        ],
+    )
+    def test_unparsable_record(self, corpus_dir, tmp_path, capsys, record, message):
+        def corrupt(records):
+            records[2] = record
+
+        path = self._embeddings(corpus_dir, tmp_path, corrupt)
+        err = self._error(capsys, self._eval(corpus_dir, tmp_path, "eval-sim", path))
+        assert f"{path}:3: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std"])
+    def test_segment_not_in_corpus(self, corpus_dir, tmp_path, capsys, command):
+        def rename(records):
+            records[7]["segment_id"] = "seg-stranger"
+
+        path = self._embeddings(corpus_dir, tmp_path, rename)
+        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        assert "1 segment ids not in the corpus, first 'seg-stranger'" in err
+
+    def _embed(self, corpus_dir, tmp_path, checkpoint_text):
+        path = tmp_path / "model.json"
+        path.write_text(checkpoint_text)
+        return run_cli(
+            tmp_path, "embed", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path), "--variant", "a",
+        )
+
+    def test_checkpoint_invalid_json(self, corpus_dir, tmp_path, capsys):
+        code = self._embed(corpus_dir, tmp_path, '{"components": {"E_p": ')
+        assert "invalid JSON" in self._error(capsys, code)
+
+    @pytest.mark.parametrize("missing", ["components", "data", "shape"])
+    def test_checkpoint_missing_key(self, corpus_dir, tmp_path, capsys, missing):
+        entry = {"data": [0.5, 0.25], "shape": [1, 2]}
+        entry.pop(missing, None)
+        doc = {"meta": {"kind": "disentangled"}, "components": {"E_p": {"W": entry}}}
+        doc.pop(missing, None)
+        code = self._embed(corpus_dir, tmp_path, json.dumps(doc))
+        assert f"missing key '{missing}'" in self._error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"components": [1]}, "components must be a JSON object, got list"),
+            ({"components": {"E_p": 3}}, "components.E_p must be a JSON object, got int"),
+            (
+                {"meta": "disentangled", "components": {}},
+                "meta must be a JSON object, got str",
+            ),
+            (
+                {
+                    "meta": {"kind": "disentangled", "dims": {"bogus": 1}},
+                    "components": {"E_p": {}, "E_s": {}, "Dec": {}, "D_s": {}},
+                },
+                "invalid model dims",
+            ),
+            (
+                {"meta": {"kind": "refine"}, "components": {}},
+                "not a disentangled checkpoint",
+            ),
+            (
+                {"components": {"E_p": {"W": {"data": [1.0, 2.0, 3.0], "shape": [2, 2]}}}},
+                "E_p.W: 3 values do not fill shape [2, 2]",
+            ),
+            (
+                {"meta": {"kind": "disentangled", "dims": {}}, "components": {}},
+                "missing components ['E_p', 'E_s', 'Dec', 'D_s']",
+            ),
+        ],
+    )
+    def test_checkpoint_bad_structure(self, corpus_dir, tmp_path, capsys, doc, message):
+        code = self._embed(corpus_dir, tmp_path, json.dumps(doc))
+        assert message in self._error(capsys, code)
+
+    def test_refine_rejects_bad_checkpoint(self, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text("not json")
+        code = run_cli(
+            tmp_path, "refine", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path),
+        )
+        assert "invalid JSON" in self._error(capsys, code)

@@ -40,6 +40,29 @@ class TestCosine:
         with pytest.raises(NumericError):
             cosine(np.zeros(3), np.ones(3))
 
+    def test_rows_match_scalar_cosine(self):
+        rows, b = RNG.normal(size=(6, 4)), RNG.normal(size=4)
+        got = cosine(rows, b)
+        assert got.shape == (6,)
+        for row, c in zip(rows, got):
+            assert c == cosine(row, b)
+
+    def test_equal_rows_are_bit_equal(self):
+        b = RNG.normal(size=5)
+        rows = np.tile(RNG.normal(size=5), (9, 1))
+        rows[4] = RNG.normal(size=5)
+        got = cosine(rows, b)
+        assert np.all(np.delete(got, 4) == got[0])
+        assert cosine(rows[[0]], b)[0] == got[0]
+
+    def test_rows_reject_zero_row_and_wrong_width(self):
+        rows = RNG.normal(size=(3, 4))
+        with pytest.raises(DataError):
+            cosine(rows, np.ones(3))
+        rows[1] = 0.0
+        with pytest.raises(NumericError):
+            cosine(rows, np.ones(4))
+
 
 def brute_intra_inter(vectors, labels):
     intra, inter = [], []

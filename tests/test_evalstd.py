@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import _brute_relevance
 
 from segembed.errors import DataError, EvaluationError
 from segembed.evalcluster import cosine
@@ -221,3 +224,71 @@ class TestRetrievalTask:
         for qa, qb in zip(a_queries, b_queries):
             assert qa.term == qb.term
             assert np.array_equal(qa.embedding, qb.embedding)
+
+
+# -- batched scoring against the per-word oracle -----------------------------
+
+_components = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _archives(draw):
+    """(query, index, top_k) with shared word vectors across documents,
+    documents that repeat another's words in a new order, and doc ids whose
+    sorted order differs from index order."""
+    dim = draw(st.integers(2, 4))
+    vector = st.lists(_components, min_size=dim, max_size=dim).map(np.array).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    )
+    pool = draw(st.lists(vector, min_size=1, max_size=6))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=7)
+    word_lists = draw(st.lists(picks, min_size=1, max_size=6))
+    for i in range(len(word_lists)):
+        if i and draw(st.booleans()):
+            source = word_lists[draw(st.integers(0, i - 1))]
+            word_lists[i] = draw(st.permutations(source))
+    ids = draw(st.permutations(range(len(word_lists))))
+    docs = [
+        _doc(f"doc{ids[d]}", [pool[p] for p in picks])
+        for d, picks in enumerate(word_lists)
+    ]
+    query = draw(vector)
+    return query, DocumentIndex(tuple(docs)), draw(st.integers(1, 10))
+
+
+class TestBatchedScoringProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_archives(), st.randoms(use_true_random=False))
+    def test_scores_and_ranking_match_oracle(self, archive, random):
+        query, index, top_k = archive
+        batched = relevance_score(query, index, top_k)
+        single = [relevance_score(query, doc, top_k) for doc in index.documents]
+        assert batched.tolist() == single
+        oracle = {
+            doc.doc_id: _brute_relevance(query, [v for _, v in doc.words], top_k)
+            for doc in index.documents
+        }
+        assert max(abs(got - oracle[doc.doc_id])
+                   for doc, got in zip(index.documents, single)) < 1e-12
+
+        ranked = rank_documents(QuerySpec("q", query), index, top_k)
+        by_id = {doc.doc_id: score for doc, score in zip(index.documents, single)}
+        assert ranked == sorted(by_id.items(), key=lambda kv: (-kv[1], kv[0]))
+        along = [oracle[doc_id] for doc_id, _ in ranked]
+        assert all(a >= b - 1e-12 for a, b in zip(along, along[1:]))
+
+        # documents with the same multiset of words tie exactly
+        signature = {
+            doc.doc_id: sorted(tuple(v) for _, v in doc.words) for doc in index.documents
+        }
+        for a in by_id:
+            for b in by_id:
+                if signature[a] == signature[b]:
+                    assert by_id[a] == by_id[b]
+
+        shuffled = list(index.documents)
+        random.shuffle(shuffled)
+        assert rank_documents(QuerySpec("q", query), DocumentIndex(tuple(shuffled)), top_k) == ranked
