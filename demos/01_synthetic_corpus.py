@@ -67,6 +67,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
 print("\n=== mini-batches ===")
 batches = make_batches(corpus, batch_size=16, seed=3, drop_last=False)
-print(f"batch sizes (keep last): {[b.size for b in batches]}")
+print(f"batch sizes (keep last): {[len(b.indices) for b in batches]}")
 covered = sorted(i for b in batches for i in b.indices)
 print(f"every index covered exactly once: {covered == list(range(len(corpus)))}")

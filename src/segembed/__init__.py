@@ -77,8 +77,7 @@ from .neuralcore import (
     OptimState,
     decode,
     discriminate,
-    encode_phonetic,
-    encode_speaker,
+    encode,
     grad_step,
     gradient_check,
     load_checkpoint,
@@ -133,8 +132,7 @@ __all__ = [
     "discriminator_loss",
     "effective_speakers",
     "embed_corpus",
-    "encode_phonetic",
-    "encode_speaker",
+    "encode",
     "grad_step",
     "gradient_check",
     "intra_inter_stats",

@@ -7,6 +7,7 @@ optional loss term never shifts any other stream: a joint run with zero
 contrastive weight is bit-identical to plain disentanglement training.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,47 +69,59 @@ def recon_graph(x_rec, frames: np.ndarray, lengths) -> ad.Tensor:
     return ad.tsum(ad.square(x_rec - ad.constant(frames)) * ad.constant(w))
 
 
+def speaker_pairs(speakers):
+    """Same-speaker and different-speaker pairs (i, j), i < j, of a batch.
+
+    Two (P, 2) int arrays, each in row-major order (by i, then j), the
+    order of the nested loop over i < j.
+    """
+    codes = {}
+    labels = np.array([codes.setdefault(s, len(codes)) for s in speakers])
+    i, j = np.triu_indices(len(labels), k=1)
+    same = labels[i] == labels[j]
+    return np.stack((i[same], j[same]), axis=1), np.stack((i[~same], j[~same]), axis=1)
+
+
+def _pair_array(pairs) -> np.ndarray:
+    return np.fromiter(
+        itertools.chain.from_iterable(pairs), np.intp, 2 * len(pairs)
+    ).reshape(-1, 2)
+
+
 def _pair_sq_dists(vectors, pairs) -> ad.Tensor:
-    left = ad.take_rows(vectors, [p[0] for p in pairs])
-    right = ad.take_rows(vectors, [p[1] for p in pairs])
-    return ad.tsum(ad.square(left - right), axis=1)
+    diff = ad.take_rows(vectors, pairs[:, 0]) - ad.take_rows(vectors, pairs[:, 1])
+    return ad.tsum(ad.square(diff), axis=1)
 
 
-def _hinge_sq_sum(vectors, pairs, margin: float) -> ad.Tensor:
-    dist = ad.sqrt(_pair_sq_dists(vectors, pairs))
-    return ad.tsum(ad.square(ad.relu(margin - dist)))
+def _pair_loss(vectors, positives, negatives, margin: float, what: str) -> ad.Tensor:
+    """Sum of positive squared distances and negative squared hinges
+    max(margin - distance, 0)^2, divided by the total pair count."""
+    n_pairs = len(positives) + len(negatives)
+    if n_pairs == 0:
+        raise DataError(f"{what} needs at least one pair")
+    terms = []
+    if len(positives):
+        terms.append(ad.tsum(_pair_sq_dists(vectors, positives)))
+    if len(negatives):
+        dist = ad.sqrt(_pair_sq_dists(vectors, negatives))
+        terms.append(ad.tsum(ad.square(ad.relu(margin - dist))))
+    total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    return total * (1.0 / n_pairs)
 
 
 def contrastive_graph(vectors, pairs: PairSets, margin: float) -> ad.Tensor:
-    """Sum of positive squared distances and negative squared hinges,
-    divided by the total pair count."""
-    n_pairs = len(pairs.positives) + len(pairs.negatives)
-    if n_pairs == 0:
-        raise DataError("contrastive loss needs at least one pair")
-    terms = []
-    if pairs.positives:
-        terms.append(ad.tsum(_pair_sq_dists(vectors, pairs.positives)))
-    if pairs.negatives:
-        terms.append(_hinge_sq_sum(vectors, pairs.negatives, margin))
-    total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    return total * (1.0 / n_pairs)
+    """Contrastive loss over mined pairs: positives pulled together,
+    negatives pushed beyond the margin."""
+    return _pair_loss(
+        vectors, _pair_array(pairs.positives), _pair_array(pairs.negatives),
+        margin, "contrastive loss",
+    )
 
 
 def speaker_contrastive_graph(vectors, speakers, margin: float) -> ad.Tensor:
     """Same/different-speaker contrastive loss over all unordered pairs."""
-    n = len(speakers)
-    same = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] == speakers[j]]
-    diff = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] != speakers[j]]
-    n_pairs = len(same) + len(diff)
-    if n_pairs == 0:
-        raise DataError("speaker contrastive loss needs at least 2 vectors")
-    terms = []
-    if same:
-        terms.append(ad.tsum(_pair_sq_dists(vectors, same)))
-    if diff:
-        terms.append(_hinge_sq_sum(vectors, diff, margin))
-    total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    return total * (1.0 / n_pairs)
+    same, diff = speaker_pairs(speakers)
+    return _pair_loss(vectors, same, diff, margin, "speaker contrastive loss")
 
 
 def bce_graph(logits, targets) -> ad.Tensor:
@@ -121,18 +134,15 @@ def bce_graph(logits, targets) -> ad.Tensor:
 
 
 def _sample_speaker_pairs(speakers, limit: int, rng):
-    """Up to `limit` same-speaker and `limit` different-speaker index pairs."""
-    n = len(speakers)
-    same = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] == speakers[j]]
-    diff = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] != speakers[j]]
+    """Up to `limit` same-speaker and `limit` different-speaker index pairs,
+    as one (P, 2) int array, and their same-speaker flags."""
     picked, flags = [], []
-    for pool, flag in ((same, 1.0), (diff, 0.0)):
+    for pool, flag in zip(speaker_pairs(speakers), (1.0, 0.0)):
         take = min(limit, len(pool))
         if take:
-            idx = rng.choice(len(pool), size=take, replace=False)
-            picked.extend(pool[int(i)] for i in idx)
+            picked.append(pool[rng.choice(len(pool), size=take, replace=False)])
             flags.extend([flag] * take)
-    return picked, np.asarray(flags)
+    return np.concatenate(picked), np.asarray(flags)
 
 
 def mine_pairs(vectors: np.ndarray, cfg_s, epoch: int, batch_index: int,
@@ -176,15 +186,13 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
     e_s = nc.init_encoder(dims, derive_seed(cfg.seed, "init:E_s"))
     dec = nc.init_decoder(dims, derive_seed(cfg.seed, "init:Dec"))
     d_s = nc.init_discriminator(dims, derive_seed(cfg.seed, "init:D_s"))
-    disc_lr = getattr(cfg, "disc_learning_rate", None) or cfg.learning_rate
     opt = {
         "E_p": nc.init_optim(e_p, cfg.learning_rate),
         "E_s": nc.init_optim(e_s, cfg.learning_rate),
         "Dec": nc.init_optim(dec, cfg.learning_rate),
-        "D_s": nc.init_optim(d_s, disc_lr),
+        "D_s": nc.init_optim(d_s, cfg.disc_learning_rate),
     }
     joint = cfg_s is not None and cfg_s.gamma > 0
-    warmup = getattr(cfg, "disc_warmup_epochs", 0)
     counter = DistanceCounter()
     rows = []
     for epoch in range(cfg.epochs):
@@ -202,15 +210,13 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             frames, lengths = nc.pack_sequences([s.features for s in segs])
             spk = [speakers_all[i] for i in batch.indices]
 
-            pair_idx, same_flags = [], None
             if cfg.alpha_adv > 0:
                 rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
-                pair_idx, same_flags = _sample_speaker_pairs(spk, batch.size, rng)
+                pair_idx, same_flags = _sample_speaker_pairs(spk, len(batch.indices), rng)
+                ia, ib = pair_idx[:, 0], pair_idx[:, 1]
                 vp_const = nc.encoder_forward(
                     e_p.tensors(), frames, lengths, mode=dims.encoder_mode
                 ).data
-                ia = [p[0] for p in pair_idx]
-                ib = [p[1] for p in pair_idx]
                 for _ in range(cfg.disc_steps):
                     dt = d_s.tensors(requires_grad=True)
                     logits = nc.discriminator_forward(dt, vp_const[ia], vp_const[ib])
@@ -232,9 +238,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                 spk_loss = speaker_contrastive_graph(v_s, spk, cfg.margin)
                 sums["spk"] += spk_loss.item()
                 loss = loss + cfg.alpha_spk * spk_loss
-            if cfg.alpha_adv > 0 and epoch >= warmup:
-                ia = [p[0] for p in pair_idx]
-                ib = [p[1] for p in pair_idx]
+            if cfg.alpha_adv > 0 and epoch >= cfg.disc_warmup_epochs:
                 logits = nc.discriminator_forward(
                     d_s.tensors(), ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)
                 )
@@ -331,9 +335,19 @@ def save_model(path, model: DisentangledModel, extra_meta: dict | None = None):
     )
 
 
+_INITS = {
+    "E_p": nc.init_encoder,
+    "E_s": nc.init_encoder,
+    "Dec": nc.init_decoder,
+    "D_s": nc.init_discriminator,
+    "refine": nc.init_refine,
+}
+
+
 def _load_kind(path, kind: str, names):
     """Components and dims of a checkpoint that must be of ``kind`` and
-    hold every component in ``names``."""
+    hold every component in ``names``, each with the arrays, and array
+    shapes, that its initializer makes for the meta dims."""
     components, meta = nc.load_checkpoint(path)
     if meta.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} checkpoint")
@@ -341,9 +355,20 @@ def _load_kind(path, kind: str, names):
     if missing:
         raise ParseError(f"{path}: missing components {missing}")
     try:
-        return components, nc.ModelDims(**meta["dims"])
-    except (KeyError, TypeError) as exc:
+        dims = nc.ModelDims(**meta["dims"])
+        expected = {name: _INITS[name](dims, 0).arrays for name in names}
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: invalid model dims: {exc}") from exc
+    for name in names:
+        found = components[name].arrays
+        for key in sorted(expected[name].keys() | found.keys()):
+            want = expected[name][key].shape if key in expected[name] else "no array"
+            got = found[key].shape if key in found else "no array"
+            if want != got:
+                raise ParseError(
+                    f"{path}: {name}.{key}: expected shape {want}, found {got}"
+                )
+    return components, dims
 
 
 def load_model(path) -> DisentangledModel:

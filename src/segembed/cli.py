@@ -29,7 +29,7 @@ from .corpus import (
 from .disentangle import train_disentangle, write_loss_log
 from .errors import ConfigError, DataError, SegembedError
 from .seeding import derive_seed
-from .siamese import embed_corpus, train_joint, train_refine, write_training_report
+from .siamese import embed_corpus, train_joint, train_refine
 
 COMMANDS = (
     "synth",
@@ -191,11 +191,7 @@ def _run(args) -> str:
             model, rows = train_joint(corpus, cfg_d, cfg_s)
         path = args.checkpoint or out_dir / f"model_{args.variant}.json"
         _trainer.save_model(path, model, {"variant": args.variant})
-        log_path = out_dir / f"loss_{args.variant}.csv"
-        if args.variant == "c":
-            write_training_report(log_path, rows)
-        else:
-            write_loss_log(log_path, rows)
+        write_loss_log(out_dir / f"loss_{args.variant}.csv", rows)
         final = rows[-1]
         return (
             f"train[{args.variant}]: {cfg_d.epochs} epochs, "
@@ -209,7 +205,7 @@ def _run(args) -> str:
         refined, rows = train_refine(corpus, base, cfg_s)
         path = args.output or out_dir / "refine.json"
         _trainer.save_refine_model(path, refined)
-        write_training_report(out_dir / "refine_log.csv", rows)
+        write_loss_log(out_dir / "refine_log.csv", rows)
         return (
             f"refine: {cfg_s.epochs} epochs, final contrastive "
             f"{rows[-1]['contrastive']:.4f}, checkpoint {path}"

@@ -10,9 +10,9 @@ output directory so results are self-describing.
 
 from dataclasses import dataclass, replace
 
-from .corpus import SynthConfig
+from .corpus import SynthConfig, read_text_lines
 from .disentangle import DisentangleConfig
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .siamese import SiameseConfig
 
 
@@ -149,8 +149,8 @@ def _parse_pairs(pairs, source: str):
 
 def _read_config_lines(path):
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    try:
+        for lineno, line in read_text_lines(path):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -158,6 +158,8 @@ def _read_config_lines(path):
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             pairs.append((key.strip(), raw))
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     return pairs
 
 

@@ -103,10 +103,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.segments)
 
-    @property
-    def size(self) -> int:
-        return len(self.segments)
-
     def __getitem__(self, i: int) -> Segment:
         return self.segments[i]
 
@@ -124,10 +120,6 @@ class MiniBatch:
         if len(set(idx)) != len(idx):
             raise DataError("mini-batch indices must be distinct")
         object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -230,31 +222,40 @@ def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
     return Corpus(tuple(segments))
 
 
+def read_text_lines(path):
+    """Yield (line number, line) of a UTF-8 text file; a file that is not
+    valid UTF-8 raises ParseError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def load_corpus(path) -> Corpus:
     """Read a JSON-lines corpus file, preserving record order."""
     segments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                seg = Segment(
-                    segment_id=rec["segment_id"],
-                    utterance_id=rec["utterance_id"],
-                    speaker_id=rec.get("speaker_id"),
-                    unit_label=rec.get("unit_label"),
-                    level=rec["level"],
-                    features=rec["features"],
-                )
-            except KeyError as exc:
-                raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (DataError, DimensionError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            segments.append(seg)
+    for lineno, line in read_text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            seg = Segment(
+                segment_id=rec["segment_id"],
+                utterance_id=rec["utterance_id"],
+                speaker_id=rec.get("speaker_id"),
+                unit_label=rec.get("unit_label"),
+                level=rec["level"],
+                features=rec["features"],
+            )
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (DataError, DimensionError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        segments.append(seg)
     if not segments:
         raise EmptyCorpusError(f"{path}: no segments")
     return Corpus(tuple(segments))
@@ -299,26 +300,23 @@ def load_embeddings(path):
     """
     out = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if vec.ndim != 1:
-                raise DimensionError(f"{path}:{lineno}: vector must be 1-D")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DimensionError(
-                    f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise NumericError(f"{path}:{lineno}: non-finite vector entry")
-            out.append((sid, vec))
+    for lineno, line in read_text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if vec.ndim != 1:
+            raise DimensionError(f"{path}:{lineno}: vector must be 1-D")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise DimensionError(f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}")
+        if not np.isfinite(vec).all():
+            raise NumericError(f"{path}:{lineno}: non-finite vector entry")
+        out.append((sid, vec))
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _trainer
+from . import autodiff as ad
 from ._trainer import (  # noqa: F401 (public API)
     DisentangledModel,
     effective_speakers,
@@ -22,8 +23,6 @@ from ._trainer import (  # noqa: F401 (public API)
 from .corpus import Corpus
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .seeding import rng_for
-
-LOSS_LOG_COLUMNS = ("epoch", "recon", "spk", "adv", "disc")
 
 
 @dataclass(frozen=True)
@@ -82,42 +81,26 @@ def speaker_contrastive_loss(vectors, speaker_ids, margin: float) -> float:
         raise DataError("one speaker id per vector required")
     if margin <= 0:
         raise ConfigError("margin must be > 0")
-    n = mat.shape[0]
-    total = 0.0
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = float(np.linalg.norm(mat[i] - mat[j]))
-            if speaker_ids[i] == speaker_ids[j]:
-                total += dist * dist
-            else:
-                total += max(margin - dist, 0.0) ** 2
-            count += 1
-    return total / count
+    return _trainer.speaker_contrastive_graph(ad.constant(mat), speaker_ids, margin).item()
 
 
-def _check_probs(probs, flags):
+def discriminator_loss(probs, same_speaker) -> float:
+    """Mean binary cross-entropy, target 1 for same-speaker pairs."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or len(flags) != probs.shape[0]:
+    if probs.ndim != 1 or len(same_speaker) != probs.shape[0]:
         raise DataError("probs and flags must be equal-length 1-D sequences")
     if probs.size == 0:
         raise DataError("need at least one probability")
     if np.any(probs <= 0.0) or np.any(probs >= 1.0):
         raise NumericError("probabilities must lie strictly inside (0, 1)")
-    return probs, np.asarray(flags, dtype=bool)
-
-
-def discriminator_loss(probs, same_speaker) -> float:
-    """Mean binary cross-entropy, target 1 for same-speaker pairs."""
-    probs, flags = _check_probs(probs, same_speaker)
-    return float(-np.mean(np.where(flags, np.log(probs), np.log1p(-probs))))
+    logits = ad.constant(np.log(probs) - np.log1p(-probs))
+    return _trainer.bce_graph(logits, np.asarray(same_speaker, dtype=bool)).item()
 
 
 def adversarial_loss(probs, same_speaker) -> float:
     """Mean binary cross-entropy against flipped targets: the phonetic
     encoder is rewarded exactly when the discriminator is wrong."""
-    probs, flags = _check_probs(probs, same_speaker)
-    return float(-np.mean(np.where(flags, np.log1p(-probs), np.log(probs))))
+    return discriminator_loss(probs, ~np.asarray(same_speaker, dtype=bool))
 
 
 # -- training -----------------------------------------------------------------
@@ -133,13 +116,24 @@ def train_disentangle(corpus: Corpus, cfg: DisentangleConfig):
 
 
 def write_loss_log(path, rows) -> None:
-    """Per-epoch loss log as CSV with columns epoch, recon, spk, adv, disc."""
+    """Per-epoch training log as CSV, one line per row.
+
+    The columns are the keys of the first row: epoch, recon, spk, adv, disc
+    for disentanglement training, plus contrastive, pos_pairs, neg_pairs
+    and dist_evals for joint training, and epoch, contrastive, pos_pairs,
+    neg_pairs, dist_evals for refinement. Floats are written as ``repr``
+    (round-tripping), integers as integers.
+    """
+    if not rows:
+        raise DataError("no rows to write")
+    columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LOSS_LOG_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(row[c]) if c != "epoch" else row[c]
-                             for c in LOSS_LOG_COLUMNS])
+            writer.writerow(
+                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
+            )
 
 
 def speaker_embeddings(model: DisentangledModel, corpus: Corpus) -> np.ndarray:

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DataError, EvaluationError, NumericError
 from .seeding import derive_seed
 
+KMEANS_MAX_ITER = 100  # Lloyd iterations
+KMEANS_TOL = 1e-6  # stop once no center moves farther than this
+
 
 def cosine(a, b):
     """Cosine similarity of two equal-length nonzero vectors.
@@ -121,13 +124,12 @@ def _assign(mat: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def kmeans(vectors, n_clusters: int, seed: int, max_iter: int = 100,
-           tol: float = 1e-6, return_history: bool = False):
+def kmeans(vectors, n_clusters: int, seed: int, return_history: bool = False):
     """Lloyd iterations from seeded k-means++ initialization.
 
-    Runs until the largest center movement drops below tol or max_iter is
-    reached; empty clusters are repaired by reassigning the point currently
-    farthest from its center. Returns one cluster id in [0, n) per point
+    Runs until the largest center movement drops below KMEANS_TOL or
+    KMEANS_MAX_ITER iterations are reached; empty clusters are repaired by
+    reassigning the point currently farthest from its center. Returns one cluster id in [0, n) per point
     (with return_history, also the point-to-center cost after each step).
     """
     mat = np.asarray(vectors, dtype=np.float64)
@@ -141,7 +143,7 @@ def kmeans(vectors, n_clusters: int, seed: int, max_iter: int = 100,
     assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
     cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
     history = [cost()]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_centers = centers.copy()
         for c in range(n_clusters):
             members = mat[assign == c]
@@ -151,7 +153,7 @@ def kmeans(vectors, n_clusters: int, seed: int, max_iter: int = 100,
         centers = new_centers
         assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
         history.append(cost())
-        if movement < tol:
+        if movement < KMEANS_TOL:
             break
     return (assign, history) if return_history else assign
 

@@ -240,7 +240,9 @@ def _check_vector(v, dim: int, what: str) -> np.ndarray:
     return v
 
 
-def _encode_one(params: ComponentParams, x, mode: str) -> np.ndarray:
+def encode(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
+    """Variable-length (T, F) feature matrix -> one vector of length d, with
+    either encoder (phonetic or speaker)."""
     x = np.asarray(x, dtype=np.float64)
     f_dim = params.arrays["w_in"].shape[0]
     if x.ndim != 2 or x.shape[1] != f_dim:
@@ -251,16 +253,6 @@ def _encode_one(params: ComponentParams, x, mode: str) -> np.ndarray:
         raise DataError("encoder: empty feature sequence")
     out = encoder_forward(params.tensors(), x, [x.shape[0]], mode=mode)
     return out.data[0]
-
-
-def encode_phonetic(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
-    """Variable-length feature matrix -> phonetic vector of length d."""
-    return _encode_one(params, x, mode)
-
-
-def encode_speaker(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
-    """Variable-length feature matrix -> speaker vector of length d."""
-    return _encode_one(params, x, mode)
 
 
 def decode(params: ComponentParams, v_p, v_s, n_frames: int) -> np.ndarray:
@@ -299,26 +291,21 @@ def transform_refine(params: ComponentParams, v_p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimState:
-    """Adaptive-moment (or plain gradient) optimizer state for one component."""
+    """Adaptive-moment (Adam) optimizer state for one component."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    mode: str = "adam"  # "adam" | "sgd"
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_optim(params: ComponentParams, learning_rate: float = 1e-3,
-               mode: str = "adam") -> OptimState:
-    if mode not in ("adam", "sgd"):
-        raise DataError(f"unknown optimizer mode {mode!r}")
+def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimState:
     zeros = {k: np.zeros_like(a) for k, a in params.arrays.items()}
     return OptimState(
         learning_rate=learning_rate,
-        mode=mode,
         m=zeros,
         v={k: z.copy() for k, z in zeros.items()},
     )
@@ -341,20 +328,13 @@ def grad_step(params: ComponentParams, grads: dict, state: OptimState):
     new_arrays, new_m, new_v = {}, {}, {}
     for key, arr in params.arrays.items():
         g = np.asarray(grads[key], dtype=np.float64)
-        if state.mode == "sgd":
-            new_arrays[key] = arr - state.learning_rate * g
-            new_m[key] = state.m[key]
-            new_v[key] = state.v[key]
-        else:
-            m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-            v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-            m_hat = m / (1.0 - state.beta1**step)
-            v_hat = v / (1.0 - state.beta2**step)
-            new_arrays[key] = arr - state.learning_rate * m_hat / (
-                np.sqrt(v_hat) + state.eps
-            )
-            new_m[key] = m
-            new_v[key] = v
+        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**step)
+        v_hat = v / (1.0 - state.beta2**step)
+        new_arrays[key] = arr - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_m[key] = m
+        new_v[key] = v
     return (
         ComponentParams(params.name, new_arrays),
         replace(state, step=step, m=new_m, v=new_v),

@@ -82,18 +82,11 @@ def _all_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def knn_graph_pairs(
-    vectors,
-    k: int,
-    counter: DistanceCounter | None = None,
-    negative_cap: int | None = None,
-    seed: int | None = None,
-) -> PairSets:
+def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:
     """Undirected k-NN graph of the batch.
 
     Positives: deduplicated union over points of their k nearest neighbors
-    (ties by smaller index). Negatives: all remaining unordered pairs, or,
-    with ``negative_cap``, a seeded per-point sample of that many.
+    (ties by smaller index). Negatives: all remaining unordered pairs.
     """
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
@@ -104,22 +97,8 @@ def knn_graph_pairs(
         order = sorted((dist[i, j], j) for j in range(n) if j != i)
         for _, j in order[:k]:
             positives.add((min(i, j), max(i, j)))
-    remaining = [p for p in _all_pairs(n) if p not in positives]
-    if negative_cap is None:
-        negatives = remaining
-    else:
-        if seed is None:
-            raise DataError("negative_cap requires a seed")
-        rng = np.random.default_rng(seed)
-        chosen = set()
-        for i in range(n):
-            mine = [p for p in remaining if i in p and p not in chosen]
-            take = min(negative_cap, len(mine))
-            if take:
-                for idx in rng.choice(len(mine), size=take, replace=False):
-                    chosen.add(mine[int(idx)])
-        negatives = sorted(chosen)
-    return PairSets(tuple(sorted(positives)), tuple(negatives), k)
+    negatives = tuple(p for p in _all_pairs(n) if p not in positives)
+    return PairSets(tuple(sorted(positives)), negatives, k)
 
 
 def topk_global_pairs(

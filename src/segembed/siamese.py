@@ -7,12 +7,12 @@ of the phonetic vectors is trained with the contrastive loss alone,
 variant d).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _trainer
+from . import autodiff as ad
 from ._trainer import (  # noqa: F401 (public API)
     DisentangledModel,
     RefineModel,
@@ -58,19 +58,10 @@ def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:
     if margin <= 0:
         raise ConfigError("margin must be > 0")
     mat = np.asarray(vectors, dtype=np.float64)
-    n_pairs = len(pairs.positives) + len(pairs.negatives)
-    if n_pairs == 0:
-        raise DataError("contrastive loss needs at least one pair")
     high = max((j for _, j in pairs.positives + pairs.negatives), default=0)
     if mat.ndim != 2 or high >= mat.shape[0]:
         raise DataError("pair indices out of range for the vector list")
-    total = 0.0
-    for i, j in pairs.positives:
-        total += float(np.sum((mat[i] - mat[j]) ** 2))
-    for i, j in pairs.negatives:
-        dist = float(np.linalg.norm(mat[i] - mat[j]))
-        total += max(margin - dist, 0.0) ** 2
-    return total / n_pairs
+    return _trainer.contrastive_graph(ad.constant(mat), pairs, margin).item()
 
 
 def train_joint(corpus: Corpus, cfg_d, cfg_s: SiameseConfig):
@@ -107,18 +98,3 @@ def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
     refinement transform.
     """
     return _trainer.embed_entries(model, corpus, variant, refine)
-
-
-def write_training_report(path, rows) -> None:
-    """Per-epoch CSV of contrastive training (loss terms and pair counts)."""
-    if not rows:
-        raise DataError("no rows to write")
-    columns = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c]
-                 for c in columns]
-            )

@@ -17,7 +17,6 @@ from segembed.disentangle import write_loss_log
 from segembed.evalcluster import write_accuracy_curve_csv, write_cosine_gap_csv
 from segembed.evalstd import write_map_csv
 from segembed.pairmine import DistanceCounter
-from segembed.siamese import write_training_report
 
 # -- shared experiment configuration (desk-scale) ---------------------------
 
@@ -331,7 +330,7 @@ def _run_pipeline(master, out_dir):
     save_refine_model(out_dir / "refine.json", refined)
     write_loss_log(out_dir / "loss_a.csv", rows_a)
     write_loss_log(out_dir / "loss_b.csv", rows_b)
-    write_training_report(out_dir / "refine_log.csv", rows_r)
+    write_loss_log(out_dir / "refine_log.csv", rows_r)
 
     labels = {s.segment_id: s.unit_label for s in test.segments}
     stats, gap_rows, curves, map_table = {}, [], {}, {}

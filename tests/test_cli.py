@@ -6,9 +6,17 @@ import json
 import numpy as np
 import pytest
 
+from segembed._trainer import DisentangledModel, RefineModel, save_model, save_refine_model
 from segembed.cli import main
 from segembed.config import parse_config
 from segembed.errors import ConfigError
+from segembed.neuralcore import (
+    ModelDims,
+    init_decoder,
+    init_discriminator,
+    init_encoder,
+    init_refine,
+)
 
 
 class TestParseConfig:
@@ -371,3 +379,58 @@ class TestBadInputs:
             "--checkpoint", str(path),
         )
         assert "invalid JSON" in self._error(capsys, code)
+
+    def test_corpus_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        code = run_cli(tmp_path, "train", "--corpus", str(path))
+        assert f"{path}: not valid UTF-8" in self._error(capsys, code)
+
+    def test_embeddings_not_utf8(self, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        code = self._eval(corpus_dir, tmp_path, "eval-sim", path)
+        assert f"{path}: not valid UTF-8" in self._error(capsys, code)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfeseed = 1\n")
+        code = main(["--config", str(path), "--out-dir", str(tmp_path), "synth"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"segembed: configuration error: {path}: not valid UTF-8")
+
+    @staticmethod
+    def _checkpoints(tmp_path):
+        """A valid model and refine checkpoint for the TINY corpus; returns
+        their paths."""
+        dims = ModelDims(feature_dim=6, embed_dim=8, enc_hidden=10, dec_hidden=10,
+                         disc_hidden=10, refine_hidden=10)
+        model = DisentangledModel(
+            dims, init_encoder(dims, 0), init_encoder(dims, 1),
+            init_decoder(dims, 2), init_discriminator(dims, 3),
+        )
+        save_model(tmp_path / "model.json", model)
+        save_refine_model(tmp_path / "refine.json", RefineModel(dims, init_refine(dims, 4)))
+        return tmp_path / "model.json", tmp_path / "refine.json"
+
+    @staticmethod
+    def _set_dim(path, key, value):
+        doc = json.loads(path.read_text())
+        doc["meta"]["dims"][key] = value
+        path.write_text(json.dumps(doc))
+
+    def test_model_arrays_disagree_with_meta_dims(self, corpus_dir, tmp_path, capsys):
+        model, _ = self._checkpoints(tmp_path)
+        self._set_dim(model, "embed_dim", 5)
+        code = self._embed(corpus_dir, tmp_path, model.read_text())
+        assert "E_p.b_out: expected shape (5,), found (8,)" in self._error(capsys, code)
+
+    def test_refine_arrays_disagree_with_meta_dims(self, corpus_dir, tmp_path, capsys):
+        model, refine = self._checkpoints(tmp_path)
+        self._set_dim(refine, "refine_hidden", 7)
+        code = run_cli(
+            tmp_path, "embed", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(model), "--variant", "d", "--refine", str(refine),
+        )
+        assert "refine.b1: expected shape (7,), found (10,)" in self._error(capsys, code)

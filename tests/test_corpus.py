@@ -240,15 +240,15 @@ class TestBatches:
 
     def test_drop_last_counts(self):
         batches = make_batches(self._corpus(10), 4, seed=0, drop_last=True)
-        assert [b.size for b in batches] == [4, 4]
+        assert [len(b.indices) for b in batches] == [4, 4]
 
     def test_keep_last_counts(self):
         batches = make_batches(self._corpus(10), 4, seed=0, drop_last=False)
-        assert [b.size for b in batches] == [4, 4, 2]
+        assert [len(b.indices) for b in batches] == [4, 4, 2]
 
     def test_keep_last_merges_singleton(self):
         batches = make_batches(self._corpus(9), 4, seed=0, drop_last=False)
-        assert sorted(b.size for b in batches) == [4, 5]
+        assert sorted(len(b.indices) for b in batches) == [4, 5]
 
     def test_determinism_and_cover(self):
         b1 = make_batches(self._corpus(10), 4, seed=5, drop_last=False)

@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segembed import autodiff as ad
-from segembed._trainer import bce_graph, speaker_contrastive_graph
+from segembed._trainer import (
+    _sample_speaker_pairs,
+    bce_graph,
+    speaker_contrastive_graph,
+    speaker_pairs,
+)
 from segembed.corpus import Corpus, Segment, SynthConfig, synth_corpus
 from segembed.disentangle import (
     DisentangleConfig,
@@ -22,6 +29,7 @@ from segembed.disentangle import (
     write_loss_log,
 )
 from segembed.errors import DataError, DimensionError, NumericError
+from segembed.seeding import rng_for
 
 RNG = np.random.default_rng(21)
 
@@ -46,6 +54,23 @@ def brute_speaker_contrastive(vectors, speakers, margin):
                 total += max(margin - dist, 0.0) ** 2
             count += 1
     return total / count
+
+
+def nested_loop_speaker_pairs(speakers):
+    n = len(speakers)
+    same = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] == speakers[j]]
+    diff = [(i, j) for i in range(n) for j in range(i + 1, n) if speakers[i] != speakers[j]]
+    return same, diff
+
+
+def nested_loop_sample(speakers, limit, rng):
+    picked, flags = [], []
+    for pool, flag in zip(nested_loop_speaker_pairs(speakers), (1.0, 0.0)):
+        take = min(limit, len(pool))
+        if take:
+            picked.extend(pool[int(i)] for i in rng.choice(len(pool), size=take, replace=False))
+            flags.extend([flag] * take)
+    return picked, flags
 
 
 def brute_bce(probs, flags, flip=False):
@@ -115,8 +140,50 @@ class TestSpeakerContrastiveLoss:
             ad.constant(vectors), speakers, 1.0
         ).item()
         assert graph_value == pytest.approx(
-            speaker_contrastive_loss(vectors, speakers, 1.0), abs=1e-12
+            brute_speaker_contrastive(vectors, speakers, 1.0), abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_brute_force_and_permutation(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n, dim))
+        speakers = [str(s) for s in rng.integers(3, size=n)]
+        margin = float(rng.uniform(0.2, 2.0))
+        value = speaker_contrastive_loss(vectors, speakers, margin)
+        assert value == pytest.approx(
+            brute_speaker_contrastive(vectors, speakers, margin), abs=1e-10
+        )
+        perm = rng.permutation(n)
+        permuted = speaker_contrastive_loss(
+            vectors[perm], [speakers[i] for i in perm], margin
+        )
+        assert permuted == pytest.approx(value, abs=1e-12)
+
+
+SPEAKER_LISTS = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=64),
+    st.lists(st.integers(0, 5), min_size=2, max_size=64),
+    st.integers(2, 64).map(lambda n: ["s"] * n),
+    st.integers(2, 64).map(lambda n: [f"s{i}" for i in range(n)]),
+)
+
+
+class TestSpeakerPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(SPEAKER_LISTS, st.integers(0, 2**32 - 1))
+    def test_same_pairs_and_draws_as_nested_loop(self, speakers, seed):
+        same, diff = speaker_pairs(speakers)
+        ref_same, ref_diff = nested_loop_speaker_pairs(speakers)
+        assert same.shape == (len(ref_same), 2) and diff.shape == (len(ref_diff), 2)
+        assert [tuple(p) for p in same.tolist()] == ref_same
+        assert [tuple(p) for p in diff.tolist()] == ref_diff
+
+        limit = len(speakers)
+        picked, flags = _sample_speaker_pairs(speakers, limit, rng_for(seed, "pairs"))
+        ref_picked, ref_flags = nested_loop_sample(speakers, limit, rng_for(seed, "pairs"))
+        assert [tuple(p) for p in picked.tolist()] == ref_picked
+        assert flags.tolist() == ref_flags
 
 
 class TestDiscriminatorAndAdversarialLoss:
@@ -169,9 +236,7 @@ class TestDiscriminatorAndAdversarialLoss:
         flags = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         probs = 1.0 / (1.0 + np.exp(-logits))
         graph_value = bce_graph(ad.constant(logits), flags).item()
-        assert graph_value == pytest.approx(
-            discriminator_loss(probs, flags.astype(bool)), abs=1e-12
-        )
+        assert graph_value == pytest.approx(brute_bce(probs, flags), abs=1e-12)
 
 
 def _tiny_corpus(seed=0):
@@ -270,6 +335,37 @@ class TestTraining:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,recon,spk,adv,disc"
         assert len(lines) == 3
+
+    def test_loss_log_header_for_variant_a(self, tmp_path):
+        corpus = _tiny_corpus()
+        _, rows = train_disentangle(corpus, _tiny_config(epochs=1, alpha_spk=0.0, alpha_adv=0.0))
+        path = tmp_path / "log.csv"
+        write_loss_log(path, rows)
+        assert path.read_text().splitlines()[0] == "epoch,recon,spk,adv,disc"
+
+    def test_loss_log_bytes(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        write_loss_log(path, [
+            {"epoch": 1, "recon": 0.1, "spk": 1 / 3, "adv": 0.0, "disc": 2.5e-17},
+            {"epoch": 2, "recon": 1e20, "spk": 0.5, "adv": -0.0, "disc": 1.0},
+        ])
+        assert path.read_bytes() == (
+            b"epoch,recon,spk,adv,disc\r\n"
+            b"1,0.1,0.3333333333333333,0.0,2.5e-17\r\n"
+            b"2,1e+20,0.5,-0.0,1.0\r\n"
+        )
+        write_loss_log(path, [
+            {"epoch": 1, "contrastive": 0.25, "pos_pairs": 32, "neg_pairs": 32,
+             "dist_evals": 2016},
+        ])
+        assert path.read_bytes() == (
+            b"epoch,contrastive,pos_pairs,neg_pairs,dist_evals\r\n"
+            b"1,0.25,32,32,2016\r\n"
+        )
+
+    def test_loss_log_rejects_empty_rows(self, tmp_path):
+        with pytest.raises(DataError):
+            write_loss_log(tmp_path / "loss.csv", [])
 
 
 class TestLinearProbe:

@@ -12,8 +12,7 @@ from segembed.neuralcore import (
     ModelDims,
     decode,
     discriminate,
-    encode_phonetic,
-    encode_speaker,
+    encode,
     grad_step,
     gradient_check,
     init_decoder,
@@ -36,29 +35,29 @@ RNG = np.random.default_rng(11)
 class TestEncoders:
     def test_output_dimension_is_256(self):
         params = init_encoder(DIMS, seed=0)
-        v = encode_phonetic(params, RNG.normal(size=(7, 39)))
+        v = encode(params, RNG.normal(size=(7, 39)))
         assert v.shape == (256,)
 
     def test_deterministic(self):
         params = init_encoder(DIMS, seed=0)
         x = RNG.normal(size=(7, 39))
-        assert np.array_equal(encode_phonetic(params, x), encode_phonetic(params, x))
+        assert np.array_equal(encode(params, x), encode(params, x))
 
     def test_length_invariance_of_output_shape(self):
         params = init_encoder(DIMS, seed=0)
         for frames in (5, 9):
-            assert encode_speaker(params, RNG.normal(size=(frames, 39))).shape == (256,)
+            assert encode(params, RNG.normal(size=(frames, 39))).shape == (256,)
 
     def test_feature_dim_mismatch(self):
         params = init_encoder(DIMS, seed=0)
         with pytest.raises(DimensionError):
-            encode_phonetic(params, RNG.normal(size=(7, 13)))
+            encode(params, RNG.normal(size=(7, 13)))
 
     def test_rnn_mode(self):
         dims = ModelDims(feature_dim=5, embed_dim=8, enc_hidden=6,
                          encoder_mode="rnn")
         params = init_encoder(dims, seed=0)
-        v = encode_phonetic(params, RNG.normal(size=(4, 5)), mode="rnn")
+        v = encode(params, RNG.normal(size=(4, 5)), mode="rnn")
         assert v.shape == (8,)
 
 
@@ -125,12 +124,6 @@ class TestGradStep:
         new_params, new_state = grad_step(params, {"w": np.zeros(2)}, state)
         assert np.array_equal(new_params.arrays["w"], params.arrays["w"])
         assert new_state.step == 1
-
-    def test_plain_gradient_mode(self):
-        params = ComponentParams("c", {"w": np.array([1.0])})
-        state = init_optim(params, learning_rate=0.1, mode="sgd")
-        new_params, _ = grad_step(params, {"w": np.array([2.0])}, state)
-        assert new_params.arrays["w"][0] == pytest.approx(0.8)
 
     def test_nan_gradient_rejected(self):
         params = ComponentParams("c", {"w": np.array([1.0])})

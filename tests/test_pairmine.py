@@ -132,16 +132,6 @@ class TestKnnGraphPairs:
         }
         assert set(base) == relabeled
 
-    def test_negative_cap_mode(self):
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(8, 2))
-        pairs = knn_graph_pairs(pts, k=2, negative_cap=2, seed=9)
-        full = knn_graph_pairs(pts, k=2)
-        assert set(pairs.positives) == set(full.positives)
-        assert set(pairs.negatives) <= set(full.negatives)
-        again = knn_graph_pairs(pts, k=2, negative_cap=2, seed=9)
-        assert pairs.negatives == again.negatives
-
 
 class TestTopkGlobalPairs:
     def test_spec_example(self):

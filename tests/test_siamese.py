@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segembed import autodiff as ad
 from segembed._trainer import RefineModel, contrastive_graph
@@ -92,7 +94,31 @@ class TestContrastiveLoss:
         pairs = random_pairsets(np.random.default_rng(2), 6)
         graph_value = contrastive_graph(ad.constant(vectors), pairs, 1.0).item()
         assert graph_value == pytest.approx(
-            contrastive_loss(vectors, pairs, 1.0), abs=1e-12
+            brute_contrastive(vectors, pairs, 1.0), abs=1e-12
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_brute_force_and_permutation(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n, dim))
+        pairs = random_pairsets(rng, n)
+        if not pairs.positives and not pairs.negatives:
+            return
+        margin = float(rng.uniform(0.2, 2.0))
+        value = contrastive_loss(vectors, pairs, margin)
+        assert value == pytest.approx(brute_contrastive(vectors, pairs, margin), abs=1e-10)
+
+        perm = rng.permutation(n)  # new row r holds old row perm[r]
+        new_index = np.argsort(perm)
+
+        def relabel(pair_list):
+            moved = (sorted((int(new_index[i]), int(new_index[j]))) for i, j in pair_list)
+            return tuple(sorted(tuple(p) for p in moved))
+
+        permuted = PairSets(relabel(pairs.positives), relabel(pairs.negatives), pairs.k)
+        assert contrastive_loss(vectors[perm], permuted, margin) == pytest.approx(
+            value, abs=1e-12
         )
 
     def test_vanishing_margin_with_no_positives_gives_zero(self):
