@@ -16,7 +16,13 @@ from . import autodiff as ad
 from . import neuralcore as nc
 from .corpus import Corpus, make_batches
 from .errors import ConfigError, DataError, ParseError
-from .pairmine import DistanceCounter, PairSets, knn_graph_pairs, topk_global_pairs
+from .pairmine import (
+    DistanceCounter,
+    PairSets,
+    knn_graph_pairs,
+    pair_indices,
+    topk_global_pairs,
+)
 from .seeding import derive_seed, rng_for
 
 EMBED_CHUNK = 256
@@ -77,7 +83,7 @@ def speaker_pairs(speakers):
     """
     codes = {}
     labels = np.array([codes.setdefault(s, len(codes)) for s in speakers])
-    i, j = np.triu_indices(len(labels), k=1)
+    i, j = pair_indices(len(labels))
     same = labels[i] == labels[j]
     return np.stack((i[same], j[same]), axis=1), np.stack((i[~same], j[~same]), axis=1)
 
@@ -397,20 +403,24 @@ def load_refine_model(path) -> RefineModel:
 # -- embedding extraction ----------------------------------------------------
 
 
-def _encode_many(encoder: nc.ComponentParams, segments, mode: str) -> np.ndarray:
+def compute_embeddings(model: DisentangledModel, corpus: Corpus,
+                       which: str = "phonetic", order=None) -> np.ndarray:
+    """(M, d) embedding matrix with one of the model's encoders, in corpus
+    order or in the corpus-index ``order``; values only, no tape kept."""
+    if model.dims.feature_dim != corpus.feature_dim:
+        raise ConfigError(
+            f"model expects feature_dim {model.dims.feature_dim}, "
+            f"corpus has {corpus.feature_dim}"
+        )
+    encoder = {"phonetic": model.e_p, "speaker": model.e_s}[which]
+    mode = model.dims.encoder_mode
+    segments = [corpus[i] for i in (range(len(corpus)) if order is None else order)]
     out = []
     for start in range(0, len(segments), EMBED_CHUNK):
         chunk = segments[start : start + EMBED_CHUNK]
         frames, lengths = nc.pack_sequences([s.features for s in chunk])
         out.append(nc.encoder_forward(encoder.tensors(), frames, lengths, mode).data)
     return np.concatenate(out, axis=0)
-
-
-def compute_embeddings(model: DisentangledModel, corpus: Corpus,
-                       which: str = "phonetic") -> np.ndarray:
-    """(M, d) embedding matrix in corpus order; values only, no tape kept."""
-    encoder = {"phonetic": model.e_p, "speaker": model.e_s}[which]
-    return _encode_many(encoder, list(corpus.segments), model.dims.encoder_mode)
 
 
 def embed_entries(model: DisentangledModel, corpus: Corpus, variant: str,
@@ -424,9 +434,13 @@ def embed_entries(model: DisentangledModel, corpus: Corpus, variant: str,
         raise ConfigError(f"unknown embedding variant {variant!r}")
     if variant == "d" and refine is None:
         raise ConfigError("variant d requires refinement parameters")
+    if variant == "d" and refine.dims.embed_dim != model.dims.embed_dim:
+        raise ConfigError(
+            f"refinement expects embed_dim {refine.dims.embed_dim}, "
+            f"model has {model.dims.embed_dim}"
+        )
     order = sorted(range(len(corpus)), key=lambda i: corpus[i].segment_id)
-    segments = [corpus[i] for i in order]
-    vectors = _encode_many(model.e_p, segments, model.dims.encoder_mode)
+    vectors = compute_embeddings(model, corpus, "phonetic", order)
     if variant == "d":
         vectors = nc.refine_forward(refine.params.tensors(), vectors).data
-    return [(seg.segment_id, vectors[i]) for i, seg in enumerate(segments)]
+    return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]

@@ -173,13 +173,19 @@ def tanh(a) -> Tensor:
     return out
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow for large |x|."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    y[~pos] = e / (1.0 + e)
+    return y
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    y[~pos] = e / (1.0 + e)
+    y = _stable_sigmoid(a.data)
     out = Tensor(y, _parents=(a,))
 
     def backward(g):
@@ -198,24 +204,7 @@ def softplus(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            s = np.empty_like(a.data)
-            pos = a.data >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-            e = np.exp(a.data[~pos])
-            s[~pos] = e / (1.0 + e)
-            a._accumulate(g * s)
-
-    out._backward = backward
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data), _parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+            a._accumulate(g * _stable_sigmoid(a.data))
 
     out._backward = backward
     return out

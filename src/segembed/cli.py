@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _trainer, evalcluster, evalstd, pairmine
-from .config import parse_config, with_master_seed
+from .config import parse_config
 from .corpus import (
     load_corpus,
     load_embeddings,
+    make_batches,
     save_corpus,
     save_embeddings,
     synth_corpus,
@@ -110,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_n_values(arg: str):
-    if ".." in arg:
-        head, _, step_part = arg.partition(":")
-        lo, _, hi = head.partition("..")
-        step = int(step_part) if step_part else 1
-        values = tuple(range(int(lo), int(hi) + 1, step))
-    else:
-        values = tuple(int(part) for part in arg.split(",") if part.strip())
-    if not values or any(n < 1 for n in values):
-        raise ConfigError(f"invalid cluster counts {arg!r}")
-    return values
+    """Cluster counts of ``--n``; range checks are ``EvalConfig``'s."""
+    try:
+        if ".." in arg:
+            head, _, step_part = arg.partition(":")
+            lo, _, hi = head.partition("..")
+            step = int(step_part) if step_part else 1
+            return tuple(range(int(lo), int(hi) + 1, step))
+        return tuple(int(part) for part in arg.split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigError(f"invalid cluster counts {arg!r}: {exc}") from exc
 
 
 def _parse_embeddings_args(items):
@@ -165,9 +166,8 @@ def _echo_config(cfg, out_dir: Path):
 
 
 def _run(args) -> str:
-    cfg = parse_config(args.config, args.overrides)
-    if args.seed is not None:
-        cfg = with_master_seed(cfg, args.seed)
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    cfg = parse_config(args.config, args.overrides + seed)
     out_dir = Path(args.out_dir)
     _echo_config(cfg, out_dir)
     master = cfg.seed
@@ -227,30 +227,26 @@ def _run(args) -> str:
     if args.command == "mine-audit":
         entries = load_embeddings(args.embeddings)
         vectors = np.asarray([vec for _, vec in entries])
-        rng = np.random.default_rng(derive_seed(master, "mine-audit"))
-        order = rng.permutation(len(entries))
+        cfg_s = replace(cfg.siamese, seed=derive_seed(master, "mine-audit:pairs"))
         counter = pairmine.DistanceCounter()
         records = []
-        size = cfg.siamese.batch_size
-        for start in range(0, len(order) - size + 1, size):
-            batch = order[start : start + size]
+        batches = make_batches(
+            entries, cfg_s.batch_size, derive_seed(master, "mine-audit")
+        )
+        for bi, batch in enumerate(batches):
             pairs = _trainer.mine_pairs(
-                vectors[batch],
-                replace(cfg.siamese, seed=derive_seed(master, "mine-audit:pairs")),
-                0,
-                start // size,
-                counter,
+                vectors[list(batch.indices)], cfg_s, 0, bi, counter
             )
             records.append(
                 {
-                    "indices": batch.tolist(),
+                    "indices": batch.indices,
                     "positives": pairs.positives,
                     "negatives": pairs.negatives,
                 }
             )
         path = args.output or out_dir / "pairs.jsonl"
         pairmine.write_pair_dump(path, records)
-        bound = len(entries) * size
+        bound = len(entries) * cfg_s.batch_size
         return (
             f"mine-audit: {len(records)} batches, {counter.count} distance "
             f"evaluations (bound M*|B| = {bound}) to {path}"
@@ -271,12 +267,15 @@ def _run(args) -> str:
         return f"eval-sim: {summary} -> {path}"
 
     if args.command == "eval-cluster":
-        n_values = _parse_n_values(args.n) if args.n else cfg.eval.n_values
+        evaluation = cfg.eval
+        if args.n:
+            evaluation = replace(evaluation, n_values=_parse_n_values(args.n))
         curves = {}
         for variant, path in tagged:
             vectors, kept = _labeled_vectors(path, labels)
             curves[variant] = evalcluster.accuracy_curve(
-                vectors, kept, cfg.eval.m, n_values, derive_seed(master, "eval-cluster")
+                vectors, kept, evaluation.m, evaluation.n_values,
+                derive_seed(master, "eval-cluster"),
             )
         path = args.output or out_dir / "cluster_accuracy.csv"
         evalcluster.write_accuracy_curve_csv(path, curves)

@@ -8,7 +8,7 @@ rejected by name. The fully resolved config is echoed into each run's
 output directory so results are self-describing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import SynthConfig, read_text_lines
 from .disentangle import DisentangleConfig
@@ -111,8 +111,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.m < 1 or self.n_queries < 1 or self.n_documents < 2:
             raise ConfigError("eval counts out of range")
-        if not self.n_values or not self.top_k:
-            raise ConfigError("eval.n_values and eval.top_k must be non-empty")
+        for key, values in (("eval.n_values", self.n_values), ("eval.top_k", self.top_k)):
+            if not values or min(values) < 1:
+                raise ConfigError(f"{key} must list integers >= 1, got {values}")
 
 
 @dataclass(frozen=True)
@@ -234,14 +235,3 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         resolved=values,
     )
 
-
-def with_master_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    resolved = dict(cfg.resolved)
-    resolved["seed"] = seed
-    return replace(
-        cfg,
-        seed=seed,
-        disentangle=replace(cfg.disentangle, seed=seed),
-        siamese=replace(cfg.siamese, seed=seed),
-        resolved=resolved,
-    )

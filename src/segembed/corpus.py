@@ -8,6 +8,7 @@ An embedding file is JSON-lines with keys ``segment_id`` and ``vector``.
 Both round-trip bit-exactly at double precision.
 """
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -320,8 +321,20 @@ def load_embeddings(path):
     return out
 
 
-def make_batches(corpus: Corpus, batch_size: int, seed: int, drop_last: bool = True):
-    """Seeded uniform shuffle of corpus indices, cut into consecutive batches.
+def write_csv(path, columns, rows) -> None:
+    """Report table as CSV: a header line of ``columns``, then one line per
+    row (a sequence of values). Floats are written in their shortest
+    round-tripping form, integers as integers; no rows gives a file with
+    only the header."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
+    """Seeded uniform shuffle of the indices of ``corpus`` (a Corpus, or any
+    sequence: only its length is read), cut into consecutive batches.
 
     With drop_last, every batch has exactly batch_size elements. Otherwise a
     shorter final batch is kept; a final batch of a single element is merged

@@ -7,20 +7,20 @@ When true speaker ids are missing, segments of one utterance are treated
 as one speaker.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _trainer
 from . import autodiff as ad
+from . import neuralcore as nc
 from ._trainer import (  # noqa: F401 (public API)
     DisentangledModel,
     effective_speakers,
     load_model,
     save_model,
 )
-from .corpus import Corpus
+from .corpus import Corpus, write_csv
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .seeding import rng_for
 
@@ -55,6 +55,8 @@ class DisentangleConfig:
             raise ConfigError("loss weights must be >= 0")
         if self.disc_warmup_epochs < 0:
             raise ConfigError("disc_warmup_epochs must be >= 0")
+        if self.encoder_mode not in nc.ENCODER_MODES:
+            raise ConfigError(f"encoder_mode must be one of {nc.ENCODER_MODES}")
         if self.disc_learning_rate is None:
             object.__setattr__(self, "disc_learning_rate", self.learning_rate)
 
@@ -121,19 +123,12 @@ def write_loss_log(path, rows) -> None:
     The columns are the keys of the first row: epoch, recon, spk, adv, disc
     for disentanglement training, plus contrastive, pos_pairs, neg_pairs
     and dist_evals for joint training, and epoch, contrastive, pos_pairs,
-    neg_pairs, dist_evals for refinement. Floats are written as ``repr``
-    (round-tripping), integers as integers.
+    neg_pairs, dist_evals for refinement. Written by ``corpus.write_csv``.
     """
     if not rows:
         raise DataError("no rows to write")
     columns = list(rows[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
-            )
+    write_csv(path, columns, ([row[c] for c in columns] for row in rows))
 
 
 def speaker_embeddings(model: DisentangledModel, corpus: Corpus) -> np.ndarray:
@@ -173,18 +168,15 @@ def linear_probe_accuracy(vectors, labels, seed: int,
     x_test = np.hstack([(mat[test_idx] - mu) / sd, np.ones((len(test_idx), 1))])
 
     k = len(classes)
-    w = np.zeros((x_train.shape[1], k))
+    params = nc.ComponentParams("probe", {"w": np.zeros((x_train.shape[1], k))})
+    opt = nc.init_optim(params, learning_rate=0.1)
     onehot = np.eye(k)[y[train_idx]]
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    for t in range(1, steps + 1):
-        logits = x_train @ w
+    for _ in range(steps):
+        logits = x_train @ params.arrays["w"]
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = x_train.T @ (p - onehot) / len(train_idx)
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        w -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-    pred = np.argmax(x_test @ w, axis=1)
+        params, opt = nc.grad_step(params, {"w": g}, opt)
+    pred = np.argmax(x_test @ params.arrays["w"], axis=1)
     return float(np.mean(pred == y[test_idx]))

@@ -8,11 +8,11 @@ accuracy normalizes a label x cluster confusion matrix, picks each label's
 best cluster, and sums that mass.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import write_csv
 from .errors import DataError, EvaluationError, NumericError
 from .seeding import derive_seed
 
@@ -257,21 +257,17 @@ def accuracy_curve(vectors, labels, m: int, n_values, seed: int):
 
 def write_cosine_gap_csv(path, rows) -> None:
     """Rows of (variant, level, CosineGapReport) -> cosine-gap table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "level", "intra", "inter", "delta"])
-        for variant, level, report in rows:
-            writer.writerow(
-                [variant, level, repr(report.intra), repr(report.inter),
-                 repr(report.delta)]
-            )
+    write_csv(
+        path,
+        ["variant", "level", "intra", "inter", "delta"],
+        ((variant, level, r.intra, r.inter, r.delta) for variant, level, r in rows),
+    )
 
 
 def write_accuracy_curve_csv(path, curves) -> None:
     """Mapping variant -> [(n, acc), ...] -> accuracy-vs-n table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "n_clusters", "accuracy"])
-        for variant in sorted(curves):
-            for n, acc in curves[variant]:
-                writer.writerow([variant, n, repr(acc)])
+    write_csv(
+        path,
+        ["variant", "n_clusters", "accuracy"],
+        ((variant, n, acc) for variant in sorted(curves) for n, acc in curves[variant]),
+    )

@@ -13,13 +13,13 @@ array, so one query is scored against the whole archive with one row-wise
 sum read at each document's effective k.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import write_csv
 from .errors import DataError, EvaluationError
 from .evalcluster import cosine
 from .seeding import rng_for
@@ -277,12 +277,12 @@ def write_map_csv(path, table, top_k_values) -> None:
     other variant present."""
     variants = sorted(table)
     diff_targets = [v for v in variants if v != "d"] if "d" in variants else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["top_k"] + variants + [f"d-{v}" for v in diff_targets]
-        )
-        for k in top_k_values:
-            row = [k] + [repr(table[v][k]) for v in variants]
-            row += [repr(table["d"][k] - table[v][k]) for v in diff_targets]
-            writer.writerow(row)
+    write_csv(
+        path,
+        ["top_k"] + variants + [f"d-{v}" for v in diff_targets],
+        (
+            [k] + [table[v][k] for v in variants]
+            + [table["d"][k] - table[v][k] for v in diff_targets]
+            for k in top_k_values
+        ),
+    )

@@ -4,8 +4,8 @@ Five components: phonetic encoder, speaker encoder, decoder, speaker
 discriminator, and the refinement transform. Forward passes are built on
 the autodiff tape; batched forms concatenate all frames of a batch and use
 constant pooling / repetition matrices so one batch costs a handful of
-matmuls. Also houses the seeded optimizer, checkpoint serialization, and
-finite-difference gradient verification.
+matmuls. Also houses the package's one optimizer (Adam), checkpoint
+serialization, and finite-difference gradient verification.
 
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
@@ -22,7 +22,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, DimensionError, NumericError, ParseError
 
-COMPONENT_NAMES = ("E_p", "E_s", "Dec", "D_s", "refine")
+ENCODER_MODES = ("pool", "rnn")
+
+# Adam coefficients (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,10 @@ class ModelDims:
     dec_hidden: int = 128
     disc_hidden: int = 128
     refine_hidden: int = 128
-    encoder_mode: str = "pool"  # "pool" | "rnn"
+    encoder_mode: str = "pool"  # one of ENCODER_MODES
 
     def __post_init__(self):
-        if self.encoder_mode not in ("pool", "rnn"):
+        if self.encoder_mode not in ENCODER_MODES:
             raise DataError(f"unknown encoder_mode {self.encoder_mode!r}")
 
 
@@ -58,9 +63,6 @@ class ComponentParams:
         return {
             k: Tensor(v, requires_grad=requires_grad) for k, v in self.arrays.items()
         }
-
-    def copy(self) -> "ComponentParams":
-        return ComponentParams(self.name, {k: v.copy() for k, v in self.arrays.items()})
 
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.arrays.items()}
@@ -294,9 +296,6 @@ class OptimState:
     """Adaptive-moment (Adam) optimizer state for one component."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -312,7 +311,7 @@ def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimSta
 
 
 def grad_step(params: ComponentParams, grads: dict, state: OptimState):
-    """One optimizer update -> (new ComponentParams, new OptimState)."""
+    """One Adam update -> (new ComponentParams, new OptimState)."""
     for key, arr in params.arrays.items():
         g = grads.get(key)
         if g is None:
@@ -328,11 +327,11 @@ def grad_step(params: ComponentParams, grads: dict, state: OptimState):
     new_arrays, new_m, new_v = {}, {}, {}
     for key, arr in params.arrays.items():
         g = np.asarray(grads[key], dtype=np.float64)
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**step)
-        v_hat = v / (1.0 - state.beta2**step)
-        new_arrays[key] = arr - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**step)
+        v_hat = v / (1.0 - ADAM_BETA2**step)
+        new_arrays[key] = arr - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[key] = m
         new_v[key] = v
     return (

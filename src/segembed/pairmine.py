@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericError
 
 
 class DistanceCounter:
@@ -60,6 +60,8 @@ def _as_matrix(vectors) -> np.ndarray:
         raise DimensionError(f"vectors must share one dimension, got {sorted(lengths)}")
     if mat.shape[0] < 2:
         raise DataError("need at least 2 vectors")
+    if not np.isfinite(mat).all():
+        raise NumericError("vectors must be finite")
     return mat
 
 
@@ -78,8 +80,14 @@ def pairwise_distances(vectors, counter: DistanceCounter | None = None) -> np.nd
     return dist
 
 
-def _all_pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def pair_indices(n: int):
+    """The unordered pairs (i, j), i < j, of a batch of n, as two int
+    arrays in row-major order (by i, then j)."""
+    return np.triu_indices(n, k=1)
+
+
+def _tuples(i, j) -> tuple:
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:
@@ -87,18 +95,19 @@ def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> 
 
     Positives: deduplicated union over points of their k nearest neighbors
     (ties by smaller index). Negatives: all remaining unordered pairs.
+    Both lists are in row-major order.
     """
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise DataError(f"k must satisfy 2 <= k+1 <= batch size; got k={k}, |B|={n}")
-    positives = set()
-    for i in range(n):
-        order = sorted((dist[i, j], j) for j in range(n) if j != i)
-        for _, j in order[:k]:
-            positives.add((min(i, j), max(i, j)))
-    negatives = tuple(p for p in _all_pairs(n) if p not in positives)
-    return PairSets(tuple(sorted(positives)), negatives, k)
+    rows = np.arange(n)[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")  # ties by smaller index
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[rows, order[order != rows].reshape(n, n - 1)[:, :k]] = True
+    i, j = pair_indices(n)
+    linked = (adjacent | adjacent.T)[i, j]
+    return PairSets(_tuples(i[linked], j[linked]), _tuples(i[~linked], j[~linked]), k)
 
 
 def topk_global_pairs(
@@ -114,13 +123,15 @@ def topk_global_pairs(
         raise DataError(
             f"need |B|(|B|-1)/2 >= 2k: batch of {n} has {total} pairs, k={k}"
         )
-    ranked = sorted((dist[i, j], i, j) for i, j in _all_pairs(n))
-    positives = tuple((i, j) for _, i, j in ranked[:k])
-    rest = [(i, j) for _, i, j in ranked[k:]]
-    rng = np.random.default_rng(seed)
-    pick = rng.choice(len(rest), size=k, replace=False)
-    negatives = tuple(rest[int(i)] for i in sorted(pick))
-    return PairSets(positives, negatives, k)
+    i, j = pair_indices(n)
+    ranked = np.lexsort((j, i, dist[i, j]))
+    pick = np.random.default_rng(seed).choice(total - k, size=k, replace=False)
+    positives, negatives = ranked[:k], ranked[k:][np.sort(pick)]
+    return PairSets(
+        _tuples(i[positives], j[positives]),
+        _tuples(i[negatives], j[negatives]),
+        k,
+    )
 
 
 def write_pair_dump(path, records) -> None:

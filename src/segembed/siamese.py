@@ -81,11 +81,6 @@ def train_refine(corpus: Corpus, base: DisentangledModel, cfg_s: SiameseConfig):
 
     Returns (RefineModel, loss log rows).
     """
-    if base.dims.feature_dim != corpus.feature_dim:
-        raise ConfigError(
-            f"model expects feature_dim {base.dims.feature_dim}, "
-            f"corpus has {corpus.feature_dim}"
-        )
     return _trainer.run_refine_training(corpus, base, cfg_s)
 
 

@@ -66,6 +66,31 @@ class TestParseConfig:
         cfg = parse_config(None, overrides=["eval.n_values=3,5,9"])
         assert cfg.eval.n_values == (3, 5, 9)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("model.encoder_mode=lstm", "encoder_mode must be one of ('pool', 'rnn')"),
+            ("eval.top_k=1,0", "eval.top_k must list integers >= 1, got (1, 0)"),
+            ("eval.n_values=-4,8", "eval.n_values must list integers >= 1, got (-4, 8)"),
+        ],
+    )
+    def test_value_rejected_at_parse_time(self, tmp_path, capsys, override, message):
+        code = main(["--out-dir", str(tmp_path), "--set", override, "synth"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert message in err
+
+    def test_seed_flag_is_the_last_override(self, tmp_path, capsys):
+        for name, args in (("flag", ["--set", "seed=3", "--seed", "5"]),
+                           ("set", ["--set", "seed=5"])):
+            assert run_cli(tmp_path / name, *args, "synth") == 0
+        capsys.readouterr()
+        for artifact in ("resolved_config.txt", "corpus.jsonl"):
+            assert file_hash(tmp_path / "flag" / artifact) == file_hash(
+                tmp_path / "set" / artifact
+            )
+        assert "seed = 5\n" in (tmp_path / "flag" / "resolved_config.txt").read_text()
+
 
 TINY = [
     "--set", "synth.n_units=4",
@@ -245,7 +270,8 @@ class TestPipeline:
 
 
 class TestBadInputs:
-    """Each malformed input exits 1 with a ``segembed: error:`` message."""
+    """Each malformed input exits 1 with a ``segembed: error:`` message, or
+    3 with a ``segembed: configuration error:`` message."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -401,11 +427,11 @@ class TestBadInputs:
         assert err.startswith(f"segembed: configuration error: {path}: not valid UTF-8")
 
     @staticmethod
-    def _checkpoints(tmp_path):
-        """A valid model and refine checkpoint for the TINY corpus; returns
-        their paths."""
-        dims = ModelDims(feature_dim=6, embed_dim=8, enc_hidden=10, dec_hidden=10,
-                         disc_hidden=10, refine_hidden=10)
+    def _checkpoints(tmp_path, feature_dim=6, embed_dim=8):
+        """A valid model and refine checkpoint, by default for the TINY
+        corpus; returns their paths."""
+        dims = ModelDims(feature_dim=feature_dim, embed_dim=embed_dim, enc_hidden=10,
+                         dec_hidden=10, disc_hidden=10, refine_hidden=10)
         model = DisentangledModel(
             dims, init_encoder(dims, 0), init_encoder(dims, 1),
             init_decoder(dims, 2), init_discriminator(dims, 3),
@@ -434,3 +460,43 @@ class TestBadInputs:
             "--checkpoint", str(model), "--variant", "d", "--refine", str(refine),
         )
         assert "refine.b1: expected shape (7,), found (10,)" in self._error(capsys, code)
+
+    @staticmethod
+    def _config_error(capsys, code):
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("segembed: configuration error:")
+        return err
+
+    def test_embed_corpus_of_other_feature_dim(self, corpus_dir, tmp_path, capsys):
+        model, _ = self._checkpoints(tmp_path, feature_dim=5)
+        code = self._embed(corpus_dir, tmp_path, model.read_text())
+        err = self._config_error(capsys, code)
+        assert "model expects feature_dim 5, corpus has 6" in err
+
+    def test_embed_refinement_of_other_embed_dim(self, corpus_dir, tmp_path, capsys):
+        model, _ = self._checkpoints(tmp_path)
+        (tmp_path / "wide").mkdir()
+        _, refine = self._checkpoints(tmp_path / "wide", embed_dim=16)
+        code = run_cli(
+            tmp_path, "embed", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(model), "--variant", "d", "--refine", str(refine),
+        )
+        err = self._config_error(capsys, code)
+        assert "refinement expects embed_dim 16, model has 8" in err
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("0,4", "eval.n_values must list integers >= 1, got (0, 4)"),
+            ("6..2", "eval.n_values must list integers >= 1, got ()"),
+            ("4,x", "invalid cluster counts '4,x'"),
+        ],
+    )
+    def test_bad_cluster_counts(self, corpus_dir, tmp_path, capsys, n, message):
+        path = self._embeddings(corpus_dir, tmp_path, lambda records: None)
+        code = run_cli(
+            tmp_path, "eval-cluster", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--embeddings", f"a={path}", "--n", n,
+        )
+        assert message in self._config_error(capsys, code)

@@ -8,6 +8,7 @@ import pytest
 
 from segembed.errors import DataError, EvaluationError, NumericError
 from segembed.evalcluster import (
+    CosineGapReport,
     accuracy_curve,
     cluster_accuracy,
     confusion_matrix,
@@ -16,6 +17,8 @@ from segembed.evalcluster import (
     kmeans,
     select_top_labels,
     within_cluster_ss,
+    write_accuracy_curve_csv,
+    write_cosine_gap_csv,
 )
 
 RNG = np.random.default_rng(41)
@@ -240,3 +243,36 @@ class TestProtocol:
         assert [n for n, _ in curve] == [3, 6]
         assert all(0.0 < acc <= 1.0 for _, acc in curve)
         assert curve[0][1] > 0.9  # well-separated clumps recovered at n = m
+
+
+class TestReportCsv:
+    """Byte format of the cosine-gap and accuracy-curve tables: CRLF lines,
+    floats in shortest round-tripping form, integers as integers."""
+
+    def test_cosine_gap_bytes(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        write_cosine_gap_csv(path, [
+            ("a", "word", CosineGapReport(0.75, 0.5, 3, 4)),
+            ("d", "word", CosineGapReport(1 / 3, -0.1, 1, 2)),
+        ])
+        assert path.read_bytes() == (
+            b"variant,level,intra,inter,delta\r\n"
+            b"a,word,0.75,0.5,0.25\r\n"
+            b"d,word,0.3333333333333333,-0.1,0.43333333333333335\r\n"
+        )
+
+    def test_accuracy_curve_bytes_sorted_by_variant(self, tmp_path):
+        path = tmp_path / "acc.csv"
+        write_accuracy_curve_csv(path, {"d": [(4, 0.5)], "a": [(4, 0.125), (8, 2 / 3)]})
+        assert path.read_bytes() == (
+            b"variant,n_clusters,accuracy\r\n"
+            b"a,4,0.125\r\n"
+            b"a,8,0.6666666666666666\r\n"
+            b"d,4,0.5\r\n"
+        )
+
+    def test_empty_tables_write_the_header_only(self, tmp_path):
+        write_cosine_gap_csv(tmp_path / "gap.csv", [])
+        write_accuracy_curve_csv(tmp_path / "acc.csv", {})
+        assert (tmp_path / "gap.csv").read_bytes() == b"variant,level,intra,inter,delta\r\n"
+        assert (tmp_path / "acc.csv").read_bytes() == b"variant,n_clusters,accuracy\r\n"

@@ -22,6 +22,7 @@ from segembed.evalstd import (
     relevance_score,
     run_retrieval,
     tfidf_select_queries,
+    write_map_csv,
 )
 
 RNG = np.random.default_rng(51)
@@ -292,3 +293,28 @@ class TestBatchedScoringProperties:
         shuffled = list(index.documents)
         random.shuffle(shuffled)
         assert rank_documents(QuerySpec("q", query), DocumentIndex(tuple(shuffled)), top_k) == ranked
+
+
+class TestMapCsv:
+    """Byte format of the MAP table: one row per top_k, a column per
+    variant, then d minus each other variant."""
+
+    def test_bytes_with_difference_columns(self, tmp_path):
+        path = tmp_path / "map.csv"
+        table = {"d": {1: 0.75, 5: 0.5}, "a": {1: 0.5, 5: 0.625}, "b": {1: 0.1, 5: 0.2}}
+        write_map_csv(path, table, (1, 5))
+        assert path.read_bytes() == (
+            b"top_k,a,b,d,d-a,d-b\r\n"
+            b"1,0.5,0.1,0.75,0.25,0.65\r\n"
+            b"5,0.625,0.2,0.5,-0.125,0.3\r\n"
+        )
+
+    def test_no_variant_d_means_no_difference_columns(self, tmp_path):
+        path = tmp_path / "map.csv"
+        write_map_csv(path, {"b": {10: 1 / 3}}, (10,))
+        assert path.read_bytes() == b"top_k,b\r\n10,0.3333333333333333\r\n"
+
+    def test_empty_table_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "map.csv"
+        write_map_csv(path, {}, ())
+        assert path.read_bytes() == b"top_k\r\n"

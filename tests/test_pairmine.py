@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segembed.errors import DataError, DimensionError
+from segembed.errors import DataError, DimensionError, NumericError
 from segembed.pairmine import (
     DistanceCounter,
     PairSets,
@@ -184,3 +186,94 @@ class TestTopkGlobalPairs:
         ]
         min_rest = min(dist[i, j] for i, j in excluded)
         assert max_pos <= min_rest + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "mine",
+    [pairwise_distances, lambda v: knn_graph_pairs(v, 1),
+     lambda v: topk_global_pairs(v, 1, seed=0)],
+    ids=["pairwise_distances", "knn_graph_pairs", "topk_global_pairs"],
+)
+def test_non_finite_vector_rejected(mine, bad):
+    pts = np.zeros((4, 2))
+    pts[1, 0] = bad
+    with pytest.raises(NumericError, match="finite"):
+        mine(pts)
+
+
+@st.composite
+def tie_heavy_points(draw, min_n=2):
+    """Integer points in a small box: many pairs are exactly equidistant
+    (float distances of small integers are exact) and points repeat."""
+    n = draw(st.integers(min_n, 12))
+    d = draw(st.integers(1, 3))
+    rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.float64)
+
+
+def row_major_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def relabel(pairs, perm):
+    return {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in pairs}
+
+
+class TestMinersProperties:
+    """Both miners against the brute-force oracles above on tie-heavy
+    batches, so the (distance, index) tie-breaks are pinned, and under row
+    permutation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=tie_heavy_points(), data=st.data())
+    def test_knn_graph_matches_brute_force(self, points, data):
+        n = len(points)
+        k = data.draw(st.integers(1, n - 1))
+        pairs = knn_graph_pairs(points, k)
+        expected = brute_force_knn_positives(points, k)
+        assert pairs.positives == tuple(sorted(expected))
+        assert pairs.negatives == tuple(
+            p for p in row_major_pairs(n) if p not in expected
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=tie_heavy_points(min_n=3), data=st.data())
+    def test_topk_global_matches_brute_force(self, points, data):
+        total = len(points) * (len(points) - 1) // 2
+        k = data.draw(st.integers(1, total // 2))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        pairs = topk_global_pairs(points, k, seed)
+        ranked = brute_force_topk_positives(points, total)  # every pair, ranked
+        rest = ranked[k:]
+        pick = np.random.default_rng(seed).choice(len(rest), size=k, replace=False)
+        assert pairs.positives == tuple(ranked[:k])
+        assert pairs.negatives == tuple(rest[p] for p in sorted(pick))
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=tie_heavy_points(min_n=3), data=st.data())
+    def test_topk_positive_distances_survive_permutation(self, points, data):
+        n = len(points)
+        k = data.draw(st.integers(1, n * (n - 1) // 4))
+        perm = np.array(data.draw(st.permutations(range(n))))
+
+        def positive_sq_distances(pts):
+            pairs = topk_global_pairs(pts, k, seed=0)
+            return sorted(float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in pairs.positives)
+
+        assert positive_sq_distances(points[perm]) == positive_sq_distances(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1), data=st.data()
+    )
+    def test_miners_commute_with_permutation_without_ties(self, n, seed, data):
+        pts = np.random.default_rng(seed).normal(size=(n, 3))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        k = data.draw(st.integers(1, n - 1))
+        base, permuted = knn_graph_pairs(pts, k), knn_graph_pairs(pts[perm], k)
+        assert set(base.positives) == relabel(permuted.positives, perm)
+        assert set(base.negatives) == relabel(permuted.negatives, perm)
+        k = data.draw(st.integers(1, n * (n - 1) // 4))
+        base, permuted = topk_global_pairs(pts, k, 0), topk_global_pairs(pts[perm], k, 0)
+        assert set(base.positives) == relabel(permuted.positives, perm)
