@@ -32,12 +32,12 @@ print(np.round(dist, 2))
 knn = knn_graph_pairs(points, k=2)
 print(f"\nk-NN graph (k=2): {len(knn.positives)} positives, "
       f"{len(knn.negatives)} negatives")
-print(f"positives: {knn.positives}")
+print(f"positives: {knn.positives.tolist()}")
 print("note: the outlier is forced to link into a clump -> false positives")
 
 topk = topk_global_pairs(points, k=4, seed=0)
-print(f"\ntop-k shortest pairs (k=4): positives {topk.positives}")
-print(f"seeded random negatives:     {topk.negatives}")
+print(f"\ntop-k shortest pairs (k=4): positives {topk.positives.tolist()}")
+print(f"seeded random negatives:     {topk.negatives.tolist()}")
 print("note: the outlier no longer has to be anyone's positive")
 
 print("\n=== per-batch mining keeps the distance budget linear in M ===")

@@ -7,7 +7,6 @@ optional loss term never shifts any other stream: a joint run with zero
 contrastive weight is bit-identical to plain disentanglement training.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,15 +82,9 @@ def speaker_pairs(speakers):
     """
     codes = {}
     labels = np.array([codes.setdefault(s, len(codes)) for s in speakers])
-    i, j = pair_indices(len(labels))
-    same = labels[i] == labels[j]
-    return np.stack((i[same], j[same]), axis=1), np.stack((i[~same], j[~same]), axis=1)
-
-
-def _pair_array(pairs) -> np.ndarray:
-    return np.fromiter(
-        itertools.chain.from_iterable(pairs), np.intp, 2 * len(pairs)
-    ).reshape(-1, 2)
+    pairs = pair_indices(len(labels))
+    same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    return pairs[same], pairs[~same]
 
 
 def _pair_sq_dists(vectors, pairs) -> ad.Tensor:
@@ -119,8 +112,7 @@ def contrastive_graph(vectors, pairs: PairSets, margin: float) -> ad.Tensor:
     """Contrastive loss over mined pairs: positives pulled together,
     negatives pushed beyond the margin."""
     return _pair_loss(
-        vectors, _pair_array(pairs.positives), _pair_array(pairs.negatives),
-        margin, "contrastive loss",
+        vectors, pairs.positives, pairs.negatives, margin, "contrastive loss"
     )
 
 
@@ -206,8 +198,6 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             corpus, cfg.batch_size, derive_seed(cfg.seed, f"batches:{epoch}"),
             cfg.drop_last,
         )
-        if not batches:
-            raise DataError("no batches: corpus smaller than batch_size with drop_last")
         sums = {"recon": 0.0, "spk": 0.0, "adv": 0.0, "disc": 0.0, "contrastive": 0.0}
         pos_pairs = neg_pairs = 0
         evals_before = counter.count
@@ -299,8 +289,6 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
             corpus, cfg_s.batch_size, derive_seed(cfg_s.seed, f"batches:{epoch}"),
             cfg_s.drop_last,
         )
-        if not batches:
-            raise DataError("no batches: corpus smaller than batch_size with drop_last")
         total = 0.0
         pos_pairs = neg_pairs = 0
         evals_before = counter.count

@@ -229,21 +229,15 @@ def _run(args) -> str:
         vectors = np.asarray([vec for _, vec in entries])
         cfg_s = replace(cfg.siamese, seed=derive_seed(master, "mine-audit:pairs"))
         counter = pairmine.DistanceCounter()
-        records = []
         batches = make_batches(
-            entries, cfg_s.batch_size, derive_seed(master, "mine-audit")
+            entries, cfg_s.batch_size, derive_seed(master, "mine-audit"),
+            cfg_s.drop_last,
         )
-        for bi, batch in enumerate(batches):
-            pairs = _trainer.mine_pairs(
-                vectors[list(batch.indices)], cfg_s, 0, bi, counter
-            )
-            records.append(
-                {
-                    "indices": batch.indices,
-                    "positives": pairs.positives,
-                    "negatives": pairs.negatives,
-                }
-            )
+        records = [
+            (batch.indices,
+             _trainer.mine_pairs(vectors[list(batch.indices)], cfg_s, 0, bi, counter))
+            for bi, batch in enumerate(batches)
+        ]
         path = args.output or out_dir / "pairs.jsonl"
         pairmine.write_pair_dump(path, records)
         bound = len(entries) * cfg_s.batch_size

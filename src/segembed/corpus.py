@@ -297,18 +297,25 @@ def save_embeddings(path, entries) -> None:
 def load_embeddings(path):
     """Read a JSON-lines embedding file -> list of (segment_id, vector).
 
-    Every vector must be 1-D, of one shared dimension, and finite.
+    Every vector must be 1-D, of one shared dimension, and finite, and no
+    segment_id may repeat.
     """
     out = []
     dim = None
+    first_line = {}
     for lineno, line in read_text_lines(path):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
             sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
+            first = first_line.setdefault(sid, lineno)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if first != lineno:
+            raise DataError(
+                f"{path}:{lineno}: duplicate segment_id {sid!r} (first on line {first})"
+            )
         if vec.ndim != 1:
             raise DimensionError(f"{path}:{lineno}: vector must be 1-D")
         if dim is None:
@@ -339,10 +346,13 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
     With drop_last, every batch has exactly batch_size elements. Otherwise a
     shorter final batch is kept; a final batch of a single element is merged
     into the previous batch so that every batch supports pair mining.
+    Raises DataError when no batch forms.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     m = len(corpus)
+    if m == 0:
+        raise DataError("no segments to batch")
     order = np.random.default_rng(seed).permutation(m)
     batches = []
     for start in range(0, m, batch_size):
@@ -357,6 +367,8 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
                 raise DataError("corpus too small to form a batch of >= 2 segments")
             break
         batches.append(MiniBatch(tuple(int(i) for i in chunk)))
+    if not batches:
+        raise DataError("no batches: corpus smaller than batch_size with drop_last")
     return batches
 
 

@@ -28,23 +28,39 @@ class DistanceCounter:
         self.count += int(n)
 
 
-@dataclass(frozen=True)
-class PairSets:
-    """Positive and negative unordered index pairs within one mini-batch."""
+def _pair_rows(pairs) -> np.ndarray:
+    """A read-only (P, 2) intp copy of a sequence of pairs."""
+    rows = np.array(pairs, dtype=np.intp)
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise DataError(f"pairs must form a (P, 2) array, got shape {rows.shape}")
+    rows.flags.writeable = False
+    return rows
 
-    positives: tuple
-    negatives: tuple
-    k: int
+
+@dataclass(frozen=True, eq=False)
+class PairSets:
+    """Positive and negative unordered index pairs within one mini-batch,
+    each a read-only (P, 2) intp array of rows (i, j) with i < j."""
+
+    positives: np.ndarray
+    negatives: np.ndarray
 
     def __post_init__(self):
-        pos = tuple((int(i), int(j)) for i, j in self.positives)
-        neg = tuple((int(i), int(j)) for i, j in self.negatives)
-        for i, j in pos + neg:
-            if i >= j or i < 0:
-                raise DataError(f"pair ({i}, {j}) must satisfy 0 <= i < j")
-        if len(set(pos)) != len(pos) or len(set(neg)) != len(neg):
-            raise DataError("duplicate pairs within a pair list")
-        if set(pos) & set(neg):
+        pos, neg = _pair_rows(self.positives), _pair_rows(self.negatives)
+        both = np.concatenate((pos, neg))
+        i, j = both.T
+        bad = (i >= j) | (i < 0)
+        if bad.any():
+            i_bad, j_bad = both[bad][0].tolist()
+            raise DataError(f"pair ({i_bad}, {j_bad}) must satisfy 0 <= i < j")
+        # every j is below the row width, so distinct pairs get distinct keys
+        keys = i * (int(j.max(initial=0)) + 1) + j
+        if len(np.unique(keys)) != len(keys):
+            split = keys[: len(pos)], keys[len(pos) :]
+            if any(len(np.unique(part)) < len(part) for part in split):
+                raise DataError("duplicate pairs within a pair list")
             raise DataError("positive and negative pair sets must be disjoint")
         object.__setattr__(self, "positives", pos)
         object.__setattr__(self, "negatives", neg)
@@ -69,8 +85,11 @@ def pairwise_distances(vectors, counter: DistanceCounter | None = None) -> np.nd
     """Symmetric Euclidean distance matrix with a zero diagonal."""
     mat = _as_matrix(vectors)
     n = mat.shape[0]
-    sq = np.sum(mat * mat, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(mat * mat, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
+    if not np.isfinite(d2).all():
+        raise NumericError("squared distances overflow: vector entries too large")
     np.maximum(d2, 0.0, out=d2)
     dist = np.sqrt(d2)
     dist = 0.5 * (dist + dist.T)
@@ -80,14 +99,10 @@ def pairwise_distances(vectors, counter: DistanceCounter | None = None) -> np.nd
     return dist
 
 
-def pair_indices(n: int):
-    """The unordered pairs (i, j), i < j, of a batch of n, as two int
-    arrays in row-major order (by i, then j)."""
-    return np.triu_indices(n, k=1)
-
-
-def _tuples(i, j) -> tuple:
-    return tuple(zip(i.tolist(), j.tolist()))
+def pair_indices(n: int) -> np.ndarray:
+    """The unordered pairs (i, j), i < j, of a batch of n, as a (P, 2) intp
+    array in row-major order (by i, then j)."""
+    return np.stack(np.triu_indices(n, k=1), axis=1)
 
 
 def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:
@@ -105,9 +120,9 @@ def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> 
     order = np.argsort(dist, axis=1, kind="stable")  # ties by smaller index
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[rows, order[order != rows].reshape(n, n - 1)[:, :k]] = True
-    i, j = pair_indices(n)
-    linked = (adjacent | adjacent.T)[i, j]
-    return PairSets(_tuples(i[linked], j[linked]), _tuples(i[~linked], j[~linked]), k)
+    pairs = pair_indices(n)
+    linked = (adjacent | adjacent.T)[pairs[:, 0], pairs[:, 1]]
+    return PairSets(pairs[linked], pairs[~linked])
 
 
 def topk_global_pairs(
@@ -123,28 +138,24 @@ def topk_global_pairs(
         raise DataError(
             f"need |B|(|B|-1)/2 >= 2k: batch of {n} has {total} pairs, k={k}"
         )
-    i, j = pair_indices(n)
-    ranked = np.lexsort((j, i, dist[i, j]))
+    pairs = pair_indices(n)
+    # a stable sort keeps equal distances in row-major (i, j) order
+    ranked = pairs[np.argsort(dist[pairs[:, 0], pairs[:, 1]], kind="stable")]
     pick = np.random.default_rng(seed).choice(total - k, size=k, replace=False)
-    positives, negatives = ranked[:k], ranked[k:][np.sort(pick)]
-    return PairSets(
-        _tuples(i[positives], j[positives]),
-        _tuples(i[negatives], j[negatives]),
-        k,
-    )
+    return PairSets(ranked[:k], ranked[k:][np.sort(pick)])
 
 
 def write_pair_dump(path, records) -> None:
-    """Audit file: one JSON object per batch with the batch's corpus indices
-    and its mined within-batch positive/negative pairs."""
+    """Audit file: one JSON object per (batch corpus indices, PairSets)
+    record, with the batch's mined within-batch positive/negative pairs."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
+        for indices, pairs in records:
             fh.write(
                 json.dumps(
                     {
-                        "indices": [int(i) for i in rec["indices"]],
-                        "positives": [[int(i), int(j)] for i, j in rec["positives"]],
-                        "negatives": [[int(i), int(j)] for i, j in rec["negatives"]],
+                        "indices": np.asarray(indices).tolist(),
+                        "positives": pairs.positives.tolist(),
+                        "negatives": pairs.negatives.tolist(),
                     }
                 )
                 + "\n"

@@ -58,7 +58,7 @@ def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:
     if margin <= 0:
         raise ConfigError("margin must be > 0")
     mat = np.asarray(vectors, dtype=np.float64)
-    high = max((j for _, j in pairs.positives + pairs.negatives), default=0)
+    high = max(pairs.positives.max(initial=0), pairs.negatives.max(initial=0))
     if mat.ndim != 2 or high >= mat.shape[0]:
         raise DataError("pair indices out of range for the vector list")
     return _trainer.contrastive_graph(ad.constant(mat), pairs, margin).item()

@@ -333,6 +333,53 @@ class TestBadInputs:
         assert f"{path}:3: " in err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-std"])
+    def test_duplicate_segment_id(self, corpus_dir, tmp_path, capsys, command):
+        def repeat(records):
+            records[9]["segment_id"] = records[4]["segment_id"]
+
+        path = self._embeddings(corpus_dir, tmp_path, repeat)
+        sid = json.loads(path.read_text().splitlines()[4])["segment_id"]
+        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        assert f"{path}:10: duplicate segment_id {sid!r} (first on line 5)" in err
+
+    def test_mine_audit_overflowing_vectors(self, corpus_dir, tmp_path, capsys):
+        def inflate(records):
+            records[0]["vector"] = records[1]["vector"] = [1e200] * 4
+
+        path = self._embeddings(corpus_dir, tmp_path, inflate)
+        code = run_cli(tmp_path, "mine-audit", "--embeddings", str(path))
+        assert "squared distances overflow" in self._error(capsys, code)
+
+    def _mine_audit_12(self, corpus_dir, tmp_path, drop_last):
+        """mine-audit over the first 12 segments with a batch size of 64."""
+        def truncate(records):
+            del records[12:]
+
+        path = self._embeddings(corpus_dir, tmp_path, truncate)
+        return main([
+            "--out-dir", str(tmp_path), *TINY, "--set", "siamese.batch_size=64",
+            "--set", f"siamese.drop_last={drop_last}",
+            "mine-audit", "--embeddings", str(path),
+        ])
+
+    def test_mine_audit_keeps_short_batch_without_drop_last(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        assert self._mine_audit_12(corpus_dir, tmp_path, "false") == 0
+        out = capsys.readouterr().out
+        assert "mine-audit: 1 batches, 66 distance evaluations" in out
+        (record,) = map(json.loads, (tmp_path / "pairs.jsonl").read_text().splitlines())
+        assert sorted(record["indices"]) == list(range(12))
+
+    def test_mine_audit_without_batches_fails_like_training(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        code = self._mine_audit_12(corpus_dir, tmp_path, "true")
+        err = self._error(capsys, code)
+        assert "no batches: corpus smaller than batch_size with drop_last" in err
+        assert not (tmp_path / "pairs.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std"])
     def test_segment_not_in_corpus(self, corpus_dir, tmp_path, capsys, command):
         def rename(records):

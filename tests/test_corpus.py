@@ -266,6 +266,14 @@ class TestBatches:
         with pytest.raises(ConfigError):
             make_batches(self._corpus(4), 1, seed=0)
 
+    def test_no_batch_rejected(self):
+        with pytest.raises(DataError, match="no batches"):
+            make_batches(self._corpus(3), 4, seed=0, drop_last=True)
+        kept = make_batches(self._corpus(3), 4, seed=0, drop_last=False)
+        assert [len(b.indices) for b in kept] == [3]
+        with pytest.raises(DataError, match="no segments"):
+            make_batches([], 4, seed=0, drop_last=False)
+
     def test_minibatch_invariants(self):
         with pytest.raises(DataError):
             MiniBatch((3,))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segembed.errors import DataError, EvaluationError, NumericError
 from segembed.evalcluster import (
@@ -104,6 +106,26 @@ class TestIntraInterStats:
             intra, inter = brute_intra_inter(vectors, labels)
             assert report.intra == pytest.approx(intra, abs=1e-10)
             assert report.inter == pytest.approx(inter, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 3), min_size=2, max_size=16),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identity_matches_quadratic_enumeration(self, labels, dim, seed):
+        """The norm-of-summed-unit-vectors identity against every pair."""
+        same = [a == b for a, b in itertools.combinations(labels, 2)]
+        assume(any(same) and not all(same))
+        vectors = np.random.default_rng(seed).normal(size=(len(labels), dim))
+        intra, inter = [], []
+        for (i, a), (j, b) in itertools.combinations(enumerate(vectors), 2):
+            c = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            (intra if labels[i] == labels[j] else inter).append(c)
+        report = intra_inter_stats(vectors, labels)
+        assert (report.intra_pairs, report.inter_pairs) == (len(intra), len(inter))
+        assert abs(report.intra - math.fsum(intra) / len(intra)) <= 1e-12
+        assert abs(report.inter - math.fsum(inter) / len(inter)) <= 1e-12
 
     def test_all_singletons_rejected(self):
         with pytest.raises(EvaluationError):
@@ -225,6 +247,28 @@ class TestClusterAccuracy:
     def test_count_scaling_invariance(self):
         counts = np.array([[3, 1], [0, 4]])
         assert cluster_accuracy(counts) == cluster_accuracy(counts * 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n_clusters=st.integers(1, 8))
+    def test_lies_between_one_over_n_clusters_and_one(self, data, m, n_clusters):
+        size = m * n_clusters
+        cells = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        counts = np.array(cells).reshape(m, n_clusters)
+        assume(counts.sum() > 0)
+        assert 1.0 / n_clusters <= cluster_accuracy(counts) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from("abcde"), min_size=1, max_size=30),
+        n_clusters=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_one_when_each_label_sits_in_one_cluster(self, labels, n_clusters, data):
+        universe = tuple(sorted(set(labels)))
+        home = {label: data.draw(st.integers(0, n_clusters - 1)) for label in universe}
+        counts = confusion_matrix(labels, [home[label] for label in labels], universe,
+                                  n_clusters)
+        assert cluster_accuracy(counts) == 1.0
 
 
 class TestProtocol:

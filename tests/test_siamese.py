@@ -39,35 +39,35 @@ def random_pairsets(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     cut = int(rng.integers(0, len(pairs) + 1))
-    return PairSets(tuple(sorted(pairs[:cut])), tuple(sorted(pairs[cut:])), k=max(cut, 1))
+    return PairSets(tuple(sorted(pairs[:cut])), tuple(sorted(pairs[cut:])))
 
 
 class TestContrastiveLoss:
     def test_identical_positive_pair_is_zero(self):
         v = RNG.normal(size=3)
-        pairs = PairSets(((0, 1),), (), k=1)
+        pairs = PairSets(((0, 1),), ())
         assert contrastive_loss([v, v], pairs, margin=1.0) == 0.0
 
     def test_coincident_negative_pair_hits_margin(self):
         v = RNG.normal(size=3)
-        pairs = PairSets((), ((0, 1),), k=1)
+        pairs = PairSets((), ((0, 1),))
         assert contrastive_loss([v, v], pairs, margin=1.0) == 1.0
 
     def test_hand_example(self):
         vectors = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.5, 0.0])]
-        pairs = PairSets(((0, 1),), ((0, 2),), k=1)
+        pairs = PairSets(((0, 1),), ((0, 2),))
         assert contrastive_loss(vectors, pairs, margin=1.0) == pytest.approx(0.625)
 
     def test_empty_pairsets_rejected(self):
         with pytest.raises(DataError):
-            contrastive_loss(RNG.normal(size=(3, 2)), PairSets((), (), k=1), 1.0)
+            contrastive_loss(RNG.normal(size=(3, 2)), PairSets((), ()), 1.0)
 
     def test_matches_brute_force(self):
         for _ in range(100):
             n = int(RNG.integers(2, 7))
             vectors = RNG.normal(size=(n, 3))
             pairs = random_pairsets(RNG, n)
-            if not pairs.positives and not pairs.negatives:
+            if len(pairs.positives) + len(pairs.negatives) == 0:
                 continue
             margin = float(RNG.uniform(0.2, 2.0))
             assert contrastive_loss(vectors, pairs, margin) == pytest.approx(
@@ -103,7 +103,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(n, dim))
         pairs = random_pairsets(rng, n)
-        if not pairs.positives and not pairs.negatives:
+        if len(pairs.positives) + len(pairs.negatives) == 0:
             return
         margin = float(rng.uniform(0.2, 2.0))
         value = contrastive_loss(vectors, pairs, margin)
@@ -116,7 +116,7 @@ class TestContrastiveLoss:
             moved = (sorted((int(new_index[i]), int(new_index[j]))) for i, j in pair_list)
             return tuple(sorted(tuple(p) for p in moved))
 
-        permuted = PairSets(relabel(pairs.positives), relabel(pairs.negatives), pairs.k)
+        permuted = PairSets(relabel(pairs.positives), relabel(pairs.negatives))
         assert contrastive_loss(vectors[perm], permuted, margin) == pytest.approx(
             value, abs=1e-12
         )
@@ -125,7 +125,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(3)
         vectors = rng.normal(size=(5, 3))  # distinct points
         negatives = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
-        pairs = PairSets((), negatives, k=1)
+        pairs = PairSets((), negatives)
         assert contrastive_loss(vectors, pairs, margin=1e-12) == 0.0
 
 
