@@ -7,6 +7,7 @@ optional loss term never shifts any other stream: a joint run with zero
 contrastive weight is bit-identical to plain disentanglement training.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import neuralcore as nc
 from .corpus import Corpus, make_batches
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, NumericError, ParseError
 from .pairmine import (
     DistanceCounter,
     PairSets,
@@ -67,10 +68,9 @@ def effective_speakers(corpus: Corpus):
 
 def recon_graph(x_rec, frames: np.ndarray, lengths) -> ad.Tensor:
     """Batch mean of per-segment mean squared reconstruction error."""
-    f_dim = frames.shape[1]
-    w = np.concatenate(
-        [np.full(n, 1.0 / (len(lengths) * n * f_dim)) for n in lengths]
-    ).reshape(-1, 1)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    w = np.repeat(1.0 / (len(lengths) * lengths * frames.shape[1]), lengths)
+    w = w.reshape(-1, 1)
     return ad.tsum(ad.square(x_rec - ad.constant(frames)) * ad.constant(w))
 
 
@@ -116,9 +116,10 @@ def contrastive_graph(vectors, pairs: PairSets, margin: float) -> ad.Tensor:
     )
 
 
-def speaker_contrastive_graph(vectors, speakers, margin: float) -> ad.Tensor:
-    """Same/different-speaker contrastive loss over all unordered pairs."""
-    same, diff = speaker_pairs(speakers)
+def speaker_contrastive_graph(vectors, pairs, margin: float) -> ad.Tensor:
+    """Same/different-speaker contrastive loss over all unordered pairs;
+    ``pairs`` is the (same, different) result of ``speaker_pairs``."""
+    same, diff = pairs
     return _pair_loss(vectors, same, diff, margin, "speaker contrastive loss")
 
 
@@ -131,11 +132,12 @@ def bce_graph(logits, targets) -> ad.Tensor:
 # -- pair sampling / mining ------------------------------------------------
 
 
-def _sample_speaker_pairs(speakers, limit: int, rng):
-    """Up to `limit` same-speaker and `limit` different-speaker index pairs,
-    as one (P, 2) int array, and their same-speaker flags."""
+def _sample_speaker_pairs(pairs, limit: int, rng):
+    """Up to `limit` same-speaker and `limit` different-speaker index pairs
+    from the (same, different) result of ``speaker_pairs``, as one (P, 2)
+    int array, and their same-speaker flags."""
     picked, flags = [], []
-    for pool, flag in zip(speaker_pairs(speakers), (1.0, 0.0)):
+    for pool, flag in zip(pairs, (1.0, 0.0)):
         take = min(limit, len(pool))
         if take:
             picked.append(pool[rng.choice(len(pool), size=take, replace=False)])
@@ -162,6 +164,22 @@ def _grads(tensors: dict) -> dict:
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in tensors.items()
     }
+
+
+def _finite(value: float, term: str, where: str) -> float:
+    """``value`` of one loss term, or a NumericError naming where it failed."""
+    if not math.isfinite(value):
+        raise NumericError(f"{where}: non-finite {term} loss ({value})")
+    return value
+
+
+def _step(params, tensors: dict, state, component: str, where: str):
+    """``nc.grad_step`` on the tape's gradients; a NumericError gains the
+    epoch, batch and component it happened in."""
+    try:
+        return nc.grad_step(params, _grads(tensors), state)
+    except NumericError as exc:
+        raise NumericError(f"{where}, component {component}: {exc}") from exc
 
 
 def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
@@ -202,13 +220,18 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
         pos_pairs = neg_pairs = 0
         evals_before = counter.count
         for bi, batch in enumerate(batches):
+            where = f"epoch {epoch + 1}, batch {bi + 1}"
             segs = [corpus[i] for i in batch.indices]
             frames, lengths = nc.pack_sequences([s.features for s in segs])
             spk = [speakers_all[i] for i in batch.indices]
+            if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
+                spk_pairs = speaker_pairs(spk)
 
             if cfg.alpha_adv > 0:
                 rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
-                pair_idx, same_flags = _sample_speaker_pairs(spk, len(batch.indices), rng)
+                pair_idx, same_flags = _sample_speaker_pairs(
+                    spk_pairs, len(batch.indices), rng
+                )
                 ia, ib = pair_idx[:, 0], pair_idx[:, 1]
                 vp_const = nc.encoder_forward(
                     e_p.tensors(), frames, lengths, mode=dims.encoder_mode
@@ -217,9 +240,10 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                     dt = d_s.tensors(requires_grad=True)
                     logits = nc.discriminator_forward(dt, vp_const[ia], vp_const[ib])
                     disc_loss = bce_graph(logits, same_flags)
+                    disc_value = _finite(disc_loss.item(), "disc", where)
                     disc_loss.backward()
-                    d_s, opt["D_s"] = nc.grad_step(d_s, _grads(dt), opt["D_s"])
-                sums["disc"] += disc_loss.item()
+                    d_s, opt["D_s"] = _step(d_s, dt, opt["D_s"], "D_s", where)
+                sums["disc"] += disc_value
 
             ep_t = e_p.tensors(requires_grad=True)
             es_t = e_s.tensors(requires_grad=True)
@@ -229,30 +253,30 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
 
             loss = recon_graph(x_rec, frames, lengths)
-            sums["recon"] += loss.item()
+            sums["recon"] += _finite(loss.item(), "recon", where)
             if cfg.alpha_spk > 0:
-                spk_loss = speaker_contrastive_graph(v_s, spk, cfg.margin)
-                sums["spk"] += spk_loss.item()
+                spk_loss = speaker_contrastive_graph(v_s, spk_pairs, cfg.margin)
+                sums["spk"] += _finite(spk_loss.item(), "spk", where)
                 loss = loss + cfg.alpha_spk * spk_loss
             if cfg.alpha_adv > 0 and epoch >= cfg.disc_warmup_epochs:
                 logits = nc.discriminator_forward(
                     d_s.tensors(), ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)
                 )
                 adv_loss = bce_graph(logits, 1.0 - same_flags)
-                sums["adv"] += adv_loss.item()
+                sums["adv"] += _finite(adv_loss.item(), "adv", where)
                 loss = loss + cfg.alpha_adv * adv_loss
             if joint:
                 pairs = mine_pairs(v_p.data, cfg_s, epoch, bi, counter)
                 c_loss = contrastive_graph(v_p, pairs, cfg_s.margin)
-                sums["contrastive"] += c_loss.item()
+                sums["contrastive"] += _finite(c_loss.item(), "contrastive", where)
                 pos_pairs += len(pairs.positives)
                 neg_pairs += len(pairs.negatives)
                 loss = loss + cfg_s.gamma * c_loss
 
             loss.backward()
-            e_p, opt["E_p"] = nc.grad_step(e_p, _grads(ep_t), opt["E_p"])
-            e_s, opt["E_s"] = nc.grad_step(e_s, _grads(es_t), opt["E_s"])
-            dec, opt["Dec"] = nc.grad_step(dec, _grads(dec_t), opt["Dec"])
+            e_p, opt["E_p"] = _step(e_p, ep_t, opt["E_p"], "E_p", where)
+            e_s, opt["E_s"] = _step(e_s, es_t, opt["E_s"], "E_s", where)
+            dec, opt["Dec"] = _step(dec, dec_t, opt["Dec"], "Dec", where)
 
         n_b = len(batches)
         row = {
@@ -293,16 +317,17 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
         pos_pairs = neg_pairs = 0
         evals_before = counter.count
         for bi, batch in enumerate(batches):
+            where = f"epoch {epoch + 1}, batch {bi + 1}"
             v_batch = frozen[list(batch.indices)]
             pairs = mine_pairs(v_batch, cfg_s, epoch, bi, counter)
             rt = params.tensors(requires_grad=True)
             z = nc.refine_forward(rt, v_batch)
             loss = contrastive_graph(z, pairs, cfg_s.margin)
-            total += loss.item()
+            total += _finite(loss.item(), "contrastive", where)
             pos_pairs += len(pairs.positives)
             neg_pairs += len(pairs.negatives)
             loss.backward()
-            params, opt = nc.grad_step(params, _grads(rt), opt)
+            params, opt = _step(params, rt, opt, "refine", where)
         rows.append(
             {
                 "epoch": epoch + 1,

@@ -5,7 +5,14 @@ transform, and their losses: a taped Tensor wrapper with broadcasting-aware
 elementwise ops, matmul, a few nonlinearities, reductions, concatenation,
 and row gathering. All gradients are checked against central finite
 differences in the test suite.
+
+A node's first incoming gradient is stored as a copy (copy on first
+write), so no two nodes ever share a gradient buffer; later gradients are
+added to it in place. Row gathering scatters its gradient back in one
+``np.bincount`` pass, which sums in the same order as ``np.add.at``.
 """
+
+import math
 
 import numpy as np
 
@@ -42,9 +49,12 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad``, which has this node's shape, to ``self.grad``."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy, not grad itself: add and sub hand one array to both parents
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the tape."""
@@ -294,16 +304,20 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows a[indices]; backward scatter-adds."""
+    """Gather rows a[indices] (non-negative row indices, any number of
+    dimensions); backward scatter-adds."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(a.data[idx], _parents=(a,))
 
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
+            # flat key of entry (row, col) of a viewed as (rows, width); bincount
+            # adds the weights in key-array order, as np.add.at does
+            width = math.prod(a.data.shape[1:])
+            keys = idx.reshape(-1, 1) * width + np.arange(width)
+            acc = np.bincount(keys.ravel(), weights=g.ravel(), minlength=a.data.size)
+            a._accumulate(acc.reshape(a.data.shape))
 
     out._backward = backward
     return out

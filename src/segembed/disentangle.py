@@ -83,7 +83,8 @@ def speaker_contrastive_loss(vectors, speaker_ids, margin: float) -> float:
         raise DataError("one speaker id per vector required")
     if margin <= 0:
         raise ConfigError("margin must be > 0")
-    return _trainer.speaker_contrastive_graph(ad.constant(mat), speaker_ids, margin).item()
+    pairs = _trainer.speaker_pairs(speaker_ids)
+    return _trainer.speaker_contrastive_graph(ad.constant(mat), pairs, margin).item()
 
 
 def discriminator_loss(probs, same_speaker) -> float:

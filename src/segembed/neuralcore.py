@@ -4,8 +4,12 @@ Five components: phonetic encoder, speaker encoder, decoder, speaker
 discriminator, and the refinement transform. Forward passes are built on
 the autodiff tape; batched forms concatenate all frames of a batch and use
 constant pooling / repetition matrices so one batch costs a handful of
-matmuls. Also houses the package's one optimizer (Adam), checkpoint
-serialization, and finite-difference gradient verification.
+matmuls, and their pooling, repetition and position constants are built
+with ``np.repeat``/``arange`` rather than a loop over segments. Each
+component's parameters are views into one contiguous float64 vector, so
+the package's one optimizer (Adam) checks and updates a component with a
+few whole-vector operations. Also houses checkpoint serialization and
+finite-difference gradient verification.
 
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
@@ -48,16 +52,34 @@ class ModelDims:
 
 
 class ComponentParams:
-    """Named parameter arrays (float64) for one component."""
+    """Named float64 parameter arrays for one component.
+
+    All arrays live in one contiguous vector, ``flat``, in key order;
+    ``arrays`` maps each name to its view into it. The optimizer updates a
+    component with a few operations over ``flat``.
+    """
 
     def __init__(self, name: str, arrays: dict):
-        self.name = name
-        self.arrays = {}
-        for key, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name}.{key}: non-finite parameter values")
-            self.arrays[key] = arr
+        arrays = {k: np.asarray(a, dtype=np.float64) for k, a in arrays.items()}
+        flat = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
+        self._bind(name, flat, {k: a.shape for k, a in arrays.items()})
+
+    def _bind(self, name: str, flat: np.ndarray, shapes: dict) -> None:
+        self.name, self.flat, self.arrays = name, flat, {}
+        offset = 0
+        for key, shape in shapes.items():
+            size = math.prod(shape)
+            self.arrays[key] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        if not np.isfinite(flat).all():
+            key = next(k for k, a in self.arrays.items() if not np.isfinite(a).all())
+            raise NumericError(f"{name}.{key}: non-finite parameter values")
+
+    def _with_flat(self, flat: np.ndarray) -> "ComponentParams":
+        """The same names and shapes over a new float64 vector ``flat``."""
+        new = object.__new__(ComponentParams)
+        new._bind(self.name, flat, {k: a.shape for k, a in self.arrays.items()})
+        return new
 
     def tensors(self, requires_grad: bool = False) -> dict:
         return {
@@ -156,32 +178,34 @@ def pack_sequences(xs):
     return np.concatenate([np.asarray(x, np.float64) for x in xs], axis=0), lengths
 
 
+def _segment_rows(lengths):
+    """Segment lengths as an int array and each frame's segment index."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    return lengths, np.repeat(np.arange(len(lengths)), lengths)
+
+
 def _pool_matrix(lengths) -> np.ndarray:
     """(B, sum T) matrix averaging each segment's frame rows."""
-    total = sum(lengths)
-    pool = np.zeros((len(lengths), total))
-    offset = 0
-    for i, n in enumerate(lengths):
-        pool[i, offset : offset + n] = 1.0 / n
-        offset += n
+    lengths, seg = _segment_rows(lengths)
+    pool = np.zeros((len(lengths), len(seg)))
+    pool[seg, np.arange(len(seg))] = 1.0 / lengths[seg]
     return pool
 
 
 def _repeat_matrix(lengths) -> np.ndarray:
     """(sum T, B) matrix replicating one row per frame of each segment."""
-    total = sum(lengths)
-    rep = np.zeros((total, len(lengths)))
-    offset = 0
-    for i, n in enumerate(lengths):
-        rep[offset : offset + n, i] = 1.0
-        offset += n
+    lengths, seg = _segment_rows(lengths)
+    rep = np.zeros((len(seg), len(lengths)))
+    rep[np.arange(len(seg)), seg] = 1.0
     return rep
 
 
 def _position_column(lengths) -> np.ndarray:
     """(sum T, 1) column of normalized frame positions t/T, t = 1..T."""
-    cols = [np.arange(1, n + 1, dtype=np.float64) / n for n in lengths]
-    return np.concatenate(cols).reshape(-1, 1)
+    lengths, seg = _segment_rows(lengths)
+    starts = np.cumsum(lengths) - lengths
+    t = np.arange(1, len(seg) + 1) - starts[seg]
+    return (t.astype(np.float64) / lengths[seg]).reshape(-1, 1)
 
 
 def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
@@ -293,51 +317,51 @@ def transform_refine(params: ComponentParams, v_p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimState:
-    """Adaptive-moment (Adam) optimizer state for one component."""
+    """Adaptive-moment (Adam) optimizer state for one component; ``m`` and
+    ``v`` are flat vectors laid out like ``ComponentParams.flat``."""
 
     learning_rate: float = 1e-3
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimState:
-    zeros = {k: np.zeros_like(a) for k, a in params.arrays.items()}
     return OptimState(
         learning_rate=learning_rate,
-        m=zeros,
-        v={k: z.copy() for k, z in zeros.items()},
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
     )
 
 
 def grad_step(params: ComponentParams, grads: dict, state: OptimState):
-    """One Adam update -> (new ComponentParams, new OptimState)."""
+    """One Adam update -> (new ComponentParams, new OptimState).
+
+    Adam is elementwise, so it runs once over the component's flat vector
+    and gives the same bits as one update per array.
+    """
     for key, arr in params.arrays.items():
         g = grads.get(key)
         if g is None:
             raise DataError(f"missing gradient for {params.name}.{key}")
-        if np.asarray(g).shape != arr.shape:
+        if np.shape(g) != arr.shape:
             raise DimensionError(
-                f"gradient shape {np.asarray(g).shape} != parameter shape "
+                f"gradient shape {np.shape(g)} != parameter shape "
                 f"{arr.shape} for {params.name}.{key}"
             )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {params.name}.{key}")
-    step = state.step + 1
-    new_arrays, new_m, new_v = {}, {}, {}
-    for key, arr in params.arrays.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**step)
-        v_hat = v / (1.0 - ADAM_BETA2**step)
-        new_arrays[key] = arr - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[key] = m
-        new_v[key] = v
-    return (
-        ComponentParams(params.name, new_arrays),
-        replace(state, step=step, m=new_m, v=new_v),
+    g = np.concatenate(
+        [np.ravel(grads[k]) for k in params.arrays] or [np.zeros(0)], dtype=np.float64
     )
+    if not np.isfinite(g).all():
+        key = next(k for k in params.arrays if not np.all(np.isfinite(grads[k])))
+        raise NumericError(f"non-finite gradient for {params.name}.{key}")
+    step = state.step + 1
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    flat = params.flat - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params._with_flat(flat), replace(state, step=step, m=m, v=v)
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -10,6 +10,7 @@ Distances are Euclidean. All tie-breaking is lexicographic by
 (distance, i, j) so results are reproducible bit-for-bit.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -99,10 +100,14 @@ def pairwise_distances(vectors, counter: DistanceCounter | None = None) -> np.nd
     return dist
 
 
+@functools.lru_cache(maxsize=16)
 def pair_indices(n: int) -> np.ndarray:
-    """The unordered pairs (i, j), i < j, of a batch of n, as a (P, 2) intp
-    array in row-major order (by i, then j)."""
-    return np.stack(np.triu_indices(n, k=1), axis=1)
+    """The unordered pairs (i, j), i < j, of a batch of n, as a read-only
+    (P, 2) intp array in row-major order (by i, then j). Built once per n
+    and shared by every caller, which is why it is read-only."""
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:

@@ -9,14 +9,29 @@ temporary directory, then ``segembed mine-audit`` with each
 and pair dump, in name order. Run it on two checkouts and ``diff`` the
 listings to check that a change keeps the outputs byte for byte. pytest
 does not collect this file.
+
+The last bits of the dense products depend on how many threads the BLAS
+library splits them over, so the script pins every BLAS/OpenMP thread
+variable (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``,
+``BLIS_NUM_THREADS``, ``VECLIB_MAXIMUM_THREADS``, ``NUMEXPR_NUM_THREADS``)
+to 1 before numpy is first imported. The listing therefore does not depend
+on the caller's shell, only on the numpy build and CPU kernel.
 """
 
-import contextlib
-import hashlib
-import io
-import sys
-import tempfile
-from pathlib import Path
+import os
+
+for _var in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 

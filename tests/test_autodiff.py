@@ -1,7 +1,10 @@
-"""Finite-difference verification of every autodiff primitive."""
+"""Finite-difference verification of every autodiff primitive, and the
+tape's gradient scatter and buffer ownership."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segembed import autodiff as ad
 from segembed.autodiff import Tensor
@@ -124,3 +127,55 @@ def test_grad_accumulates_over_reuse():
     out = ad.tsum(a * a + a)  # d/da = 2a + 1 = 4
     out.backward()
     assert a.grad[0] == pytest.approx(4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(1, 4), max_size=2),
+    st.lists(st.integers(0, 5), max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_take_rows_scatter_matches_add_at_bit_for_bit(n_rows, trailing, picks, seed):
+    """Repeated, absent and unsorted row indices, on inputs of one to three
+    dimensions: the gradient equals np.zeros + np.add.at, byte for byte."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, *trailing)
+    idx = np.array([p % n_rows for p in picks], dtype=np.intp)
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    # magnitudes spread over 16 decades, so any other summation order shows
+    g_shape = (len(idx), *trailing)
+    g = rng.normal(size=g_shape) * 10.0 ** rng.integers(-8, 8, size=g_shape)
+    ad.tsum(ad.take_rows(a, idx) * ad.constant(g)).backward()
+    oracle = np.zeros(shape)
+    np.add.at(oracle, idx, g)
+    assert a.grad.shape == shape
+    assert a.grad.dtype == np.float64
+    assert a.grad.tobytes() == oracle.tobytes()
+
+
+def test_leaf_gradients_never_share_a_buffer():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    s = a + b
+    ad.tsum(s).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, s.grad)
+    assert not np.shares_memory(b.grad, s.grad)
+
+    c = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    twice = ad.add(c, c)
+    ad.tsum(twice).backward()
+    assert not np.shares_memory(c.grad, twice.grad)
+    assert c.grad.tolist() == [2.0, 2.0]
+    assert twice.grad.tolist() == [1.0, 1.0]
+
+
+def test_shared_gradient_is_not_written_through():
+    """z = (a + b) + a: a stored-by-reference first gradient would let a's
+    second gradient write into b's."""
+    a = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 2.0]), requires_grad=True)
+    ad.tsum(ad.add(ad.add(a, b), a)).backward()
+    assert a.grad.tolist() == [2.0, 2.0]
+    assert b.grad.tolist() == [1.0, 1.0]

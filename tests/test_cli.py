@@ -453,6 +453,25 @@ class TestBadInputs:
         )
         assert "invalid JSON" in self._error(capsys, code)
 
+    def test_training_overflow_names_epoch_batch_and_term(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        """Finite features of 1e200 overflow the reconstruction loss: exit 1
+        with a NumericError naming where, and no loss log or checkpoint."""
+        lines = (corpus_dir / "corpus.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            rec["features"] = [[1e200] * len(row) for row in rec["features"]]
+        path = tmp_path / "huge.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(tmp_path, "train", "--corpus", str(path), "--variant", "b")
+        err = self._error(capsys, code)
+        assert "epoch 1, batch 1: non-finite recon loss (inf)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "loss_b.csv").exists()
+        assert not (tmp_path / "model_b.json").exists()
+
     def test_corpus_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segembed import autodiff as ad
+from segembed import neuralcore as nc
 from segembed._trainer import (
     _sample_speaker_pairs,
     bce_graph,
@@ -137,7 +138,7 @@ class TestSpeakerContrastiveLoss:
         vectors = RNG.normal(size=(6, 4))
         speakers = ["a", "a", "b", "b", "c", "a"]
         graph_value = speaker_contrastive_graph(
-            ad.constant(vectors), speakers, 1.0
+            ad.constant(vectors), speaker_pairs(speakers), 1.0
         ).item()
         assert graph_value == pytest.approx(
             brute_speaker_contrastive(vectors, speakers, 1.0), abs=1e-12
@@ -180,7 +181,9 @@ class TestSpeakerPairs:
         assert [tuple(p) for p in diff.tolist()] == ref_diff
 
         limit = len(speakers)
-        picked, flags = _sample_speaker_pairs(speakers, limit, rng_for(seed, "pairs"))
+        picked, flags = _sample_speaker_pairs(
+            (same, diff), limit, rng_for(seed, "pairs")
+        )
         ref_picked, ref_flags = nested_loop_sample(speakers, limit, rng_for(seed, "pairs"))
         assert [tuple(p) for p in picked.tolist()] == ref_picked
         assert flags.tolist() == ref_flags
@@ -292,6 +295,22 @@ class TestTraining:
         acc_s = linear_probe_accuracy(speaker_embeddings(model, corpus), speakers, 5)
         acc_p = linear_probe_accuracy(phonetic_embeddings(model, corpus), speakers, 5)
         assert acc_s > acc_p
+
+    def test_optimizer_numeric_error_names_epoch_batch_and_component(self, monkeypatch):
+        real_step = nc.grad_step
+
+        def failing_decoder_step(params, grads, state):
+            if params.name == "decoder" and state.step == 2:
+                raise NumericError("non-finite gradient for decoder.w1")
+            return real_step(params, grads, state)
+
+        monkeypatch.setattr(nc, "grad_step", failing_decoder_step)
+        cfg = _tiny_config(epochs=1, alpha_spk=0.0, alpha_adv=0.0)
+        with pytest.raises(NumericError) as info:
+            train_disentangle(_tiny_corpus(), cfg)
+        assert str(info.value) == (
+            "epoch 1, batch 3, component Dec: non-finite gradient for decoder.w1"
+        )
 
     def test_missing_speaker_and_utterance_rejected(self):
         seg = Segment(

@@ -151,6 +151,14 @@ def test_pair_indices_is_row_major():
     assert pair_indices(1).shape == (0, 2)
 
 
+def test_pair_indices_is_built_once_and_read_only():
+    pairs = pair_indices(5)
+    assert pair_indices(5) is pairs
+    assert not pairs.flags.writeable
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 3
+
+
 class TestKnnGraphPairs:
     def test_spec_example_two_clumps(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
