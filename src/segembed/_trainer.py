@@ -211,89 +211,93 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
     joint = cfg_s is not None and cfg_s.gamma > 0
     counter = DistanceCounter()
     rows = []
-    for epoch in range(cfg.epochs):
-        batches = make_batches(
-            corpus, cfg.batch_size, derive_seed(cfg.seed, f"batches:{epoch}"),
-            cfg.drop_last,
-        )
-        sums = {"recon": 0.0, "spk": 0.0, "adv": 0.0, "disc": 0.0, "contrastive": 0.0}
-        pos_pairs = neg_pairs = 0
-        evals_before = counter.count
-        for bi, batch in enumerate(batches):
-            where = f"epoch {epoch + 1}, batch {bi + 1}"
-            segs = [corpus[i] for i in batch.indices]
-            frames, lengths = nc.pack_sequences([s.features for s in segs])
-            spk = [speakers_all[i] for i in batch.indices]
-            if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
-                spk_pairs = speaker_pairs(spk)
-
-            if cfg.alpha_adv > 0:
-                rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
-                pair_idx, same_flags = _sample_speaker_pairs(
-                    spk_pairs, len(batch.indices), rng
-                )
-                ia, ib = pair_idx[:, 0], pair_idx[:, 1]
-                vp_const = nc.encoder_forward(
-                    e_p.tensors(), frames, lengths, mode=dims.encoder_mode
-                ).data
-                for _ in range(cfg.disc_steps):
-                    dt = d_s.tensors(requires_grad=True)
-                    logits = nc.discriminator_forward(dt, vp_const[ia], vp_const[ib])
-                    disc_loss = bce_graph(logits, same_flags)
-                    disc_value = _finite(disc_loss.item(), "disc", where)
-                    disc_loss.backward()
-                    d_s, opt["D_s"] = _step(d_s, dt, opt["D_s"], "D_s", where)
-                sums["disc"] += disc_value
-
-            ep_t = e_p.tensors(requires_grad=True)
-            es_t = e_s.tensors(requires_grad=True)
-            dec_t = dec.tensors(requires_grad=True)
-            v_p = nc.encoder_forward(ep_t, frames, lengths, mode=dims.encoder_mode)
-            v_s = nc.encoder_forward(es_t, frames, lengths, mode=dims.encoder_mode)
-            x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
-
-            loss = recon_graph(x_rec, frames, lengths)
-            sums["recon"] += _finite(loss.item(), "recon", where)
-            if cfg.alpha_spk > 0:
-                spk_loss = speaker_contrastive_graph(v_s, spk_pairs, cfg.margin)
-                sums["spk"] += _finite(spk_loss.item(), "spk", where)
-                loss = loss + cfg.alpha_spk * spk_loss
-            if cfg.alpha_adv > 0 and epoch >= cfg.disc_warmup_epochs:
-                logits = nc.discriminator_forward(
-                    d_s.tensors(), ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)
-                )
-                adv_loss = bce_graph(logits, 1.0 - same_flags)
-                sums["adv"] += _finite(adv_loss.item(), "adv", where)
-                loss = loss + cfg.alpha_adv * adv_loss
-            if joint:
-                pairs = mine_pairs(v_p.data, cfg_s, epoch, bi, counter)
-                c_loss = contrastive_graph(v_p, pairs, cfg_s.margin)
-                sums["contrastive"] += _finite(c_loss.item(), "contrastive", where)
-                pos_pairs += len(pairs.positives)
-                neg_pairs += len(pairs.negatives)
-                loss = loss + cfg_s.gamma * c_loss
-
-            loss.backward()
-            e_p, opt["E_p"] = _step(e_p, ep_t, opt["E_p"], "E_p", where)
-            e_s, opt["E_s"] = _step(e_s, es_t, opt["E_s"], "E_s", where)
-            dec, opt["Dec"] = _step(dec, dec_t, opt["Dec"], "Dec", where)
-
-        n_b = len(batches)
-        row = {
-            "epoch": epoch + 1,
-            "recon": sums["recon"] / n_b,
-            "spk": sums["spk"] / n_b,
-            "adv": sums["adv"] / n_b,
-            "disc": sums["disc"] / n_b,
-        }
-        if joint:
-            row.update(
-                contrastive=sums["contrastive"] / n_b,
-                pos_pairs=pos_pairs,
-                neg_pairs=neg_pairs,
-                dist_evals=counter.count - evals_before,
+    # Non-finite values are caught by _finite, grad_step and
+    # pairwise_distances, which raise a NumericError naming where; numpy's
+    # own warnings would only print the same failure untyped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            batches = make_batches(
+                corpus, cfg.batch_size, derive_seed(cfg.seed, f"batches:{epoch}"),
+                cfg.drop_last,
             )
-        rows.append(row)
+            sums = {"recon": 0.0, "spk": 0.0, "adv": 0.0, "disc": 0.0, "contrastive": 0.0}
+            pos_pairs = neg_pairs = 0
+            evals_before = counter.count
+            for bi, batch in enumerate(batches):
+                where = f"epoch {epoch + 1}, batch {bi + 1}"
+                segs = [corpus[i] for i in batch.indices]
+                frames, lengths = nc.pack_sequences([s.features for s in segs])
+                spk = [speakers_all[i] for i in batch.indices]
+                if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
+                    spk_pairs = speaker_pairs(spk)
+
+                if cfg.alpha_adv > 0:
+                    rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
+                    pair_idx, same_flags = _sample_speaker_pairs(
+                        spk_pairs, len(batch.indices), rng
+                    )
+                    ia, ib = pair_idx[:, 0], pair_idx[:, 1]
+                    vp_const = nc.encoder_forward(
+                        e_p.tensors(), frames, lengths, mode=dims.encoder_mode
+                    ).data
+                    for _ in range(cfg.disc_steps):
+                        dt = d_s.tensors(requires_grad=True)
+                        logits = nc.discriminator_forward(dt, vp_const[ia], vp_const[ib])
+                        disc_loss = bce_graph(logits, same_flags)
+                        disc_value = _finite(disc_loss.item(), "disc", where)
+                        disc_loss.backward()
+                        d_s, opt["D_s"] = _step(d_s, dt, opt["D_s"], "D_s", where)
+                    sums["disc"] += disc_value
+
+                ep_t = e_p.tensors(requires_grad=True)
+                es_t = e_s.tensors(requires_grad=True)
+                dec_t = dec.tensors(requires_grad=True)
+                v_p = nc.encoder_forward(ep_t, frames, lengths, mode=dims.encoder_mode)
+                v_s = nc.encoder_forward(es_t, frames, lengths, mode=dims.encoder_mode)
+                x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
+
+                loss = recon_graph(x_rec, frames, lengths)
+                sums["recon"] += _finite(loss.item(), "recon", where)
+                if cfg.alpha_spk > 0:
+                    spk_loss = speaker_contrastive_graph(v_s, spk_pairs, cfg.margin)
+                    sums["spk"] += _finite(spk_loss.item(), "spk", where)
+                    loss = loss + cfg.alpha_spk * spk_loss
+                if cfg.alpha_adv > 0 and epoch >= cfg.disc_warmup_epochs:
+                    logits = nc.discriminator_forward(
+                        d_s.tensors(), ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)
+                    )
+                    adv_loss = bce_graph(logits, 1.0 - same_flags)
+                    sums["adv"] += _finite(adv_loss.item(), "adv", where)
+                    loss = loss + cfg.alpha_adv * adv_loss
+                if joint:
+                    pairs = mine_pairs(v_p.data, cfg_s, epoch, bi, counter)
+                    c_loss = contrastive_graph(v_p, pairs, cfg_s.margin)
+                    sums["contrastive"] += _finite(c_loss.item(), "contrastive", where)
+                    pos_pairs += len(pairs.positives)
+                    neg_pairs += len(pairs.negatives)
+                    loss = loss + cfg_s.gamma * c_loss
+
+                loss.backward()
+                e_p, opt["E_p"] = _step(e_p, ep_t, opt["E_p"], "E_p", where)
+                e_s, opt["E_s"] = _step(e_s, es_t, opt["E_s"], "E_s", where)
+                dec, opt["Dec"] = _step(dec, dec_t, opt["Dec"], "Dec", where)
+
+            n_b = len(batches)
+            row = {
+                "epoch": epoch + 1,
+                "recon": sums["recon"] / n_b,
+                "spk": sums["spk"] / n_b,
+                "adv": sums["adv"] / n_b,
+                "disc": sums["disc"] / n_b,
+            }
+            if joint:
+                row.update(
+                    contrastive=sums["contrastive"] / n_b,
+                    pos_pairs=pos_pairs,
+                    neg_pairs=neg_pairs,
+                    dist_evals=counter.count - evals_before,
+                )
+            rows.append(row)
     return DisentangledModel(dims, e_p, e_s, dec, d_s), rows
 
 
@@ -308,35 +312,36 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
     opt = nc.init_optim(params, cfg_s.learning_rate)
     counter = DistanceCounter()
     rows = []
-    for epoch in range(cfg_s.epochs):
-        batches = make_batches(
-            corpus, cfg_s.batch_size, derive_seed(cfg_s.seed, f"batches:{epoch}"),
-            cfg_s.drop_last,
-        )
-        total = 0.0
-        pos_pairs = neg_pairs = 0
-        evals_before = counter.count
-        for bi, batch in enumerate(batches):
-            where = f"epoch {epoch + 1}, batch {bi + 1}"
-            v_batch = frozen[list(batch.indices)]
-            pairs = mine_pairs(v_batch, cfg_s, epoch, bi, counter)
-            rt = params.tensors(requires_grad=True)
-            z = nc.refine_forward(rt, v_batch)
-            loss = contrastive_graph(z, pairs, cfg_s.margin)
-            total += _finite(loss.item(), "contrastive", where)
-            pos_pairs += len(pairs.positives)
-            neg_pairs += len(pairs.negatives)
-            loss.backward()
-            params, opt = _step(params, rt, opt, "refine", where)
-        rows.append(
-            {
-                "epoch": epoch + 1,
-                "contrastive": total / len(batches),
-                "pos_pairs": pos_pairs,
-                "neg_pairs": neg_pairs,
-                "dist_evals": counter.count - evals_before,
-            }
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg_s.epochs):
+            batches = make_batches(
+                corpus, cfg_s.batch_size, derive_seed(cfg_s.seed, f"batches:{epoch}"),
+                cfg_s.drop_last,
+            )
+            total = 0.0
+            pos_pairs = neg_pairs = 0
+            evals_before = counter.count
+            for bi, batch in enumerate(batches):
+                where = f"epoch {epoch + 1}, batch {bi + 1}"
+                v_batch = frozen[list(batch.indices)]
+                pairs = mine_pairs(v_batch, cfg_s, epoch, bi, counter)
+                rt = params.tensors(requires_grad=True)
+                z = nc.refine_forward(rt, v_batch)
+                loss = contrastive_graph(z, pairs, cfg_s.margin)
+                total += _finite(loss.item(), "contrastive", where)
+                pos_pairs += len(pairs.positives)
+                neg_pairs += len(pairs.negatives)
+                loss.backward()
+                params, opt = _step(params, rt, opt, "refine", where)
+            rows.append(
+                {
+                    "epoch": epoch + 1,
+                    "contrastive": total / len(batches),
+                    "pos_pairs": pos_pairs,
+                    "neg_pairs": neg_pairs,
+                    "dist_evals": counter.count - evals_before,
+                }
+            )
     return RefineModel(dims, params), rows
 
 

@@ -13,7 +13,10 @@ finite-difference gradient verification.
 
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
-``encoder_mode="rnn"``.
+``encoder_mode="rnn"``: it projects all frames of a batch in one product,
+then advances every segment together, one time step at a time with the
+rows ordered longest first, so a batch costs a few tape nodes per step
+(max T steps) rather than several per frame.
 """
 
 import json
@@ -208,23 +211,52 @@ def _position_column(lengths) -> np.ndarray:
     return (t.astype(np.float64) / lengths[seg]).reshape(-1, 1)
 
 
+def _rnn_final_states(pt: dict, frames: Tensor, lengths: np.ndarray) -> Tensor:
+    """(B, h) last states of ``h_t = tanh(x_t w_in + b_in + h_{t-1} w_rec)``,
+    ``h_0 = 0``, run over every segment of a packed batch at once.
+
+    Rows are ordered longest first (stably), so the segments still running
+    at step t are the first n_t rows of the state; rows that stop are split
+    off as a finished block. The loop runs max T times, not sum T.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    first_frames = (np.cumsum(lengths) - lengths)[order]
+    inputs = frames @ pt["w_in"] + pt["b_in"]
+    state = ad.tanh(ad.take_rows(inputs, first_frames))
+    finished = []
+    for t in range(1, int(sorted_lengths[0])):
+        n_t = int(np.count_nonzero(sorted_lengths > t))
+        if n_t < state.shape[0]:
+            finished.append(ad.take_rows(state, np.arange(n_t, state.shape[0])))
+            state = ad.take_rows(state, np.arange(n_t))
+        x_t = ad.take_rows(inputs, first_frames[:n_t] + t)
+        state = ad.tanh(x_t + state @ pt["w_rec"])
+    # blocks finish shortest first, i.e. from the last sorted rows upward
+    finals = ad.concat([state, *reversed(finished)], axis=0)
+    return ad.take_rows(finals, np.argsort(order))
+
+
 def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
-    """Encode a packed batch -> (B, d) embedding tensor."""
+    """Encode a packed batch -> (B, d) embedding tensor.
+
+    ``lengths`` are the segments' frame counts, in row order; each must be
+    >= 1 and they must sum to the number of frame rows (``DataError``).
+    """
     frames = ad.as_tensor(frames)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (lengths < 1).any():
+        raise DataError(f"encoder: segment lengths must be >= 1, got {lengths.tolist()}")
+    if lengths.sum() != frames.shape[0]:
+        raise DataError(
+            f"encoder: segment lengths sum to {lengths.sum()}, "
+            f"but the batch has {frames.shape[0]} frame rows"
+        )
     if mode == "pool":
         hidden = ad.tanh(frames @ pt["w_in"] + pt["b_in"])
         pooled = ad.constant(_pool_matrix(lengths)) @ hidden
     elif mode == "rnn":
-        finals = []
-        offset = 0
-        for n in lengths:
-            state = ad.constant(np.zeros((1, pt["b_in"].shape[0])))
-            for t in range(offset, offset + n):
-                x_t = ad.take_rows(frames, [t])
-                state = ad.tanh(x_t @ pt["w_in"] + state @ pt["w_rec"] + pt["b_in"])
-            finals.append(state)
-            offset += n
-        pooled = ad.concat(finals, axis=0)
+        pooled = _rnn_final_states(pt, frames, lengths)
     else:
         raise DataError(f"unknown encoder mode {mode!r}")
     return pooled @ pt["w_out"] + pt["b_out"]
@@ -275,8 +307,6 @@ def encode(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
         raise DimensionError(
             f"encoder: expected (T, {f_dim}) feature matrix, got {x.shape}"
         )
-    if x.shape[0] < 1:
-        raise DataError("encoder: empty feature sequence")
     out = encoder_forward(params.tensors(), x, [x.shape[0]], mode=mode)
     return out.data[0]
 
@@ -494,7 +524,13 @@ def gradient_check(
             disc_hidden=5, refine_hidden=5,
         )
     params, loss_fn = _probe_setup(component, seed, dims)
+    return _max_fd_error(params, loss_fn, fd_step)
 
+
+def _max_fd_error(params: ComponentParams, loss_fn, fd_step: float = 1e-5) -> float:
+    """Max relative error between the tape's gradients of the scalar
+    ``loss_fn(tensors)`` and central finite differences, over every entry
+    of ``params``."""
     tensors = params.tensors(requires_grad=True)
     loss_fn(tensors).backward()
     analytic = {k: t.grad for k, t in tensors.items()}

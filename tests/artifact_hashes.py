@@ -6,7 +6,10 @@ Runs ``test_acceptance._run_pipeline(SEED, dir)`` (default seed 0) in a
 temporary directory, then ``segembed mine-audit`` with each
 ``siamese.mining_mode`` (``siamese.batch_size=64``) on the pipeline's
 ``embeddings_d.jsonl``, and prints one ``sha256  name`` line per artifact
-and pair dump, in name order. Run it on two checkouts and ``diff`` the
+and pair dump, in name order. These are all ``model.encoder_mode=pool``.
+A small ``model.encoder_mode=rnn`` CLI pipeline follows (synth, train a,
+refine, embed a and d; ``RNN_SETTINGS``), whose files are listed after the
+others as ``rnn/<name>``. Run it on two checkouts and ``diff`` the
 listings to check that a change keeps the outputs byte for byte. pytest
 does not collect this file.
 
@@ -40,19 +43,49 @@ from segembed.siamese import MINING_MODES  # noqa: E402
 from test_acceptance import _run_pipeline  # noqa: E402
 
 
+RNN_SETTINGS = (
+    "synth.n_units=6", "synth.n_speakers=3", "synth.instances_per_unit_speaker=4",
+    "synth.feature_dim=8", "model.encoder_mode=rnn", "model.embed_dim=16",
+    "model.enc_hidden=16", "model.dec_hidden=16", "model.disc_hidden=16",
+    "train.epochs=2", "siamese.epochs=2", "siamese.refine_hidden=16",
+)
+
+
+def cli(seed, out_dir, settings, *args):
+    """``segembed --seed SEED --out-dir OUT_DIR --set S... ARGS``, quietly;
+    a non-zero exit stops the script."""
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = segembed_main(["--seed", str(seed), "--out-dir", str(out_dir),
+                              *overrides, *args])
+    if code != 0:
+        raise SystemExit(f"segembed {' '.join(args)} exited {code}")
+
+
 def mine_audit(seed, out_dir, mode):
     """Dump the pairs that ``mode`` mines on the variant-d embeddings to
     ``pairs_<mode>.jsonl``; the CLI's own outputs go to a scratch dir."""
-    quiet = contextlib.redirect_stdout(io.StringIO())
-    with tempfile.TemporaryDirectory() as cli_dir, quiet:
-        code = segembed_main([
-            "--seed", str(seed), "--out-dir", cli_dir,
-            "--set", "siamese.batch_size=64", "--set", f"siamese.mining_mode={mode}",
+    with tempfile.TemporaryDirectory() as cli_dir:
+        cli(seed, cli_dir, ("siamese.batch_size=64", f"siamese.mining_mode={mode}"),
             "mine-audit", "--embeddings", str(out_dir / "embeddings_d.jsonl"),
-            "--output", str(out_dir / f"pairs_{mode}.jsonl"),
-        ])
-    if code != 0:
-        raise SystemExit(f"mine-audit with {mode} exited {code}")
+            "--output", str(out_dir / f"pairs_{mode}.jsonl"))
+
+
+def rnn_pipeline(seed, out_dir):
+    """synth, train a, refine, and embed a and d with the ``rnn`` encoder."""
+    corpus, model = str(out_dir / "corpus.jsonl"), str(out_dir / "model_a.json")
+    cli(seed, out_dir, RNN_SETTINGS, "synth")
+    cli(seed, out_dir, RNN_SETTINGS, "train", "--corpus", corpus, "--variant", "a")
+    cli(seed, out_dir, RNN_SETTINGS, "refine", "--corpus", corpus, "--checkpoint", model)
+    cli(seed, out_dir, RNN_SETTINGS, "embed", "--corpus", corpus, "--checkpoint", model,
+        "--variant", "a")
+    cli(seed, out_dir, RNN_SETTINGS, "embed", "--corpus", corpus, "--checkpoint", model,
+        "--refine", str(out_dir / "refine.json"), "--variant", "d")
+
+
+def print_hashes(out_dir, prefix=""):
+    for path in sorted(out_dir.iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {prefix}{path.name}")
 
 
 def main(argv) -> int:
@@ -62,8 +95,10 @@ def main(argv) -> int:
         _run_pipeline(seed, out_dir)
         for mode in MINING_MODES:
             mine_audit(seed, out_dir, mode)
-        for path in sorted(out_dir.iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        print_hashes(out_dir)
+    with tempfile.TemporaryDirectory() as tmp:
+        rnn_pipeline(seed, Path(tmp))
+        print_hashes(Path(tmp), "rnn/")
     return 0
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from segembed.cli import main
 from segembed.config import parse_config
 from segembed.errors import ConfigError
 from segembed.neuralcore import (
+    ENCODER_MODES,
     ModelDims,
     init_decoder,
     init_discriminator,
@@ -115,6 +120,9 @@ TINY = [
     "--set", "eval.n_queries=3",
     "--set", "eval.n_documents=6",
 ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(out_dir, *args):
@@ -453,17 +461,23 @@ class TestBadInputs:
         )
         assert "invalid JSON" in self._error(capsys, code)
 
-    def test_training_overflow_names_epoch_batch_and_term(
-        self, corpus_dir, tmp_path, capsys
-    ):
-        """Finite features of 1e200 overflow the reconstruction loss: exit 1
-        with a NumericError naming where, and no loss log or checkpoint."""
+    @staticmethod
+    def _huge_corpus(corpus_dir, tmp_path):
+        """The corpus with every feature set to 1e200; returns its path."""
         lines = (corpus_dir / "corpus.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         for rec in records:
             rec["features"] = [[1e200] * len(row) for row in rec["features"]]
         path = tmp_path / "huge.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_training_overflow_names_epoch_batch_and_term(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        """Finite features of 1e200 overflow the reconstruction loss: exit 1
+        with a NumericError naming where, and no loss log or checkpoint."""
+        path = self._huge_corpus(corpus_dir, tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli(tmp_path, "train", "--corpus", str(path), "--variant", "b")
         err = self._error(capsys, code)
@@ -471,6 +485,25 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert not (tmp_path / "loss_b.csv").exists()
         assert not (tmp_path / "model_b.json").exists()
+
+    @pytest.mark.parametrize("mode", ENCODER_MODES)
+    def test_training_overflow_prints_only_the_error_line(
+        self, corpus_dir, tmp_path, mode
+    ):
+        """In its own process, where numpy's warnings would reach stderr, the
+        overflowing run prints the typed error line and nothing else."""
+        path = self._huge_corpus(corpus_dir, tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-m", "segembed.cli", "--out-dir", str(tmp_path), *TINY,
+             "--set", f"model.encoder_mode={mode}",
+             "train", "--corpus", str(path), "--variant", "b"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == (
+            "segembed: error: epoch 1, batch 1: non-finite recon loss (inf)\n"
+        )
 
     def test_corpus_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"

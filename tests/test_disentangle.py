@@ -30,7 +30,7 @@ from segembed.disentangle import (
     write_loss_log,
 )
 from segembed.errors import DataError, DimensionError, NumericError
-from segembed.seeding import rng_for
+from segembed.seeding import derive_seed, rng_for
 
 RNG = np.random.default_rng(21)
 
@@ -295,6 +295,26 @@ class TestTraining:
         acc_s = linear_probe_accuracy(speaker_embeddings(model, corpus), speakers, 5)
         acc_p = linear_probe_accuracy(phonetic_embeddings(model, corpus), speakers, 5)
         assert acc_s > acc_p
+
+    def test_rnn_training_on_one_frame_segments(self):
+        """With every segment one frame long the recurrence never reaches
+        ``w_rec``, so the tape leaves it without a gradient. Training fills
+        in zeros, and Adam then leaves ``w_rec`` exactly as initialized."""
+        corpus = synth_corpus(
+            SynthConfig(n_units=3, n_speakers=2, instances_per_unit_speaker=4,
+                        length_range=(1, 1), feature_dim=6),
+            seed=0,
+        )
+        cfg = _tiny_config(epochs=1, batch_size=8, encoder_mode="rnn")
+        model, rows = train_disentangle(corpus, cfg)
+        init = nc.init_encoder(model.dims, derive_seed(cfg.seed, "init:E_p"))
+        tensors = init.tensors(requires_grad=True)
+        frames, lengths = nc.pack_sequences([s.features for s in corpus])
+        ad.tsum(nc.encoder_forward(tensors, frames, lengths, "rnn")).backward()
+        assert tensors["w_rec"].grad is None and tensors["w_in"].grad is not None
+        assert np.array_equal(model.e_p.arrays["w_rec"], init.arrays["w_rec"])
+        assert not np.array_equal(model.e_p.arrays["w_in"], init.arrays["w_in"])
+        assert all(math.isfinite(v) for row in rows for v in row.values())
 
     def test_optimizer_numeric_error_names_epoch_batch_and_component(self, monkeypatch):
         real_step = nc.grad_step

@@ -2,22 +2,27 @@
 finite-difference gradient verification."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segembed import autodiff as ad
 from segembed.errors import DataError, DimensionError, NumericError
 from segembed.neuralcore import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ENCODER_MODES,
     ComponentParams,
     ModelDims,
+    _max_fd_error,
     decode,
     discriminate,
     encode,
+    encoder_forward,
     grad_step,
     gradient_check,
     init_decoder,
@@ -34,6 +39,7 @@ DIMS = ModelDims(feature_dim=39, embed_dim=256, enc_hidden=16, dec_hidden=16,
                  disc_hidden=128, refine_hidden=16)
 SMALL = ModelDims(feature_dim=4, embed_dim=6, enc_hidden=5, dec_hidden=5,
                   disc_hidden=5, refine_hidden=5)
+SMALL_RNN = replace(SMALL, encoder_mode="rnn")
 RNG = np.random.default_rng(11)
 
 
@@ -58,12 +64,107 @@ class TestEncoders:
         with pytest.raises(DimensionError):
             encode(params, RNG.normal(size=(7, 13)))
 
+    @pytest.mark.parametrize("mode", ENCODER_MODES)
+    def test_empty_sequence(self, mode):
+        params = init_encoder(replace(SMALL, encoder_mode=mode), seed=0)
+        with pytest.raises(DataError, match="lengths must be >= 1, got \\[0\\]"):
+            encode(params, np.zeros((0, 4)), mode=mode)
+
     def test_rnn_mode(self):
         dims = ModelDims(feature_dim=5, embed_dim=8, enc_hidden=6,
                          encoder_mode="rnn")
         params = init_encoder(dims, seed=0)
         v = encode(params, RNG.normal(size=(4, 5)), mode="rnn")
         assert v.shape == (8,)
+
+    @pytest.mark.parametrize("mode", ENCODER_MODES)
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([3, 0, 2], r"segment lengths must be >= 1, got \[3, 0, 2\]"),
+            ([6, -1], r"segment lengths must be >= 1, got \[6, -1\]"),
+            ([3, 1], "segment lengths sum to 4, but the batch has 5 frame rows"),
+            ([3, 3], "segment lengths sum to 6, but the batch has 5 frame rows"),
+        ],
+    )
+    def test_bad_packed_lengths_are_data_errors(self, mode, lengths, message):
+        params = init_encoder(replace(SMALL, encoder_mode=mode), seed=0)
+        with pytest.raises(DataError, match=message):
+            encoder_forward(params.tensors(), RNG.normal(size=(5, 4)), lengths, mode)
+
+
+def per_segment_rnn(arrays, frames, lengths):
+    """Reference: each segment's recurrence run on its own, frame by frame."""
+    out, start = [], 0
+    for n in lengths:
+        state = np.zeros(arrays["b_in"].shape)
+        for x in frames[start : start + n]:
+            state = np.tanh(x @ arrays["w_in"] + state @ arrays["w_rec"] + arrays["b_in"])
+        out.append(state @ arrays["w_out"] + arrays["b_out"])
+        start += n
+    return np.array(out)
+
+
+def _packed(rng, lengths):
+    return rng.normal(size=(sum(lengths), SMALL_RNN.feature_dim))
+
+
+LENGTHS = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=70),
+    st.builds(lambda n, t: [t] * n, st.integers(1, 70), st.integers(1, 12)),
+)
+
+
+class TestBatchedRecurrence:
+    """The ``rnn`` encoder steps all segments of a batch together; each row
+    must match the segment's own frame-by-frame recurrence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(LENGTHS, st.integers(0, 2**32 - 1))
+    @example([1] * 70, 0)
+    @example([12] * 70, 1)
+    @example([2, 5, 5, 1, 5, 2, 12, 1], 2)
+    def test_matches_per_segment_oracle_and_permutes_rows(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        params = init_encoder(SMALL_RNN, seed % 1000)
+        frames = _packed(rng, lengths)
+        out = encoder_forward(params.tensors(), frames, lengths, "rnn").data
+        assert out.shape == (len(lengths), SMALL_RNN.embed_dim)
+        np.testing.assert_allclose(
+            out, per_segment_rnn(params.arrays, frames, lengths), rtol=0, atol=1e-12
+        )
+        perm = rng.permutation(len(lengths))
+        starts = np.cumsum(lengths) - lengths
+        moved = np.concatenate([frames[starts[i] : starts[i] + lengths[i]] for i in perm])
+        permuted = encoder_forward(
+            params.tensors(), moved, [lengths[i] for i in perm], "rnn"
+        ).data
+        np.testing.assert_allclose(permuted, out[perm], rtol=0, atol=1e-12)
+
+    def test_encode_of_one_segment_equals_its_batched_row(self):
+        lengths = [5, 1, 12, 5, 3, 1, 7]
+        params = init_encoder(SMALL_RNN, seed=3)
+        frames = _packed(np.random.default_rng(3), lengths)
+        batched = encoder_forward(params.tensors(), frames, lengths, "rnn").data
+        starts = np.cumsum(lengths) - lengths
+        for row, (start, n) in enumerate(zip(starts, lengths)):
+            alone = encode(params, frames[start : start + n], mode="rnn")
+            np.testing.assert_allclose(alone, batched[row], rtol=0, atol=1e-12)
+
+    def test_gradients_with_lengths_that_shrink_mid_sequence(self):
+        """``gradient_check``'s comparison, with segments that stop at steps
+        1 and 2."""
+        lengths = [3, 1, 2]
+        rng = np.random.default_rng(5)
+        params = init_encoder(SMALL_RNN, seed=5)
+        frames = _packed(rng, lengths)
+        target = ad.constant(rng.normal(size=(len(lengths), SMALL_RNN.embed_dim)))
+
+        def loss(pt):
+            out = encoder_forward(pt, frames, lengths, "rnn")
+            return ad.tmean(ad.square(out - target))
+
+        assert _max_fd_error(params, loss) < 1e-4
 
 
 class TestDecoder:
