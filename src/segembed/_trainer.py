@@ -231,28 +231,27 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                 if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
                     spk_pairs = speaker_pairs(spk)
 
+                ep_t = e_p.tensors(requires_grad=True)
+                v_p = nc.encoder_forward(ep_t, frames, lengths, mode=dims.encoder_mode)
+
                 if cfg.alpha_adv > 0:
                     rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
                     pair_idx, same_flags = _sample_speaker_pairs(
                         spk_pairs, len(batch.indices), rng
                     )
                     ia, ib = pair_idx[:, 0], pair_idx[:, 1]
-                    vp_const = nc.encoder_forward(
-                        e_p.tensors(), frames, lengths, mode=dims.encoder_mode
-                    ).data
+                    # the discriminator steps see v_p as constants
                     for _ in range(cfg.disc_steps):
                         dt = d_s.tensors(requires_grad=True)
-                        logits = nc.discriminator_forward(dt, vp_const[ia], vp_const[ib])
+                        logits = nc.discriminator_forward(dt, v_p.data[ia], v_p.data[ib])
                         disc_loss = bce_graph(logits, same_flags)
                         disc_value = _finite(disc_loss.item(), "disc", where)
                         disc_loss.backward()
                         d_s, opt["D_s"] = _step(d_s, dt, opt["D_s"], "D_s", where)
                     sums["disc"] += disc_value
 
-                ep_t = e_p.tensors(requires_grad=True)
                 es_t = e_s.tensors(requires_grad=True)
                 dec_t = dec.tensors(requires_grad=True)
-                v_p = nc.encoder_forward(ep_t, frames, lengths, mode=dims.encoder_mode)
                 v_s = nc.encoder_forward(es_t, frames, lengths, mode=dims.encoder_mode)
                 x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
 
