@@ -56,6 +56,12 @@ class Tensor:
         else:
             self.grad += grad
 
+    def _accumulate_rows(self, start: int, stop: int, grad: np.ndarray) -> None:
+        """Add ``grad`` to rows ``start:stop`` of ``self.grad`` only."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[start:stop] += grad
+
     def backward(self) -> None:
         """Backpropagate from a scalar node through the tape."""
         if self.data.size != 1:
@@ -318,6 +324,20 @@ def take_rows(a, indices) -> Tensor:
             keys = idx.reshape(-1, 1) * width + np.arange(width)
             acc = np.bincount(keys.ravel(), weights=g.ravel(), minlength=a.data.size)
             a._accumulate(acc.reshape(a.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows a[start:stop]; backward adds into those rows alone, so many
+    slices of one tensor cost their own size, not the tensor's, each."""
+    a = as_tensor(a)
+    out = Tensor(a.data[start:stop], _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate_rows(start, stop, g)
 
     out._backward = backward
     return out

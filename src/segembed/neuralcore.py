@@ -217,20 +217,25 @@ def _rnn_final_states(pt: dict, frames: Tensor, lengths: np.ndarray) -> Tensor:
 
     Rows are ordered longest first (stably), so the segments still running
     at step t are the first n_t rows of the state; rows that stop are split
-    off as a finished block. The loop runs max T times, not sum T.
+    off as a finished block. The input projection is gathered once in
+    time-major order, so step t's inputs are one contiguous block of it.
+    The loop runs max T times, not sum T.
     """
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
     first_frames = (np.cumsum(lengths) - lengths)[order]
-    inputs = frames @ pt["w_in"] + pt["b_in"]
-    state = ad.tanh(ad.take_rows(inputs, first_frames))
+    running = np.count_nonzero(sorted_lengths > np.arange(sorted_lengths[0])[:, None], axis=1)
+    ends = np.cumsum(running)
+    by_step = np.concatenate([first_frames[:n_t] + t for t, n_t in enumerate(running)])
+    inputs = ad.take_rows(frames @ pt["w_in"] + pt["b_in"], by_step)
+    state = ad.tanh(ad.slice_rows(inputs, 0, ends[0]))
     finished = []
-    for t in range(1, int(sorted_lengths[0])):
-        n_t = int(np.count_nonzero(sorted_lengths > t))
+    for t in range(1, len(running)):
+        n_t = int(running[t])
         if n_t < state.shape[0]:
-            finished.append(ad.take_rows(state, np.arange(n_t, state.shape[0])))
-            state = ad.take_rows(state, np.arange(n_t))
-        x_t = ad.take_rows(inputs, first_frames[:n_t] + t)
+            finished.append(ad.slice_rows(state, n_t, state.shape[0]))
+            state = ad.slice_rows(state, 0, n_t)
+        x_t = ad.slice_rows(inputs, ends[t - 1], ends[t])
         state = ad.tanh(x_t + state @ pt["w_rec"])
     # blocks finish shortest first, i.e. from the last sorted rows upward
     finals = ad.concat([state, *reversed(finished)], axis=0)

@@ -108,6 +108,21 @@ def test_take_rows_with_repeats():
     )
 
 
+def test_slice_rows_overlapping_and_empty_blocks():
+    check_op(
+        lambda a: ad.tsum(ad.square(ad.slice_rows(a, 1, 3)))
+        + ad.tsum(ad.slice_rows(a, 0, 2) * 0.5)
+        + ad.tsum(ad.slice_rows(a, 2, 2)),
+        RNG.normal(size=(4, 3)),
+    )
+
+
+def test_slice_rows_leaves_other_rows_zero():
+    a = Tensor(RNG.normal(size=(5, 2)), requires_grad=True)
+    ad.tsum(ad.slice_rows(a, 1, 3)).backward()
+    assert a.grad.tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+
+
 def test_sqrt_zero_guard_propagates_zero_not_nan():
     a = Tensor(np.array([0.0, 4.0]), requires_grad=True)
     out = ad.tsum(ad.sqrt(a) * ad.constant(np.array([0.0, 1.0])))
