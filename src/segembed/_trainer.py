@@ -87,11 +87,6 @@ def speaker_pairs(speakers):
     return pairs[same], pairs[~same]
 
 
-def _pair_sq_dists(vectors, pairs) -> ad.Tensor:
-    diff = ad.take_rows(vectors, pairs[:, 0]) - ad.take_rows(vectors, pairs[:, 1])
-    return ad.tsum(ad.square(diff), axis=1)
-
-
 def _pair_loss(vectors, positives, negatives, margin: float, what: str) -> ad.Tensor:
     """Sum of positive squared distances and negative squared hinges
     max(margin - distance, 0)^2, divided by the total pair count."""
@@ -100,9 +95,9 @@ def _pair_loss(vectors, positives, negatives, margin: float, what: str) -> ad.Te
         raise DataError(f"{what} needs at least one pair")
     terms = []
     if len(positives):
-        terms.append(ad.tsum(_pair_sq_dists(vectors, positives)))
+        terms.append(ad.tsum(ad.pair_sq_dists(vectors, positives)))
     if len(negatives):
-        dist = ad.sqrt(_pair_sq_dists(vectors, negatives))
+        dist = ad.sqrt(ad.pair_sq_dists(vectors, negatives))
         terms.append(ad.tsum(ad.square(ad.relu(margin - dist))))
     total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
     return total * (1.0 / n_pairs)

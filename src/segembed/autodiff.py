@@ -3,13 +3,18 @@
 Just enough machinery for the encoders, decoder, discriminator, refinement
 transform, and their losses: a taped Tensor wrapper with broadcasting-aware
 elementwise ops, matmul, a few nonlinearities, reductions, concatenation,
-and row gathering. All gradients are checked against central finite
-differences in the test suite.
+row gathering and slicing, and three batch layers that cost linear time in
+the frames or pairs of a batch: ``segment_mean`` and ``repeat_rows`` (pool
+and expand runs of consecutive rows with ``np.add.reduceat``/``np.repeat``)
+and ``pair_sq_dists`` (squared distances over a (P, 2) pair array, one
+node). All gradients are checked against central finite differences in the
+test suite.
 
 A node's first incoming gradient is stored as a copy (copy on first
 write), so no two nodes ever share a gradient buffer; later gradients are
 added to it in place. Row gathering scatters its gradient back in one
-``np.bincount`` pass, which sums in the same order as ``np.add.at``.
+``np.bincount`` pass, which sums in the same order as ``np.add.at``; a row
+slice adds its gradient into its own rows only.
 """
 
 import math
@@ -338,6 +343,66 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate_rows(start, stop, g)
+
+    out._backward = backward
+    return out
+
+
+def _run_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.cumsum(lengths) - lengths
+
+
+def segment_mean(a, lengths) -> Tensor:
+    """Mean of each run of ``lengths[k]`` consecutive rows of the 2-D ``a``
+    -> one row per run. Every length must be >= 1 and the lengths must sum
+    to the row count: ``np.add.reduceat`` gives ``a[start]``, not 0, for an
+    empty run."""
+    a = as_tensor(a)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n = lengths[:, None]
+    out = Tensor(np.add.reduceat(a.data, _run_starts(lengths), axis=0) / n, _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.repeat(g / n, lengths, axis=0))
+
+    out._backward = backward
+    return out
+
+
+def repeat_rows(a, lengths) -> Tensor:
+    """Row k of ``a`` repeated ``lengths[k]`` times, in row order; the
+    lengths must be >= 1, one per row (see ``segment_mean``)."""
+    a = as_tensor(a)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = Tensor(np.repeat(a.data, lengths, axis=0), _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.add.reduceat(g, _run_starts(lengths), axis=0))
+
+    out._backward = backward
+    return out
+
+
+def pair_sq_dists(a, pairs) -> Tensor:
+    """Squared Euclidean distance between rows i and j of the (N, d) ``a``
+    for each row (i, j) of the (P, 2) int array ``pairs`` -> (P,)."""
+    a = as_tensor(a)
+    i, j = pairs[:, 0], pairs[:, 1]
+    diff = a.data[i] - a.data[j]
+    out = Tensor((diff * diff).sum(axis=1), _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            # +2g*diff goes to row i and -2g*diff to row j; one 1-D bincount
+            # per column, in pair order, builds no (P*d) key array
+            n = a.data.shape[0]
+            cols = np.ascontiguousarray(diff.T) * (2.0 * g)
+            acc = np.empty(a.data.shape)
+            for c, col in enumerate(cols):
+                acc[:, c] = np.bincount(i, col, n) - np.bincount(j, col, n)
+            a._accumulate(acc)
 
     out._backward = backward
     return out

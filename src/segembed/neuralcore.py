@@ -2,10 +2,11 @@
 
 Five components: phonetic encoder, speaker encoder, decoder, speaker
 discriminator, and the refinement transform. Forward passes are built on
-the autodiff tape; batched forms concatenate all frames of a batch and use
-constant pooling / repetition matrices so one batch costs a handful of
-matmuls, and their pooling, repetition and position constants are built
-with ``np.repeat``/``arange`` rather than a loop over segments. Each
+the autodiff tape; batched forms concatenate all frames of a batch, pool
+each segment's frames with ``segment_mean`` and repeat each segment's
+vectors over its frames with ``repeat_rows``, so a batch costs a few tape
+nodes and linear time in its frames; the position column is built with
+``np.repeat``/``arange`` rather than a loop over segments. Each
 component's parameters are views into one contiguous float64 vector, so
 the package's one optimizer (Adam) checks and updates a component with a
 few whole-vector operations. Also houses checkpoint serialization and
@@ -14,9 +15,10 @@ finite-difference gradient verification.
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
 ``encoder_mode="rnn"``: it projects all frames of a batch in one product,
-then advances every segment together, one time step at a time with the
-rows ordered longest first, so a batch costs a few tape nodes per step
-(max T steps) rather than several per frame.
+gathers that projection once in time-major order, then advances every
+segment together, one time step at a time with the rows ordered longest
+first and each step's inputs one contiguous block, so a batch costs a few
+tape nodes per step (max T steps) rather than several per frame.
 """
 
 import json
@@ -181,31 +183,9 @@ def pack_sequences(xs):
     return np.concatenate([np.asarray(x, np.float64) for x in xs], axis=0), lengths
 
 
-def _segment_rows(lengths):
-    """Segment lengths as an int array and each frame's segment index."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    return lengths, np.repeat(np.arange(len(lengths)), lengths)
-
-
-def _pool_matrix(lengths) -> np.ndarray:
-    """(B, sum T) matrix averaging each segment's frame rows."""
-    lengths, seg = _segment_rows(lengths)
-    pool = np.zeros((len(lengths), len(seg)))
-    pool[seg, np.arange(len(seg))] = 1.0 / lengths[seg]
-    return pool
-
-
-def _repeat_matrix(lengths) -> np.ndarray:
-    """(sum T, B) matrix replicating one row per frame of each segment."""
-    lengths, seg = _segment_rows(lengths)
-    rep = np.zeros((len(seg), len(lengths)))
-    rep[np.arange(len(seg)), seg] = 1.0
-    return rep
-
-
-def _position_column(lengths) -> np.ndarray:
+def _position_column(lengths: np.ndarray) -> np.ndarray:
     """(sum T, 1) column of normalized frame positions t/T, t = 1..T."""
-    lengths, seg = _segment_rows(lengths)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths
     t = np.arange(1, len(seg) + 1) - starts[seg]
     return (t.astype(np.float64) / lengths[seg]).reshape(-1, 1)
@@ -242,6 +222,14 @@ def _rnn_final_states(pt: dict, frames: Tensor, lengths: np.ndarray) -> Tensor:
     return ad.take_rows(finals, np.argsort(order))
 
 
+def _check_lengths(lengths, what: str) -> np.ndarray:
+    """Segment lengths as an int array; each must be >= 1 (``DataError``)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (lengths < 1).any():
+        raise DataError(f"{what}: segment lengths must be >= 1, got {lengths.tolist()}")
+    return lengths
+
+
 def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
     """Encode a packed batch -> (B, d) embedding tensor.
 
@@ -249,9 +237,7 @@ def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
     >= 1 and they must sum to the number of frame rows (``DataError``).
     """
     frames = ad.as_tensor(frames)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if (lengths < 1).any():
-        raise DataError(f"encoder: segment lengths must be >= 1, got {lengths.tolist()}")
+    lengths = _check_lengths(lengths, "encoder")
     if lengths.sum() != frames.shape[0]:
         raise DataError(
             f"encoder: segment lengths sum to {lengths.sum()}, "
@@ -259,7 +245,7 @@ def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
         )
     if mode == "pool":
         hidden = ad.tanh(frames @ pt["w_in"] + pt["b_in"])
-        pooled = ad.constant(_pool_matrix(lengths)) @ hidden
+        pooled = ad.segment_mean(hidden, lengths)
     elif mode == "rnn":
         pooled = _rnn_final_states(pt, frames, lengths)
     else:
@@ -268,11 +254,25 @@ def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
 
 
 def decoder_forward(pt: dict, v_p, v_s, lengths) -> Tensor:
-    """Reconstruct a packed batch -> (sum T, F) tensor."""
+    """Reconstruct a packed batch -> (sum T, F) tensor.
+
+    ``lengths`` are the segments' frame counts, one per row of ``v_p`` and
+    ``v_s``; each must be >= 1 (``DataError``).
+    """
     v_p, v_s = ad.as_tensor(v_p), ad.as_tensor(v_s)
-    rep = ad.constant(_repeat_matrix(lengths))
+    lengths = _check_lengths(lengths, "decoder")
+    if not len(lengths) == v_p.shape[0] == v_s.shape[0]:
+        raise DataError(
+            f"decoder: {len(lengths)} segment lengths for "
+            f"{v_p.shape[0]} v_p and {v_s.shape[0]} v_s rows"
+        )
     inputs = ad.concat(
-        [rep @ v_p, rep @ v_s, ad.constant(_position_column(lengths))], axis=1
+        [
+            ad.repeat_rows(v_p, lengths),
+            ad.repeat_rows(v_s, lengths),
+            ad.constant(_position_column(lengths)),
+        ],
+        axis=1,
     )
     h1 = ad.tanh(inputs @ pt["w1"] + pt["b1"])
     h2 = ad.tanh(h1 @ pt["w2"] + pt["b2"])

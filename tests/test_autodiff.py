@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from segembed import autodiff as ad
 from segembed.autodiff import Tensor
+from segembed.neuralcore import ComponentParams, _max_fd_error
 
 
 def finite_diff_grads(fn, arrays, h=1e-6):
@@ -194,3 +195,94 @@ def test_shared_gradient_is_not_written_through():
     ad.tsum(ad.add(ad.add(a, b), a)).backward()
     assert a.grad.tolist() == [2.0, 2.0]
     assert b.grad.tolist() == [1.0, 1.0]
+
+
+# -- batch layers: segment_mean, repeat_rows, pair_sq_dists ------------------
+
+FD_LENGTHS = [2, 1, 3, 1]
+FD_PAIRS = np.array([[0, 1], [0, 2], [1, 2], [0, 1], [3, 0], [2, 2]])
+
+
+@pytest.mark.parametrize(
+    "n_rows, layer",
+    [
+        (sum(FD_LENGTHS), lambda a: ad.segment_mean(a, FD_LENGTHS)),
+        (len(FD_LENGTHS), lambda a: ad.repeat_rows(a, FD_LENGTHS)),
+        (4, lambda a: ad.pair_sq_dists(a, FD_PAIRS)),
+    ],
+    ids=["segment_mean", "repeat_rows", "pair_sq_dists"],
+)
+def test_batch_layer_gradients_match_finite_differences(n_rows, layer):
+    """``gradient_check``'s comparison and bound, with lengths that include 1
+    and pairs that repeat a row, a pair and i == j."""
+    rng = np.random.default_rng(3)
+    params = ComponentParams("probe", {"a": rng.normal(size=(n_rows, 3))})
+    target = ad.constant(rng.normal(size=layer(params.arrays["a"]).shape))
+
+    def loss(pt):
+        return ad.tmean(ad.square(layer(pt["a"]) - target))
+
+    assert _max_fd_error(params, loss) < 1e-4
+
+
+def _pool_and_repeat(lengths):
+    """The dense (B, sum T) pooling and (sum T, B) repetition matrices."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    pool = np.zeros((len(lengths), len(seg)))
+    pool[seg, np.arange(len(seg))] = 1.0 / np.asarray(lengths)[seg]
+    rep = np.zeros((len(seg), len(lengths)))
+    rep[np.arange(len(seg)), seg] = 1.0
+    return pool, rep
+
+
+def _value_and_grad(layer, a, g):
+    """layer(a) and the gradient of sum(layer(a) * g) with respect to a."""
+    t = Tensor(a, requires_grad=True)
+    out = layer(t)
+    ad.tsum(out * ad.constant(g)).backward()
+    return out.data, t.grad
+
+
+SEGMENT_LENGTHS = st.lists(st.integers(1, 12), min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEGMENT_LENGTHS, st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_segment_mean_and_repeat_rows_match_dense_matrices(lengths, width, seed):
+    rng = np.random.default_rng(seed)
+    pool, rep = _pool_and_repeat(lengths)
+    frames = rng.normal(size=(sum(lengths), width))
+    rows = rng.normal(size=(len(lengths), width))
+
+    out, grad = _value_and_grad(lambda a: ad.segment_mean(a, lengths), frames, rows)
+    np.testing.assert_allclose(out, pool @ frames, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, pool.T @ rows, rtol=0, atol=1e-12)
+
+    out, grad = _value_and_grad(lambda a: ad.repeat_rows(a, lengths), rows, frames)
+    np.testing.assert_allclose(out, rep @ rows, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, rep.T @ frames, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=60),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_sq_dists_matches_take_rows_chain(n_rows, width, picks, seed):
+    """Values and gradients against take_rows - sub - square - tsum, with
+    repeated rows and pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([(i % n_rows, j % n_rows) for i, j in picks], dtype=np.intp)
+    a = rng.normal(size=(n_rows, width))
+    g = rng.normal(size=len(pairs))
+
+    def chain(t):
+        diff = ad.take_rows(t, pairs[:, 0]) - ad.take_rows(t, pairs[:, 1])
+        return ad.tsum(ad.square(diff), axis=1)
+
+    out, grad = _value_and_grad(lambda t: ad.pair_sq_dists(t, pairs), a, g)
+    want_out, want_grad = _value_and_grad(chain, a, g)
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)

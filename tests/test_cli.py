@@ -277,6 +277,50 @@ class TestPipeline:
         capsys.readouterr()
 
 
+THREAD_RUN = """
+import sys
+from segembed.cli import main
+out = sys.argv[1]
+corpus = out + "/corpus.jsonl"
+settings = [arg for s in (
+    "synth.n_units=10", "synth.n_speakers=4", "synth.instances_per_unit_speaker=8",
+    "synth.feature_dim=12", "model.embed_dim=16", "model.enc_hidden=32",
+    "model.dec_hidden=32", "model.disc_hidden=64", "train.epochs=1",
+    "train.batch_size=64", "train.alpha_adv=0.5", "train.disc_warmup_epochs=0",
+    "siamese.epochs=1", "siamese.batch_size=64", "siamese.k=32",
+    "siamese.refine_hidden=32",
+) for arg in ("--set", s)]
+for args in (
+    ["synth"],
+    ["train", "--corpus", corpus, "--variant", "b"],
+    ["refine", "--corpus", corpus, "--checkpoint", out + "/model_b.json"],
+    ["embed", "--corpus", corpus, "--checkpoint", out + "/model_b.json",
+     "--refine", out + "/refine.json", "--variant", "d"],
+):
+    if main(["--out-dir", out, *settings, *args]) != 0:
+        sys.exit(f"{args[0]} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """synth, train b, refine and embed d at 1 and at 2 BLAS/OpenMP threads,
+    each in its own process (the variables are read when numpy loads), give
+    the same bytes in every output file."""
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", THREAD_RUN, str(out)], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"model_b.json", "refine.json", "embeddings_d.jsonl"} <= outputs["1"].keys()
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name, data in outputs["1"].items():
+        assert data == outputs["2"][name], name
+
+
 class TestBadInputs:
     """Each malformed input exits 1 with a ``segembed: error:`` message, or
     3 with a ``segembed: configuration error:`` message."""
