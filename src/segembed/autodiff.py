@@ -61,12 +61,6 @@ class Tensor:
         else:
             self.grad += grad
 
-    def _accumulate_rows(self, start: int, stop: int, grad: np.ndarray) -> None:
-        """Add ``grad`` to rows ``start:stop`` of ``self.grad`` only."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[start:stop] += grad
-
     def backward(self) -> None:
         """Backpropagate from a scalar node through the tape."""
         if self.data.size != 1:
@@ -342,7 +336,9 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate_rows(start, stop, g)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[start:stop] += g
 
     out._backward = backward
     return out

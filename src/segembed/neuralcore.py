@@ -317,9 +317,8 @@ def encode(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
 
 
 def decode(params: ComponentParams, v_p, v_s, n_frames: int) -> np.ndarray:
-    """Reconstruct a (n_frames, F) feature matrix from one embedding pair."""
-    if n_frames < 1:
-        raise DataError(f"decode: n_frames must be >= 1, got {n_frames}")
+    """Reconstruct a (n_frames, F) feature matrix from one embedding pair;
+    ``n_frames`` below 1 is a ``DataError``."""
     d = (params.arrays["w1"].shape[0] - 1) // 2
     v_p = _check_vector(v_p, d, "decode v_p")
     v_s = _check_vector(v_s, d, "decode v_s")

@@ -181,7 +181,7 @@ class TestDecoder:
 
     def test_bad_length(self):
         params = init_decoder(DIMS, seed=1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"segment lengths must be >= 1, got \[0\]"):
             decode(params, np.zeros(256), np.zeros(256), 0)
 
     @pytest.mark.parametrize(
