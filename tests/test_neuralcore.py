@@ -185,27 +185,22 @@ class TestDecoder:
             decode(params, np.zeros(256), np.zeros(256), 0)
 
     @pytest.mark.parametrize(
-        "lengths, message",
+        "lengths, n_s, message",
         [
             # np.add.reduceat would read a zero-length run as one row
-            ([3, 0, 2], r"segment lengths must be >= 1, got \[3, 0, 2\]"),
-            ([2, -1, 2], r"segment lengths must be >= 1, got \[2, -1, 2\]"),
-            ([3, 2], "2 segment lengths for 3 v_p and 3 v_s rows"),
-            ([3, 2, 1, 1], "4 segment lengths for 3 v_p and 3 v_s rows"),
+            ([3, 0, 2], 3, r"segment lengths must be >= 1, got \[3, 0, 2\]"),
+            ([2, -1, 2], 3, r"segment lengths must be >= 1, got \[2, -1, 2\]"),
+            ([3, 2], 3, "2 segment lengths for 3 v_p and 3 v_s rows"),
+            ([3, 2, 1, 1], 3, "4 segment lengths for 3 v_p and 3 v_s rows"),
+            ([3, 2, 1], 2, "3 segment lengths for 3 v_p and 2 v_s rows"),
         ],
     )
-    def test_bad_packed_lengths_are_data_errors(self, lengths, message):
+    def test_bad_packed_lengths_are_data_errors(self, lengths, n_s, message):
         params = init_decoder(SMALL, seed=0)
-        v = RNG.normal(size=(3, SMALL.embed_dim))
+        v_p = RNG.normal(size=(3, SMALL.embed_dim))
+        v_s = RNG.normal(size=(n_s, SMALL.embed_dim))
         with pytest.raises(DataError, match=message):
-            decoder_forward(params.tensors(), v, v, lengths)
-
-    def test_v_p_and_v_s_row_counts_must_agree(self):
-        params = init_decoder(SMALL, seed=0)
-        v_p = RNG.normal(size=(2, SMALL.embed_dim))
-        v_s = RNG.normal(size=(3, SMALL.embed_dim))
-        with pytest.raises(DataError, match="2 segment lengths for 2 v_p and 3 v_s rows"):
-            decoder_forward(params.tensors(), v_p, v_s, [1, 2])
+            decoder_forward(params.tensors(), v_p, v_s, lengths)
 
 
 class TestDiscriminator:
