@@ -414,7 +414,7 @@ def save_checkpoint(path, components: dict, meta: dict | None = None) -> None:
             for key, arr in params.arrays.items()
         }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def _require_object(path, key, value) -> None:
