@@ -289,10 +289,8 @@ def _run(args) -> str:
                 cfg.eval.n_queries,
                 derive_seed(master, "eval-std"),
             )
-            table[variant] = {
-                k: evalstd.run_retrieval(index, queries, k).map
-                for k in cfg.eval.top_k
-            }
+            reports = evalstd.run_retrieval(index, queries, cfg.eval.top_k)
+            table[variant] = {k: reports[k].map for k in cfg.eval.top_k}
             n_rel = len(queries)
         path = args.output or out_dir / "retrieval_map.csv"
         evalstd.write_map_csv(path, table, cfg.eval.top_k)

@@ -1,6 +1,9 @@
 """Embedding-quality analysis: intra/inter cosine statistics and k-means
 clustering accuracy.
 
+Vectors whose norms or squared distances overflow float64 raise
+``NumericError`` here rather than yield inf or NaN statistics.
+
 The cosine gap report gives exact means over all same-label and
 different-label unordered pairs (computed via the norm-of-summed-unit-
 vectors identity, so no quadratic pair enumeration is needed). Clustering
@@ -20,6 +23,14 @@ KMEANS_MAX_ITER = 100  # Lloyd iterations
 KMEANS_TOL = 1e-6  # stop once no center moves farther than this
 
 
+def _finite(values, what: str):
+    """``values``, once checked finite. Computed from finite vectors, an
+    inf or NaN here means the vector entries were too large for float64."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what} overflow: vector entries too large")
+    return values
+
+
 def cosine(a, b):
     """Cosine similarity of two equal-length nonzero vectors.
 
@@ -34,10 +45,13 @@ def cosine(a, b):
     rows = a[None] if a.ndim == 1 else a
     if rows.ndim != 2 or b.ndim != 1 or rows.shape[1] != b.shape[0]:
         raise DataError(f"vectors must be of equal length: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(rows, axis=1), np.linalg.norm(b)
-    if nb == 0.0 or np.any(na == 0.0):
-        raise NumericError("cosine undefined for a zero vector")
-    sims = np.clip(np.einsum("ij,j->i", rows, b) / (na * nb), -1.0, 1.0)
+    with np.errstate(over="ignore"):
+        na, nb = np.linalg.norm(rows, axis=1), np.linalg.norm(b)
+        if nb == 0.0 or np.any(na == 0.0):
+            raise NumericError("cosine undefined for a zero vector")
+        # |a . b| <= |a| |b|, so a finite denominator keeps the dot finite
+        denominators = _finite(na * nb, "vector norms")
+    sims = np.clip(np.einsum("ij,j->i", rows, b) / denominators, -1.0, 1.0)
     return float(sims[0]) if a.ndim == 1 else sims
 
 
@@ -64,7 +78,8 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
     n = mat.shape[0]
     if n < 2:
         raise EvaluationError("need at least 2 labeled points")
-    norms = np.linalg.norm(mat, axis=1)
+    with np.errstate(over="ignore"):
+        norms = _finite(np.linalg.norm(mat, axis=1), "vector norms")
     if np.any(norms == 0.0):
         raise NumericError("cosine statistics undefined with zero vectors")
     unit = mat / norms[:, None]
@@ -104,6 +119,8 @@ def _plus_plus_init(mat: np.ndarray, n_clusters: int, rng) -> np.ndarray:
     centers = np.empty((n_clusters, mat.shape[1]))
     centers[0] = mat[int(rng.integers(n))]
     d2 = np.sum((mat - centers[0]) ** 2, axis=1)
+    # later centers only lower d2, so once this sum is finite every later one is
+    _finite(d2.sum(), "squared distances")
     for c in range(1, n_clusters):
         total = d2.sum()
         if total > 0:
@@ -121,16 +138,36 @@ def _assign(mat: np.ndarray, centers: np.ndarray) -> np.ndarray:
         - 2.0 * mat @ centers.T
         + np.sum(centers * centers, axis=1)[None, :]
     )
-    return np.argmin(d2, axis=1)
+    assign = np.argmin(d2, axis=1)
+    # an overflowed row holds -inf or NaN at its minimum, or is all inf
+    _finite(d2[np.arange(len(assign)), assign], "squared distances")
+    return assign
+
+
+def _update_centers(mat, assign, centers):
+    """Lloyd update: each center moves to the mean of its points, summed
+    in row order by one ``np.add.reduceat``; a center without points
+    stays where it is."""
+    counts = np.bincount(assign, minlength=len(centers))
+    filled = counts > 0
+    starts = np.cumsum(counts) - counts
+    sums = np.add.reduceat(mat[np.argsort(assign, kind="stable")], starts[filled], axis=0)
+    new_centers = centers.copy()
+    new_centers[filled] = sums / counts[filled, None]
+    return new_centers
 
 
 def kmeans(vectors, n_clusters: int, seed: int, return_history: bool = False):
     """Lloyd iterations from seeded k-means++ initialization.
 
     Runs until the largest center movement drops below KMEANS_TOL or
-    KMEANS_MAX_ITER iterations are reached; empty clusters are repaired by
-    reassigning the point currently farthest from its center. Returns one cluster id in [0, n) per point
-    (with return_history, also the point-to-center cost after each step).
+    KMEANS_MAX_ITER iterations are reached. Each update moves every center
+    to its points' mean with array operations, no loop over clusters;
+    empty clusters are repaired by reassigning the point currently
+    farthest from its center. Returns one cluster id in [0, n) per point.
+    With return_history, also returns the point-to-center cost after each
+    step, which is computed only then. Squared distances that overflow
+    float64 raise ``NumericError``.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
@@ -139,22 +176,20 @@ def kmeans(vectors, n_clusters: int, seed: int, return_history: bool = False):
     if not 1 <= n_clusters <= n:
         raise DataError(f"need 1 <= n_clusters <= {n}, got {n_clusters}")
     rng = np.random.default_rng(seed)
-    centers = _plus_plus_init(mat, n_clusters, rng)
-    assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
-    cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
-    history = [cost()]
-    for _ in range(KMEANS_MAX_ITER):
-        new_centers = centers.copy()
-        for c in range(n_clusters):
-            members = mat[assign == c]
-            if members.shape[0]:
-                new_centers[c] = members.mean(axis=0)
-        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-        centers = new_centers
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = _plus_plus_init(mat, n_clusters, rng)
         assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
-        history.append(cost())
-        if movement < KMEANS_TOL:
-            break
+        cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
+        history = [cost()] if return_history else None
+        for _ in range(KMEANS_MAX_ITER):
+            new_centers = _update_centers(mat, assign, centers)
+            movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+            centers = new_centers
+            assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
+            if return_history:
+                history.append(cost())
+            if movement < KMEANS_TOL:
+                break
     return (assign, history) if return_history else assign
 
 

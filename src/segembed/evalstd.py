@@ -6,11 +6,13 @@ one sampled spoken realization, documents are ranked by the mean of the
 top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
 
-Scoring is batched per query. A ``DocumentIndex`` stacks every word vector
-into one matrix and keeps each document's word slots as a padded index
-array, so one query is scored against the whole archive with one row-wise
-``cosine`` call, one sort along the padded axis and a sequential cumulative
-sum read at each document's effective k.
+Each query is scored once for all top_k. A ``DocumentIndex`` stacks every
+word vector into one matrix and keeps each document's word slots as a
+padded index array, so one query is scored against the whole archive with
+one row-wise ``cosine`` call, one sort along the padded axis and one
+sequential cumulative sum, which is read at each document's effective k
+for every requested top_k. One ``np.lexsort`` then ranks the documents at
+every top_k.
 """
 
 import math
@@ -52,11 +54,13 @@ class DocumentIndex:
     Construction also builds the scoring arrays: ``matrix`` stacks every
     word vector in document order, row ``r`` of ``slots`` lists document
     ``r``'s rows of ``matrix`` padded with ``len(matrix)``, ``lengths``
-    holds the word counts and ``id_ranks`` each doc id's rank in sorted
-    order, the tie-break of ``rank_documents``.
+    holds the word counts, ``doc_ids`` the document ids in index order and
+    ``id_ranks`` each doc id's rank in sorted order, the tie-break of
+    ``rank_documents``.
     """
 
     documents: tuple
+    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
     slots: np.ndarray = field(init=False, repr=False, compare=False)
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
@@ -80,7 +84,8 @@ class DocumentIndex:
         slots = np.where(cols < lengths[:, None], starts[:, None] + cols, len(matrix))
         id_ranks = np.empty(len(docs), dtype=np.intp)
         id_ranks[sorted(range(len(docs)), key=ids.__getitem__)] = np.arange(len(docs))
-        for name, value in (("matrix", matrix), ("slots", slots),
+        doc_ids = np.array(ids, dtype=object)
+        for name, value in (("doc_ids", doc_ids), ("matrix", matrix), ("slots", slots),
                             ("lengths", lengths), ("id_ranks", id_ranks)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -134,32 +139,44 @@ def tfidf_select_queries(transcripts, n_queries: int):
     return [tok for tok, _ in scored[:n_queries]]
 
 
-def relevance_score(query_embedding, document, top_k: int):
+def relevance_score(query_embedding, document, top_k):
     """Mean of the top min(k, |d|) cosine similarities between the query
     embedding and a document's word embeddings.
 
     ``document`` is a ``Document``, scored as a float, or a
     ``DocumentIndex``, scored as one float64 per document in index order.
-    The top similarities are summed in descending order, left to right.
+    ``top_k`` is an int or a sequence of ints; a sequence adds a leading
+    axis with one score (or row of scores) per value, all read from the
+    same sort and cumulative sum. The top similarities are summed in
+    descending order, left to right.
     """
-    if top_k < 1:
+    ks = np.asarray(top_k)
+    if ks.ndim > 1 or np.any(ks < 1):
         raise DataError("top_k must be >= 1")
     index = DocumentIndex((document,)) if isinstance(document, Document) else document
     if not isinstance(index, DocumentIndex):
         raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")
     q = np.asarray(query_embedding, dtype=np.float64)
     padded = np.append(cosine(index.matrix, q), -np.inf)[index.slots]
-    descending = np.sort(padded, axis=1)[:, ::-1]
-    k_eff = np.minimum(top_k, index.lengths)
-    scores = np.cumsum(descending, axis=1)[np.arange(len(index)), k_eff - 1] / k_eff
-    return scores if index is document else float(scores[0])
+    cumulative = np.cumsum(np.sort(padded, axis=1)[:, ::-1], axis=1)
+    k_eff = np.minimum(ks[..., None], index.lengths)
+    scores = cumulative[np.arange(len(index)), k_eff - 1] / k_eff
+    if index is document:
+        return scores
+    return scores[..., 0] if ks.ndim else float(scores[0])
 
 
-def rank_documents(query: QuerySpec, index: DocumentIndex, top_k: int):
-    """All documents sorted by descending relevance score (ties by id)."""
+def rank_documents(query: QuerySpec, index: DocumentIndex, top_k):
+    """All documents as (doc_id, score) sorted by descending relevance
+    score (ties by id); with a sequence ``top_k``, one such list per value."""
     scores = relevance_score(query.embedding, index, top_k)
-    order = np.lexsort((index.id_ranks, -scores))
-    return [(index.documents[i].doc_id, float(scores[i])) for i in order]
+    ties = np.broadcast_to(index.id_ranks, scores.shape)
+    order = np.lexsort((ties, -scores), axis=-1)
+    ranked = [
+        list(zip(index.doc_ids[o].tolist(), row[o].tolist()))
+        for o, row in zip(np.atleast_2d(order), np.atleast_2d(scores))
+    ]
+    return ranked if np.ndim(top_k) else ranked[0]
 
 
 def average_precision(ranked_ids, relevant) -> float:
@@ -261,14 +278,23 @@ def build_retrieval_task(entries, labels_by_id, n_documents: int,
     return index, queries
 
 
-def run_retrieval(index: DocumentIndex, queries, top_k: int) -> RetrievalReport:
-    """Rank every document for every query and compute MAP at one top_k."""
-    rankings = {
-        q.term: [doc_id for doc_id, _ in rank_documents(q, index, top_k)]
-        for q in queries
-    }
+def run_retrieval(index: DocumentIndex, queries, top_k):
+    """Rank every document for every query and compute MAP at top_k.
+
+    An int ``top_k`` gives one ``RetrievalReport``; a sequence gives
+    ``{k: RetrievalReport}``, each query ranked once for all its values.
+    """
+    ks = list(top_k) if np.ndim(top_k) else [top_k]
+    ranked = {q.term: rank_documents(q, index, ks) for q in queries}
     relevant = {q.term: q.relevant for q in queries}
-    return mean_average_precision(rankings, relevant)
+    reports = {
+        k: mean_average_precision(
+            {term: [doc_id for doc_id, _ in lists[i]] for term, lists in ranked.items()},
+            relevant,
+        )
+        for i, k in enumerate(ks)
+    }
+    return reports if np.ndim(top_k) else reports[ks[0]]
 
 
 def write_map_csv(path, table, top_k_values) -> None:

@@ -5,8 +5,12 @@
 Runs ``test_acceptance._run_pipeline(SEED, dir)`` (default seed 0) in a
 temporary directory, then ``segembed mine-audit`` with each
 ``siamese.mining_mode`` (``siamese.batch_size=64``) on the pipeline's
-``embeddings_d.jsonl``, and prints one ``sha256  name`` line per artifact
-and pair dump, in name order. These are all ``model.encoder_mode=pool``.
+``embeddings_d.jsonl``, then ``segembed eval-cluster`` and ``segembed
+eval-std`` on its variant a, b and d embeddings at the CLI's default
+``eval.n_values`` and ``eval.top_k`` (``EVAL_SETTINGS``; their CSVs are
+``cli_cluster_accuracy.csv`` and ``cli_retrieval_map.csv``), and prints one
+``sha256  name`` line per artifact, pair dump and CSV, in name order.
+These are all ``model.encoder_mode=pool``.
 A small ``model.encoder_mode=rnn`` CLI pipeline follows (synth, train a,
 refine, embed a and d; ``RNN_SETTINGS``), whose files are listed after the
 others as ``rnn/<name>``. Run it on two checkouts and ``diff`` the
@@ -50,6 +54,10 @@ RNN_SETTINGS = (
     "train.epochs=2", "siamese.epochs=2", "siamese.refine_hidden=16",
 )
 
+# The acceptance corpus has 20 unit labels, fewer than the defaults of
+# eval.m and eval.n_queries; eval.n_values and eval.top_k keep theirs.
+EVAL_SETTINGS = ("eval.m=20", "eval.n_queries=20")
+
 
 def cli(seed, out_dir, settings, *args):
     """``segembed --seed SEED --out-dir OUT_DIR --set S... ARGS``, quietly;
@@ -69,6 +77,20 @@ def mine_audit(seed, out_dir, mode):
         cli(seed, cli_dir, ("siamese.batch_size=64", f"siamese.mining_mode={mode}"),
             "mine-audit", "--embeddings", str(out_dir / "embeddings_d.jsonl"),
             "--output", str(out_dir / f"pairs_{mode}.jsonl"))
+
+
+def cli_evals(seed, out_dir):
+    """``eval-cluster`` and ``eval-std`` over the variant a, b and d
+    embeddings, written to ``cli_<name>.csv``; the CLI's own outputs go to
+    a scratch dir."""
+    embeddings = [arg for v in "abd"
+                  for arg in ("--embeddings", f"{v}={out_dir / f'embeddings_{v}.jsonl'}")]
+    with tempfile.TemporaryDirectory() as cli_dir:
+        for command, name in (("eval-cluster", "cli_cluster_accuracy.csv"),
+                              ("eval-std", "cli_retrieval_map.csv")):
+            cli(seed, cli_dir, EVAL_SETTINGS, command,
+                "--corpus", str(out_dir / "corpus.jsonl"), *embeddings,
+                "--output", str(out_dir / name))
 
 
 def rnn_pipeline(seed, out_dir):
@@ -95,6 +117,7 @@ def main(argv) -> int:
         _run_pipeline(seed, out_dir)
         for mode in MINING_MODES:
             mine_audit(seed, out_dir, mode)
+        cli_evals(seed, out_dir)
         print_hashes(out_dir)
     with tempfile.TemporaryDirectory() as tmp:
         rnn_pipeline(seed, Path(tmp))

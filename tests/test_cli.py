@@ -403,6 +403,16 @@ class TestBadInputs:
         code = run_cli(tmp_path, "mine-audit", "--embeddings", str(path))
         assert "squared distances overflow" in self._error(capsys, code)
 
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std"])
+    def test_eval_overflowing_vector(self, corpus_dir, tmp_path, capsys, command):
+        def inflate(records):
+            records[0]["vector"] = [1e200] * 4
+
+        path = self._embeddings(corpus_dir, tmp_path, inflate)
+        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        assert err.count("\n") == 1
+        assert "overflow: vector entries too large" in err
+
     def _mine_audit_12(self, corpus_dir, tmp_path, drop_last):
         """mine-audit over the first 12 segments with a batch size of 64."""
         def truncate(records):

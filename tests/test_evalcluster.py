@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from segembed.errors import DataError, EvaluationError, NumericError
 from segembed.evalcluster import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     CosineGapReport,
+    _assign,
+    _plus_plus_init,
+    _repair_empty,
+    _update_centers,
     accuracy_curve,
     cluster_accuracy,
     confusion_matrix,
@@ -24,6 +30,38 @@ from segembed.evalcluster import (
 )
 
 RNG = np.random.default_rng(41)
+
+
+def _per_cluster_kmeans(mat, n_clusters, seed):
+    """``kmeans(..., return_history=True)`` with the Lloyd update as a loop
+    of per-cluster ``mean`` calls; also returns how many clusters
+    ``_repair_empty`` had to fill."""
+    rng = np.random.default_rng(seed)
+    centers = _plus_plus_init(mat, n_clusters, rng)
+    repaired = 0
+
+    def assign_and_repair():
+        nonlocal repaired
+        assign = _assign(mat, centers)
+        repaired += int(np.sum(np.bincount(assign, minlength=n_clusters) == 0))
+        return _repair_empty(mat, centers, assign, n_clusters)
+
+    assign = assign_and_repair()
+    cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
+    history = [cost()]
+    for _ in range(KMEANS_MAX_ITER):
+        new_centers = centers.copy()
+        for c in range(n_clusters):
+            members = mat[assign == c]
+            if members.shape[0]:
+                new_centers[c] = members.mean(axis=0)
+        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+        centers = new_centers
+        assign = assign_and_repair()
+        history.append(cost())
+        if movement < KMEANS_TOL:
+            break
+    return assign, history, repaired
 
 
 class TestCosine:
@@ -187,6 +225,94 @@ class TestKmeans:
         points = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3)
         assign = kmeans(points, 3, seed=0)
         assert set(assign) == {0, 1, 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_update_matches_per_cluster_means(self, data):
+        n = data.draw(st.integers(1, 25), label="n")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        k = data.draw(st.integers(1, 8), label="k")
+        value = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        )
+        row = st.lists(value, min_size=dim, max_size=dim)
+        mat = np.array(data.draw(st.lists(row, min_size=n, max_size=n), label="mat"))
+        assign = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="assign")
+        )
+        centers = np.random.default_rng(n * k).normal(size=(k, dim))
+        before = centers.copy()
+        got = _update_centers(mat, assign, centers)
+        assert np.array_equal(centers, before)
+        for c in range(k):
+            members = mat[assign == c]
+            if members.shape[0] == 0:
+                assert np.array_equal(got[c], centers[c])  # left where it was
+            else:
+                error = np.abs(got[c] - members.mean(axis=0)).max()
+                assert error <= 1e-12 * np.abs(members).max()
+
+    @pytest.mark.parametrize("points, n_clusters, repairs", [
+        (np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3), 3, True),
+        (np.repeat(np.random.default_rng(8).normal(size=(5, 3)), 4, axis=0), 7, True),
+        *((np.random.default_rng(s).normal(size=(40, 3)), 6, False) for s in range(4)),
+    ])
+    def test_matches_per_cluster_loop(self, points, n_clusters, repairs):
+        for seed in range(3):
+            assign, history = kmeans(points, n_clusters, seed, return_history=True)
+            want_assign, want_history, repaired = _per_cluster_kmeans(points, n_clusters, seed)
+            assert np.array_equal(assign, want_assign)
+            assert len(history) == len(want_history)
+            assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(history, want_history))
+            if repairs:
+                assert repaired > 0
+
+
+class TestOverflow:
+    """Vectors too large for float64 norms or squared distances raise
+    NumericError; large vectors whose arithmetic stays finite do not."""
+
+    def test_cosine(self):
+        with pytest.raises(NumericError, match="vector norms overflow"):
+            cosine(np.full(4, 1e200), np.ones(4))
+        with pytest.raises(NumericError, match="vector norms overflow"):
+            cosine(np.ones((2, 2)), np.full(2, 1e200))
+        # |a| would fit in float64, |a|^2 does not
+        with pytest.raises(NumericError, match="vector norms overflow"):
+            cosine(np.array([1e160, 0.0]), np.array([1.0, 1.0]))
+        a, b = RNG.normal(size=(5, 3)), RNG.normal(size=3)
+        assert np.array_equal(cosine(a * 2.0**500, b * 2.0**500), cosine(a, b))
+
+    def test_intra_inter_stats(self):
+        vectors = RNG.normal(size=(6, 3))
+        labels = [0, 0, 1, 1, 2, 2]
+        inflated = vectors.copy()
+        inflated[4] = 1e200
+        with pytest.raises(NumericError, match="vector norms overflow"):
+            intra_inter_stats(inflated, labels)
+        assert intra_inter_stats(vectors * 2.0**500, labels) == intra_inter_stats(vectors, labels)
+
+    @pytest.mark.parametrize("entry", [1e200, 1e160])
+    @pytest.mark.parametrize("n_clusters", [1, 3])
+    def test_kmeans(self, entry, n_clusters):
+        points = RNG.normal(size=(10, 2))
+        points[3] = entry
+        with pytest.raises(NumericError, match="squared distances overflow"):
+            kmeans(points, n_clusters, seed=0)
+
+    def test_kmeans_far_from_the_origin(self):
+        # the points' distances fit in float64, their squared norms do not
+        points = 1e160 * (1.0 + 2.0**-40 * RNG.normal(size=(10, 2)))
+        with pytest.raises(NumericError, match="squared distances overflow"):
+            kmeans(points, 3, seed=0)
+
+    def test_kmeans_scales_exactly_below_overflow(self):
+        points = RNG.normal(size=(30, 3))
+        assign, history = kmeans(points, 4, seed=5, return_history=True)
+        big_assign, big_history = kmeans(points * 2.0**500, 4, seed=5, return_history=True)
+        assert np.array_equal(big_assign, assign)
+        assert big_history == [h * 2.0**1000 for h in history]
 
 
 class TestConfusionMatrix:

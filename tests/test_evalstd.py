@@ -96,6 +96,11 @@ class TestRelevanceScore:
             relevance_score(q, doc, 2), abs=1e-12
         )
 
+    @pytest.mark.parametrize("top_k", [0, [1, 0], [[1, 2]]])
+    def test_bad_top_k_rejected(self, top_k):
+        with pytest.raises(DataError, match="top_k"):
+            relevance_score(np.ones(2), _doc("d", [np.ones(2)]), top_k)
+
     def test_k_beyond_doc_size_is_k_independent(self):
         q = RNG.normal(size=3)
         doc = _doc("d", [RNG.normal(size=3) for _ in range(3)])
@@ -293,6 +298,32 @@ class TestBatchedScoringProperties:
         shuffled = list(index.documents)
         random.shuffle(shuffled)
         assert rank_documents(QuerySpec("q", query), DocumentIndex(tuple(shuffled)), top_k) == ranked
+
+    @settings(max_examples=200, deadline=None)
+    @given(_archives(), st.lists(st.integers(1, 10), max_size=3), st.data())
+    def test_sequence_top_k_equals_per_k_calls(self, archive, drawn, data):
+        query, index, top_k = archive
+        # k = 1, k = 8 above every document's length (at most 7) and a repeat
+        ks = (1, *drawn, 8, top_k, top_k)
+        assert relevance_score(query, index, ks).tolist() == [
+            relevance_score(query, index, k).tolist() for k in ks
+        ]
+        doc = index.documents[-1]
+        assert relevance_score(query, doc, ks).tolist() == [
+            relevance_score(query, doc, k) for k in ks
+        ]
+        spec = QuerySpec("q", query)
+        assert rank_documents(spec, index, ks) == [rank_documents(spec, index, k) for k in ks]
+
+        ids = sorted(d.doc_id for d in index.documents)
+        queries = [
+            QuerySpec(f"q{i}", d.words[0][1],
+                      data.draw(st.sets(st.sampled_from(ids), min_size=1)))
+            for i, d in enumerate(index.documents)
+        ]
+        reports = run_retrieval(index, queries, ks)
+        assert reports == {k: run_retrieval(index, queries, k) for k in ks}
+        assert list(reports) == list(dict.fromkeys(ks))
 
 
 class TestMapCsv:
