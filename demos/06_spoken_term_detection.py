@@ -39,8 +39,9 @@ doc = Document("d0", (
     ("near", np.array([0.7, 0.7])),
     ("far", np.array([-0.2, 1.0])),
 ))
-for k in (1, 2, 3):
-    print(f"top-{k} mean cosine: {relevance_score(query_vec, doc, k):.4f}")
+# a sequence of top_k values is scored from one sort of the similarities
+for k, score in zip((1, 2, 3), relevance_score(query_vec, doc, (1, 2, 3))):
+    print(f"top-{k} mean cosine: {score:.4f}")
 
 print("\n=== ranking and average precision ===")
 index = DocumentIndex((
@@ -69,5 +70,5 @@ index, queries = build_retrieval_task(entries, labels, n_documents=12,
                                       n_queries=5, seed=4)
 print(f"{len(index)} documents, {len(queries)} queries "
       f"({[q.term for q in queries]})")
-for k in (1, 3, 5):
-    print(f"MAP at top_k={k}: {run_retrieval(index, queries, k).map:.4f}")
+for k, report in run_retrieval(index, queries, (1, 3, 5)).items():
+    print(f"MAP at top_k={k}: {report.map:.4f}")
