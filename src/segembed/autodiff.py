@@ -10,6 +10,13 @@ and ``pair_sq_dists`` (squared distances over a (P, 2) pair array, one
 node). All gradients are checked against central finite differences in the
 test suite.
 
+``backward()`` consumes the graph it runs through: each non-leaf node
+drops its parents and backward closure once its gradient has passed to its
+parents, so a node nobody else holds is freed then, with its data and its
+gradient. A graph is therefore backpropagated once; a second
+``backward()`` that reaches a used node raises ``ValueError`` before it
+writes any gradient. Leaves keep their gradients and may start new graphs.
+
 A node's first incoming gradient is stored as a copy (copy on first
 write), so no two nodes ever share a gradient buffer; later gradients are
 added to it in place. Row gathering scatters its gradient back in one
@@ -30,6 +37,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+# ``_backward`` of a non-leaf node whose gradient backward() has passed on
+_USED = object()
 
 
 class Tensor:
@@ -62,7 +73,14 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from a scalar node through the tape."""
+        """Backpropagate from a scalar node through the tape, once.
+
+        The graph is consumed on the way: each non-leaf node drops its
+        parents and backward closure as soon as it has passed its gradient
+        on, so a node nobody else holds is freed then. Leaves keep their
+        gradients and may start new graphs; a graph that reaches a used
+        non-leaf node raises ``ValueError`` before any gradient is written.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo, seen = [], set()
@@ -74,14 +92,19 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _USED:
+                raise ValueError("backward() through a graph that was already backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                # drop the edges: an unheld node dies once its gradient is passed on
+                node._parents, node._backward = (), _USED
 
     # -- operator sugar -------------------------------------------------
 
@@ -386,7 +409,8 @@ def pair_sq_dists(a, pairs) -> Tensor:
     for each row (i, j) of the (P, 2) int array ``pairs`` -> (P,)."""
     a = as_tensor(a)
     i, j = pairs[:, 0], pairs[:, 1]
-    diff = a.data[i] - a.data[j]
+    diff = a.data[i]
+    diff -= a.data[j]
     out = Tensor((diff * diff).sum(axis=1), _parents=(a,))
 
     def backward(g):
@@ -394,7 +418,8 @@ def pair_sq_dists(a, pairs) -> Tensor:
             # +2g*diff goes to row i and -2g*diff to row j; one 1-D bincount
             # per column, in pair order, builds no (P*d) key array
             n = a.data.shape[0]
-            cols = np.ascontiguousarray(diff.T) * (2.0 * g)
+            cols = np.ascontiguousarray(diff.T)
+            cols *= 2.0 * g
             acc = np.empty(a.data.shape)
             for c, col in enumerate(cols):
                 acc[:, c] = np.bincount(i, col, n) - np.bincount(j, col, n)

@@ -1,9 +1,11 @@
 """Finite-difference verification of every autodiff primitive, and the
 tape's gradient scatter and buffer ownership."""
 
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segembed import autodiff as ad
@@ -143,6 +145,57 @@ def test_grad_accumulates_over_reuse():
     out = ad.tsum(a * a + a)  # d/da = 2a + 1 = 4
     out.backward()
     assert a.grad[0] == pytest.approx(4.0)
+
+
+# -- one backward() per graph ---------------------------------------------------
+
+
+def _grads(*tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+def test_second_backward_on_a_used_graph_raises_and_writes_nothing():
+    a = Tensor(np.ones(3), requires_grad=True)
+    h = ad.tanh(a * 2.0)
+    out = ad.tsum(h)
+    out.backward()
+    np.testing.assert_allclose(a.grad, 2.0 * (1.0 - np.tanh(2.0) ** 2))  # 0.1413 each
+    before = _grads(a, h, out)
+    with pytest.raises(ValueError, match="already backpropagated"):
+        out.backward()
+    assert _grads(a, h, out) == before
+
+
+def test_new_graph_on_a_used_intermediate_raises_and_writes_nothing():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.full(3, 0.5), requires_grad=True)
+    h = ad.tanh(a * 2.0)
+    ad.tsum(h).backward()
+    before = _grads(a, b, h)
+    again = ad.tsum(h * b)
+    with pytest.raises(ValueError, match="already backpropagated"):
+        again.backward()
+    assert _grads(a, b, h) == before
+    assert again.grad is None
+
+
+def test_leaves_start_new_graphs_after_backward():
+    a = Tensor(np.array([1.5]), requires_grad=True)
+    ad.tsum(a * a).backward()
+    ad.tsum(a * 3.0).backward()
+    assert a.grad.tolist() == [6.0]  # 2a + 3, accumulated over both graphs
+
+
+def test_backward_frees_unheld_intermediates():
+    a = Tensor(np.ones(3), requires_grad=True)
+    h = ad.tanh(a * 2.0)
+    data = weakref.ref(h.data)
+    out = ad.tsum(h * h)
+    del h
+    assert data() is not None  # held through out's edges until backward()
+    out.backward()
+    assert data() is None
+    assert out.grad.tolist() == 1.0 and a.grad is not None
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,3 +339,32 @@ def test_pair_sq_dists_matches_take_rows_chain(n_rows, width, picks, seed):
     want_out, want_grad = _value_and_grad(chain, a, g)
     np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@example(n_rows=3, width=2, picks=[], seed=0)  # P = 0
+@example(n_rows=2, width=1, picks=[(0, 1)] * 5, seed=1)  # repeats; row 0 only as i
+@example(n_rows=4, width=1, picks=[(3, 0), (1, 2), (3, 3)], seed=2)
+def test_pair_sq_dists_is_bit_equal_to_out_of_place_arithmetic(n_rows, width, picks, seed):
+    """Forward values and the input gradient equal, byte for byte, the
+    out-of-place expressions ``a[i] - a[j]`` and ``diff.T * (2 g)``."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([(i % n_rows, j % n_rows) for i, j in picks], dtype=np.intp).reshape(-1, 2)
+    a = rng.normal(size=(n_rows, width))
+    g = rng.normal(size=len(pairs))
+    out, grad = _value_and_grad(lambda t: ad.pair_sq_dists(t, pairs), a, g)
+
+    i, j = pairs[:, 0], pairs[:, 1]
+    diff = a[i] - a[j]
+    cols = np.ascontiguousarray(diff.T) * (2.0 * g)
+    want = np.empty(a.shape)
+    for c, col in enumerate(cols):
+        want[:, c] = np.bincount(i, col, n_rows) - np.bincount(j, col, n_rows)
+    assert out.tobytes() == (diff * diff).sum(axis=1).tobytes()
+    assert grad.tobytes() == want.tobytes()
