@@ -31,22 +31,33 @@ def _finite(values, what: str):
     return values
 
 
-def cosine(a, b):
+def _row_norms(rows):
+    """``np.linalg.norm(rows, axis=1)`` without numpy's overflow warning;
+    the callers raise a typed error for an overflowed norm."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(rows, axis=1)
+
+
+def cosine(a, b, *, norms=None):
     """Cosine similarity of two equal-length nonzero vectors.
 
     With a 2-D ``a`` of shape (n, d) and a 1-D ``b`` of length d, returns
     the (n,) array of cosines between each row of ``a`` and ``b``. Each
     row's dot product and norm are computed from that row alone, so equal
     rows get bit-equal cosines wherever they sit in ``a``, and a 1-D ``a``
-    gets the same float as the same row of a 2-D ``a``.
+    gets the same float as the same row of a 2-D ``a``. A caller that
+    scores many ``b`` against one 2-D ``a`` may compute its row norms once,
+    ``np.linalg.norm(a, axis=1)``, and pass them as ``norms``: the result
+    is the same.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     rows = a[None] if a.ndim == 1 else a
     if rows.ndim != 2 or b.ndim != 1 or rows.shape[1] != b.shape[0]:
         raise DataError(f"vectors must be of equal length: {a.shape} vs {b.shape}")
+    na = _row_norms(rows) if norms is None else norms
     with np.errstate(over="ignore"):
-        na, nb = np.linalg.norm(rows, axis=1), np.linalg.norm(b)
+        nb = np.linalg.norm(b)
         if nb == 0.0 or np.any(na == 0.0):
             raise NumericError("cosine undefined for a zero vector")
         # |a . b| <= |a| |b|, so a finite denominator keeps the dot finite
@@ -78,8 +89,7 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
     n = mat.shape[0]
     if n < 2:
         raise EvaluationError("need at least 2 labeled points")
-    with np.errstate(over="ignore"):
-        norms = _finite(np.linalg.norm(mat, axis=1), "vector norms")
+    norms = _finite(_row_norms(mat), "vector norms")
     if np.any(norms == 0.0):
         raise NumericError("cosine statistics undefined with zero vectors")
     unit = mat / norms[:, None]
@@ -115,20 +125,34 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
 
 
 def _plus_plus_init(mat: np.ndarray, n_clusters: int, rng) -> np.ndarray:
+    """k-means++ centers: each new center is a point drawn with probability
+    proportional to its squared distance to the nearest center so far.
+
+    The draw is ``rng.choice(n, p=d2 / total)``'s own (normalised
+    ``cumsum``, one ``rng.random()``, ``searchsorted(side="right")``)
+    without its per-call argument checks, so it picks the same points and
+    leaves ``rng`` in the same state. ``d2`` is updated in place through
+    one (n, d) buffer.
+    """
     n = mat.shape[0]
     centers = np.empty((n_clusters, mat.shape[1]))
     centers[0] = mat[int(rng.integers(n))]
     d2 = np.sum((mat - centers[0]) ** 2, axis=1)
     # later centers only lower d2, so once this sum is finite every later one is
     _finite(d2.sum(), "squared distances")
+    buf = np.empty_like(mat)
     for c in range(1, n_clusters):
         total = d2.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
         centers[c] = mat[idx]
-        d2 = np.minimum(d2, np.sum((mat - centers[c]) ** 2, axis=1))
+        np.subtract(mat, centers[c], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.minimum(d2, buf.sum(axis=1), out=d2)
     return centers
 
 
@@ -276,7 +300,8 @@ def accuracy_curve(vectors, labels, m: int, n_values, seed: int):
     """Clustering accuracy at each cluster count n, over the points bearing
     the top-m most frequent labels. Returns [(n, accuracy), ...]."""
     universe = select_top_labels(labels, m)
-    keep = [i for i, label in enumerate(labels) if label in set(universe)]
+    wanted = set(universe)
+    keep = [i for i, label in enumerate(labels) if label in wanted]
     mat = np.asarray(vectors, dtype=np.float64)[keep]
     kept_labels = [labels[i] for i in keep]
     out = []

@@ -7,12 +7,12 @@ top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
 
 Each query is scored once for all top_k. A ``DocumentIndex`` stacks every
-word vector into one matrix and keeps each document's word slots as a
-padded index array, so one query is scored against the whole archive with
-one row-wise ``cosine`` call, one sort along the padded axis and one
-sequential cumulative sum, which is read at each document's effective k
-for every requested top_k. One ``np.lexsort`` then ranks the documents at
-every top_k.
+word vector into one matrix, computes its row norms once and keeps each
+document's word slots as a padded index array, so one query is scored
+against the whole archive with one row-wise ``cosine`` call, one sort
+along the padded axis and one sequential cumulative sum, which is read at
+each document's effective k for every requested top_k. One ``np.lexsort``
+then ranks the documents at every top_k.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import write_csv
 from .errors import DataError, EvaluationError
-from .evalcluster import cosine
+from .evalcluster import _row_norms, cosine
 from .seeding import rng_for
 
 
@@ -53,15 +53,16 @@ class DocumentIndex:
 
     Construction also builds the scoring arrays: ``matrix`` stacks every
     word vector in document order, row ``r`` of ``slots`` lists document
-    ``r``'s rows of ``matrix`` padded with ``len(matrix)``, ``lengths``
-    holds the word counts, ``doc_ids`` the document ids in index order and
-    ``id_ranks`` each doc id's rank in sorted order, the tie-break of
-    ``rank_documents``.
+    ``r``'s rows of ``matrix`` padded with ``len(matrix)``, ``norms``
+    holds the row norms of ``matrix``, ``lengths`` the word counts,
+    ``doc_ids`` the document ids in index order and ``id_ranks`` each doc
+    id's rank in sorted order, the tie-break of ``rank_documents``.
     """
 
     documents: tuple
     doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
     slots: np.ndarray = field(init=False, repr=False, compare=False)
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
     id_ranks: np.ndarray = field(init=False, repr=False, compare=False)
@@ -85,7 +86,8 @@ class DocumentIndex:
         id_ranks = np.empty(len(docs), dtype=np.intp)
         id_ranks[sorted(range(len(docs)), key=ids.__getitem__)] = np.arange(len(docs))
         doc_ids = np.array(ids, dtype=object)
-        for name, value in (("doc_ids", doc_ids), ("matrix", matrix), ("slots", slots),
+        for name, value in (("doc_ids", doc_ids), ("matrix", matrix),
+                            ("norms", _row_norms(matrix)), ("slots", slots),
                             ("lengths", lengths), ("id_ranks", id_ranks)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -157,7 +159,8 @@ def relevance_score(query_embedding, document, top_k):
     if not isinstance(index, DocumentIndex):
         raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")
     q = np.asarray(query_embedding, dtype=np.float64)
-    padded = np.append(cosine(index.matrix, q), -np.inf)[index.slots]
+    sims = cosine(index.matrix, q, norms=index.norms)
+    padded = np.append(sims, -np.inf)[index.slots]
     cumulative = np.cumsum(np.sort(padded, axis=1)[:, ::-1], axis=1)
     k_eff = np.minimum(ks[..., None], index.lengths)
     scores = cumulative[np.arange(len(index)), k_eff - 1] / k_eff

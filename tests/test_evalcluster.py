@@ -98,6 +98,12 @@ class TestCosine:
         assert np.all(np.delete(got, 4) == got[0])
         assert cosine(rows[[0]], b)[0] == got[0]
 
+    def test_given_row_norms_give_the_same_bits(self):
+        rows = np.random.default_rng(5).normal(size=(6, 3)) * 1e3
+        b = np.array([0.5, -2.0, 1.0])
+        norms = np.linalg.norm(rows, axis=1)
+        assert cosine(rows, b, norms=norms).tobytes() == cosine(rows, b).tobytes()
+
     def test_rows_reject_zero_row_and_wrong_width(self):
         rows = RNG.normal(size=(3, 4))
         with pytest.raises(DataError):
@@ -267,6 +273,47 @@ class TestKmeans:
             assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(history, want_history))
             if repairs:
                 assert repaired > 0
+
+
+def _choice_plus_plus_init(mat, n_clusters, rng):
+    """k-means++ seeding drawn with ``rng.choice(n, p=...)``, out of place."""
+    n = mat.shape[0]
+    centers = np.empty((n_clusters, mat.shape[1]))
+    centers[0] = mat[int(rng.integers(n))]
+    d2 = np.sum((mat - centers[0]) ** 2, axis=1)
+    for c in range(1, n_clusters):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[c] = mat[idx]
+        d2 = np.minimum(d2, np.sum((mat - centers[c]) ** 2, axis=1))
+    return centers
+
+
+class TestPlusPlusInit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_centers_and_generator_state_as_choice(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        dim = data.draw(st.integers(1, 6), label="dim")
+        grid = data.draw(st.booleans(), label="grid")  # tie-heavy integer points
+        value = st.integers(-2, 2).map(float) if grid else st.floats(
+            -10.0, 10.0, allow_nan=False, allow_subnormal=False
+        )
+        row = st.lists(value, min_size=dim, max_size=dim)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n), label="rows")
+        copies = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="copies")
+        scale = data.draw(st.sampled_from([1e-5, 0.3, 1.0, 7.0, 1e5]), label="scale")
+        mat = np.array(rows + [rows[c] for c in copies]) * scale
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        # the draws are sequential, so k = every point covers every smaller k's centers
+        for k in (data.draw(st.integers(1, len(mat)), label="k"), len(mat)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _plus_plus_init(mat, k, got_rng)
+            assert got.tobytes() == _choice_plus_plus_init(mat, k, want_rng).tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestOverflow:
