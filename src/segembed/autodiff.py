@@ -73,14 +73,8 @@ class Tensor:
             self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from a scalar node through the tape, once.
-
-        The graph is consumed on the way: each non-leaf node drops its
-        parents and backward closure as soon as it has passed its gradient
-        on, so a node nobody else holds is freed then. Leaves keep their
-        gradients and may start new graphs; a graph that reaches a used
-        non-leaf node raises ``ValueError`` before any gradient is written.
-        """
+        """Backpropagate from a scalar node through the tape, consuming
+        it: see the module docstring."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo, seen = [], set()
