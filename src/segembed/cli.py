@@ -32,18 +32,6 @@ from .errors import ConfigError, DataError, SegembedError
 from .seeding import derive_seed
 from .siamese import embed_corpus, train_joint, train_refine
 
-COMMANDS = (
-    "synth",
-    "train",
-    "refine",
-    "embed",
-    "mine-audit",
-    "eval-sim",
-    "eval-cluster",
-    "eval-std",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segembed",

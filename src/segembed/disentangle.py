@@ -49,8 +49,12 @@ class DisentangleConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 2 or self.disc_steps < 1:
             raise ConfigError("epochs >= 1, batch_size >= 2, disc_steps >= 1 required")
-        if self.margin <= 0:
-            raise ConfigError("speaker margin must be > 0")
+        if not self.margin > 0:  # NaN fails too
+            raise ConfigError(f"speaker margin must be > 0, got {self.margin}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.disc_learning_rate is not None and not self.disc_learning_rate > 0:
+            raise ConfigError(f"disc_learning_rate must be > 0, got {self.disc_learning_rate}")
         if self.alpha_spk < 0 or self.alpha_adv < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.disc_warmup_epochs < 0:

@@ -42,8 +42,10 @@ class SiameseConfig:
     drop_last: bool = True
 
     def __post_init__(self):
-        if self.margin <= 0 or self.k < 1:
-            raise ConfigError("margin must be > 0 and k >= 1")
+        if not self.margin > 0 or self.k < 1:  # NaN fails too
+            raise ConfigError(f"margin must be > 0 and k >= 1, got {self.margin} and {self.k}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.mining_mode not in MINING_MODES:
             raise ConfigError(f"mining_mode must be one of {MINING_MODES}")
         if self.gamma < 0:

@@ -145,6 +145,25 @@ class TestExitCodes:
         assert code == 3
         assert "nope.key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, command, named",
+        [
+            ("train.margin=nan", "train", "'train.margin' must be finite"),
+            ("train.learning_rate=-1", "train", "learning_rate must be > 0, got -1.0"),
+            ("train.learning_rate=nan", "train", "'train.learning_rate' must be finite"),
+            ("synth.noise_scale=nan", "synth", "'synth.noise_scale' must be finite"),
+        ],
+    )
+    def test_bad_float_setting_is_config_error(self, tmp_path, capsys, override, command, named):
+        assert run_cli(tmp_path, "synth") == 0
+        args = ["--corpus", str(tmp_path / "corpus.jsonl"), "--variant", "b"]
+        code = run_cli(tmp_path / "bad", "--set", override, command,
+                       *(args if command == "train" else []))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert named in err
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(tmp_path, "train", "--corpus", str(tmp_path / "absent.jsonl"))
         assert code == 1
