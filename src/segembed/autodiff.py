@@ -7,8 +7,9 @@ row gathering and slicing, and three batch layers that cost linear time in
 the frames or pairs of a batch: ``segment_mean`` and ``repeat_rows`` (pool
 and expand runs of consecutive rows with ``np.add.reduceat``/``np.repeat``)
 and ``pair_sq_dists`` (squared distances over a (P, 2) pair array, one
-node). All gradients are checked against central finite differences in the
-test suite.
+node, whose backward is the graph-Laplacian product of the weighted pair
+graph and so takes one batch of rows: see its docstring). All gradients are
+checked against central finite differences in the test suite.
 
 ``backward()`` consumes the graph it runs through: each non-leaf node
 drops its parents and backward closure once its gradient has passed to its
@@ -398,26 +399,57 @@ def repeat_rows(a, lengths) -> Tensor:
     return out
 
 
+# floats of (rows i - rows j) that pair_sq_dists' forward holds at once
+_PAIR_CHUNK_FLOATS = 2**16
+
+
+def _laplacian_product(x, pairs, g):
+    """D x - W x, where W is the symmetric adjacency over the rows of ``x``
+    of the (P, 2) ``pairs`` weighted by 2 g, a pair (i, i) adding nothing,
+    and D holds the row sums of W."""
+    m = len(x)
+    w = np.bincount(pairs[:, 0] * m + pairs[:, 1], 2.0 * g, m * m).reshape(m, m)
+    w += w.T
+    np.fill_diagonal(w, 0.0)
+    out = w.sum(axis=1)[:, None] * x
+    out -= w @ x
+    return out
+
+
 def pair_sq_dists(a, pairs) -> Tensor:
     """Squared Euclidean distance between rows i and j of the (N, d) ``a``
-    for each row (i, j) of the (P, 2) int array ``pairs`` -> (P,)."""
+    for each row (i, j) of the (P, 2) int array ``pairs`` -> (P,).
+
+    The forward pass subtracts and squares a fixed number of pairs at a
+    time; each distance is summed over its own row, so the values do not
+    depend on the chunk size. The backward pass is the graph-Laplacian form
+    of the gradient, ``_laplacian_product``: one (N, N) by (N, d) product,
+    or, when 2 P < N, one over the rows the pairs touch, the other rows'
+    gradient being 0. W is dense, so a differentiable ``a`` must be one
+    batch: the training losses pass at most |B| rows. Through a constant
+    ``a`` no W is built.
+    """
     a = as_tensor(a)
     i, j = pairs[:, 0], pairs[:, 1]
-    diff = a.data[i]
-    diff -= a.data[j]
-    out = Tensor((diff * diff).sum(axis=1), _parents=(a,))
+    n_pairs, width = len(pairs), a.data.shape[1]
+    step = max(1, _PAIR_CHUNK_FLOATS // max(width, 1))
+    dist = np.empty(n_pairs)
+    for lo in range(0, n_pairs, step):
+        diff = a.data[i[lo:lo + step]]
+        diff -= a.data[j[lo:lo + step]]
+        diff *= diff
+        diff.sum(axis=1, out=dist[lo:lo + step])
+    out = Tensor(dist, _parents=(a,))
 
     def backward(g):
         if a.requires_grad:
-            # +2g*diff goes to row i and -2g*diff to row j; one 1-D bincount
-            # per column, in pair order, builds no (P*d) key array
-            n = a.data.shape[0]
-            cols = np.ascontiguousarray(diff.T)
-            cols *= 2.0 * g
-            acc = np.empty(a.data.shape)
-            for c, col in enumerate(cols):
-                acc[:, c] = np.bincount(i, col, n) - np.bincount(j, col, n)
-            a._accumulate(acc)
+            if 2 * n_pairs < len(a.data):
+                rows, ends = np.unique(pairs, return_inverse=True)
+                grad = np.zeros_like(a.data)
+                grad[rows] = _laplacian_product(a.data[rows], ends.reshape(-1, 2), g)
+            else:
+                grad = _laplacian_product(a.data, pairs, g)
+            a._accumulate(grad)
 
     out._backward = backward
     return out

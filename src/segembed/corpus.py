@@ -151,7 +151,7 @@ class SynthConfig:
             raise ConfigError(f"invalid length_range {self.length_range}")
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
-        if self.speaker_shift_scale < 0 or self.noise_scale < 0:
+        if not self.speaker_shift_scale >= 0 or not self.noise_scale >= 0:  # NaN fails too
             raise ConfigError("scales must be >= 0")
         if self.level not in LEVELS:
             raise ConfigError(f"level must be one of {LEVELS}")

@@ -55,7 +55,7 @@ class DisentangleConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.disc_learning_rate is not None and not self.disc_learning_rate > 0:
             raise ConfigError(f"disc_learning_rate must be > 0, got {self.disc_learning_rate}")
-        if self.alpha_spk < 0 or self.alpha_adv < 0:
+        if not self.alpha_spk >= 0 or not self.alpha_adv >= 0:  # NaN fails too
             raise ConfigError("loss weights must be >= 0")
         if self.disc_warmup_epochs < 0:
             raise ConfigError("disc_warmup_epochs must be >= 0")
@@ -85,7 +85,7 @@ def speaker_contrastive_loss(vectors, speaker_ids, margin: float) -> float:
         raise DataError("need at least 2 vectors of equal dimension")
     if len(speaker_ids) != mat.shape[0]:
         raise DataError("one speaker id per vector required")
-    if margin <= 0:
+    if not margin > 0:  # NaN fails too
         raise ConfigError("margin must be > 0")
     pairs = _trainer.speaker_pairs(speaker_ids)
     return _trainer.speaker_contrastive_graph(ad.constant(mat), pairs, margin).item()

@@ -48,7 +48,7 @@ class SiameseConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.mining_mode not in MINING_MODES:
             raise ConfigError(f"mining_mode must be one of {MINING_MODES}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # NaN fails too
             raise ConfigError("gamma must be >= 0")
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigError("epochs >= 1 and batch_size >= 2 required")
@@ -57,7 +57,7 @@ class SiameseConfig:
 def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:
     """Sum over positive pairs of squared distance plus sum over negative
     pairs of max(margin - distance, 0)^2, divided by the total pair count."""
-    if margin <= 0:
+    if not margin > 0:  # NaN fails too
         raise ConfigError("margin must be > 0")
     mat = np.asarray(vectors, dtype=np.float64)
     high = max(pairs.positives.max(initial=0), pairs.negatives.max(initial=0))

@@ -351,9 +351,12 @@ def test_pair_sq_dists_matches_take_rows_chain(n_rows, width, picks, seed):
 @example(n_rows=3, width=2, picks=[], seed=0)  # P = 0
 @example(n_rows=2, width=1, picks=[(0, 1)] * 5, seed=1)  # repeats; row 0 only as i
 @example(n_rows=4, width=1, picks=[(3, 0), (1, 2), (3, 3)], seed=2)
+@example(n_rows=8, width=3, picks=[(6, 1), (1, 3), (5, 5)], seed=3)  # 2 P < n
 def test_pair_sq_dists_is_bit_equal_to_out_of_place_arithmetic(n_rows, width, picks, seed):
-    """Forward values and the input gradient equal, byte for byte, the
-    out-of-place expressions ``a[i] - a[j]`` and ``diff.T * (2 g)``."""
+    """Forward values equal, byte for byte, the out-of-place expression
+    ``a[i] - a[j]`` squared and summed per row; the input gradient equals
+    the graph-Laplacian expression ``D a - W a``, over the rows the pairs
+    touch when 2 P < n."""
     rng = np.random.default_rng(seed)
     pairs = np.array([(i % n_rows, j % n_rows) for i, j in picks], dtype=np.intp).reshape(-1, 2)
     a = rng.normal(size=(n_rows, width))
@@ -362,9 +365,84 @@ def test_pair_sq_dists_is_bit_equal_to_out_of_place_arithmetic(n_rows, width, pi
 
     i, j = pairs[:, 0], pairs[:, 1]
     diff = a[i] - a[j]
-    cols = np.ascontiguousarray(diff.T) * (2.0 * g)
-    want = np.empty(a.shape)
-    for c, col in enumerate(cols):
-        want[:, c] = np.bincount(i, col, n_rows) - np.bincount(j, col, n_rows)
+    rows, ends = np.arange(n_rows), pairs
+    if 2 * len(pairs) < n_rows:
+        rows, ends = np.unique(pairs, return_inverse=True)
+        ends = ends.reshape(-1, 2)
+    m, x = len(rows), a[rows]
+    w = np.bincount(ends[:, 0] * m + ends[:, 1], 2.0 * g, m * m).reshape(m, m)
+    w = w + w.T
+    np.fill_diagonal(w, 0.0)
+    want = np.zeros_like(a)
+    want[rows] = w.sum(axis=1)[:, None] * x - w @ x
     assert out.tobytes() == (diff * diff).sum(axis=1).tobytes()
     assert grad.tobytes() == want.tobytes()
+
+
+def _pair_grad(a, pairs, g):
+    return _value_and_grad(lambda t: ad.pair_sq_dists(t, np.asarray(pairs, dtype=np.intp)), a, g)
+
+
+class TestPairSqDistsEdges:
+    def test_no_pairs_gives_zero_gradient(self):
+        a = -np.abs(RNG.normal(size=(3, 2)))
+        out, grad = _pair_grad(a, np.empty((0, 2)), np.empty(0))
+        assert out.shape == (0,)
+        assert (grad == 0).all()
+
+    def test_single_row(self):
+        out, grad = _pair_grad(np.array([[1.5, -2.0]]), [[0, 0], [0, 0]], np.array([0.3, -1.0]))
+        assert out.tolist() == [0.0, 0.0]
+        assert (grad == 0).all()
+
+    @pytest.mark.parametrize("n_rows", [4, 10], ids=["all_rows", "touched_rows"])
+    def test_self_pairs_add_nothing(self, n_rows):
+        """Rows only in pairs (i, i) get a zero gradient, and the weight of
+        a pair (i, i) leaves every gradient byte unchanged."""
+        a = RNG.normal(size=(n_rows, 3))
+        pairs = [[0, 1], [2, 2], [3, 3], [1, 1]]
+        out, grad = _pair_grad(a, pairs, np.array([0.7, 1.1, -0.4, 2.0]))
+        assert out[1:].tolist() == [0.0, 0.0, 0.0]
+        assert (grad[2:] == 0).all()
+        _, unweighted = _pair_grad(a, pairs, np.array([0.7, 0.0, 0.0, 0.0]))
+        assert grad.tobytes() == unweighted.tobytes()
+
+    def test_repeated_pair_sums_its_weights(self):
+        a = RNG.normal(size=(3, 2))
+        g = np.array([0.25, -1.5, 3.0])
+        _, grad = _pair_grad(a, [[2, 0]] * 3, g)
+        _, summed = _pair_grad(a, [[2, 0]] * 3, np.array([g.sum(), 0.0, 0.0]))
+        assert grad.tobytes() == summed.tobytes()
+
+    def test_pair_order_within_a_pair_does_not_matter(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 4))
+        pairs = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)])
+        g = rng.normal(size=len(pairs))
+        flip = rng.random(len(pairs)) < 0.5
+        swapped = np.where(flip[:, None], pairs[:, ::-1], pairs)
+        out, grad = _pair_grad(a, pairs, g)
+        out_swapped, grad_swapped = _pair_grad(a, swapped, g)
+        assert out.tobytes() == out_swapped.tobytes()
+        assert grad.tobytes() == grad_swapped.tobytes()
+
+    @pytest.mark.parametrize("width", [3, 16, 300])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["multiple", "crossing"])
+    def test_chunked_forward_is_byte_equal(self, width, extra):
+        step = ad._PAIR_CHUNK_FLOATS // width
+        rng = np.random.default_rng(width)
+        a = rng.normal(size=(40, width))
+        pairs = rng.integers(0, 40, size=(2 * step + extra, 2))
+        diff = a[pairs[:, 0]] - a[pairs[:, 1]]
+        out = ad.pair_sq_dists(ad.constant(a), pairs).data
+        assert out.tobytes() == (diff * diff).sum(axis=1).tobytes()
+
+    def test_backward_closure_holds_no_pair_rows(self):
+        a = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
+        pairs = np.array([(i, j) for i in range(5) for j in range(5)])
+        out = ad.pair_sq_dists(a, pairs)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(
+            isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape[:1] == (len(pairs),)
+            for v in held
+        )

@@ -186,6 +186,8 @@ class TestSettingChecks:
             ({"disc_learning_rate": math.nan}, "disc_learning_rate must be > 0"),
             ({"margin": math.nan}, "speaker margin must be > 0"),
             ({"margin": 0.0}, "speaker margin must be > 0"),
+            ({"alpha_spk": math.nan}, "loss weights must be >= 0"),
+            ({"alpha_adv": math.nan}, "loss weights must be >= 0"),
         ],
     )
     def test_disentangle_config(self, kwargs, message):
@@ -199,11 +201,17 @@ class TestSettingChecks:
             ({"learning_rate": -1e-3}, "learning_rate must be > 0"),
             ({"learning_rate": math.nan}, "learning_rate must be > 0"),
             ({"margin": math.nan}, "margin must be > 0"),
+            ({"gamma": math.nan}, "gamma must be >= 0"),
         ],
     )
     def test_siamese_config(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             SiameseConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["speaker_shift_scale", "noise_scale"])
+    def test_synth_config_scale_nan(self, field):
+        with pytest.raises(ConfigError, match="scales must be >= 0"):
+            SynthConfig(**{field: math.nan})
 
     def test_disc_learning_rate_left_out_follows_learning_rate(self):
         assert DisentangleConfig(learning_rate=0.02).disc_learning_rate == 0.02

@@ -29,7 +29,7 @@ from segembed.disentangle import (
     train_disentangle,
     write_loss_log,
 )
-from segembed.errors import DataError, DimensionError, NumericError
+from segembed.errors import ConfigError, DataError, DimensionError, NumericError
 from segembed.seeding import derive_seed, rng_for
 
 RNG = np.random.default_rng(21)
@@ -123,6 +123,11 @@ class TestSpeakerContrastiveLoss:
     def test_single_vector_rejected(self):
         with pytest.raises(DataError):
             speaker_contrastive_loss([np.zeros(3)], ["a"], margin=1.0)
+
+    @pytest.mark.parametrize("margin", [0.0, math.nan])
+    def test_margin_not_positive_rejected(self, margin):
+        with pytest.raises(ConfigError, match="margin must be > 0"):
+            speaker_contrastive_loss([np.zeros(2), np.ones(2)], ["a", "b"], margin)
 
     def test_matches_brute_force(self):
         for _ in range(100):

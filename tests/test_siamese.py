@@ -58,6 +58,11 @@ class TestContrastiveLoss:
         pairs = PairSets(((0, 1),), ((0, 2),))
         assert contrastive_loss(vectors, pairs, margin=1.0) == pytest.approx(0.625)
 
+    @pytest.mark.parametrize("margin", [0.0, math.nan])
+    def test_margin_not_positive_rejected(self, margin):
+        with pytest.raises(ConfigError, match="margin must be > 0"):
+            contrastive_loss([np.zeros(2), np.ones(2)], PairSets((), ((0, 1),)), margin)
+
     def test_empty_pairsets_rejected(self):
         with pytest.raises(DataError):
             contrastive_loss(RNG.normal(size=(3, 2)), PairSets((), ()), 1.0)
