@@ -22,6 +22,7 @@ from .config import parse_config
 from .corpus import (
     load_corpus,
     load_embeddings,
+    load_labels,
     make_batches,
     save_corpus,
     save_embeddings,
@@ -112,19 +113,19 @@ def _parse_n_values(arg: str):
 
 
 def _parse_embeddings_args(items):
-    tagged = []
+    """``{variant: file}`` of the ``--embeddings`` options, in their order;
+    each variant may be named once."""
+    tagged = {}
     for item in items:
         variant, sep, path = item.partition("=")
         if not sep or variant not in ("a", "b", "c", "d"):
             raise ConfigError(
                 f"--embeddings expects VARIANT=FILE with VARIANT in a..d, got {item!r}"
             )
-        tagged.append((variant, path))
+        if variant in tagged:
+            raise ConfigError(f"--embeddings names variant {variant!r} more than once")
+        tagged[variant] = path
     return tagged
-
-
-def _labels_by_id(corpus):
-    return {s.segment_id: s.unit_label for s in corpus.segments}
 
 
 def _labeled_entries(path, labels):
@@ -234,15 +235,14 @@ def _run(args) -> str:
             f"evaluations (bound M*|B| = {bound}) to {path}"
         )
 
-    corpus = load_corpus(args.corpus)
-    labels = _labels_by_id(corpus)
     tagged = _parse_embeddings_args(args.embeddings)
+    level, labels = load_labels(args.corpus)
 
     if args.command == "eval-sim":
         rows = []
-        for variant, path in tagged:
+        for variant, path in tagged.items():
             vectors, kept = _labeled_vectors(path, labels)
-            rows.append((variant, corpus.level, evalcluster.intra_inter_stats(vectors, kept)))
+            rows.append((variant, level, evalcluster.intra_inter_stats(vectors, kept)))
         path = args.output or out_dir / "cosine_gap.csv"
         evalcluster.write_cosine_gap_csv(path, rows)
         summary = ", ".join(f"{v}: Δ={r.delta:.4f}" for v, _, r in rows)
@@ -253,7 +253,7 @@ def _run(args) -> str:
         if args.n:
             evaluation = replace(evaluation, n_values=_parse_n_values(args.n))
         curves = {}
-        for variant, path in tagged:
+        for variant, path in tagged.items():
             vectors, kept = _labeled_vectors(path, labels)
             curves[variant] = evalcluster.accuracy_curve(
                 vectors, kept, evaluation.m, evaluation.n_values,
@@ -269,7 +269,7 @@ def _run(args) -> str:
     if args.command == "eval-std":
         table = {}
         n_rel = 0
-        for variant, path in tagged:
+        for variant, path in tagged.items():
             index, queries = evalstd.build_retrieval_task(
                 _labeled_entries(path, labels),
                 labels,

@@ -1,9 +1,11 @@
 """Segment corpus: data model, JSONL ingestion/serialization, synthetic
 corpus generation, and mini-batch construction.
 
-A corpus file is UTF-8 JSON-lines, one object per segment with keys
-``segment_id``, ``utterance_id``, ``speaker_id`` (nullable), ``unit_label``
-(nullable), ``level``, ``features`` (array of T arrays of F numbers).
+A corpus file is UTF-8 JSON-lines, one object per segment with string keys
+``segment_id``, ``utterance_id`` and ``level``, string-or-null keys
+``speaker_id`` and ``unit_label``, and ``features`` (array of T arrays of F
+numbers). ``load_corpus`` reads all of it; ``load_labels`` reads only the
+labels, with the same record checks, and never decodes a frame value.
 An embedding file is JSON-lines with keys ``segment_id`` and ``vector``.
 Both round-trip bit-exactly at double precision.
 """
@@ -25,13 +27,34 @@ from .errors import (
 from .seeding import rng_for
 
 LEVELS = ("word", "syllable", "phoneme")
+# Metadata keys of a corpus record: (key, may be null). Keys that may not be
+# null must be present.
+_RECORD_KEYS = (
+    ("segment_id", False),
+    ("utterance_id", False),
+    ("speaker_id", True),
+    ("unit_label", True),
+    ("level", False),
+)
 
 UTTERANCE_GROUP = 10  # segments per synthetic utterance
 
 
+def _check_level(segment_id, level) -> None:
+    if level not in LEVELS:
+        raise DataError(
+            f"segment {segment_id!r}: level must be one of {LEVELS}, got {level!r}"
+        )
+
+
 def validate_features(frames, segment_id: str = "?") -> np.ndarray:
     """Check a feature matrix: 2-D, T >= 1, all values finite."""
-    arr = np.asarray(frames, dtype=np.float64)
+    try:
+        arr = np.asarray(frames, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise DataError(
+            f"segment {segment_id!r}: features must be a T x F matrix of numbers"
+        ) from exc
     if arr.ndim != 2:
         raise DimensionError(
             f"segment {segment_id!r}: features must be a T x F matrix, "
@@ -56,11 +79,7 @@ class Segment:
     features: np.ndarray
 
     def __post_init__(self):
-        if self.level not in LEVELS:
-            raise DataError(
-                f"segment {self.segment_id!r}: level must be one of {LEVELS}, "
-                f"got {self.level!r}"
-            )
+        _check_level(self.segment_id, self.level)
         object.__setattr__(
             self, "features", validate_features(self.features, self.segment_id)
         )
@@ -68,6 +87,19 @@ class Segment:
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
+
+
+def _corpus_level(levels, ids) -> str:
+    """The one level in ``levels``, once the segment ``ids`` are checked
+    unique; raises DataError naming the mixed levels or the first repeat."""
+    if len(levels) != 1:
+        raise DataError(f"mixed segment levels in corpus: {sorted(levels)}")
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise DataError(f"duplicate segment_id {i!r}")
+        seen.add(i)
+    return next(iter(levels))
 
 
 @dataclass(frozen=True)
@@ -85,21 +117,12 @@ class Corpus:
         dims = {s.features.shape[1] for s in segments}
         if len(dims) != 1:
             raise DimensionError(f"mixed feature dimensions in corpus: {sorted(dims)}")
-        levels = {s.level for s in segments}
-        if len(levels) != 1:
-            raise DataError(f"mixed segment levels in corpus: {sorted(levels)}")
-        ids = [s.segment_id for s in segments]
-        if len(set(ids)) != len(ids):
-            seen, dup = set(), None
-            for i in ids:
-                if i in seen:
-                    dup = i
-                    break
-                seen.add(i)
-            raise DataError(f"duplicate segment_id {dup!r}")
+        level = _corpus_level(
+            {s.level for s in segments}, [s.segment_id for s in segments]
+        )
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "feature_dim", dims.pop())
-        object.__setattr__(self, "level", levels.pop())
+        object.__setattr__(self, "level", level)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -233,16 +256,48 @@ def read_text_lines(path):
             raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def load_corpus(path) -> Corpus:
-    """Read a JSON-lines corpus file, preserving record order."""
-    segments = []
+_CORPUS_DECODER = json.JSONDecoder()
+# Builds no float: a non-integer number decodes to the length of its text,
+# so reading labels costs no float parsing of the frames.
+_LABELS_DECODER = json.JSONDecoder(parse_float=len)
+
+
+def _records(path, decoder):
+    """Yield (line number, record) for each non-blank line of a corpus file,
+    decoded with ``decoder``, once its metadata keys (_RECORD_KEYS) have the
+    documented types and its level is known. A file without records raises
+    EmptyCorpusError."""
+    empty = True
     for lineno, line in read_text_lines(path):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = decoder.decode(line)
+        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{lineno}: a record must be a JSON object")
+        for key, nullable in _RECORD_KEYS:
+            if not nullable and key not in rec:
+                raise ParseError(f"{path}:{lineno}: missing key {key!r}")
+            value = rec.get(key)
+            if not (isinstance(value, str) or nullable and value is None):
+                kind = "a string or null" if nullable else "a string"
+                raise ParseError(f"{path}:{lineno}: {key} must be {kind}")
+        try:
+            _check_level(rec["segment_id"], rec["level"])
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        empty = False
+        yield lineno, rec
+    if empty:
+        raise EmptyCorpusError(f"{path}: no segments")
+
+
+def load_corpus(path) -> Corpus:
+    """Read a JSON-lines corpus file, preserving record order."""
+    segments = []
+    for lineno, rec in _records(path, _CORPUS_DECODER):
         try:
             seg = Segment(
                 segment_id=rec["segment_id"],
@@ -257,9 +312,23 @@ def load_corpus(path) -> Corpus:
         except (DataError, DimensionError) as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         segments.append(seg)
-    if not segments:
-        raise EmptyCorpusError(f"{path}: no segments")
     return Corpus(tuple(segments))
+
+
+def load_labels(path):
+    """``(level, {segment_id: unit_label})`` of a corpus file, in record
+    order, for commands that need no frames.
+
+    Every record passes the checks of ``load_corpus`` on its metadata, and
+    the file those on levels and segment ids, with the same errors; the
+    frames are neither decoded into floats nor validated.
+    """
+    ids, levels, units = [], set(), []
+    for _, rec in _records(path, _LABELS_DECODER):
+        ids.append(rec["segment_id"])
+        levels.add(rec["level"])
+        units.append(rec.get("unit_label"))
+    return _corpus_level(levels, ids), dict(zip(ids, units))
 
 
 def save_corpus(path, corpus: Corpus) -> None:

@@ -42,28 +42,36 @@ def cosine(a, b, *, norms=None):
     """Cosine similarity of two equal-length nonzero vectors.
 
     With a 2-D ``a`` of shape (n, d) and a 1-D ``b`` of length d, returns
-    the (n,) array of cosines between each row of ``a`` and ``b``. Each
-    row's dot product and norm are computed from that row alone, so equal
-    rows get bit-equal cosines wherever they sit in ``a``, and a 1-D ``a``
-    gets the same float as the same row of a 2-D ``a``. A caller that
-    scores many ``b`` against one 2-D ``a`` may compute its row norms once,
+    the (n,) array of cosines between each row of ``a`` and ``b``. A 2-D
+    ``b`` of shape (Q, d) holds Q query vectors and adds a leading axis:
+    the result is (Q, n), or (Q,) for a 1-D ``a``, and its row q is
+    bit-equal to ``cosine(a, b[q])``. Each dot product and norm is computed
+    from its own vectors alone, read in C order, so equal rows get
+    bit-equal cosines wherever they sit in ``a``, and a 1-D ``a`` gets the
+    same float as the same row of a 2-D ``a``. A caller that scores many
+    ``b`` against one 2-D ``a`` may compute its row norms once,
     ``np.linalg.norm(a, axis=1)``, and pass them as ``norms``: the result
     is the same.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64, order="C")
+    b = np.asarray(b, dtype=np.float64, order="C")
     rows = a[None] if a.ndim == 1 else a
-    if rows.ndim != 2 or b.ndim != 1 or rows.shape[1] != b.shape[0]:
+    queries = b[None] if b.ndim == 1 else b
+    if rows.ndim != 2 or queries.ndim != 2 or rows.shape[1] != queries.shape[1]:
         raise DataError(f"vectors must be of equal length: {a.shape} vs {b.shape}")
     na = _row_norms(rows) if norms is None else norms
     with np.errstate(over="ignore"):
-        nb = np.linalg.norm(b)
-        if nb == 0.0 or np.any(na == 0.0):
+        # one vector's norm at a time, the dot product a 1-D ``b`` gets
+        nb = np.array([np.linalg.norm(q) for q in queries])
+        if np.any(nb == 0.0) or np.any(na == 0.0):
             raise NumericError("cosine undefined for a zero vector")
         # |a . b| <= |a| |b|, so a finite denominator keeps the dot finite
-        denominators = _finite(na * nb, "vector norms")
-    sims = np.clip(np.einsum("ij,j->i", rows, b) / denominators, -1.0, 1.0)
-    return float(sims[0]) if a.ndim == 1 else sims
+        denominators = _finite(nb[:, None] * na, "vector norms")
+    sims = np.einsum("ij,qj->qi", rows, queries)
+    sims /= denominators
+    np.clip(sims, -1.0, 1.0, out=sims)
+    sims = sims.reshape(b.shape[:-1] + a.shape[:-1])
+    return float(sims) if sims.ndim == 0 else sims
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ one sampled spoken realization, documents are ranked by the mean of the
 top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
 
-Each query is scored once for all top_k. A ``DocumentIndex`` stacks every
-word vector into one matrix, computes its row norms once and keeps each
-document's word slots as a padded index array, so one query is scored
-against the whole archive with one row-wise ``cosine`` call, one sort
+All queries are ranked in one pass, for all top_k. A ``DocumentIndex``
+stacks every word vector into one matrix, computes its row norms once and
+keeps each document's word slots as a padded index array, so the queries
+are scored against the whole archive with one ``cosine`` call, one sort
 along the padded axis and one sequential cumulative sum, which is read at
 each document's effective k for every requested top_k. One ``np.lexsort``
-then ranks the documents at every top_k.
+then ranks the documents for every query at every top_k.
 """
 
 import math
@@ -105,9 +105,10 @@ class QuerySpec:
     relevant: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "embedding", np.asarray(self.embedding, dtype=np.float64)
-        )
+        embedding = np.asarray(self.embedding, dtype=np.float64)
+        if embedding.ndim != 1:
+            raise DataError(f"query {self.term!r}: embedding must be 1-D")
+        object.__setattr__(self, "embedding", embedding)
         object.__setattr__(self, "relevant", frozenset(self.relevant))
 
 
@@ -149,8 +150,10 @@ def relevance_score(query_embedding, document, top_k):
     ``DocumentIndex``, scored as one float64 per document in index order.
     ``top_k`` is an int or a sequence of ints; a sequence adds a leading
     axis with one score (or row of scores) per value, all read from the
-    same sort and cumulative sum. The top similarities are summed in
-    descending order, left to right.
+    same sort and cumulative sum. A (Q, d) matrix of query embeddings adds
+    a leading query axis in front of that, each query's scores bit-equal
+    to its own call's. The top similarities are summed in descending
+    order, left to right.
     """
     ks = np.asarray(top_k)
     if ks.ndim > 1 or np.any(ks < 1):
@@ -158,28 +161,47 @@ def relevance_score(query_embedding, document, top_k):
     index = DocumentIndex((document,)) if isinstance(document, Document) else document
     if not isinstance(index, DocumentIndex):
         raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")
-    q = np.asarray(query_embedding, dtype=np.float64)
-    sims = cosine(index.matrix, q, norms=index.norms)
-    padded = np.append(sims, -np.inf)[index.slots]
-    cumulative = np.cumsum(np.sort(padded, axis=1)[:, ::-1], axis=1)
+    sims = cosine(index.matrix, query_embedding, norms=index.norms)
+    padding = np.full(sims.shape[:-1] + (1,), -np.inf)
+    sims = np.concatenate([sims, padding], axis=-1)[..., index.slots]
+    sims.sort(axis=-1)
+    cumulative = np.cumsum(sims[..., ::-1], axis=-1)
     k_eff = np.minimum(ks[..., None], index.lengths)
-    scores = cumulative[np.arange(len(index)), k_eff - 1] / k_eff
+    scores = cumulative[..., np.arange(len(index)), k_eff - 1] / k_eff
     if index is document:
         return scores
-    return scores[..., 0] if ks.ndim else float(scores[0])
+    scores = scores[..., 0]
+    return float(scores) if scores.ndim == 0 else scores
 
 
-def rank_documents(query: QuerySpec, index: DocumentIndex, top_k):
+def rank_documents(query, index: DocumentIndex, top_k):
     """All documents as (doc_id, score) sorted by descending relevance
-    score (ties by id); with a sequence ``top_k``, one such list per value."""
-    scores = relevance_score(query.embedding, index, top_k)
+    score (ties by id); with a sequence ``top_k``, one such list per value.
+
+    ``query`` is a ``QuerySpec``, or a sequence of them: then the result
+    holds one entry per query, equal to that query's own result, and all
+    queries are scored and sorted together.
+    """
+    single = isinstance(query, QuerySpec)
+    specs = [query] if single else list(query)
+    if not specs:
+        return []
+    dims = {len(q.embedding) for q in specs}
+    if len(dims) != 1:
+        raise DataError(f"query embeddings differ in length: {sorted(dims)}")
+    embeddings = query.embedding if single else np.array([q.embedding for q in specs])
+    scores = relevance_score(embeddings, index, top_k)
     ties = np.broadcast_to(index.id_ranks, scores.shape)
     order = np.lexsort((ties, -scores), axis=-1)
-    ranked = [
+    flat_scores = scores.reshape(-1, len(index))
+    rows = [
         list(zip(index.doc_ids[o].tolist(), row[o].tolist()))
-        for o, row in zip(np.atleast_2d(order), np.atleast_2d(scores))
+        for o, row in zip(order.reshape(flat_scores.shape), flat_scores)
     ]
-    return ranked if np.ndim(top_k) else ranked[0]
+    if np.ndim(top_k):  # regroup the rows of each query's top_k values
+        n_k = scores.shape[-2]
+        rows = [rows[r:r + n_k] for r in range(0, len(rows), n_k)]
+    return rows[0] if single else rows
 
 
 def average_precision(ranked_ids, relevant) -> float:
@@ -285,10 +307,12 @@ def run_retrieval(index: DocumentIndex, queries, top_k):
     """Rank every document for every query and compute MAP at top_k.
 
     An int ``top_k`` gives one ``RetrievalReport``; a sequence gives
-    ``{k: RetrievalReport}``, each query ranked once for all its values.
+    ``{k: RetrievalReport}``. All queries are ranked in one
+    ``rank_documents`` call, once for all values.
     """
     ks = list(top_k) if np.ndim(top_k) else [top_k]
-    ranked = {q.term: rank_documents(q, index, ks) for q in queries}
+    queries = list(queries)
+    ranked = dict(zip([q.term for q in queries], rank_documents(queries, index, ks)))
     relevant = {q.term: q.relevant for q in queries}
     reports = {
         k: mean_average_precision(

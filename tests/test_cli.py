@@ -274,6 +274,41 @@ class TestPipeline:
         assert len(std) == 3
         capsys.readouterr()
 
+    def test_eval_commands_read_no_frames(self, run_dir, tmp_path, monkeypatch, capsys):
+        def no_frames(path):
+            raise AssertionError(f"load_corpus({path}) called by an eval command")
+
+        monkeypatch.setattr("segembed.cli.load_corpus", no_frames)
+        monkeypatch.setattr("segembed.corpus.load_corpus", no_frames)
+        corpus = str(run_dir / "corpus.jsonl")
+        emb = ["--embeddings", f"d={run_dir}/embeddings_d.jsonl"]
+        for command in ("eval-sim", "eval-cluster", "eval-std"):
+            assert run_cli(tmp_path, command, "--corpus", corpus, *emb) == 0, command
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [("eval-sim", "cosine_gap.csv"), ("eval-cluster", "cluster_accuracy.csv"),
+         ("eval-std", "retrieval_map.csv")],
+    )
+    def test_repeated_embeddings_variant_is_config_error(
+        self, run_dir, tmp_path, capsys, command, output
+    ):
+        corpus = str(run_dir / "corpus.jsonl")
+        code = run_cli(
+            tmp_path, command, "--corpus", corpus,
+            "--embeddings", f"a={run_dir}/embeddings_a.jsonl",
+            "--embeddings", f"d={run_dir}/embeddings_d.jsonl",
+            "--embeddings", f"a={run_dir}/embeddings_b.jsonl",
+        )
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == (
+            "segembed: configuration error: "
+            "--embeddings names variant 'a' more than once\n"
+        )
+        assert not (tmp_path / output).exists()
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path, capsys):
         corpus = str(run_dir / "corpus.jsonl")
         first = file_hash(run_dir / "embeddings_b.jsonl")
@@ -577,6 +612,36 @@ class TestBadInputs:
         assert result.stderr == (
             "segembed: error: epoch 1, batch 1: non-finite recon loss (inf)\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("eval-std", "unit_label", 7, "unit_label must be a string or null"),
+            ("eval-sim", "unit_label", 2.5, "unit_label must be a string or null"),
+            ("embed", "segment_id", 7, "segment_id must be a string"),
+            ("train", "speaker_id", ["x"], "speaker_id must be a string or null"),
+            ("eval-cluster", "level", None, "level must be a string"),
+        ],
+    )
+    def test_corpus_field_of_wrong_type(
+        self, corpus_dir, tmp_path, capsys, command, key, value, message
+    ):
+        lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record[key] = value
+        lines[3] = json.dumps(record) + "\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines))
+        if command == "train":
+            args = ["--variant", "b"]
+        elif command == "embed":
+            args = ["--checkpoint", str(tmp_path / "model.json"), "--variant", "a"]
+        else:
+            embeddings = self._embeddings(corpus_dir, tmp_path, lambda records: None)
+            args = ["--embeddings", f"a={embeddings}"]
+        code = run_cli(tmp_path / "out", command, "--corpus", str(corpus), *args)
+        err = self._error(capsys, code)
+        assert err == f"segembed: error: {corpus}:4: {message}\n"
 
     def test_corpus_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"

@@ -1,6 +1,7 @@
 """Corpus data model, file round-trips, synthesis, and batching."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from segembed.corpus import (
     SynthConfig,
     load_corpus,
     load_embeddings,
+    load_labels,
     make_batches,
     save_corpus,
     save_embeddings,
@@ -38,6 +40,9 @@ def _segment(i, n_frames=3, dim=4, **kw):
     )
     defaults.update(kw)
     return Segment(**defaults)
+
+
+_DROP = "<drop>"  # a record value meaning: leave the key out
 
 
 def _write_lines(path, records):
@@ -105,6 +110,14 @@ class TestCorpusFile:
         with pytest.raises((DataError, DimensionError), match="s1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("features", [[[0.5, 1.0], [2.0]], [["a", "b"]], {"x": 1}])
+    def test_features_not_a_matrix_of_numbers(self, tmp_path, features):
+        path = tmp_path / "c.jsonl"
+        _write_lines(path, [_record(0, [[0.5, 0.5]]), _record(1, features)])
+        with pytest.raises(DataError, match=":2: segment 's1': features must be a T x F "
+                                            "matrix of numbers"):
+            load_corpus(path)
+
     def test_mixed_dims_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_lines(
@@ -136,6 +149,113 @@ class TestCorpusFile:
             assert a.speaker_id == b.speaker_id
             assert a.unit_label == b.unit_label
             assert np.array_equal(a.features, b.features)
+
+
+def _labels_of(corpus):
+    return corpus.level, {s.segment_id: s.unit_label for s in corpus.segments}
+
+
+class TestLoadLabels:
+    """``load_labels`` reads what ``load_corpus`` reads of the labels, and
+    fails where it fails (frames aside) with the same error."""
+
+    @pytest.mark.parametrize("seed, level", [(0, "word"), (3, "syllable"), (8, "phoneme")])
+    def test_matches_load_corpus_on_synth_corpora(self, tmp_path, seed, level):
+        cfg = SynthConfig(n_units=4, n_speakers=3, instances_per_unit_speaker=3,
+                          feature_dim=5, length_range=(2, 5), level=level)
+        path = tmp_path / "c.jsonl"
+        save_corpus(path, synth_corpus(cfg, seed))
+        assert load_labels(path) == _labels_of(load_corpus(path))
+
+    def test_matches_load_corpus_on_hand_written_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"features": [[1, 2], [3, 4]], "level": "syllable", "unit_label": "ba",'
+            ' "speaker_id": null, "utterance_id": "u", "segment_id": "s0"}\n'
+            "\n"
+            '  {  "segment_id" : "s1", "utterance_id":"u","speaker_id": "spk",'
+            '"level":  "syllable" ,"unit_label" :null,'
+            '"features": [[1e-3, -2.5E2], [0, 7]], "extra": {"x": 1.5}}  \n'
+            '{"segment_id": "s2", "utterance_id": "u", "level": "syllable",'
+            ' "features": [[0.1, 0.2]]}\n'
+        )
+        assert load_labels(path) == ("syllable", {"s0": "ba", "s1": None, "s2": None})
+        assert load_labels(path) == _labels_of(load_corpus(path))
+
+    @staticmethod
+    def _line(**changes):
+        rec = _record(0, [[0.5, 1.5]])
+        rec.update(changes)
+        return json.dumps({k: v for k, v in rec.items() if v is not _DROP}) + "\n"
+
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            (b"\xff\xfe{}\n", ParseError, "not valid UTF-8"),
+            ('{"segment_id": "ok"...\n', ParseError, ":1: invalid JSON: "),
+            ("[1.5, 2]\n", ParseError, ":1: a record must be a JSON object"),
+            ("", EmptyCorpusError, ": no segments"),
+            ("\n  \n", EmptyCorpusError, ": no segments"),
+        ],
+    )
+    def test_file_errors_match_load_corpus(self, tmp_path, content, error, message):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+        self._assert_same_error(path, error, message)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts integers of any length")
+    def test_integer_over_the_digit_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        path.write_text('{"segment_id": "a", "features": [[' + digits + "]]}\n")
+        self._assert_same_error(path, ParseError, ":1: invalid JSON: Exceeds the limit")
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"segment_id": _DROP}, ParseError, ":2: missing key 'segment_id'"),
+            ({"level": _DROP}, ParseError, ":2: missing key 'level'"),
+            ({"utterance_id": _DROP}, ParseError, ":2: missing key 'utterance_id'"),
+            ({"level": "sentence"}, DataError, ":2: segment 's0': level must be one of"),
+            ({"level": "syllable"}, DataError, "mixed segment levels in corpus: "
+                                               "['syllable', 'word']"),
+            ({"segment_id": "a"}, DataError, "duplicate segment_id 'a'"),
+            ({"segment_id": 7}, ParseError, ":2: segment_id must be a string"),
+            ({"segment_id": 7.5}, ParseError, ":2: segment_id must be a string"),
+            ({"segment_id": None}, ParseError, ":2: segment_id must be a string"),
+            ({"utterance_id": ["u"]}, ParseError, ":2: utterance_id must be a string"),
+            ({"level": 2.0}, ParseError, ":2: level must be a string"),
+            ({"speaker_id": ["x"]}, ParseError, ":2: speaker_id must be a string or null"),
+            ({"speaker_id": 0.5}, ParseError, ":2: speaker_id must be a string or null"),
+            ({"unit_label": 7}, ParseError, ":2: unit_label must be a string or null"),
+            ({"unit_label": 1.25}, ParseError, ":2: unit_label must be a string or null"),
+            ({"unit_label": True}, ParseError, ":2: unit_label must be a string or null"),
+        ],
+    )
+    def test_record_errors_match_load_corpus(self, tmp_path, changes, error, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self._line(segment_id="a") + self._line(**changes))
+        self._assert_same_error(path, error, message)
+
+    @staticmethod
+    def _assert_same_error(path, error, message):
+        with pytest.raises(error) as from_corpus:
+            load_corpus(path)
+        with pytest.raises(error) as from_labels:
+            load_labels(path)
+        assert type(from_labels.value) is type(from_corpus.value)
+        assert str(from_labels.value) == str(from_corpus.value)
+        assert message in str(from_labels.value)
+
+    def test_frames_are_neither_decoded_nor_checked(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        frameless = {k: v for k, v in _record(3, None).items() if k != "features"}
+        _write_lines(path, [_record(0, [[0.5] * 3]), _record(1, [[0.5] * 4]),
+                            _record(2, []), frameless])
+        assert load_labels(path) == ("word", {f"s{i}": None for i in range(4)})
+        with pytest.raises(DimensionError):
+            load_corpus(path)
 
 
 class TestEmbeddingFile:

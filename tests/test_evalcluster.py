@@ -104,6 +104,35 @@ class TestCosine:
         norms = np.linalg.norm(rows, axis=1)
         assert cosine(rows, b, norms=norms).tobytes() == cosine(rows, b).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 3, 16, 33, 256])
+    def test_query_matrix_matches_one_query_at_a_time(self, d):
+        rng = np.random.default_rng(d)
+        rows, queries = rng.normal(size=(7, d)), rng.normal(size=(5, d)) * 1e3
+        batched = cosine(rows, queries)
+        assert batched.shape == (5, 7)
+        assert batched.tobytes() == np.array([cosine(rows, q) for q in queries]).tobytes()
+        norms = np.linalg.norm(rows, axis=1)
+        assert cosine(rows, queries, norms=norms).tobytes() == batched.tobytes()
+        one = cosine(rows[2], queries)
+        assert one.shape == (5,)
+        assert one.tolist() == [cosine(rows[2], q) for q in queries]
+        # the layout of the query matrix does not move a bit
+        assert cosine(rows, np.asfortranarray(queries)).tobytes() == batched.tobytes()
+
+    def test_query_matrix_rejects_zero_overflowing_and_wrong_width_queries(self):
+        rows, queries = RNG.normal(size=(3, 4)), RNG.normal(size=(2, 4))
+        with pytest.raises(DataError):
+            cosine(rows, queries[:, :3])
+        with pytest.raises(DataError):
+            cosine(rows, queries[None])
+        with pytest.raises(NumericError, match="vector norms overflow"):
+            cosine(rows, np.array([[1.0, 1.0, 1.0, 1.0], [1e200, 0.0, 0.0, 0.0]]))
+        queries[1] = 0.0
+        with pytest.raises(NumericError, match="zero vector"):
+            cosine(rows, queries)
+        with pytest.raises(NumericError, match="zero vector"):
+            cosine(rows[0], queries)
+
     def test_rows_reject_zero_row_and_wrong_width(self):
         rows = RNG.normal(size=(3, 4))
         with pytest.raises(DataError):

@@ -326,6 +326,54 @@ class TestBatchedScoringProperties:
         assert list(reports) == list(dict.fromkeys(ks))
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(_archives(), st.data())
+    def test_query_batch_equals_one_query_at_a_time(self, archive, data):
+        query, index, top_k = archive
+        words = [v for d in index.documents for _, v in d.words]
+        # word vectors as queries tie exactly with their own words; q0 repeats
+        picks = data.draw(st.lists(st.sampled_from(words), max_size=4))
+        vectors = [query, *picks, query]
+        ids = sorted(d.doc_id for d in index.documents)
+        specs = [
+            QuerySpec(f"q{i}", v, data.draw(st.sets(st.sampled_from(ids), min_size=1)))
+            for i, v in enumerate(vectors)
+        ]
+        ks = (top_k, 8, 1)  # 8 is above every document's length (at most 7)
+        embeddings = np.array(vectors)
+        for k in (top_k, ks):
+            assert rank_documents(specs, index, k) == [rank_documents(s, index, k) for s in specs]
+            per_query = np.array([relevance_score(v, index, k) for v in vectors])
+            assert relevance_score(embeddings, index, k).tobytes() == per_query.tobytes()
+            doc = index.documents[0]
+            assert relevance_score(embeddings, doc, k).tolist() == [
+                np.asarray(relevance_score(v, doc, k)).tolist() for v in vectors
+            ]
+
+        relevant = {s.term: s.relevant for s in specs}
+        reports = run_retrieval(index, specs, ks)
+        for k in ks:
+            one_at_a_time = mean_average_precision(
+                {s.term: [doc_id for doc_id, _ in rank_documents(s, index, k)]
+                 for s in specs},
+                relevant,
+            )
+            assert reports[k] == one_at_a_time
+            assert run_retrieval(index, specs, k) == one_at_a_time
+
+    def test_one_query_in_a_list_and_no_queries(self):
+        index = DocumentIndex((_doc("x", [np.array([1.0, 0.0])]),
+                               _doc("y", [np.array([0.0, 1.0]), np.array([1.0, 1.0])])))
+        spec = QuerySpec("q", np.array([1.0, 0.5]))
+        assert rank_documents([spec], index, 2) == [rank_documents(spec, index, 2)]
+        assert rank_documents((spec,), index, (1, 2)) == [rank_documents(spec, index, (1, 2))]
+        assert rank_documents([], index, 1) == []
+        with pytest.raises(DataError, match="differ in length"):
+            rank_documents([spec, QuerySpec("r", np.ones(3))], index, 1)
+        with pytest.raises(DataError, match="must be 1-D"):
+            QuerySpec("q", np.ones((2, 2)))
+
+
 class TestMapCsv:
     """Byte format of the MAP table: one row per top_k, a column per
     variant, then d minus each other variant."""
