@@ -156,8 +156,10 @@ def relevance_score(query_embedding, document, top_k):
     order, left to right.
     """
     ks = np.asarray(top_k)
-    if ks.ndim > 1 or np.any(ks < 1):
-        raise DataError("top_k must be >= 1")
+    if ks.ndim > 1 or ks.dtype.kind not in "iu" or np.any(ks < 1):  # [] is float
+        raise DataError(
+            f"top_k must be an int >= 1 or a non-empty sequence of them, got {top_k!r}"
+        )
     index = DocumentIndex((document,)) if isinstance(document, Document) else document
     if not isinstance(index, DocumentIndex):
         raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")

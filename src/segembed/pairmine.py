@@ -8,10 +8,20 @@ negatives = k seeded uniform draws from the remaining pairs).
 
 Distances are Euclidean. All tie-breaking is lexicographic by
 (distance, i, j) so results are reproducible bit-for-bit.
+
+Each miner selects what it keeps rather than sorting everything: the k-NN
+graph takes each row's k-th smallest distance with one ``np.partition``
+and keeps what lies below it, plus the first tied entries of the row; the
+global ranking uses numpy's default sort and redoes it stably only when
+two distances are equal. ``PairSets`` checks duplicates and overlap with
+one sort of integer pair keys, and ``write_pair_dump`` formats each pair
+list in one string pass. Outputs match the stable-sort definitions byte
+for byte.
 """
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +40,34 @@ class DistanceCounter:
 
 
 def _pair_rows(pairs) -> np.ndarray:
-    """A read-only (P, 2) intp copy of a sequence of pairs."""
-    rows = np.array(pairs, dtype=np.intp)
+    """A read-only (P, 2) intp copy of a sequence of integer pairs."""
+    try:
+        rows = np.array(pairs)
+    except ValueError as exc:  # ragged rows
+        raise DataError(f"pairs must form a (P, 2) array of integers: {exc}") from exc
     if rows.size == 0:
-        rows = rows.reshape(0, 2)
+        rows = np.empty((0, 2), dtype=np.intp)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise DataError(f"pairs must form a (P, 2) array, got shape {rows.shape}")
+    # numpy reads Python ints beyond int64 as uint64, float64 or object
+    kind = rows.dtype.kind
+    if kind not in "iu" or kind == "u" and rows.max() > np.iinfo(np.intp).max:
+        raise DataError(f"pairs must hold integers that fit in intp, got dtype {rows.dtype}")
+    rows = rows.astype(np.intp, copy=False)
     rows.flags.writeable = False
     return rows
+
+
+def _has_repeats(rows) -> bool:
+    """Whether some row of a (P, 2) array of pairs 0 <= i < j occurs twice,
+    found with one sort and a comparison of neighbours."""
+    i, j = rows.T
+    width = int(j.max(initial=0)) + 1
+    if width <= 2**31:  # i * width + j < 2**62: one distinct int64 key per pair
+        keys = np.sort(i * width + j)
+        return bool((keys[1:] == keys[:-1]).any())
+    ordered = rows[np.lexsort((j, i))]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +86,8 @@ class PairSets:
         if bad.any():
             i_bad, j_bad = both[bad][0].tolist()
             raise DataError(f"pair ({i_bad}, {j_bad}) must satisfy 0 <= i < j")
-        # every j is below the row width, so distinct pairs get distinct keys
-        keys = i * (int(j.max(initial=0)) + 1) + j
-        if len(np.unique(keys)) != len(keys):
-            split = keys[: len(pos)], keys[len(pos) :]
-            if any(len(np.unique(part)) < len(part) for part in split):
+        if _has_repeats(both):
+            if _has_repeats(pos) or _has_repeats(neg):
                 raise DataError("duplicate pairs within a pair list")
             raise DataError("positive and negative pair sets must be disjoint")
         object.__setattr__(self, "positives", pos)
@@ -110,6 +137,11 @@ def pair_indices(n: int) -> np.ndarray:
     return pairs
 
 
+def _check_k(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise DataError(f"k must be an integer, got {k!r}")
+
+
 def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:
     """Undirected k-NN graph of the batch.
 
@@ -117,14 +149,19 @@ def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> 
     (ties by smaller index). Negatives: all remaining unordered pairs.
     Both lists are in row-major order.
     """
+    _check_k(k)
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
         raise DataError(f"k must satisfy 2 <= k+1 <= batch size; got k={k}, |B|={n}")
-    rows = np.arange(n)[:, None]
-    order = np.argsort(dist, axis=1, kind="stable")  # ties by smaller index
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[rows, order[order != rows].reshape(n, n - 1)[:, :k]] = True
+    np.fill_diagonal(dist, np.inf)  # a point is not its own neighbour
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    adjacent = dist < kth
+    # fill each row's k slots with its entries tied at the k-th distance,
+    # smaller index first (int32 counts: half the memory traffic of int64)
+    tied = dist == kth
+    quota = k - adjacent.sum(axis=1, keepdims=True)
+    adjacent |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= quota)
     pairs = pair_indices(n)
     linked = (adjacent | adjacent.T)[pairs[:, 0], pairs[:, 1]]
     return PairSets(pairs[linked], pairs[~linked])
@@ -136,6 +173,7 @@ def topk_global_pairs(
     """Fully-connected batch graph: top-k shortest pairs as positives and
     k seeded uniform draws (without replacement) from the rest as negatives.
     """
+    _check_k(k)
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
     total = n * (n - 1) // 2
@@ -144,10 +182,18 @@ def topk_global_pairs(
             f"need |B|(|B|-1)/2 >= 2k: batch of {n} has {total} pairs, k={k}"
         )
     pairs = pair_indices(n)
-    # a stable sort keeps equal distances in row-major (i, j) order
-    ranked = pairs[np.argsort(dist[pairs[:, 0], pairs[:, 1]], kind="stable")]
+    pair_dist = dist[pairs[:, 0], pairs[:, 1]]
+    order = np.argsort(pair_dist)
+    if (np.diff(pair_dist[order]) == 0).any():
+        # a stable sort keeps equal distances in row-major (i, j) order
+        order = np.argsort(pair_dist, kind="stable")
     pick = np.random.default_rng(seed).choice(total - k, size=k, replace=False)
-    return PairSets(ranked[:k], ranked[k:][np.sort(pick)])
+    return PairSets(pairs[order[:k]], pairs[order[k:][np.sort(pick)]])
+
+
+def _json_pair_list(rows) -> str:
+    """``json.dumps(rows.tolist())`` of a (P, 2) int array, in one pass."""
+    return "[" + ("[%d, %d], " * len(rows))[:-2] % tuple(rows.ravel().tolist()) + "]"
 
 
 def write_pair_dump(path, records) -> None:
@@ -156,12 +202,7 @@ def write_pair_dump(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for indices, pairs in records:
             fh.write(
-                json.dumps(
-                    {
-                        "indices": np.asarray(indices).tolist(),
-                        "positives": pairs.positives.tolist(),
-                        "negatives": pairs.negatives.tolist(),
-                    }
-                )
-                + "\n"
+                f'{{"indices": {json.dumps(np.asarray(indices).tolist())}, '
+                f'"positives": {_json_pair_list(pairs.positives)}, '
+                f'"negatives": {_json_pair_list(pairs.negatives)}}}\n'
             )

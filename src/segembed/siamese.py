@@ -7,6 +7,7 @@ of the phonetic vectors is trained with the contrastive loss alone,
 variant d).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class SiameseConfig:
     drop_last: bool = True
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
         if not self.margin > 0 or self.k < 1:  # NaN fails too
             raise ConfigError(f"margin must be > 0 and k >= 1, got {self.margin} and {self.k}")
         if not self.learning_rate > 0:

@@ -4,8 +4,10 @@
 
 Runs ``test_acceptance._run_pipeline(SEED, dir)`` (default seed 0) in a
 temporary directory, then ``segembed mine-audit`` with each
-``siamese.mining_mode`` (``siamese.batch_size=64``) on the pipeline's
-``embeddings_d.jsonl``, then ``segembed eval-cluster`` and ``segembed
+``siamese.mining_mode`` on the pipeline's ``embeddings_d.jsonl``, at
+``siamese.batch_size=64`` (``pairs_<mode>.jsonl``) and at 256
+(``pairs_<mode>_b256.jsonl``, where the miners' tie handling meets the
+most pairs), then ``segembed eval-cluster`` and ``segembed
 eval-std`` on its variant a, b and d embeddings at the CLI's default
 ``eval.n_values`` and ``eval.top_k`` (``EVAL_SETTINGS``; their CSVs are
 ``cli_cluster_accuracy.csv`` and ``cli_retrieval_map.csv``), and prints one
@@ -70,13 +72,15 @@ def cli(seed, out_dir, settings, *args):
         raise SystemExit(f"segembed {' '.join(args)} exited {code}")
 
 
-def mine_audit(seed, out_dir, mode):
-    """Dump the pairs that ``mode`` mines on the variant-d embeddings to
-    ``pairs_<mode>.jsonl``; the CLI's own outputs go to a scratch dir."""
+def mine_audit(seed, out_dir, mode, batch_size, name):
+    """Dump the pairs that ``mode`` mines on the variant-d embeddings in
+    batches of ``batch_size`` to ``name``; the CLI's own outputs go to a
+    scratch dir."""
     with tempfile.TemporaryDirectory() as cli_dir:
-        cli(seed, cli_dir, ("siamese.batch_size=64", f"siamese.mining_mode={mode}"),
+        cli(seed, cli_dir,
+            (f"siamese.batch_size={batch_size}", f"siamese.mining_mode={mode}"),
             "mine-audit", "--embeddings", str(out_dir / "embeddings_d.jsonl"),
-            "--output", str(out_dir / f"pairs_{mode}.jsonl"))
+            "--output", str(out_dir / name))
 
 
 def cli_evals(seed, out_dir):
@@ -116,7 +120,8 @@ def main(argv) -> int:
         out_dir = Path(tmp)
         _run_pipeline(seed, out_dir)
         for mode in MINING_MODES:
-            mine_audit(seed, out_dir, mode)
+            mine_audit(seed, out_dir, mode, 64, f"pairs_{mode}.jsonl")
+            mine_audit(seed, out_dir, mode, 256, f"pairs_{mode}_b256.jsonl")
         cli_evals(seed, out_dir)
         print_hashes(out_dir)
     with tempfile.TemporaryDirectory() as tmp:

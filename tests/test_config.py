@@ -6,6 +6,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segembed.config import SCHEMA, EvalConfig, parse_config
@@ -202,11 +203,18 @@ class TestSettingChecks:
             ({"learning_rate": math.nan}, "learning_rate must be > 0"),
             ({"margin": math.nan}, "margin must be > 0"),
             ({"gamma": math.nan}, "gamma must be >= 0"),
+            ({"k": 2.5}, "k must be an integer, got 2.5"),
+            ({"k": 2.0}, "k must be an integer, got 2.0"),
+            ({"k": "3"}, "k must be an integer, got '3'"),
+            ({"k": True}, "k must be an integer, got True"),
         ],
     )
     def test_siamese_config(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             SiameseConfig(**kwargs)
+
+    def test_siamese_config_takes_numpy_integer_k(self):
+        assert SiameseConfig(k=np.int64(3)).k == 3
 
     @pytest.mark.parametrize("field", ["speaker_shift_scale", "noise_scale"])
     def test_synth_config_scale_nan(self, field):

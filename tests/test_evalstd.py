@@ -96,7 +96,7 @@ class TestRelevanceScore:
             relevance_score(q, doc, 2), abs=1e-12
         )
 
-    @pytest.mark.parametrize("top_k", [0, [1, 0], [[1, 2]]])
+    @pytest.mark.parametrize("top_k", [0, [1, 0], [[1, 2]], [], (), 2.0, [1, 2.5]])
     def test_bad_top_k_rejected(self, top_k):
         with pytest.raises(DataError, match="top_k"):
             relevance_score(np.ones(2), _doc("d", [np.ones(2)]), top_k)
@@ -219,6 +219,13 @@ class TestRetrievalTask:
         assert 0.0 <= report.map <= 1.0
         # clumped same-label embeddings make retrieval near-perfect
         assert report.map > 0.9
+
+    @pytest.mark.parametrize("top_k", [[], ()])
+    def test_empty_top_k_rejected(self, top_k):
+        entries, labels = self._entries()
+        index, queries = build_retrieval_task(entries, labels, 5, 3, seed=0)
+        with pytest.raises(DataError, match="non-empty sequence"):
+            run_retrieval(index, queries, top_k)
 
     def test_deterministic(self):
         entries, labels = self._entries()

@@ -1,5 +1,7 @@
 """Pair-mining oracles: exhaustive brute-force ranking on random batches."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,10 +125,45 @@ class TestPairSets:
         assert pairs.negatives.shape == (0, 2)
         assert source.flags.writeable  # the caller's array is copied, not frozen
 
-    @pytest.mark.parametrize("bad", [((0, 1, 2),), ((0,),), (((0, 1),),)])
+    @pytest.mark.parametrize(
+        "bad", [((0, 1, 2),), ((0,),), (((0, 1),),), ((0, 1), (2,)), ((0, 1), (2, 3, 4))]
+    )
     def test_rows_must_be_pairs(self, bad):
         with pytest.raises(DataError, match=r"\(P, 2\)"):
             PairSets(bad, ())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [((0.5, 1),), ((0.0, 1.0),), (("0", "1"),), ((0, np.nan),), ((False, True),),
+         np.array([[0, 1]], dtype=np.float32)],
+    )
+    def test_entries_must_be_integers(self, bad):
+        with pytest.raises(DataError, match="integers"):
+            PairSets(bad, ())
+        with pytest.raises(DataError, match="integers"):
+            PairSets((), bad)
+
+    @pytest.mark.parametrize(
+        "bad", [((2**63, 2**63 + 1),), ((0, 2**63),), ((0, 2**64),), ((-1, 2**63),)]
+    )
+    def test_indices_beyond_int64_rejected(self, bad):
+        with pytest.raises(DataError):
+            PairSets(bad, ())
+
+    def test_unsigned_pairs_accepted(self):
+        pairs = PairSets(np.array([[0, 3]], dtype=np.uint64), np.array([[1, 2]], np.uint8))
+        assert pairs.positives.dtype == np.intp and rows(pairs.positives) == [(0, 3)]
+        assert rows(pairs.negatives) == [(1, 2)]
+
+    def test_wide_indices_keep_distinct_pairs_apart(self):
+        # i * (max j + 1) + j of these two pairs collides in int64
+        a, b = (1, 2**33 - 1), (1 + 2**31, 2**33 - 1)
+        assert rows(PairSets((a, b), ()).positives) == [a, b]
+        assert rows(PairSets((a,), (b,)).negatives) == [b]
+        with pytest.raises(DataError, match="duplicate pairs"):
+            PairSets((), (b, a, b))
+        with pytest.raises(DataError, match="disjoint"):
+            PairSets((a, b), (b,))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -144,6 +181,90 @@ class TestPairSets:
             with pytest.raises(DataError) as info:
                 PairSets(form(pos), form(neg))
             assert str(info.value) == message
+
+
+def stable_knn_reference(points, k):
+    """The k-NN graph by its definition: a stable argsort of every row (ties
+    by smaller index), the first k entries other than the point itself."""
+    dist = pairwise_distances(points)
+    n = len(dist)
+    own = np.arange(n)[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[own, order[order != own].reshape(n, n - 1)[:, :k]] = True
+    pairs = pair_indices(n)
+    linked = (adjacent | adjacent.T)[pairs[:, 0], pairs[:, 1]]
+    return pairs[linked], pairs[~linked]
+
+
+def stable_topk_reference(points, k, seed):
+    """Top-k global mining by its definition: one stable argsort of the
+    row-major pair distances, then k seeded draws from the rest."""
+    dist = pairwise_distances(points)
+    pairs = pair_indices(len(dist))
+    ranked = pairs[np.argsort(dist[pairs[:, 0], pairs[:, 1]], kind="stable")]
+    pick = np.random.default_rng(seed).choice(len(pairs) - k, size=k, replace=False)
+    return ranked[:k], ranked[k:][np.sort(pick)]
+
+
+def tie_heavy_batch(layout, n, seed):
+    """``grid``: points on a 5 x 5 integer grid, so many distances are equal
+    and exact; ``duplicated``: each of about n/4 random points repeated."""
+    rng = np.random.default_rng(seed)
+    if layout == "grid":
+        return rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
+    base = rng.normal(size=(n // 4 + 1, 3))
+    return base[rng.integers(0, len(base), size=n)]
+
+
+class TestMinersAgainstStableSortReference:
+    """Both miners return what the stable-sort definitions return, pair for
+    pair and in the same order, on tie-heavy batches up to |B| = 256."""
+
+    @pytest.mark.parametrize("layout", ["grid", "duplicated"])
+    @pytest.mark.parametrize("n", [2, 5, 64, 256])
+    def test_knn_graph(self, n, layout):
+        points = tie_heavy_batch(layout, n, seed=n)
+        for k in sorted({1, 2, n // 2, n - 1} & set(range(1, n))):
+            pairs = knn_graph_pairs(points, k)
+            positives, negatives = stable_knn_reference(points, k)
+            assert pairs.positives.tolist() == positives.tolist()
+            assert pairs.negatives.tolist() == negatives.tolist()
+
+    @pytest.mark.parametrize("layout", ["grid", "duplicated", "distinct"])
+    @pytest.mark.parametrize("n", [2, 5, 64, 256])
+    def test_topk_global(self, n, layout):
+        points = (np.random.default_rng(n).normal(size=(n, 3)) if layout == "distinct"
+                  else tie_heavy_batch(layout, n, seed=n))
+        if n == 2:  # one pair: no k fits
+            with pytest.raises(DataError):
+                topk_global_pairs(points, 1, seed=0)
+            return
+        dist = pairwise_distances(points)[np.triu_indices(n, k=1)]
+        # equal neighbours in sorted order send the miner to its stable sort
+        assert (np.diff(np.sort(dist)) == 0).any() == (layout != "distinct")
+        total = len(dist)
+        for k in sorted({1, 2, total // 4, total // 2}):
+            pairs = topk_global_pairs(points, k, seed=k)
+            positives, negatives = stable_topk_reference(points, k, seed=k)
+            assert pairs.positives.tolist() == positives.tolist()
+            assert pairs.negatives.tolist() == negatives.tolist()
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
+def test_miners_reject_non_integer_k(k):
+    points = np.random.default_rng(0).normal(size=(6, 2))
+    with pytest.raises(DataError, match="k must be an integer"):
+        knn_graph_pairs(points, k)
+    with pytest.raises(DataError, match="k must be an integer"):
+        topk_global_pairs(points, k, seed=0)
+
+
+def test_miners_take_numpy_integer_k():
+    points = np.random.default_rng(0).normal(size=(6, 2))
+    for mine in (lambda k: knn_graph_pairs(points, k),
+                 lambda k: topk_global_pairs(points, k, seed=0)):
+        assert mine(np.int32(2)).positives.tolist() == mine(2).positives.tolist()
 
 
 def test_pair_indices_is_row_major():
@@ -300,6 +421,25 @@ class TestPairDump:
             b'{"indices": [4, 2, 7], "positives": [[0, 2]], '
             b'"negatives": [[0, 1], [1, 2]]}\n'
             b'{"indices": [5, 1], "positives": [], "negatives": []}\n'
+        )
+
+    def test_matches_json_dumps(self, tmp_path):
+        batch = np.random.default_rng(0).normal(size=(9, 2))
+        records = [
+            (np.arange(9, dtype=np.int32)[::-1], knn_graph_pairs(batch, 2)),
+            (np.array([7, 3], dtype=np.uint16), PairSets(((0, 1),), ())),
+            ([np.int64(5), 2], PairSets((), ((0, 1),))),
+            ((), PairSets((), ())),
+        ]
+        path = tmp_path / "pairs.jsonl"
+        write_pair_dump(path, records)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({
+                "indices": np.asarray(indices).tolist(),
+                "positives": pairs.positives.tolist(),
+                "negatives": pairs.negatives.tolist(),
+            }) + "\n"
+            for indices, pairs in records
         )
 
     def test_no_records_gives_empty_file(self, tmp_path):
