@@ -75,14 +75,11 @@ from .neuralcore import (
     ComponentParams,
     ModelDims,
     OptimState,
-    decode,
-    discriminate,
     encode,
     grad_step,
     gradient_check,
     load_checkpoint,
     save_checkpoint,
-    transform_refine,
 )
 from .pairmine import (
     DistanceCounter,
@@ -126,9 +123,7 @@ __all__ = [
     "confusion_matrix",
     "contrastive_loss",
     "cosine",
-    "decode",
     "derive_seed",
-    "discriminate",
     "discriminator_loss",
     "effective_speakers",
     "embed_corpus",
@@ -163,7 +158,6 @@ __all__ = [
     "train_disentangle",
     "train_joint",
     "train_refine",
-    "transform_refine",
 ]
 
 __version__ = "0.1.0"

@@ -227,7 +227,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                     spk_pairs = speaker_pairs(spk)
 
                 ep_t = e_p.tensors(requires_grad=True)
-                v_p = nc.encoder_forward(ep_t, frames, lengths, mode=dims.encoder_mode)
+                v_p = nc.encoder_forward(ep_t, frames, lengths)
 
                 if cfg.alpha_adv > 0:
                     rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
@@ -247,7 +247,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
 
                 es_t = e_s.tensors(requires_grad=True)
                 dec_t = dec.tensors(requires_grad=True)
-                v_s = nc.encoder_forward(es_t, frames, lengths, mode=dims.encoder_mode)
+                v_s = nc.encoder_forward(es_t, frames, lengths)
                 x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
 
                 loss = recon_graph(x_rec, frames, lengths)
@@ -353,19 +353,11 @@ def save_model(path, model: DisentangledModel, extra_meta: dict | None = None):
     )
 
 
-_INITS = {
-    "E_p": nc.init_encoder,
-    "E_s": nc.init_encoder,
-    "Dec": nc.init_decoder,
-    "D_s": nc.init_discriminator,
-    "refine": nc.init_refine,
-}
-
-
-def _load_kind(path, kind: str, names):
+def _load_kind(path, kind: str, names: dict):
     """Components and dims of a checkpoint that must be of ``kind`` and
-    hold every component in ``names``, each with the arrays, and array
-    shapes, that its initializer makes for the meta dims."""
+    hold every component in ``names`` (checkpoint name -> neuralcore
+    component), each with the arrays, and array shapes, of that component's
+    layout for the meta dims. Nothing is allocated for the check."""
     components, meta = nc.load_checkpoint(path)
     if meta.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} checkpoint")
@@ -374,14 +366,14 @@ def _load_kind(path, kind: str, names):
         raise ParseError(f"{path}: missing components {missing}")
     try:
         dims = nc.ModelDims(**meta["dims"])
-        expected = {name: _INITS[name](dims, 0).arrays for name in names}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: invalid model dims: {exc}") from exc
-    for name in names:
-        found = components[name].arrays
-        for key in sorted(expected[name].keys() | found.keys()):
-            want = expected[name][key].shape if key in expected[name] else "no array"
-            got = found[key].shape if key in found else "no array"
+    layouts = nc._layouts(dims)
+    for name, component in names.items():
+        expected = {key: shape for key, (shape, _) in layouts[component].items()}
+        found = {key: arr.shape for key, arr in components[name].arrays.items()}
+        for key in sorted(expected.keys() | found.keys()):
+            want, got = expected.get(key, "no array"), found.get(key, "no array")
             if want != got:
                 raise ParseError(
                     f"{path}: {name}.{key}: expected shape {want}, found {got}"
@@ -390,7 +382,10 @@ def _load_kind(path, kind: str, names):
 
 
 def load_model(path) -> DisentangledModel:
-    components, dims = _load_kind(path, "disentangled", ("E_p", "E_s", "Dec", "D_s"))
+    components, dims = _load_kind(
+        path, "disentangled",
+        {"E_p": "encoder", "E_s": "encoder", "Dec": "decoder", "D_s": "discriminator"},
+    )
     return DisentangledModel(
         dims,
         components["E_p"],
@@ -408,7 +403,7 @@ def save_refine_model(path, refine: RefineModel, extra_meta: dict | None = None)
 
 
 def load_refine_model(path) -> RefineModel:
-    components, dims = _load_kind(path, "refine", ("refine",))
+    components, dims = _load_kind(path, "refine", {"refine": "refine"})
     return RefineModel(dims, components["refine"])
 
 
@@ -425,13 +420,12 @@ def compute_embeddings(model: DisentangledModel, corpus: Corpus,
             f"corpus has {corpus.feature_dim}"
         )
     encoder = {"phonetic": model.e_p, "speaker": model.e_s}[which]
-    mode = model.dims.encoder_mode
     segments = [corpus[i] for i in (range(len(corpus)) if order is None else order)]
     out = []
     for start in range(0, len(segments), EMBED_CHUNK):
         chunk = segments[start : start + EMBED_CHUNK]
         frames, lengths = nc.pack_sequences([s.features for s in chunk])
-        out.append(nc.encoder_forward(encoder.tensors(), frames, lengths, mode).data)
+        out.append(nc.encoder_forward(encoder.tensors(), frames, lengths).data)
     return np.concatenate(out, axis=0)
 
 

@@ -61,6 +61,9 @@ class DisentangleConfig:
             raise ConfigError("disc_warmup_epochs must be >= 0")
         if self.encoder_mode not in nc.ENCODER_MODES:
             raise ConfigError(f"encoder_mode must be one of {nc.ENCODER_MODES}")
+        for key in ("embed_dim", "enc_hidden", "dec_hidden", "disc_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
         if self.disc_learning_rate is None:
             object.__setattr__(self, "disc_learning_rate", self.learning_rate)
 

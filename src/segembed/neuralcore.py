@@ -1,28 +1,35 @@
 """Differentiable components and their plumbing.
 
 Five components: phonetic encoder, speaker encoder, decoder, speaker
-discriminator, and the refinement transform. Forward passes are built on
+discriminator, and the refinement transform. Each component's arrays are
+written down once, in one layout table (key -> shape and fan-in, in draw
+order): the initializers draw from it and the checkpoint loader checks
+shapes against it without building a model. Forward passes are built on
 the autodiff tape; batched forms concatenate all frames of a batch, pool
 each segment's frames with ``segment_mean`` and repeat each segment's
 vectors over its frames with ``repeat_rows``, so a batch costs a few tape
 nodes and linear time in its frames; the position column is built with
-``np.repeat``/``arange`` rather than a loop over segments. Each
-component's parameters are views into one contiguous float64 vector, so
-the package's one optimizer (Adam) checks and updates a component with a
-few whole-vector operations. Also houses checkpoint serialization and
-finite-difference gradient verification.
+``np.repeat``/``arange`` rather than a loop over segments. ``encode`` (one
+segment) is the only single-input operation. Each component's parameters
+are views into one contiguous float64 vector, so the package's one
+optimizer (Adam) checks and updates a component with a few whole-vector
+operations. Also houses checkpoint serialization and finite-difference
+gradient verification.
 
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
-``encoder_mode="rnn"``: it projects all frames of a batch in one product,
-gathers that projection once in time-major order, then advances every
-segment together, one time step at a time with the rows ordered longest
-first and each step's inputs one contiguous block, so a batch costs a few
-tape nodes per step (max T steps) rather than several per frame.
+``encoder_mode="rnn"``; the forward passes read the kind from the
+parameters (an ``rnn`` encoder has a ``w_rec`` array). It projects all
+frames of a batch in one product, gathers that projection once in
+time-major order, then advances every segment together, one time step at a
+time with the rows ordered longest first and each step's inputs one
+contiguous block, so a batch costs a few tape nodes per step (max T steps)
+rather than several per frame.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +59,11 @@ class ModelDims:
     encoder_mode: str = "pool"  # one of ENCODER_MODES
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name == "encoder_mode":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
         if self.encoder_mode not in ENCODER_MODES:
             raise DataError(f"unknown encoder_mode {self.encoder_mode!r}")
 
@@ -96,56 +108,54 @@ class ComponentParams:
         return f"ComponentParams({self.name!r}, {shapes})"
 
 
-def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _dense(w: str, b: str, n_in: int, n_out: int) -> dict:
+    return {w: ((n_in, n_out), n_in), b: ((n_out,), n_in)}
+
+
+def _layouts(dims: ModelDims) -> dict:
+    """Each component's arrays in draw order: component -> {key: (shape,
+    fan-in)}. The initializers draw from it; the checkpoint loader checks
+    shapes against it."""
+    f, d = dims.feature_dim, dims.embed_dim
+    h_e, h_d, h_s, h_r = dims.enc_hidden, dims.dec_hidden, dims.disc_hidden, dims.refine_hidden
+    recurrent = {"w_rec": ((h_e, h_e), h_e)} if dims.encoder_mode == "rnn" else {}
+    return {
+        "encoder": {**_dense("w_in", "b_in", f, h_e), **recurrent,
+                    **_dense("w_out", "b_out", h_e, d)},
+        # decoder input: [v_p; v_s; position]
+        "decoder": {**_dense("w1", "b1", 2 * d + 1, h_d), **_dense("w2", "b2", h_d, h_d),
+                    **_dense("w_out", "b_out", h_d, f)},
+        "discriminator": {**_dense("w1", "b1", 2 * d, h_s), **_dense("w2", "b2", h_s, h_s),
+                          **_dense("w_out", "b_out", h_s, 1)},
+        # the output layer is drawn first, and stored last
+        "refine": {**_dense("w2", "b2", h_r, d), **_dense("w1", "b1", d, h_r)},
+    }
+
+
+def _draw(component: str, dims: ModelDims, seed: int, zeroed=()) -> dict:
+    """The component's arrays, each uniform in +-1/sqrt(fan-in), drawn in
+    layout order from one generator; ``zeroed`` keys are zeros, not drawn."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for key, (shape, fan_in) in _layouts(dims)[component].items():
+        if key in zeroed:
+            arrays[key] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(fan_in)
+            arrays[key] = rng.uniform(-bound, bound, size=shape)
+    return arrays
 
 
 def init_encoder(dims: ModelDims, seed: int) -> ComponentParams:
-    rng = np.random.default_rng(seed)
-    f, h, d = dims.feature_dim, dims.enc_hidden, dims.embed_dim
-    arrays = {
-        "w_in": _uniform_init(rng, f, (f, h)),
-        "b_in": _uniform_init(rng, f, (h,)),
-    }
-    if dims.encoder_mode == "rnn":
-        arrays["w_rec"] = _uniform_init(rng, h, (h, h))
-    arrays["w_out"] = _uniform_init(rng, h, (h, d))
-    arrays["b_out"] = _uniform_init(rng, h, (d,))
-    return ComponentParams("encoder", arrays)
+    return ComponentParams("encoder", _draw("encoder", dims, seed))
 
 
 def init_decoder(dims: ModelDims, seed: int) -> ComponentParams:
-    rng = np.random.default_rng(seed)
-    d, h, f = dims.embed_dim, dims.dec_hidden, dims.feature_dim
-    n_in = 2 * d + 1  # [v_p; v_s; position]
-    return ComponentParams(
-        "decoder",
-        {
-            "w1": _uniform_init(rng, n_in, (n_in, h)),
-            "b1": _uniform_init(rng, n_in, (h,)),
-            "w2": _uniform_init(rng, h, (h, h)),
-            "b2": _uniform_init(rng, h, (h,)),
-            "w_out": _uniform_init(rng, h, (h, f)),
-            "b_out": _uniform_init(rng, h, (f,)),
-        },
-    )
+    return ComponentParams("decoder", _draw("decoder", dims, seed))
 
 
 def init_discriminator(dims: ModelDims, seed: int) -> ComponentParams:
-    rng = np.random.default_rng(seed)
-    d, h = dims.embed_dim, dims.disc_hidden
-    return ComponentParams(
-        "discriminator",
-        {
-            "w1": _uniform_init(rng, 2 * d, (2 * d, h)),
-            "b1": _uniform_init(rng, 2 * d, (h,)),
-            "w2": _uniform_init(rng, h, (h, h)),
-            "b2": _uniform_init(rng, h, (h,)),
-            "w_out": _uniform_init(rng, h, (h, 1)),
-            "b_out": _uniform_init(rng, h, (1,)),
-        },
-    )
+    return ComponentParams("discriminator", _draw("discriminator", dims, seed))
 
 
 def init_refine(dims: ModelDims, seed: int, identity: bool = True) -> ComponentParams:
@@ -155,23 +165,8 @@ def init_refine(dims: ModelDims, seed: int, identity: bool = True) -> ComponentP
     exactly the identity map at step 0 (the residual path carries the input
     through unchanged).
     """
-    rng = np.random.default_rng(seed)
-    d, h = dims.embed_dim, dims.refine_hidden
-    if identity:
-        w2 = np.zeros((h, d))
-        b2 = np.zeros(d)
-    else:
-        w2 = _uniform_init(rng, h, (h, d))
-        b2 = _uniform_init(rng, h, (d,))
-    return ComponentParams(
-        "refine",
-        {
-            "w1": _uniform_init(rng, d, (d, h)),
-            "b1": _uniform_init(rng, d, (h,)),
-            "w2": w2,
-            "b2": b2,
-        },
-    )
+    arrays = _draw("refine", dims, seed, ("w2", "b2") if identity else ())
+    return ComponentParams("refine", {k: arrays[k] for k in ("w1", "b1", "w2", "b2")})
 
 
 # -- batched forward passes (tape-building) ------------------------------
@@ -230,9 +225,10 @@ def _check_lengths(lengths, what: str) -> np.ndarray:
     return lengths
 
 
-def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
+def encoder_forward(pt: dict, frames, lengths) -> Tensor:
     """Encode a packed batch -> (B, d) embedding tensor.
 
+    The encoder is ``rnn`` if its parameters hold ``w_rec``, else ``pool``.
     ``lengths`` are the segments' frame counts, in row order; each must be
     >= 1 and they must sum to the number of frame rows (``DataError``).
     """
@@ -243,13 +239,10 @@ def encoder_forward(pt: dict, frames, lengths, mode: str = "pool") -> Tensor:
             f"encoder: segment lengths sum to {lengths.sum()}, "
             f"but the batch has {frames.shape[0]} frame rows"
         )
-    if mode == "pool":
-        hidden = ad.tanh(frames @ pt["w_in"] + pt["b_in"])
-        pooled = ad.segment_mean(hidden, lengths)
-    elif mode == "rnn":
+    if "w_rec" in pt:
         pooled = _rnn_final_states(pt, frames, lengths)
     else:
-        raise DataError(f"unknown encoder mode {mode!r}")
+        pooled = ad.segment_mean(ad.tanh(frames @ pt["w_in"] + pt["b_in"]), lengths)
     return pooled @ pt["w_out"] + pt["b_out"]
 
 
@@ -293,57 +286,19 @@ def refine_forward(pt: dict, v) -> Tensor:
     return v + ad.tanh(v @ pt["w1"] + pt["b1"]) @ pt["w2"] + pt["b2"]
 
 
-# -- single-input operations (the public contract) ------------------------
+# -- the single-input operation (the public contract) --------------------
 
 
-def _check_vector(v, dim: int, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise DimensionError(f"{what}: expected vector of length {dim}, got {v.shape}")
-    return v
-
-
-def encode(params: ComponentParams, x, mode: str = "pool") -> np.ndarray:
+def encode(params: ComponentParams, x) -> np.ndarray:
     """Variable-length (T, F) feature matrix -> one vector of length d, with
-    either encoder (phonetic or speaker)."""
+    either encoder (phonetic or speaker) of either kind."""
     x = np.asarray(x, dtype=np.float64)
     f_dim = params.arrays["w_in"].shape[0]
     if x.ndim != 2 or x.shape[1] != f_dim:
         raise DimensionError(
             f"encoder: expected (T, {f_dim}) feature matrix, got {x.shape}"
         )
-    out = encoder_forward(params.tensors(), x, [x.shape[0]], mode=mode)
-    return out.data[0]
-
-
-def decode(params: ComponentParams, v_p, v_s, n_frames: int) -> np.ndarray:
-    """Reconstruct a (n_frames, F) feature matrix from one embedding pair;
-    ``n_frames`` below 1 is a ``DataError``."""
-    d = (params.arrays["w1"].shape[0] - 1) // 2
-    v_p = _check_vector(v_p, d, "decode v_p")
-    v_s = _check_vector(v_s, d, "decode v_s")
-    out = decoder_forward(
-        params.tensors(), v_p.reshape(1, -1), v_s.reshape(1, -1), [int(n_frames)]
-    )
-    return out.data
-
-
-def discriminate(params: ComponentParams, v_p_i, v_p_j) -> float:
-    """Probability in (0, 1) that two phonetic vectors share a speaker."""
-    d = params.arrays["w1"].shape[0] // 2
-    v_i = _check_vector(v_p_i, d, "discriminate v_p_i")
-    v_j = _check_vector(v_p_j, d, "discriminate v_p_j")
-    logit = discriminator_forward(
-        params.tensors(), v_i.reshape(1, -1), v_j.reshape(1, -1)
-    )
-    return float(ad.sigmoid(logit).data[0])
-
-
-def transform_refine(params: ComponentParams, v_p) -> np.ndarray:
-    """Map a phonetic vector to its refined vector z."""
-    d = params.arrays["w1"].shape[0]
-    v = _check_vector(v_p, d, "transform_refine v_p")
-    return refine_forward(params.tensors(), v.reshape(1, -1)).data[0]
+    return encoder_forward(params.tensors(), x, [x.shape[0]]).data[0]
 
 
 # -- optimizer -------------------------------------------------------------
@@ -476,7 +431,7 @@ def _probe_setup(component: str, seed: int, dims: ModelDims):
         target = rng.normal(size=(len(lengths), dims.embed_dim))
 
         def forward(pt):
-            return encoder_forward(pt, frames, lengths, mode=dims.encoder_mode)
+            return encoder_forward(pt, frames, lengths)
 
     elif component == "Dec":
         params = init_decoder(dims, seed)

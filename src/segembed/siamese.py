@@ -55,6 +55,8 @@ class SiameseConfig:
             raise ConfigError("gamma must be >= 0")
         if self.epochs < 1 or self.batch_size < 2:
             raise ConfigError("epochs >= 1 and batch_size >= 2 required")
+        if self.refine_hidden < 1:
+            raise ConfigError(f"siamese.refine_hidden must be >= 1, got {self.refine_hidden}")
 
 
 def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:

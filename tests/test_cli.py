@@ -75,6 +75,12 @@ class TestParseConfig:
         "override, message",
         [
             ("model.encoder_mode=lstm", "encoder_mode must be one of ('pool', 'rnn')"),
+            ("model.embed_dim=0", "model.embed_dim must be >= 1, got 0"),
+            ("model.embed_dim=-2", "model.embed_dim must be >= 1, got -2"),
+            ("model.enc_hidden=0", "model.enc_hidden must be >= 1, got 0"),
+            ("model.dec_hidden=0", "model.dec_hidden must be >= 1, got 0"),
+            ("model.disc_hidden=0", "model.disc_hidden must be >= 1, got 0"),
+            ("siamese.refine_hidden=0", "siamese.refine_hidden must be >= 1, got 0"),
             ("eval.top_k=1,0", "eval.top_k must list integers >= 1, got (1, 0)"),
             ("eval.n_values=-4,8", "eval.n_values must list integers >= 1, got (-4, 8)"),
         ],
@@ -554,6 +560,20 @@ class TestBadInputs:
                 {"meta": {"kind": "disentangled", "dims": {}}, "components": {}},
                 "missing components ['E_p', 'E_s', 'Dec', 'D_s']",
             ),
+            (
+                {
+                    "meta": {"kind": "disentangled", "dims": {"embed_dim": 0}},
+                    "components": {"E_p": {}, "E_s": {}, "Dec": {}, "D_s": {}},
+                },
+                "invalid model dims: embed_dim must be an integer >= 1, got 0",
+            ),
+            (  # shapes are checked against the layout, so nothing this size is allocated
+                {
+                    "meta": {"kind": "disentangled", "dims": {"feature_dim": 10**12}},
+                    "components": {"E_p": {}, "E_s": {}, "Dec": {}, "D_s": {}},
+                },
+                "E_p.b_in: expected shape (128,), found no array",
+            ),
         ],
     )
     def test_checkpoint_bad_structure(self, corpus_dir, tmp_path, capsys, doc, message):
@@ -688,6 +708,16 @@ class TestBadInputs:
         self._set_dim(model, "embed_dim", 5)
         code = self._embed(corpus_dir, tmp_path, model.read_text())
         assert "E_p.b_out: expected shape (5,), found (8,)" in self._error(capsys, code)
+
+    def test_encoder_kind_disagrees_with_meta_mode(self, corpus_dir, tmp_path, capsys):
+        """The forwards read the encoder kind from its arrays (``w_rec``), so
+        the loader ties those arrays to the meta ``encoder_mode``."""
+        model, _ = self._checkpoints(tmp_path)
+        self._set_dim(model, "encoder_mode", "rnn")
+        code = self._embed(corpus_dir, tmp_path, model.read_text())
+        assert "E_p.w_rec: expected shape (10, 10), found no array" in self._error(
+            capsys, code
+        )
 
     def test_refine_arrays_disagree_with_meta_dims(self, corpus_dir, tmp_path, capsys):
         model, refine = self._checkpoints(tmp_path)

@@ -315,7 +315,7 @@ class TestTraining:
         init = nc.init_encoder(model.dims, derive_seed(cfg.seed, "init:E_p"))
         tensors = init.tensors(requires_grad=True)
         frames, lengths = nc.pack_sequences([s.features for s in corpus])
-        ad.tsum(nc.encoder_forward(tensors, frames, lengths, "rnn")).backward()
+        ad.tsum(nc.encoder_forward(tensors, frames, lengths)).backward()
         assert tensors["w_rec"].grad is None and tensors["w_in"].grad is not None
         assert np.array_equal(model.e_p.arrays["w_rec"], init.arrays["w_rec"])
         assert not np.array_equal(model.e_p.arrays["w_in"], init.arrays["w_in"])

@@ -19,9 +19,7 @@ from segembed.neuralcore import (
     ComponentParams,
     ModelDims,
     _max_fd_error,
-    decode,
     decoder_forward,
-    discriminate,
     encode,
     encoder_forward,
     grad_step,
@@ -32,8 +30,8 @@ from segembed.neuralcore import (
     init_optim,
     init_refine,
     load_checkpoint,
+    refine_forward,
     save_checkpoint,
-    transform_refine,
 )
 
 DIMS = ModelDims(feature_dim=39, embed_dim=256, enc_hidden=16, dec_hidden=16,
@@ -42,6 +40,15 @@ SMALL = ModelDims(feature_dim=4, embed_dim=6, enc_hidden=5, dec_hidden=5,
                   disc_hidden=5, refine_hidden=5)
 SMALL_RNN = replace(SMALL, encoder_mode="rnn")
 RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("embed_dim", 0), ("enc_hidden", -1), ("feature_dim", 2.0),
+                   ("refine_hidden", True)],
+)
+def test_model_dims_reject_widths_that_are_not_integers_from_1(key, value):
+    with pytest.raises(DataError, match=f"{key} must be an integer >= 1, got {value!r}"):
+        replace(SMALL, **{key: value})
 
 
 class TestEncoders:
@@ -69,13 +76,13 @@ class TestEncoders:
     def test_empty_sequence(self, mode):
         params = init_encoder(replace(SMALL, encoder_mode=mode), seed=0)
         with pytest.raises(DataError, match="lengths must be >= 1, got \\[0\\]"):
-            encode(params, np.zeros((0, 4)), mode=mode)
+            encode(params, np.zeros((0, 4)))
 
     def test_rnn_mode(self):
         dims = ModelDims(feature_dim=5, embed_dim=8, enc_hidden=6,
                          encoder_mode="rnn")
         params = init_encoder(dims, seed=0)
-        v = encode(params, RNG.normal(size=(4, 5)), mode="rnn")
+        v = encode(params, RNG.normal(size=(4, 5)))
         assert v.shape == (8,)
 
     @pytest.mark.parametrize("mode", ENCODER_MODES)
@@ -91,7 +98,7 @@ class TestEncoders:
     def test_bad_packed_lengths_are_data_errors(self, mode, lengths, message):
         params = init_encoder(replace(SMALL, encoder_mode=mode), seed=0)
         with pytest.raises(DataError, match=message):
-            encoder_forward(params.tensors(), RNG.normal(size=(5, 4)), lengths, mode)
+            encoder_forward(params.tensors(), RNG.normal(size=(5, 4)), lengths)
 
 
 def per_segment_rnn(arrays, frames, lengths):
@@ -129,7 +136,7 @@ class TestBatchedRecurrence:
         rng = np.random.default_rng(seed)
         params = init_encoder(SMALL_RNN, seed % 1000)
         frames = _packed(rng, lengths)
-        out = encoder_forward(params.tensors(), frames, lengths, "rnn").data
+        out = encoder_forward(params.tensors(), frames, lengths).data
         assert out.shape == (len(lengths), SMALL_RNN.embed_dim)
         np.testing.assert_allclose(
             out, per_segment_rnn(params.arrays, frames, lengths), rtol=0, atol=1e-12
@@ -137,19 +144,20 @@ class TestBatchedRecurrence:
         perm = rng.permutation(len(lengths))
         starts = np.cumsum(lengths) - lengths
         moved = np.concatenate([frames[starts[i] : starts[i] + lengths[i]] for i in perm])
-        permuted = encoder_forward(
-            params.tensors(), moved, [lengths[i] for i in perm], "rnn"
-        ).data
+        permuted = encoder_forward(params.tensors(), moved, [lengths[i] for i in perm]).data
         np.testing.assert_allclose(permuted, out[perm], rtol=0, atol=1e-12)
 
     def test_encode_of_one_segment_equals_its_batched_row(self):
         lengths = [5, 1, 12, 5, 3, 1, 7]
         params = init_encoder(SMALL_RNN, seed=3)
         frames = _packed(np.random.default_rng(3), lengths)
-        batched = encoder_forward(params.tensors(), frames, lengths, "rnn").data
+        batched = encoder_forward(params.tensors(), frames, lengths).data
+        # no argument names the kind: the forwards read it from ``w_rec``
+        oracle = per_segment_rnn(params.arrays, frames, lengths)
+        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
         starts = np.cumsum(lengths) - lengths
         for row, (start, n) in enumerate(zip(starts, lengths)):
-            alone = encode(params, frames[start : start + n], mode="rnn")
+            alone = encode(params, frames[start : start + n])
             np.testing.assert_allclose(alone, batched[row], rtol=0, atol=1e-12)
 
     def test_gradients_with_lengths_that_shrink_mid_sequence(self):
@@ -162,7 +170,7 @@ class TestBatchedRecurrence:
         target = ad.constant(rng.normal(size=(len(lengths), SMALL_RNN.embed_dim)))
 
         def loss(pt):
-            out = encoder_forward(pt, frames, lengths, "rnn")
+            out = encoder_forward(pt, frames, lengths)
             return ad.tmean(ad.square(out - target))
 
         assert _max_fd_error(params, loss) < 1e-4
@@ -171,18 +179,20 @@ class TestBatchedRecurrence:
 class TestDecoder:
     def test_shape_contract(self):
         params = init_decoder(DIMS, seed=1)
-        x = decode(params, RNG.normal(size=256), RNG.normal(size=256), 7)
-        assert x.shape == (7, 39)
+        x = decoder_forward(params.tensors(), RNG.normal(size=(2, 256)),
+                            RNG.normal(size=(2, 256)), [7, 3]).data
+        assert x.shape == (10, 39)
 
     def test_deterministic(self):
         params = init_decoder(DIMS, seed=1)
-        v_p, v_s = RNG.normal(size=256), RNG.normal(size=256)
-        assert np.array_equal(decode(params, v_p, v_s, 4), decode(params, v_p, v_s, 4))
+        v_p, v_s = RNG.normal(size=(1, 256)), RNG.normal(size=(1, 256))
+        assert np.array_equal(decoder_forward(params.tensors(), v_p, v_s, [4]).data,
+                              decoder_forward(params.tensors(), v_p, v_s, [4]).data)
 
     def test_bad_length(self):
         params = init_decoder(DIMS, seed=1)
         with pytest.raises(DataError, match=r"segment lengths must be >= 1, got \[0\]"):
-            decode(params, np.zeros(256), np.zeros(256), 0)
+            decoder_forward(params.tensors(), np.zeros((1, 256)), np.zeros((1, 256)), [0])
 
     @pytest.mark.parametrize(
         "lengths, n_s, message",
@@ -204,41 +214,24 @@ class TestDecoder:
 
 
 class TestDiscriminator:
-    def test_probability_range(self):
-        params = init_discriminator(DIMS, seed=2)
-        p = discriminate(params, RNG.normal(size=256), RNG.normal(size=256))
-        assert 0.0 < p < 1.0
-
     def test_hidden_width_follows_config(self):
         params = init_discriminator(DIMS, seed=2)
         assert params.arrays["w1"].shape == (512, 128)
         assert params.arrays["w2"].shape == (128, 128)
 
-    def test_zero_output_layer_gives_half(self):
-        params = init_discriminator(DIMS, seed=2)
-        params.arrays["w_out"][:] = 0.0
-        params.arrays["b_out"][:] = 0.0
-        p = discriminate(params, RNG.normal(size=256), RNG.normal(size=256))
-        assert p == pytest.approx(0.5)
-
-    def test_dim_mismatch(self):
-        params = init_discriminator(DIMS, seed=2)
-        with pytest.raises(DimensionError):
-            discriminate(params, np.zeros(128), np.zeros(256))
-
 
 class TestRefine:
     def test_identity_at_init(self):
         params = init_refine(DIMS, seed=3, identity=True)
-        v = RNG.normal(size=256)
-        assert np.array_equal(transform_refine(params, v), v)
+        v = RNG.normal(size=(4, 256))
+        assert np.array_equal(refine_forward(params.tensors(), v).data, v)
 
     def test_shape_and_determinism(self):
         params = init_refine(DIMS, seed=3, identity=False)
-        v = RNG.normal(size=256)
-        z = transform_refine(params, v)
-        assert z.shape == (256,)
-        assert np.array_equal(z, transform_refine(params, v))
+        v = RNG.normal(size=(4, 256))
+        z = refine_forward(params.tensors(), v).data
+        assert z.shape == (4, 256)
+        assert np.array_equal(z, refine_forward(params.tensors(), v).data)
         assert not np.array_equal(z, v)
 
 

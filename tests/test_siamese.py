@@ -12,7 +12,7 @@ from segembed._trainer import RefineModel, contrastive_graph
 from segembed.corpus import SynthConfig, synth_corpus
 from segembed.disentangle import DisentangleConfig, train_disentangle
 from segembed.errors import ConfigError, DataError
-from segembed.neuralcore import init_refine, transform_refine
+from segembed.neuralcore import init_refine, refine_forward
 from segembed.pairmine import PairSets
 from segembed.siamese import (
     SiameseConfig,
@@ -251,9 +251,8 @@ class TestEmbedCorpus:
         b_entries = dict(embed_corpus(model, corpus, "b"))
         d_entries = dict(embed_corpus(model, corpus, "d", refined))
         for sid, vb in b_entries.items():
-            np.testing.assert_allclose(
-                d_entries[sid], transform_refine(refined.params, vb), atol=1e-12
-            )
+            z = refine_forward(refined.params.tensors(), vb.reshape(1, -1)).data[0]
+            np.testing.assert_allclose(d_entries[sid], z, atol=1e-12)
 
     def test_missing_refine_params_rejected(self):
         corpus = _corpus()
