@@ -367,8 +367,26 @@ def load_embeddings(path):
     """Read a JSON-lines embedding file -> list of (segment_id, vector).
 
     Every vector must be 1-D, of one shared dimension, and finite, and no
-    segment_id may repeat.
+    segment_id may repeat. The file is decoded in one pass into one float64
+    matrix, whose rows are the vectors, with one finiteness check; only a
+    file that fails a check is read again line by line, to name the first
+    bad line.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        ids = [rec["segment_id"] for rec in records]
+        mat = np.array([rec["vector"] for rec in records], dtype=np.float64)
+        if len(set(ids)) == len(ids) and mat.ndim == 2 and np.isfinite(mat).all():
+            return list(zip(ids, mat))
+    except (KeyError, TypeError, ValueError, OverflowError):  # UnicodeDecodeError too
+        pass  # the line-by-line read names the failure
+    return _load_embeddings_by_line(path)
+
+
+def _load_embeddings_by_line(path):
+    """``load_embeddings``, one line at a time: the first failed check
+    raises with its line number."""
     out = []
     dim = None
     first_line = {}
@@ -379,7 +397,7 @@ def load_embeddings(path):
             rec = json.loads(line)
             sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
             first = first_line.setdefault(sid, lineno)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if first != lineno:
             raise DataError(

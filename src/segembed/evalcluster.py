@@ -9,8 +9,15 @@ different-label unordered pairs (computed via the norm-of-summed-unit-
 vectors identity, so no quadratic pair enumeration is needed). Clustering
 accuracy normalizes a label x cluster confusion matrix, picks each label's
 best cluster, and sums that mass.
+
+One ``kmeans`` call may hold several runs, as an accuracy curve does (one
+per cluster count, each with its own seed). Its runs share a cache of
+squared-distance rows, one per point any of them drew as a k-means++
+centre, and the squared row norms their Lloyd steps read; every run's
+result equals its own call's.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,44 +139,71 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
 # -- k-means -------------------------------------------------------------
 
 
-def _plus_plus_init(mat: np.ndarray, n_clusters: int, rng) -> np.ndarray:
-    """k-means++ centers: each new center is a point drawn with probability
-    proportional to its squared distance to the nearest center so far.
+class _Points:
+    """One k-means input matrix and what every run over it reads more than
+    once: its squared row norms and doubled entries, which ``_assign``
+    reads at every Lloyd step, and a cache of squared-distance rows that
+    ``row`` fills the first time a run draws a point as a k-means++ centre.
+    The cache holds one row per distinct point drawn, so at most
+    min(n, total centres) rows, and never allocates n x n up front."""
+
+    def __init__(self, mat: np.ndarray):
+        self.mat = mat
+        self.sq_norms = np.sum(mat * mat, axis=1)[:, None]
+        self.doubled = 2.0 * mat
+        self.rows = {}  # point index -> squared distance of every point to it
+        self._buf = np.empty_like(mat)
+
+    def row(self, i: int) -> np.ndarray:
+        """Squared distances of every point to point ``i``, shared by every
+        caller: read it, never write it."""
+        row = self.rows.get(i)
+        if row is None:
+            np.subtract(self.mat, self.mat[i], out=self._buf)
+            np.multiply(self._buf, self._buf, out=self._buf)
+            row = self.rows[i] = np.add.reduce(self._buf, axis=1)
+        return row
+
+
+def _plus_plus_init(points: _Points, n_clusters: int, rng) -> np.ndarray:
+    """Indices of the k-means++ centres: each new centre is a point drawn
+    with probability proportional to its squared distance to the nearest
+    centre so far.
 
     The draw is ``rng.choice(n, p=d2 / total)``'s own (normalised
     ``cumsum``, one ``rng.random()``, ``searchsorted(side="right")``)
     without its per-call argument checks, so it picks the same points and
-    leaves ``rng`` in the same state. ``d2`` is updated in place through
-    one (n, d) buffer.
+    leaves ``rng`` in the same state. ``d2`` is lowered in place by the
+    drawn point's cached distance row; the draw reuses two buffers.
     """
-    n = mat.shape[0]
-    centers = np.empty((n_clusters, mat.shape[1]))
-    centers[0] = mat[int(rng.integers(n))]
-    d2 = np.sum((mat - centers[0]) ** 2, axis=1)
+    n = points.mat.shape[0]
+    picks = np.empty(n_clusters, dtype=np.intp)
+    picks[0] = rng.integers(n)
+    d2 = points.row(int(picks[0])).copy()
     # later centers only lower d2, so once this sum is finite every later one is
     _finite(d2.sum(), "squared distances")
-    buf = np.empty_like(mat)
+    # the ufunc methods that d2.sum() and np.cumsum call, minus their Python wrappers
+    p, cdf = np.empty(n), np.empty(n)
     for c in range(1, n_clusters):
-        total = d2.sum()
+        total = np.add.reduce(d2)
         if total > 0:
-            cdf = np.cumsum(d2 / total)
+            np.divide(d2, total, out=p)
+            np.add.accumulate(p, out=cdf)
             cdf /= cdf[-1]
             idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
-        centers[c] = mat[idx]
-        np.subtract(mat, centers[c], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.minimum(d2, buf.sum(axis=1), out=d2)
-    return centers
+        picks[c] = idx
+        if c + 1 < n_clusters:
+            np.minimum(d2, points.row(idx), out=d2)
+    return picks
 
 
-def _assign(mat: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(mat * mat, axis=1)[:, None]
-        - 2.0 * mat @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+def _assign(points: _Points, centers: np.ndarray) -> np.ndarray:
+    # |x|^2 - (2x) @ c.T + |c|^2, in that order
+    d2 = points.doubled @ centers.T
+    np.subtract(points.sq_norms, d2, out=d2)
+    d2 += np.sum(centers * centers, axis=1)
     assign = np.argmin(d2, axis=1)
     # an overflowed row holds -inf or NaN at its minimum, or is all inf
     _finite(d2[np.arange(len(assign)), assign], "squared distances")
@@ -189,7 +223,11 @@ def _update_centers(mat, assign, centers):
     return new_centers
 
 
-def kmeans(vectors, n_clusters: int, seed: int, return_history: bool = False):
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def kmeans(vectors, n_clusters, seed, return_history: bool = False):
     """Lloyd iterations from seeded k-means++ initialization.
 
     Runs until the largest center movement drops below KMEANS_TOL or
@@ -200,28 +238,57 @@ def kmeans(vectors, n_clusters: int, seed: int, return_history: bool = False):
     With return_history, also returns the point-to-center cost after each
     step, which is computed only then. Squared distances that overflow
     float64 raise ``NumericError``.
+
+    ``n_clusters`` is an int, or a sequence of ints with ``seed`` a
+    sequence of seeds of the same length: then the result is a list with
+    one entry per (n_clusters, seed) run, each equal to that run's own
+    call. The runs share the squared-distance rows of the points they draw
+    as centres, and the row norms their Lloyd steps read. A count that is
+    not an integer from 1 to the number of points, or a seed sequence of
+    another length, is a ``DataError`` naming the first bad value.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("vectors must be (N, d)")
     n = mat.shape[0]
-    if not 1 <= n_clusters <= n:
-        raise DataError(f"need 1 <= n_clusters <= {n}, got {n_clusters}")
-    rng = np.random.default_rng(seed)
+    single = not _is_sequence(n_clusters)
+    ks = [n_clusters] if single else list(n_clusters)
+    if single:
+        seeds = [seed]
+    elif _is_sequence(seed) and len(seed) == len(ks):
+        seeds = list(seed)
+    else:
+        raise DataError(f"need one seed per cluster count ({len(ks)}), got {seed!r}")
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise DataError(f"n_clusters must be an integer, got {k!r}")
+        if not 1 <= k <= n:
+            raise DataError(f"need 1 <= n_clusters <= {n}, got {k}")
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = _plus_plus_init(mat, n_clusters, rng)
-        assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
-        cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
-        history = [cost()] if return_history else None
-        for _ in range(KMEANS_MAX_ITER):
-            new_centers = _update_centers(mat, assign, centers)
-            movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-            centers = new_centers
-            assign = _repair_empty(mat, centers, _assign(mat, centers), n_clusters)
-            if return_history:
-                history.append(cost())
-            if movement < KMEANS_TOL:
-                break
+        points = _Points(mat)
+        runs = [
+            _lloyd(points, mat[_plus_plus_init(points, int(k), np.random.default_rng(s))],
+                   return_history)
+            for k, s in zip(ks, seeds)
+        ]
+    return runs[0] if single else runs
+
+
+def _lloyd(points: _Points, centers: np.ndarray, return_history: bool):
+    """One k-means run from its initial ``centers``, which it may overwrite."""
+    mat, n_clusters = points.mat, len(centers)
+    assign = _repair_empty(mat, centers, _assign(points, centers), n_clusters)
+    cost = lambda: float(np.sum((mat - centers[assign]) ** 2))
+    history = [cost()] if return_history else None
+    for _ in range(KMEANS_MAX_ITER):
+        new_centers = _update_centers(mat, assign, centers)
+        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+        centers = new_centers
+        assign = _repair_empty(mat, centers, _assign(points, centers), n_clusters)
+        if return_history:
+            history.append(cost())
+        if movement < KMEANS_TOL:
+            break
     return (assign, history) if return_history else assign
 
 
@@ -242,36 +309,40 @@ def _repair_empty(mat, centers, assign, n_clusters):
     return assign
 
 
-def within_cluster_ss(vectors, assignments, n_clusters: int) -> float:
-    """Within-cluster sum of squares for given assignments."""
-    mat = np.asarray(vectors, dtype=np.float64)
-    total = 0.0
-    for c in range(n_clusters):
-        members = mat[np.asarray(assignments) == c]
-        if members.shape[0]:
-            total += float(np.sum((members - members.mean(axis=0)) ** 2))
-    return total
-
-
 # -- confusion matrix and accuracy -----------------------------------------
 
 
 def confusion_matrix(labels, assignments, label_universe, n_clusters: int):
-    """Count matrix C with C[i, j] = points of label i assigned to cluster j."""
+    """Count matrix C with C[i, j] = points of label i assigned to cluster j,
+    counted by one ``np.bincount``. A label outside ``label_universe``, or
+    a cluster id that is not an integer in [0, n_clusters), is a
+    ``DataError`` naming the first such value."""
     if len(labels) != len(assignments):
         raise DataError("labels and assignments must have equal length")
     if len(labels) == 0:
         raise DataError("empty inputs")
     index = {label: i for i, label in enumerate(label_universe)}
-    counts = np.zeros((len(label_universe), n_clusters), dtype=np.int64)
+    rows = np.array([index.get(label, -1) for label in labels])
+    ids = np.asarray(assignments)
+    if not (
+        ids.ndim == 1 and ids.dtype.kind in "biu" and rows.min() >= 0
+        and ids.min() >= 0 and ids.max() < n_clusters
+    ):
+        _raise_first_bad(labels, assignments, index, n_clusters)
+    cells = rows * n_clusters + ids.astype(np.intp)
+    size = len(label_universe) * n_clusters
+    return np.bincount(cells, minlength=size).reshape(len(label_universe), n_clusters)
+
+
+def _raise_first_bad(labels, assignments, index, n_clusters):
     for label, cluster in zip(labels, assignments):
         if label not in index:
             raise DataError(f"unknown label {label!r}")
-        c = int(cluster)
-        if not 0 <= c < n_clusters:
-            raise DataError(f"cluster id {c} outside [0, {n_clusters})")
-        counts[index[label], c] += 1
-    return counts
+        if not isinstance(cluster, (numbers.Integral, np.bool_)):
+            raise DataError(f"cluster id must be an integer, got {cluster!r}")
+        if not 0 <= cluster < n_clusters:
+            raise DataError(f"cluster id {int(cluster)} outside [0, {n_clusters})")
+    raise AssertionError("no bad label or cluster id")  # unreachable
 
 
 def cluster_accuracy(counts) -> float:
@@ -312,12 +383,12 @@ def accuracy_curve(vectors, labels, m: int, n_values, seed: int):
     keep = [i for i, label in enumerate(labels) if label in wanted]
     mat = np.asarray(vectors, dtype=np.float64)[keep]
     kept_labels = [labels[i] for i in keep]
-    out = []
-    for n in n_values:
-        assign = kmeans(mat, n, derive_seed(seed, f"kmeans:n={n}"))
-        counts = confusion_matrix(kept_labels, assign, universe, n)
-        out.append((int(n), cluster_accuracy(counts)))
-    return out
+    ns = list(n_values)
+    runs = kmeans(mat, ns, [derive_seed(seed, f"kmeans:n={n}") for n in ns])
+    return [
+        (int(n), cluster_accuracy(confusion_matrix(kept_labels, assign, universe, n)))
+        for n, assign in zip(ns, runs)
+    ]
 
 
 # -- CSV reports -------------------------------------------------------------

@@ -134,15 +134,21 @@ def _layouts(dims: ModelDims) -> dict:
 
 def _draw(component: str, dims: ModelDims, seed: int, zeroed=()) -> dict:
     """The component's arrays, each uniform in +-1/sqrt(fan-in), drawn in
-    layout order from one generator; ``zeroed`` keys are zeros, not drawn."""
+    layout order from one generator; ``zeroed`` keys are zeros, not drawn.
+    An array too large to allocate is a ``DataError`` naming it."""
     rng = np.random.default_rng(seed)
     arrays = {}
     for key, (shape, fan_in) in _layouts(dims)[component].items():
-        if key in zeroed:
-            arrays[key] = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            arrays[key] = rng.uniform(-bound, bound, size=shape)
+        try:
+            if key in zeroed:
+                arrays[key] = np.zeros(shape)
+            else:
+                bound = 1.0 / np.sqrt(fan_in)
+                arrays[key] = rng.uniform(-bound, bound, size=shape)
+        except MemoryError as exc:
+            raise DataError(
+                f"{component}.{key}: cannot allocate an array of shape {shape}"
+            ) from exc
     return arrays
 
 

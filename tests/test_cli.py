@@ -663,6 +663,19 @@ class TestBadInputs:
         err = self._error(capsys, code)
         assert err == f"segembed: error: {corpus}:4: {message}\n"
 
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_width_too_large_to_allocate(self, corpus_dir, tmp_path, capsys, variant):
+        """The first weight array fails to allocate at once, so this uses no memory."""
+        code = main([
+            "--out-dir", str(tmp_path), *TINY, "--set", "model.embed_dim=1000000000000",
+            "train", "--variant", variant, "--corpus", str(corpus_dir / "corpus.jsonl"),
+        ])
+        err = self._error(capsys, code)
+        assert err == (
+            "segembed: error: encoder.w_out: cannot allocate an array of shape "
+            "(10, 1000000000000)\n"
+        )
+
     def test_corpus_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")

@@ -8,6 +8,7 @@ import pytest
 
 from segembed.corpus import (
     Corpus,
+    _load_embeddings_by_line,
     MiniBatch,
     Segment,
     SynthConfig,
@@ -25,6 +26,7 @@ from segembed.errors import (
     DataError,
     DimensionError,
     EmptyCorpusError,
+    NumericError,
     ParseError,
 )
 
@@ -269,6 +271,68 @@ class TestEmbeddingFile:
         assert [sid for sid, _ in loaded] == ["s0", "s1"]
         for (_, a), (_, b) in zip(entries, loaded):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lines", [
+        [],
+        ["", "  "],
+        ['{"segment_id": "a", "vector": [1, 2.5]}', "",
+         '{"segment_id": "b", "vector": [3, -0.0]}'],
+        ['{"segment_id": "a", "vector": ["1.5", true]}'],
+        ['{"segment_id": "a", "vector": []}', '{"segment_id": 7, "vector": []}'],
+        ['{"vector": [0.1, 0.2], "segment_id": "a", "extra": null}'],
+    ])
+    def test_one_pass_equals_line_by_line(self, tmp_path, lines):
+        path = tmp_path / "e.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        got, want = load_embeddings(path), _load_embeddings_by_line(path)
+        assert [sid for sid, _ in got] == [sid for sid, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    GOOD = '{"segment_id": "s%d", "vector": [0.5, 1, -2]}'
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ('{"segment_id": "x", "vector": [NaN, 1, 2]}', NumericError,
+         ":3: non-finite vector entry"),
+        ('{"segment_id": "x", "vector": [1e999, 1, 2]}', NumericError,
+         ":3: non-finite vector entry"),
+        ('{"segment_id": "x", "vector": [1, 2', ParseError, ":3: Expecting"),
+        ("[0.5, 0.25]", ParseError, ":3: list indices must be integers"),
+        ('{"segment_id": "x"}', ParseError, ":3: 'vector'"),
+        ('{"vector": [1, 2, 3]}', ParseError, ":3: 'segment_id'"),
+        ('{"segment_id": "x", "vector": ["a", 1, 2]}', ParseError,
+         ":3: could not convert string to float"),
+        ('{"segment_id": ["x"], "vector": [1, 2, 3]}', ParseError, ":3: unhashable type"),
+        ('{"segment_id": "x", "vector": 5}', DimensionError, ":3: vector must be 1-D"),
+        ('{"segment_id": "x", "vector": [[1, 2, 3]]}', DimensionError, ":3: vector must be 1-D"),
+        ('{"segment_id": "x", "vector": [1, 2]}', DimensionError, ":3: dimension 2 != 3"),
+        ('{"segment_id": "s0", "vector": [1, 2, 3]}', DataError,
+         ":3: duplicate segment_id 's0' (first on line 1)"),
+        # too large for a float: a ParseError, not a bare OverflowError
+        pytest.param('{"segment_id": "x", "vector": [1%s, 2, 3]}' % ("0" * 400), ParseError,
+                     ":3: int too large to convert to float", id="int-beyond-float"),
+    ])
+    def test_bad_line_is_named_as_line_by_line(self, tmp_path, bad, error, message):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join([self.GOOD % 0, self.GOOD % 1, bad, self.GOOD % 3]) + "\n")
+        with pytest.raises(error) as got:
+            load_embeddings(path)
+        with pytest.raises(error) as want:
+            _load_embeddings_by_line(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}{message}")
+
+    def test_first_bad_line_wins_over_a_later_one(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join([
+            self.GOOD % 0,
+            '{"segment_id": "s1", "vector": [0.5, NaN, 1]}',
+            self.GOOD % 2,
+            self.GOOD % 0,
+        ]) + "\n")
+        with pytest.raises(NumericError) as got:
+            load_embeddings(path)
+        assert str(got.value) == f"{path}:2: non-finite vector entry"
 
     def test_mixed_dims_rejected(self, tmp_path):
         with pytest.raises(DimensionError):

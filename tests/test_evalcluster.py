@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from segembed.evalcluster import (
     KMEANS_TOL,
     CosineGapReport,
     _assign,
+    _Points,
     _plus_plus_init,
     _repair_empty,
     _update_centers,
@@ -24,7 +26,6 @@ from segembed.evalcluster import (
     intra_inter_stats,
     kmeans,
     select_top_labels,
-    within_cluster_ss,
     write_accuracy_curve_csv,
     write_cosine_gap_csv,
 )
@@ -32,17 +33,29 @@ from segembed.evalcluster import (
 RNG = np.random.default_rng(41)
 
 
+def within_cluster_ss(vectors, assignments, n_clusters: int) -> float:
+    """Within-cluster sum of squares for given assignments."""
+    mat = np.asarray(vectors, dtype=np.float64)
+    total = 0.0
+    for c in range(n_clusters):
+        members = mat[np.asarray(assignments) == c]
+        if members.shape[0]:
+            total += float(np.sum((members - members.mean(axis=0)) ** 2))
+    return total
+
+
 def _per_cluster_kmeans(mat, n_clusters, seed):
     """``kmeans(..., return_history=True)`` with the Lloyd update as a loop
     of per-cluster ``mean`` calls; also returns how many clusters
     ``_repair_empty`` had to fill."""
     rng = np.random.default_rng(seed)
-    centers = _plus_plus_init(mat, n_clusters, rng)
+    points = _Points(mat)
+    centers = mat[_plus_plus_init(points, n_clusters, rng)]
     repaired = 0
 
     def assign_and_repair():
         nonlocal repaired
-        assign = _assign(mat, centers)
+        assign = _assign(points, centers)
         repaired += int(np.sum(np.bincount(assign, minlength=n_clusters) == 0))
         return _repair_empty(mat, centers, assign, n_clusters)
 
@@ -256,6 +269,40 @@ class TestKmeans:
         with pytest.raises(DataError):
             kmeans(RNG.normal(size=(3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("return_history", [False, True])
+    def test_runs_of_one_call_equal_their_own_calls(self, return_history):
+        points = np.repeat(np.random.default_rng(9).normal(size=(30, 3)), 2, axis=0)
+        ks, seeds = [1, 5, 17, 60, 5], [3, 3, 8, 1, 2**40]
+        want = [kmeans(points, k, s, return_history=return_history) for k, s in zip(ks, seeds)]
+        for counts in (ks, tuple(ks), np.array(ks)):
+            got = kmeans(points, counts, np.array(seeds), return_history=return_history)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                g_assign, w_assign = (g[0], w[0]) if return_history else (g, w)
+                assert g_assign.dtype == w_assign.dtype
+                assert g_assign.tobytes() == w_assign.tobytes()
+                if return_history:
+                    assert g[1] == w[1]
+        assert kmeans(points, [], []) == []
+
+    def test_numpy_integer_counts_are_accepted(self):
+        points = RNG.normal(size=(12, 2))
+        assert np.array_equal(kmeans(points, np.int32(3), 4), kmeans(points, 3, 4))
+
+    @pytest.mark.parametrize("n_clusters, seed, message", [
+        (2.5, 0, "n_clusters must be an integer, got 2.5"),
+        (True, 0, "n_clusters must be an integer, got True"),
+        ("3", 0, "n_clusters must be an integer, got '3'"),
+        (None, 0, "n_clusters must be an integer, got None"),
+        ([2, 2.5, 0], [0, 1, 2], "n_clusters must be an integer, got 2.5"),
+        ([2, 0, 2.5], [0, 1, 2], "need 1 <= n_clusters <= 6, got 0"),
+        ([2, 3], [0], "need one seed per cluster count (2), got [0]"),
+        ([2, 3], 7, "need one seed per cluster count (2), got 7"),
+    ])
+    def test_bad_counts_and_seeds_are_data_errors(self, n_clusters, seed, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            kmeans(RNG.normal(size=(6, 2)), n_clusters, seed)
+
     def test_duplicate_points_still_fill_clusters(self):
         points = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3)
         assign = kmeans(points, 3, seed=0)
@@ -325,6 +372,8 @@ class TestPlusPlusInit:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_same_centers_and_generator_state_as_choice(self, data):
+        """Several runs over one matrix, sharing one row cache as the runs
+        of one ``kmeans`` call do, each draw what ``rng.choice`` draws."""
         n = data.draw(st.integers(1, 40), label="n")
         dim = data.draw(st.integers(1, 6), label="dim")
         grid = data.draw(st.booleans(), label="grid")  # tie-heavy integer points
@@ -336,13 +385,20 @@ class TestPlusPlusInit:
         copies = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="copies")
         scale = data.draw(st.sampled_from([1e-5, 0.3, 1.0, 7.0, 1e5]), label="scale")
         mat = np.array(rows + [rows[c] for c in copies]) * scale
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        # the draws are sequential, so k = every point covers every smaller k's centers
-        for k in (data.draw(st.integers(1, len(mat)), label="k"), len(mat)):
+        run = st.tuples(st.integers(1, len(mat)), st.integers(0, 2**32 - 1))
+        runs = data.draw(st.lists(run, min_size=1, max_size=4), label="runs")
+        # k = every point covers every smaller k's centers, and the total == 0 draw
+        runs.append((len(mat), runs[0][1]))
+        points = _Points(mat)
+        drawn = set()
+        for k, seed in runs:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _plus_plus_init(mat, k, got_rng)
-            assert got.tobytes() == _choice_plus_plus_init(mat, k, want_rng).tobytes()
+            picks = _plus_plus_init(points, k, got_rng)
+            assert mat[picks].tobytes() == _choice_plus_plus_init(mat, k, want_rng).tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            drawn.update(picks.tolist())
+        # one cached row per distinct point drawn, at most
+        assert set(points.rows) <= drawn
 
 
 class TestOverflow:
@@ -403,6 +459,38 @@ class TestConfusionMatrix:
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError):
             confusion_matrix(["C"], [0], ("A", "B"), 1)
+
+    def test_unknown_label_before_a_bad_cluster_id_is_reported_first(self):
+        with pytest.raises(DataError, match="unknown label 'C'"):
+            confusion_matrix(["A", "C", "A"], [0, 0, "x"], ("A", "B"), 2)
+
+    @pytest.mark.parametrize("assignments, message", [
+        ([0, float("nan"), 1], "cluster id must be an integer, got nan"),
+        ([0, None, 1], "cluster id must be an integer, got None"),
+        ([0, 1.5, 1], "cluster id must be an integer, got 1.5"),
+        ([0, "1", 1], "cluster id must be an integer, got '1'"),
+        ([0, 1, 2], "cluster id 2 outside [0, 2)"),
+        ([0, -1, 0.5], "cluster id -1 outside [0, 2)"),
+        (np.array([0.0, 1.0, 1.0]), "cluster id must be an integer, got np.float64(0.0)"),
+    ])
+    def test_bad_cluster_ids_are_data_errors(self, assignments, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            confusion_matrix(["A", "B", "A"], assignments, ("A", "B"), 2)
+
+    @pytest.mark.parametrize("as_ids", [
+        list, lambda a: np.array(a, dtype=np.int32), lambda a: np.array(a, dtype=np.uint8),
+        lambda a: [np.int64(c) for c in a],
+    ])
+    def test_matches_per_point_counting(self, as_ids):
+        rng = np.random.default_rng(12)
+        labels = [str(rng.integers(5)) for _ in range(200)]
+        ids = rng.integers(0, 7, size=200).tolist()
+        universe = tuple(sorted(set(labels)))
+        want = np.zeros((len(universe), 7), dtype=np.int64)
+        for label, c in zip(labels, ids):
+            want[universe.index(label), c] += 1
+        got = confusion_matrix(labels, as_ids(ids), universe, 7)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_conservation(self):
         rng = np.random.default_rng(3)
