@@ -24,140 +24,19 @@ Every randomized operation takes an explicit seed; identical inputs and
 seeds reproduce results bit-for-bit.
 """
 
-from .corpus import (
-    Corpus,
-    MiniBatch,
-    Segment,
-    SynthConfig,
-    load_corpus,
-    load_embeddings,
-    make_batches,
-    save_corpus,
-    save_embeddings,
-    split_corpus,
-    synth_corpus,
-)
-from .disentangle import (
-    DisentangleConfig,
-    DisentangledModel,
-    adversarial_loss,
-    discriminator_loss,
-    effective_speakers,
-    linear_probe_accuracy,
-    phonetic_embeddings,
-    reconstruction_loss,
-    speaker_contrastive_loss,
-    speaker_embeddings,
-    train_disentangle,
-)
-from .evalcluster import (
-    CosineGapReport,
-    accuracy_curve,
-    cluster_accuracy,
-    confusion_matrix,
-    cosine,
-    intra_inter_stats,
-    kmeans,
-    select_top_labels,
-)
-from .evalstd import (
-    Document,
-    DocumentIndex,
-    QuerySpec,
-    build_retrieval_task,
-    mean_average_precision,
-    rank_documents,
-    relevance_score,
-    run_retrieval,
-    tfidf_select_queries,
-)
-from .neuralcore import (
-    ComponentParams,
-    ModelDims,
-    OptimState,
-    encode,
-    grad_step,
-    gradient_check,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .pairmine import (
-    DistanceCounter,
-    PairSets,
-    knn_graph_pairs,
-    pairwise_distances,
-    topk_global_pairs,
-)
-from .seeding import derive_seed
-from .siamese import (
-    RefineModel,
-    SiameseConfig,
-    contrastive_loss,
-    embed_corpus,
-    train_joint,
-    train_refine,
-)
+from . import corpus, disentangle, evalcluster, evalstd, neuralcore, pairmine, seeding, siamese
+from .corpus import *  # noqa: F403
+from .disentangle import *  # noqa: F403
+from .evalcluster import *  # noqa: F403
+from .evalstd import *  # noqa: F403
+from .neuralcore import *  # noqa: F403
+from .pairmine import *  # noqa: F403
+from .seeding import *  # noqa: F403
+from .siamese import *  # noqa: F403
 
-__all__ = [
-    "ComponentParams",
-    "Corpus",
-    "CosineGapReport",
-    "DisentangleConfig",
-    "DisentangledModel",
-    "DistanceCounter",
-    "Document",
-    "DocumentIndex",
-    "MiniBatch",
-    "ModelDims",
-    "OptimState",
-    "PairSets",
-    "QuerySpec",
-    "RefineModel",
-    "Segment",
-    "SiameseConfig",
-    "SynthConfig",
-    "accuracy_curve",
-    "adversarial_loss",
-    "build_retrieval_task",
-    "cluster_accuracy",
-    "confusion_matrix",
-    "contrastive_loss",
-    "cosine",
-    "derive_seed",
-    "discriminator_loss",
-    "effective_speakers",
-    "embed_corpus",
-    "encode",
-    "grad_step",
-    "gradient_check",
-    "intra_inter_stats",
-    "kmeans",
-    "knn_graph_pairs",
-    "linear_probe_accuracy",
-    "load_checkpoint",
-    "load_corpus",
-    "load_embeddings",
-    "make_batches",
-    "mean_average_precision",
-    "pairwise_distances",
-    "phonetic_embeddings",
-    "rank_documents",
-    "reconstruction_loss",
-    "relevance_score",
-    "run_retrieval",
-    "save_checkpoint",
-    "save_corpus",
-    "save_embeddings",
-    "select_top_labels",
-    "speaker_contrastive_loss",
-    "speaker_embeddings",
-    "split_corpus",
-    "synth_corpus",
-    "tfidf_select_queries",
-    "topk_global_pairs",
-    "train_disentangle",
-    "train_joint",
-    "train_refine",
-]
+__all__ = sorted(
+    corpus.__all__ + disentangle.__all__ + evalcluster.__all__ + evalstd.__all__
+    + neuralcore.__all__ + pairmine.__all__ + seeding.__all__ + siamese.__all__
+)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import neuralcore as nc
 from .corpus import Corpus, make_batches
-from .errors import ConfigError, DataError, NumericError, ParseError
+from .errors import ConfigError, DataError, NumericError
 from .pairmine import (
     DistanceCounter,
     PairSets,
@@ -302,7 +302,7 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
     """
     dims = replace(base.dims, refine_hidden=cfg_s.refine_hidden)
     frozen = compute_embeddings(base, corpus, which="phonetic")
-    params = nc.init_refine(dims, derive_seed(cfg_s.seed, "init:refine"), identity=True)
+    params = nc.init_refine(dims, derive_seed(cfg_s.seed, "init:refine"))
     opt = nc.init_optim(params, cfg_s.learning_rate)
     counter = DistanceCounter()
     rows = []
@@ -339,74 +339,6 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
     return RefineModel(dims, params), rows
 
 
-# -- checkpoint wrappers ------------------------------------------------------
-
-
-def save_model(path, model: DisentangledModel, extra_meta: dict | None = None):
-    """Write a disentangled model as a single checkpoint document."""
-    meta = {"kind": "disentangled", "dims": vars(model.dims).copy()}
-    meta.update(extra_meta or {})
-    nc.save_checkpoint(
-        path,
-        {"E_p": model.e_p, "E_s": model.e_s, "Dec": model.dec, "D_s": model.d_s},
-        meta,
-    )
-
-
-def _load_kind(path, kind: str, names: dict):
-    """Components and dims of a checkpoint that must be of ``kind`` and
-    hold every component in ``names`` (checkpoint name -> neuralcore
-    component), each with the arrays, and array shapes, of that component's
-    layout for the meta dims. Nothing is allocated for the check."""
-    components, meta = nc.load_checkpoint(path)
-    if meta.get("kind") != kind:
-        raise DataError(f"{path}: not a {kind} checkpoint")
-    missing = [name for name in names if name not in components]
-    if missing:
-        raise ParseError(f"{path}: missing components {missing}")
-    try:
-        dims = nc.ModelDims(**meta["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid model dims: {exc}") from exc
-    layouts = nc._layouts(dims)
-    for name, component in names.items():
-        expected = {key: shape for key, (shape, _) in layouts[component].items()}
-        found = {key: arr.shape for key, arr in components[name].arrays.items()}
-        for key in sorted(expected.keys() | found.keys()):
-            want, got = expected.get(key, "no array"), found.get(key, "no array")
-            if want != got:
-                raise ParseError(
-                    f"{path}: {name}.{key}: expected shape {want}, found {got}"
-                )
-    return components, dims
-
-
-def load_model(path) -> DisentangledModel:
-    components, dims = _load_kind(
-        path, "disentangled",
-        {"E_p": "encoder", "E_s": "encoder", "Dec": "decoder", "D_s": "discriminator"},
-    )
-    return DisentangledModel(
-        dims,
-        components["E_p"],
-        components["E_s"],
-        components["Dec"],
-        components["D_s"],
-    )
-
-
-def save_refine_model(path, refine: RefineModel, extra_meta: dict | None = None):
-    """Write a refinement transform as a single checkpoint document."""
-    meta = {"kind": "refine", "dims": vars(refine.dims).copy()}
-    meta.update(extra_meta or {})
-    nc.save_checkpoint(path, {"refine": refine.params}, meta)
-
-
-def load_refine_model(path) -> RefineModel:
-    components, dims = _load_kind(path, "refine", {"refine": "refine"})
-    return RefineModel(dims, components["refine"])
-
-
 # -- embedding extraction ----------------------------------------------------
 
 
@@ -427,26 +359,3 @@ def compute_embeddings(model: DisentangledModel, corpus: Corpus,
         frames, lengths = nc.pack_sequences([s.features for s in chunk])
         out.append(nc.encoder_forward(encoder.tensors(), frames, lengths).data)
     return np.concatenate(out, axis=0)
-
-
-def embed_entries(model: DisentangledModel, corpus: Corpus, variant: str,
-                  refine: RefineModel | None = None):
-    """One (segment_id, vector) per segment, ordered by segment_id.
-
-    Variants a/b/c emit the phonetic vector; variant d applies the
-    refinement transform on top of it.
-    """
-    if variant not in ("a", "b", "c", "d"):
-        raise ConfigError(f"unknown embedding variant {variant!r}")
-    if variant == "d" and refine is None:
-        raise ConfigError("variant d requires refinement parameters")
-    if variant == "d" and refine.dims.embed_dim != model.dims.embed_dim:
-        raise ConfigError(
-            f"refinement expects embed_dim {refine.dims.embed_dim}, "
-            f"model has {model.dims.embed_dim}"
-        )
-    order = sorted(range(len(corpus)), key=lambda i: corpus[i].segment_id)
-    vectors = compute_embeddings(model, corpus, "phonetic", order)
-    if variant == "d":
-        vectors = nc.refine_forward(refine.params.tensors(), vectors).data
-    return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]

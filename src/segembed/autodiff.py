@@ -216,19 +216,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    y = _stable_sigmoid(a.data)
-    out = Tensor(y, _parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
-
-    out._backward = backward
-    return out
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(a)), computed stably."""
     a = as_tensor(a)

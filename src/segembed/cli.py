@@ -28,10 +28,16 @@ from .corpus import (
     save_embeddings,
     synth_corpus,
 )
-from .disentangle import train_disentangle, write_loss_log
+from .disentangle import load_model, save_model, train_disentangle, write_loss_log
 from .errors import ConfigError, DataError, SegembedError
 from .seeding import derive_seed
-from .siamese import embed_corpus, train_joint, train_refine
+from .siamese import (
+    embed_corpus,
+    load_refine_model,
+    save_refine_model,
+    train_joint,
+    train_refine,
+)
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -179,7 +185,7 @@ def _run(args) -> str:
             cfg_s = replace(cfg.siamese, seed=derive_seed(master, "train:c:siamese"))
             model, rows = train_joint(corpus, cfg_d, cfg_s)
         path = args.checkpoint or out_dir / f"model_{args.variant}.json"
-        _trainer.save_model(path, model, {"variant": args.variant})
+        save_model(path, model, {"variant": args.variant})
         write_loss_log(out_dir / f"loss_{args.variant}.csv", rows)
         final = rows[-1]
         return (
@@ -189,11 +195,11 @@ def _run(args) -> str:
 
     if args.command == "refine":
         corpus = load_corpus(args.corpus)
-        base = _trainer.load_model(args.checkpoint)
+        base = load_model(args.checkpoint)
         cfg_s = replace(cfg.siamese, seed=derive_seed(master, "refine"))
         refined, rows = train_refine(corpus, base, cfg_s)
         path = args.output or out_dir / "refine.json"
-        _trainer.save_refine_model(path, refined)
+        save_refine_model(path, refined)
         write_loss_log(out_dir / "refine_log.csv", rows)
         return (
             f"refine: {cfg_s.epochs} epochs, final contrastive "
@@ -202,12 +208,12 @@ def _run(args) -> str:
 
     if args.command == "embed":
         corpus = load_corpus(args.corpus)
-        model = _trainer.load_model(args.checkpoint)
+        model = load_model(args.checkpoint)
         refined = None
         if args.variant == "d":
             if not args.refine:
                 raise ConfigError("embed --variant d requires --refine CHECKPOINT")
-            refined = _trainer.load_refine_model(args.refine)
+            refined = load_refine_model(args.refine)
         entries = embed_corpus(model, corpus, args.variant, refined)
         path = args.output or out_dir / f"embeddings_{args.variant}.jsonl"
         save_embeddings(path, entries)

@@ -24,7 +24,12 @@ from .errors import (
     NumericError,
     ParseError,
 )
-from .seeding import rng_for
+from .seeding import rng_for, seeded_rng
+
+__all__ = [
+    "Corpus", "MiniBatch", "Segment", "SynthConfig", "load_corpus", "load_embeddings",
+    "make_batches", "save_corpus", "save_embeddings", "split_corpus", "synth_corpus",
+]
 
 LEVELS = ("word", "syllable", "phoneme")
 # Metadata keys of a corpus record: (key, may be null). Keys that may not be
@@ -440,7 +445,7 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
     m = len(corpus)
     if m == 0:
         raise DataError("no segments to batch")
-    order = np.random.default_rng(seed).permutation(m)
+    order = seeded_rng(seed).permutation(m)
     batches = []
     for start in range(0, m, batch_size):
         chunk = order[start : start + batch_size]

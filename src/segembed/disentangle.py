@@ -14,15 +14,20 @@ import numpy as np
 from . import _trainer
 from . import autodiff as ad
 from . import neuralcore as nc
-from ._trainer import (  # noqa: F401 (public API)
-    DisentangledModel,
-    effective_speakers,
-    load_model,
-    save_model,
-)
+from ._trainer import DisentangledModel, effective_speakers
 from .corpus import Corpus, write_csv
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .seeding import rng_for
+
+__all__ = [
+    "DisentangleConfig", "DisentangledModel", "adversarial_loss", "discriminator_loss",
+    "effective_speakers", "linear_probe_accuracy", "phonetic_embeddings",
+    "reconstruction_loss", "speaker_contrastive_loss", "speaker_embeddings",
+    "train_disentangle",
+]
+
+# checkpoint name -> layout component
+_COMPONENTS = {"E_p": "encoder", "E_s": "encoder", "Dec": "decoder", "D_s": "discriminator"}
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,24 @@ def train_disentangle(corpus: Corpus, cfg: DisentangleConfig):
     rows); one row per epoch with keys epoch/recon/spk/adv/disc.
     """
     return _trainer.run_disentangle_training(corpus, cfg, cfg_s=None)
+
+
+def save_model(path, model: DisentangledModel, extra_meta: dict | None = None):
+    """Write a disentangled model as a single checkpoint document."""
+    meta = {"kind": "disentangled", "dims": vars(model.dims).copy()}
+    meta.update(extra_meta or {})
+    nc.save_checkpoint(
+        path,
+        {"E_p": model.e_p, "E_s": model.e_s, "Dec": model.dec, "D_s": model.d_s},
+        meta,
+    )
+
+
+def load_model(path) -> DisentangledModel:
+    """Inverse of ``save_model``; the checkpoint's kind and array shapes are
+    checked by ``neuralcore.load_components``."""
+    components, dims = nc.load_components(path, "disentangled", _COMPONENTS)
+    return DisentangledModel(dims, *(components[name] for name in _COMPONENTS))
 
 
 def write_loss_log(path, rows) -> None:

@@ -24,7 +24,12 @@ import numpy as np
 
 from .corpus import write_csv
 from .errors import DataError, EvaluationError, NumericError
-from .seeding import derive_seed
+from .seeding import derive_seed, seeded_rng
+
+__all__ = [
+    "CosineGapReport", "accuracy_curve", "cluster_accuracy", "confusion_matrix",
+    "cosine", "intra_inter_stats", "kmeans", "select_top_labels",
+]
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations
 KMEANS_TOL = 1e-6  # stop once no center moves farther than this
@@ -244,8 +249,9 @@ def kmeans(vectors, n_clusters, seed, return_history: bool = False):
     one entry per (n_clusters, seed) run, each equal to that run's own
     call. The runs share the squared-distance rows of the points they draw
     as centres, and the row norms their Lloyd steps read. A count that is
-    not an integer from 1 to the number of points, or a seed sequence of
-    another length, is a ``DataError`` naming the first bad value.
+    not an integer from 1 to the number of points, a seed sequence of
+    another length, or a seed that is not an integer >= 0, is a
+    ``DataError`` naming the first bad value.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
@@ -264,12 +270,12 @@ def kmeans(vectors, n_clusters, seed, return_history: bool = False):
             raise DataError(f"n_clusters must be an integer, got {k!r}")
         if not 1 <= k <= n:
             raise DataError(f"need 1 <= n_clusters <= {n}, got {k}")
+    rngs = [seeded_rng(s) for s in seeds]
     with np.errstate(over="ignore", invalid="ignore"):
         points = _Points(mat)
         runs = [
-            _lloyd(points, mat[_plus_plus_init(points, int(k), np.random.default_rng(s))],
-                   return_history)
-            for k, s in zip(ks, seeds)
+            _lloyd(points, mat[_plus_plus_init(points, int(k), rng)], return_history)
+            for k, rng in zip(ks, rngs)
         ]
     return runs[0] if single else runs
 
@@ -322,7 +328,10 @@ def confusion_matrix(labels, assignments, label_universe, n_clusters: int):
     if len(labels) == 0:
         raise DataError("empty inputs")
     index = {label: i for i, label in enumerate(label_universe)}
-    rows = np.array([index.get(label, -1) for label in labels])
+    try:
+        rows = np.array([index.get(label, -1) for label in labels])
+    except TypeError:  # an unhashable label, reported below as unknown
+        rows = np.array([-1])
     ids = np.asarray(assignments)
     if not (
         ids.ndim == 1 and ids.dtype.kind in "biu" and rows.min() >= 0
@@ -336,7 +345,11 @@ def confusion_matrix(labels, assignments, label_universe, n_clusters: int):
 
 def _raise_first_bad(labels, assignments, index, n_clusters):
     for label, cluster in zip(labels, assignments):
-        if label not in index:
+        try:
+            known = label in index
+        except TypeError:  # unhashable
+            known = False
+        if not known:
             raise DataError(f"unknown label {label!r}")
         if not isinstance(cluster, (numbers.Integral, np.bool_)):
             raise DataError(f"cluster id must be an integer, got {cluster!r}")

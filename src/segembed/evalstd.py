@@ -26,6 +26,12 @@ from .errors import DataError, EvaluationError
 from .evalcluster import _row_norms, cosine
 from .seeding import rng_for
 
+__all__ = [
+    "Document", "DocumentIndex", "QuerySpec", "build_retrieval_task",
+    "mean_average_precision", "rank_documents", "relevance_score", "run_retrieval",
+    "tfidf_select_queries",
+]
+
 
 @dataclass(frozen=True)
 class Document:

@@ -13,8 +13,8 @@ nodes and linear time in its frames; the position column is built with
 segment) is the only single-input operation. Each component's parameters
 are views into one contiguous float64 vector, so the package's one
 optimizer (Adam) checks and updates a component with a few whole-vector
-operations. Also houses checkpoint serialization and finite-difference
-gradient verification.
+operations. Also houses checkpoint serialization, and the check of a
+loaded checkpoint's components against their layouts.
 
 Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
 the embedding dimension. A unidirectional recurrent encoder is available as
@@ -37,6 +37,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, DimensionError, NumericError, ParseError
+from .seeding import seeded_rng
+
+__all__ = [
+    "ComponentParams", "ModelDims", "OptimState", "encode", "grad_step",
+    "load_checkpoint", "save_checkpoint",
+]
 
 ENCODER_MODES = ("pool", "rnn")
 
@@ -136,7 +142,7 @@ def _draw(component: str, dims: ModelDims, seed: int, zeroed=()) -> dict:
     """The component's arrays, each uniform in +-1/sqrt(fan-in), drawn in
     layout order from one generator; ``zeroed`` keys are zeros, not drawn.
     An array too large to allocate is a ``DataError`` naming it."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     arrays = {}
     for key, (shape, fan_in) in _layouts(dims)[component].items():
         try:
@@ -164,14 +170,14 @@ def init_discriminator(dims: ModelDims, seed: int) -> ComponentParams:
     return ComponentParams("discriminator", _draw("discriminator", dims, seed))
 
 
-def init_refine(dims: ModelDims, seed: int, identity: bool = True) -> ComponentParams:
+def init_refine(dims: ModelDims, seed: int) -> ComponentParams:
     """Refinement transform parameters.
 
-    With identity=True the output layer starts at zero, so the transform is
-    exactly the identity map at step 0 (the residual path carries the input
-    through unchanged).
+    The output layer starts at zero, so the transform is exactly the
+    identity map at step 0 (the residual path carries the input through
+    unchanged).
     """
-    arrays = _draw("refine", dims, seed, ("w2", "b2") if identity else ())
+    arrays = _draw("refine", dims, seed, ("w2", "b2"))
     return ComponentParams("refine", {k: arrays[k] for k in ("w1", "b1", "w2", "b2")})
 
 
@@ -424,98 +430,29 @@ def load_checkpoint(path):
     return components, doc.get("meta", {})
 
 
-# -- gradient verification ---------------------------------------------
-
-
-def _probe_setup(component: str, seed: int, dims: ModelDims):
-    """Build params, a forward closure, and a scalar probe loss."""
-    rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63))
-    lengths = [3, 2]
-    if component in ("E_p", "E_s"):
-        params = init_encoder(dims, seed)
-        frames = rng.normal(size=(sum(lengths), dims.feature_dim))
-        target = rng.normal(size=(len(lengths), dims.embed_dim))
-
-        def forward(pt):
-            return encoder_forward(pt, frames, lengths)
-
-    elif component == "Dec":
-        params = init_decoder(dims, seed)
-        v_p = rng.normal(size=(len(lengths), dims.embed_dim))
-        v_s = rng.normal(size=(len(lengths), dims.embed_dim))
-        target = rng.normal(size=(sum(lengths), dims.feature_dim))
-
-        def forward(pt):
-            return decoder_forward(pt, v_p, v_s, lengths)
-
-    elif component == "D_s":
-        params = init_discriminator(dims, seed)
-        v_a = rng.normal(size=(3, dims.embed_dim))
-        v_b = rng.normal(size=(3, dims.embed_dim))
-        target = rng.normal(size=3)
-
-        def forward(pt):
-            return ad.sigmoid(discriminator_forward(pt, v_a, v_b))
-
-    elif component == "refine":
-        params = init_refine(dims, seed, identity=False)
-        v = rng.normal(size=(3, dims.embed_dim))
-        target = rng.normal(size=(3, dims.embed_dim))
-
-        def forward(pt):
-            return refine_forward(pt, v)
-
-    else:
-        raise DataError(f"unknown component {component!r}")
-
-    def loss(pt):
-        return ad.tmean(ad.square(forward(pt) - ad.constant(target)))
-
-    return params, loss
-
-
-def gradient_check(
-    component: str,
-    seed: int,
-    dims: ModelDims | None = None,
-    fd_step: float = 1e-5,
-) -> float:
-    """Compare analytic gradients of a probe loss against central finite
-    differences over every parameter entry; return the max relative error.
-    """
-    if dims is None:
-        dims = ModelDims(
-            feature_dim=4, embed_dim=6, enc_hidden=5, dec_hidden=5,
-            disc_hidden=5, refine_hidden=5,
-        )
-    params, loss_fn = _probe_setup(component, seed, dims)
-    return _max_fd_error(params, loss_fn, fd_step)
-
-
-def _max_fd_error(params: ComponentParams, loss_fn, fd_step: float = 1e-5) -> float:
-    """Max relative error between the tape's gradients of the scalar
-    ``loss_fn(tensors)`` and central finite differences, over every entry
-    of ``params``."""
-    tensors = params.tensors(requires_grad=True)
-    loss_fn(tensors).backward()
-    analytic = {k: t.grad for k, t in tensors.items()}
-
-    def eval_loss(arrays):
-        return loss_fn({k: Tensor(a) for k, a in arrays.items()}).item()
-
-    worst = 0.0
-    arrays = {k: a.copy() for k, a in params.arrays.items()}
-    for key, arr in arrays.items():
-        flat = arr.ravel()
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + fd_step
-            up = eval_loss(arrays)
-            flat[idx] = original - fd_step
-            down = eval_loss(arrays)
-            flat[idx] = original
-            numeric = (up - down) / (2.0 * fd_step)
-            a = analytic[key].ravel()[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+def load_components(path, kind: str, names: dict):
+    """Components and dims of a checkpoint that must be of ``kind`` and
+    hold every component in ``names`` (checkpoint name -> layout
+    component), each with the arrays, and array shapes, of that component's
+    layout for the meta dims. Nothing is allocated for the check."""
+    components, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} checkpoint")
+    missing = [name for name in names if name not in components]
+    if missing:
+        raise ParseError(f"{path}: missing components {missing}")
+    try:
+        dims = ModelDims(**meta["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: invalid model dims: {exc}") from exc
+    layouts = _layouts(dims)
+    for name, component in names.items():
+        expected = {key: shape for key, (shape, _) in layouts[component].items()}
+        found = {key: arr.shape for key, arr in components[name].arrays.items()}
+        for key in sorted(expected.keys() | found.keys()):
+            want, got = expected.get(key, "no array"), found.get(key, "no array")
+            if want != got:
+                raise ParseError(
+                    f"{path}: {name}.{key}: expected shape {want}, found {got}"
+                )
+    return components, dims

@@ -27,6 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericError
+from .seeding import seeded_rng
+
+__all__ = [
+    "DistanceCounter", "PairSets", "knn_graph_pairs", "pairwise_distances",
+    "topk_global_pairs",
+]
 
 
 class DistanceCounter:
@@ -187,7 +193,7 @@ def topk_global_pairs(
     if (np.diff(pair_dist[order]) == 0).any():
         # a stable sort keeps equal distances in row-major (i, j) order
         order = np.argsort(pair_dist, kind="stable")
-    pick = np.random.default_rng(seed).choice(total - k, size=k, replace=False)
+    pick = seeded_rng(seed).choice(total - k, size=k, replace=False)
     return PairSets(pairs[order[:k]], pairs[order[k:][np.sort(pick)]])
 
 

@@ -14,15 +14,16 @@ import numpy as np
 
 from . import _trainer
 from . import autodiff as ad
-from ._trainer import (  # noqa: F401 (public API)
-    DisentangledModel,
-    RefineModel,
-    load_refine_model,
-    save_refine_model,
-)
+from . import neuralcore as nc
+from ._trainer import DisentangledModel, RefineModel
 from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .pairmine import PairSets
+
+__all__ = [
+    "RefineModel", "SiameseConfig", "contrastive_loss", "embed_corpus",
+    "train_joint", "train_refine",
+]
 
 MINING_MODES = ("topk_global", "knn_graph")
 
@@ -99,4 +100,30 @@ def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
     is how the model was trained); variant d additionally applies the
     refinement transform.
     """
-    return _trainer.embed_entries(model, corpus, variant, refine)
+    if variant not in ("a", "b", "c", "d"):
+        raise ConfigError(f"unknown embedding variant {variant!r}")
+    if variant == "d" and refine is None:
+        raise ConfigError("variant d requires refinement parameters")
+    if variant == "d" and refine.dims.embed_dim != model.dims.embed_dim:
+        raise ConfigError(
+            f"refinement expects embed_dim {refine.dims.embed_dim}, "
+            f"model has {model.dims.embed_dim}"
+        )
+    order = sorted(range(len(corpus)), key=lambda i: corpus[i].segment_id)
+    vectors = _trainer.compute_embeddings(model, corpus, "phonetic", order)
+    if variant == "d":
+        vectors = nc.refine_forward(refine.params.tensors(), vectors).data
+    return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]
+
+
+def save_refine_model(path, refine: RefineModel, extra_meta: dict | None = None):
+    """Write a refinement transform as a single checkpoint document."""
+    meta = {"kind": "refine", "dims": vars(refine.dims).copy()}
+    meta.update(extra_meta or {})
+    nc.save_checkpoint(path, {"refine": refine.params}, meta)
+
+
+def load_refine_model(path) -> RefineModel:
+    """Inverse of ``save_refine_model``, checked like ``load_model``."""
+    components, dims = nc.load_components(path, "refine", {"refine": "refine"})
+    return RefineModel(dims, components["refine"])

@@ -18,6 +18,8 @@ from segembed.evalcluster import write_accuracy_curve_csv, write_cosine_gap_csv
 from segembed.evalstd import write_map_csv
 from segembed.pairmine import DistanceCounter
 
+from gradcheck import gradient_check
+
 # -- shared experiment configuration (desk-scale) ---------------------------
 
 SYNTH = dict(
@@ -57,7 +59,7 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for component in ("E_p", "E_s", "Dec", "D_s", "refine"):
         for seed in (0, 1, 2):
-            worst = max(worst, se.gradient_check(component, seed))
+            worst = max(worst, gradient_check(component, seed))
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 10.0
     report(1, ok, f"max relative gradient error {worst:.2e} in {elapsed:.1f}s")

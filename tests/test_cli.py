@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segembed._trainer import DisentangledModel, RefineModel, save_model, save_refine_model
 from segembed.cli import main
 from segembed.config import parse_config
+from segembed.disentangle import DisentangledModel, save_model
 from segembed.errors import ConfigError
 from segembed.neuralcore import (
     ENCODER_MODES,
@@ -22,6 +22,7 @@ from segembed.neuralcore import (
     init_encoder,
     init_refine,
 )
+from segembed.siamese import RefineModel, save_refine_model
 
 
 class TestParseConfig:

@@ -456,9 +456,13 @@ class TestConfusionMatrix:
         with pytest.raises(DataError):
             confusion_matrix([], [], ("A",), 1)
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(DataError):
-            confusion_matrix(["C"], [0], ("A", "B"), 1)
+    @pytest.mark.parametrize(
+        "label", ["C", ["a"], {"a": 1}, ("a", ["b"])],
+        ids=["str", "list", "dict", "unhashable_tuple"],
+    )
+    def test_unknown_label_rejected(self, label):
+        with pytest.raises(DataError, match=re.escape(f"unknown label {label!r}")):
+            confusion_matrix(["A", label], [0, 0], ("A", "B"), 1)
 
     def test_unknown_label_before_a_bad_cluster_id_is_reported_first(self):
         with pytest.raises(DataError, match="unknown label 'C'"):

@@ -18,12 +18,10 @@ from segembed.neuralcore import (
     ENCODER_MODES,
     ComponentParams,
     ModelDims,
-    _max_fd_error,
     decoder_forward,
     encode,
     encoder_forward,
     grad_step,
-    gradient_check,
     init_decoder,
     init_discriminator,
     init_encoder,
@@ -33,6 +31,8 @@ from segembed.neuralcore import (
     refine_forward,
     save_checkpoint,
 )
+
+from gradcheck import gradient_check, max_fd_error, random_refine
 
 DIMS = ModelDims(feature_dim=39, embed_dim=256, enc_hidden=16, dec_hidden=16,
                  disc_hidden=128, refine_hidden=16)
@@ -173,7 +173,7 @@ class TestBatchedRecurrence:
             out = encoder_forward(pt, frames, lengths)
             return ad.tmean(ad.square(out - target))
 
-        assert _max_fd_error(params, loss) < 1e-4
+        assert max_fd_error(params, loss) < 1e-4
 
 
 class TestDecoder:
@@ -222,12 +222,12 @@ class TestDiscriminator:
 
 class TestRefine:
     def test_identity_at_init(self):
-        params = init_refine(DIMS, seed=3, identity=True)
+        params = init_refine(DIMS, seed=3)
         v = RNG.normal(size=(4, 256))
         assert np.array_equal(refine_forward(params.tensors(), v).data, v)
 
     def test_shape_and_determinism(self):
-        params = init_refine(DIMS, seed=3, identity=False)
+        params = random_refine(DIMS, seed=3)
         v = RNG.normal(size=(4, 256))
         z = refine_forward(params.tensors(), v).data
         assert z.shape == (4, 256)

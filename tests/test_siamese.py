@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segembed import autodiff as ad
-from segembed._trainer import RefineModel, contrastive_graph
+from segembed._trainer import contrastive_graph
 from segembed.corpus import SynthConfig, synth_corpus
 from segembed.disentangle import DisentangleConfig, train_disentangle
 from segembed.errors import ConfigError, DataError
 from segembed.neuralcore import init_refine, refine_forward
 from segembed.pairmine import PairSets
 from segembed.siamese import (
+    RefineModel,
     SiameseConfig,
     contrastive_loss,
     embed_corpus,
@@ -237,7 +238,7 @@ class TestEmbedCorpus:
     def test_identity_refine_reproduces_variant_b(self):
         corpus = _corpus()
         model, _ = train_disentangle(corpus, _cfg_d(epochs=2))
-        fresh = RefineModel(model.dims, init_refine(model.dims, seed=9, identity=True))
+        fresh = RefineModel(model.dims, init_refine(model.dims, seed=9))
         b_entries = embed_corpus(model, corpus, "b")
         d_entries = embed_corpus(model, corpus, "d", fresh)
         for (sb, vb), (sd, vd) in zip(b_entries, d_entries):
@@ -269,7 +270,7 @@ class TestEmbedCorpus:
             assert s1 == s2 and np.array_equal(v1, v2)
 
     def test_default_dims_produce_length_256_vectors(self):
-        from segembed._trainer import DisentangledModel
+        from segembed.disentangle import DisentangledModel
         from segembed.corpus import SynthConfig, synth_corpus
         from segembed.neuralcore import (
             ModelDims, init_decoder, init_discriminator, init_encoder,
