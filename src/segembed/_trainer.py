@@ -1,10 +1,14 @@
 """Shared training engine behind the disentangle and siamese modules.
 
-Builds per-batch autodiff graphs from the neuralcore forwards, mines pairs
-on detached embeddings, and applies the seeded optimizer. Every random draw
-comes from a generator derived from (config seed, step tag), so skipping an
-optional loss term never shifts any other stream: a joint run with zero
-contrastive weight is bit-identical to plain disentanglement training.
+Builds per-batch autodiff graphs from the neuralcore forwards (the
+``pool`` encoders, the decoder and the discriminator are one tape node
+each; the losses and the adversarial pair gathering stay fine-grained),
+runs one ``backward()`` per update, mines pairs on detached embeddings, and
+applies the seeded optimizer to each component's flat gradient vector.
+Every random draw comes from a generator derived from (config seed, step
+tag), so skipping an optional loss term never shifts any other stream: a
+joint run with zero contrastive weight is bit-identical to plain
+disentanglement training.
 """
 
 import math
@@ -154,13 +158,6 @@ def mine_pairs(vectors: np.ndarray, cfg_s, epoch: int, batch_index: int,
 # -- training loops ----------------------------------------------------------
 
 
-def _grads(tensors: dict) -> dict:
-    return {
-        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for k, t in tensors.items()
-    }
-
-
 def _finite(value: float, term: str, where: str) -> float:
     """``value`` of one loss term, or a NumericError naming where it failed."""
     if not math.isfinite(value):
@@ -168,11 +165,11 @@ def _finite(value: float, term: str, where: str) -> float:
     return value
 
 
-def _step(params, tensors: dict, state, component: str, where: str):
-    """``nc.grad_step`` on the tape's gradients; a NumericError gains the
-    epoch, batch and component it happened in."""
+def _step(params, grad, state, component: str, where: str):
+    """``nc.grad_step`` on the flat gradient vector ``grad``; a
+    NumericError gains the epoch, batch and component it happened in."""
     try:
-        return nc.grad_step(params, _grads(tensors), state)
+        return nc.grad_step(params, grad, state)
     except NumericError as exc:
         raise NumericError(f"{where}, component {component}: {exc}") from exc
 
@@ -226,8 +223,9 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                 if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
                     spk_pairs = speaker_pairs(spk)
 
-                ep_t = e_p.tensors(requires_grad=True)
-                v_p = nc.encoder_forward(ep_t, frames, lengths)
+                # one gradient vector per component, laid out like its flat
+                g_p, g_s, g_dec = (np.zeros_like(c.flat) for c in (e_p, e_s, dec))
+                v_p = nc.encoder_forward(e_p, frames, lengths, g_p)
 
                 if cfg.alpha_adv > 0:
                     rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
@@ -235,20 +233,19 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                         spk_pairs, len(batch.indices), rng
                     )
                     ia, ib = pair_idx[:, 0], pair_idx[:, 1]
-                    # the discriminator steps see v_p as constants
+                    # the discriminator steps see the pairs of v_p as constants
+                    pair_rows = np.concatenate([v_p.data[ia], v_p.data[ib]], axis=1)
                     for _ in range(cfg.disc_steps):
-                        dt = d_s.tensors(requires_grad=True)
-                        logits = nc.discriminator_forward(dt, v_p.data[ia], v_p.data[ib])
+                        g_d = np.zeros_like(d_s.flat)
+                        logits = nc.discriminator_forward(d_s, pair_rows, g_d)
                         disc_loss = bce_graph(logits, same_flags)
                         disc_value = _finite(disc_loss.item(), "disc", where)
                         disc_loss.backward()
-                        d_s, opt["D_s"] = _step(d_s, dt, opt["D_s"], "D_s", where)
+                        d_s, opt["D_s"] = _step(d_s, g_d, opt["D_s"], "D_s", where)
                     sums["disc"] += disc_value
 
-                es_t = e_s.tensors(requires_grad=True)
-                dec_t = dec.tensors(requires_grad=True)
-                v_s = nc.encoder_forward(es_t, frames, lengths)
-                x_rec = nc.decoder_forward(dec_t, v_p, v_s, lengths)
+                v_s = nc.encoder_forward(e_s, frames, lengths, g_s)
+                x_rec = nc.decoder_forward(dec, v_p, v_s, lengths, g_dec)
 
                 loss = recon_graph(x_rec, frames, lengths)
                 sums["recon"] += _finite(loss.item(), "recon", where)
@@ -257,10 +254,8 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                     sums["spk"] += _finite(spk_loss.item(), "spk", where)
                     loss = loss + cfg.alpha_spk * spk_loss
                 if cfg.alpha_adv > 0 and epoch >= cfg.disc_warmup_epochs:
-                    logits = nc.discriminator_forward(
-                        d_s.tensors(), ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)
-                    )
-                    adv_loss = bce_graph(logits, 1.0 - same_flags)
+                    pairs_p = ad.concat([ad.take_rows(v_p, ia), ad.take_rows(v_p, ib)], axis=1)
+                    adv_loss = bce_graph(nc.discriminator_forward(d_s, pairs_p), 1.0 - same_flags)
                     sums["adv"] += _finite(adv_loss.item(), "adv", where)
                     loss = loss + cfg.alpha_adv * adv_loss
                 if joint:
@@ -272,9 +267,9 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                     loss = loss + cfg_s.gamma * c_loss
 
                 loss.backward()
-                e_p, opt["E_p"] = _step(e_p, ep_t, opt["E_p"], "E_p", where)
-                e_s, opt["E_s"] = _step(e_s, es_t, opt["E_s"], "E_s", where)
-                dec, opt["Dec"] = _step(dec, dec_t, opt["Dec"], "Dec", where)
+                e_p, opt["E_p"] = _step(e_p, g_p, opt["E_p"], "E_p", where)
+                e_s, opt["E_s"] = _step(e_s, g_s, opt["E_s"], "E_s", where)
+                dec, opt["Dec"] = _step(dec, g_dec, opt["Dec"], "Dec", where)
 
             n_b = len(batches)
             row = {
@@ -319,14 +314,14 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
                 where = f"epoch {epoch + 1}, batch {bi + 1}"
                 v_batch = frozen[list(batch.indices)]
                 pairs = mine_pairs(v_batch, cfg_s, epoch, bi, counter)
-                rt = params.tensors(requires_grad=True)
-                z = nc.refine_forward(rt, v_batch)
+                grad = np.zeros_like(params.flat)
+                z = nc.refine_forward(params, v_batch, grad)
                 loss = contrastive_graph(z, pairs, cfg_s.margin)
                 total += _finite(loss.item(), "contrastive", where)
                 pos_pairs += len(pairs.positives)
                 neg_pairs += len(pairs.negatives)
                 loss.backward()
-                params, opt = _step(params, rt, opt, "refine", where)
+                params, opt = _step(params, grad, opt, "refine", where)
             rows.append(
                 {
                     "epoch": epoch + 1,
@@ -357,5 +352,5 @@ def compute_embeddings(model: DisentangledModel, corpus: Corpus,
     for start in range(0, len(segments), EMBED_CHUNK):
         chunk = segments[start : start + EMBED_CHUNK]
         frames, lengths = nc.pack_sequences([s.features for s in chunk])
-        out.append(nc.encoder_forward(encoder.tensors(), frames, lengths).data)
+        out.append(nc.encoder_forward(encoder, frames, lengths).data)
     return np.concatenate(out, axis=0)

@@ -1,15 +1,15 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Just enough machinery for the encoders, decoder, discriminator, refinement
-transform, and their losses: a taped Tensor wrapper with broadcasting-aware
+Just enough machinery for the training losses, the recurrent encoder and
+the refinement transform: a taped Tensor wrapper with broadcasting-aware
 elementwise ops, matmul, a few nonlinearities, reductions, concatenation,
-row gathering and slicing, and three batch layers that cost linear time in
-the frames or pairs of a batch: ``segment_mean`` and ``repeat_rows`` (pool
-and expand runs of consecutive rows with ``np.add.reduceat``/``np.repeat``)
-and ``pair_sq_dists`` (squared distances over a (P, 2) pair array, one
-node, whose backward is the graph-Laplacian product of the weighted pair
-graph and so takes one batch of rows: see its docstring). All gradients are
-checked against central finite differences in the test suite.
+row gathering and slicing, and one batch layer, ``pair_sq_dists`` (squared
+distances over a (P, 2) pair array, one node, whose backward is the
+graph-Laplacian product of the weighted pair graph and so takes one batch
+of rows: see its docstring). ``neuralcore`` adds coarse nodes of its own:
+a ``Tensor`` built with ``_parents`` and a hand-written ``_backward``
+(the ``pool`` encoder, the decoder and the discriminator). All gradients
+are checked against central finite differences in the test suite.
 
 ``backward()`` consumes the graph it runs through: each non-leaf node
 drops its parents and backward closure once its gradient has passed to its
@@ -20,7 +20,10 @@ writes any gradient. Leaves keep their gradients and may start new graphs.
 
 A node's first incoming gradient is stored as a copy (copy on first
 write), so no two nodes ever share a gradient buffer; later gradients are
-added to it in place. Row gathering scatters its gradient back in one
+added to it in place. A leaf may be given a zeroed gradient buffer before
+backward (``ComponentParams.tensors`` hands each parameter leaf its view of
+the component's flat gradient vector); its gradients are then all added
+into that buffer. Row gathering scatters its gradient back in one
 ``np.bincount`` pass, which sums in the same order as ``np.add.at``; a row
 slice adds its gradient into its own rows only.
 """
@@ -344,43 +347,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             a.grad[start:stop] += g
-
-    out._backward = backward
-    return out
-
-
-def _run_starts(lengths: np.ndarray) -> np.ndarray:
-    return np.cumsum(lengths) - lengths
-
-
-def segment_mean(a, lengths) -> Tensor:
-    """Mean of each run of ``lengths[k]`` consecutive rows of the 2-D ``a``
-    -> one row per run. Every length must be >= 1 and the lengths must sum
-    to the row count: ``np.add.reduceat`` gives ``a[start]``, not 0, for an
-    empty run."""
-    a = as_tensor(a)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    n = lengths[:, None]
-    out = Tensor(np.add.reduceat(a.data, _run_starts(lengths), axis=0) / n, _parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.repeat(g / n, lengths, axis=0))
-
-    out._backward = backward
-    return out
-
-
-def repeat_rows(a, lengths) -> Tensor:
-    """Row k of ``a`` repeated ``lengths[k]`` times, in row order; the
-    lengths must be >= 1, one per row (see ``segment_mean``)."""
-    a = as_tensor(a)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    out = Tensor(np.repeat(a.data, lengths, axis=0), _parents=(a,))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.add.reduceat(g, _run_starts(lengths), axis=0))
 
     out._backward = backward
     return out

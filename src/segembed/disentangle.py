@@ -17,7 +17,7 @@ from . import neuralcore as nc
 from ._trainer import DisentangledModel, effective_speakers
 from .corpus import Corpus, write_csv
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .seeding import rng_for
+from .seeding import check_integer_fields, rng_for
 
 __all__ = [
     "DisentangleConfig", "DisentangledModel", "adversarial_loss", "discriminator_loss",
@@ -52,6 +52,9 @@ class DisentangleConfig:
     drop_last: bool = True
 
     def __post_init__(self):
+        check_integer_fields(
+            self, ("seed", "epochs", "batch_size", "disc_steps", "disc_warmup_epochs")
+        )
         if self.epochs < 1 or self.batch_size < 2 or self.disc_steps < 1:
             raise ConfigError("epochs >= 1, batch_size >= 2, disc_steps >= 1 required")
         if not self.margin > 0:  # NaN fails too
@@ -208,6 +211,6 @@ def linear_probe_accuracy(vectors, labels, seed: int,
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = x_train.T @ (p - onehot) / len(train_idx)
-        params, opt = nc.grad_step(params, {"w": g}, opt)
+        params, opt = nc.grad_step(params, g.ravel(), opt)
     pred = np.argmax(x_test @ params.arrays["w"], axis=1)
     return float(np.mean(pred == y[test_idx]))

@@ -4,27 +4,32 @@ Five components: phonetic encoder, speaker encoder, decoder, speaker
 discriminator, and the refinement transform. Each component's arrays are
 written down once, in one layout table (key -> shape and fan-in, in draw
 order): the initializers draw from it and the checkpoint loader checks
-shapes against it without building a model. Forward passes are built on
-the autodiff tape; batched forms concatenate all frames of a batch, pool
-each segment's frames with ``segment_mean`` and repeat each segment's
-vectors over its frames with ``repeat_rows``, so a batch costs a few tape
-nodes and linear time in its frames; the position column is built with
-``np.repeat``/``arange`` rather than a loop over segments. ``encode`` (one
-segment) is the only single-input operation. Each component's parameters
+shapes against it without building a model. Each component's parameters
 are views into one contiguous float64 vector, so the package's one
 optimizer (Adam) checks and updates a component with a few whole-vector
 operations. Also houses checkpoint serialization, and the check of a
 loaded checkpoint's components against their layouts.
 
-Default encoder: per-frame affine + tanh, temporal mean pooling, affine to
-the embedding dimension. A unidirectional recurrent encoder is available as
-``encoder_mode="rnn"``; the forward passes read the kind from the
-parameters (an ``rnn`` encoder has a ``w_rec`` array). It projects all
-frames of a batch in one product, gathers that projection once in
-time-major order, then advances every segment together, one time step at a
-time with the rows ordered longest first and each step's inputs one
-contiguous block, so a batch costs a few tape nodes per step (max T steps)
-rather than several per frame.
+Forward passes take a batch packed as all frames of its segments and the
+segments' lengths. The ``pool`` encoder (per-frame affine + tanh, temporal
+mean pooling, affine to the embedding dimension), the decoder and the
+discriminator are each one tape node: the forward is plain numpy and the
+backward is derived by hand, repeating the fine-grained tape's arithmetic
+expression for expression, so the gradients are the same bits (Baydin et
+al., JMLR 2018: coarse primitives with hand-written adjoints inside a
+reverse-mode tape). A forward given ``grad``, a float64 vector laid out
+like ``ComponentParams.flat``, adds each parameter's gradient into its
+view of that vector, and ``grad_step`` reads it as it is; without it the
+parameters are constants. The recurrent encoder (``encoder_mode="rnn"``)
+and the refinement transform stay on the fine-grained tape: their
+parameter leaves start with their views of ``grad`` as gradient buffers.
+
+The encoder kind is read from the parameters (an ``rnn`` encoder has a
+``w_rec`` array). It projects all frames of a batch in one product,
+gathers that projection once in time-major order, then advances every
+segment together, one time step at a time with the rows ordered longest
+first and each step's inputs one contiguous block, so a batch costs a few
+tape nodes per step (max T steps) rather than several per frame.
 """
 
 import json
@@ -74,12 +79,23 @@ class ModelDims:
             raise DataError(f"unknown encoder_mode {self.encoder_mode!r}")
 
 
+def _split(flat: np.ndarray, shapes: dict) -> dict:
+    """``flat`` as consecutive views of the given shapes, in key order."""
+    views, offset = {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 class ComponentParams:
     """Named float64 parameter arrays for one component.
 
     All arrays live in one contiguous vector, ``flat``, in key order;
     ``arrays`` maps each name to its view into it. The optimizer updates a
-    component with a few operations over ``flat``.
+    component with a few operations over ``flat``, and a gradient is one
+    vector with the same layout.
     """
 
     def __init__(self, name: str, arrays: dict):
@@ -88,12 +104,7 @@ class ComponentParams:
         self._bind(name, flat, {k: a.shape for k, a in arrays.items()})
 
     def _bind(self, name: str, flat: np.ndarray, shapes: dict) -> None:
-        self.name, self.flat, self.arrays = name, flat, {}
-        offset = 0
-        for key, shape in shapes.items():
-            size = math.prod(shape)
-            self.arrays[key] = flat[offset : offset + size].reshape(shape)
-            offset += size
+        self.name, self.flat, self.arrays = name, flat, _split(flat, shapes)
         if not np.isfinite(flat).all():
             key = next(k for k, a in self.arrays.items() if not np.isfinite(a).all())
             raise NumericError(f"{name}.{key}: non-finite parameter values")
@@ -104,10 +115,20 @@ class ComponentParams:
         new._bind(self.name, flat, {k: a.shape for k, a in self.arrays.items()})
         return new
 
-    def tensors(self, requires_grad: bool = False) -> dict:
-        return {
-            k: Tensor(v, requires_grad=requires_grad) for k, v in self.arrays.items()
-        }
+    def views(self, flat: np.ndarray) -> dict:
+        """``flat``, a vector laid out like ``self.flat`` (a gradient), as
+        one view per key."""
+        return _split(flat, {k: a.shape for k, a in self.arrays.items()})
+
+    def tensors(self, grad: np.ndarray | None = None) -> dict:
+        """The arrays as tape leaves. Given ``grad``, a vector laid out like
+        ``flat``, each leaf requires a gradient and starts with its view of
+        ``grad`` as its gradient buffer, so backward adds into ``grad``."""
+        leaves = {k: Tensor(a, requires_grad=grad is not None) for k, a in self.arrays.items()}
+        if grad is not None:
+            for leaf, buffer in zip(leaves.values(), self.views(grad).values()):
+                leaf.grad = buffer
+        return leaves
 
     def __repr__(self):
         shapes = {k: v.shape for k, v in self.arrays.items()}
@@ -181,7 +202,7 @@ def init_refine(dims: ModelDims, seed: int) -> ComponentParams:
     return ComponentParams("refine", {k: arrays[k] for k in ("w1", "b1", "w2", "b2")})
 
 
-# -- batched forward passes (tape-building) ------------------------------
+# -- batched forward passes ----------------------------------------------
 
 
 def pack_sequences(xs):
@@ -237,32 +258,84 @@ def _check_lengths(lengths, what: str) -> np.ndarray:
     return lengths
 
 
-def encoder_forward(pt: dict, frames, lengths) -> Tensor:
+def _mlp(arrays: dict, x: np.ndarray):
+    """Two tanh layers and an affine output layer (decoder, discriminator)
+    on the rows of ``x`` -> (h1, h2, output)."""
+    h1 = np.tanh(x @ arrays["w1"] + arrays["b1"])
+    h2 = np.tanh(h1 @ arrays["w2"] + arrays["b2"])
+    return h1, h2, h2 @ arrays["w_out"] + arrays["b_out"]
+
+
+def _affine_tanh_backward(g, x, h, grads, keys):
+    """For ``h = tanh(x @ w + b)`` and the gradient ``g`` of ``h``: add the
+    gradients of ``w`` and ``b`` into ``grads[keys]`` (unless the parameters
+    are constants, ``grads`` None) and return the gradient of the affine
+    output, as the tape's tanh, add and matmul nodes compute them."""
+    g = g * (1.0 - h * h)
+    if grads is not None:
+        grads[keys[1]] += g.sum(axis=0)
+        grads[keys[0]] += x.T @ g
+    return g
+
+
+def _mlp_backward(arrays, grads, x, h1, h2, g, input_grad: bool):
+    """Backward of ``_mlp`` for the output gradient ``g``: parameter
+    gradients into ``grads`` (None: constants), and the gradient of ``x``
+    if ``input_grad``, else None."""
+    if grads is not None:
+        grads["b_out"] += g.sum(axis=0)
+        grads["w_out"] += h2.T @ g
+    g = _affine_tanh_backward(g @ arrays["w_out"].T, h1, h2, grads, ("w2", "b2"))
+    g = _affine_tanh_backward(g @ arrays["w2"].T, x, h1, grads, ("w1", "b1"))
+    return g @ arrays["w1"].T if input_grad else None
+
+
+def _pool_node(params: ComponentParams, frames: np.ndarray, lengths: np.ndarray, grad):
+    """The ``pool`` encoder as one tape node (see ``encoder_forward``)."""
+    n, starts = lengths[:, None], np.cumsum(lengths) - lengths
+    arrays = params.arrays
+    h = np.tanh(frames @ arrays["w_in"] + arrays["b_in"])
+    pooled = np.add.reduceat(h, starts, axis=0) / n
+    grads = None if grad is None else params.views(grad)
+
+    def backward(g):
+        grads["b_out"] += g.sum(axis=0)
+        grads["w_out"] += pooled.T @ g
+        g_h = np.repeat((g @ arrays["w_out"].T) / n, lengths, axis=0)
+        _affine_tanh_backward(g_h, frames, h, grads, ("w_in", "b_in"))
+
+    out = pooled @ arrays["w_out"] + arrays["b_out"]
+    return Tensor(out, requires_grad=grad is not None, _backward=backward)
+
+
+def encoder_forward(params: ComponentParams, frames, lengths, grad=None) -> Tensor:
     """Encode a packed batch -> (B, d) embedding tensor.
 
-    The encoder is ``rnn`` if its parameters hold ``w_rec``, else ``pool``.
-    ``lengths`` are the segments' frame counts, in row order; each must be
-    >= 1 and they must sum to the number of frame rows (``DataError``).
+    The encoder is ``rnn`` if its parameters hold ``w_rec``, else ``pool``
+    (one tape node). ``lengths`` are the segments' frame counts, in row
+    order; each must be >= 1 and they must sum to the number of frame rows
+    (``DataError``). ``grad``: see the module docstring.
     """
-    frames = ad.as_tensor(frames)
+    frames = np.asarray(frames, dtype=np.float64)
     lengths = _check_lengths(lengths, "encoder")
     if lengths.sum() != frames.shape[0]:
         raise DataError(
             f"encoder: segment lengths sum to {lengths.sum()}, "
             f"but the batch has {frames.shape[0]} frame rows"
         )
-    if "w_rec" in pt:
-        pooled = _rnn_final_states(pt, frames, lengths)
-    else:
-        pooled = ad.segment_mean(ad.tanh(frames @ pt["w_in"] + pt["b_in"]), lengths)
-    return pooled @ pt["w_out"] + pt["b_out"]
+    if "w_rec" not in params.arrays:
+        return _pool_node(params, frames, lengths, grad)
+    pt = params.tensors(grad)
+    return _rnn_final_states(pt, Tensor(frames), lengths) @ pt["w_out"] + pt["b_out"]
 
 
-def decoder_forward(pt: dict, v_p, v_s, lengths) -> Tensor:
-    """Reconstruct a packed batch -> (sum T, F) tensor.
+def decoder_forward(params: ComponentParams, v_p, v_s, lengths, grad=None) -> Tensor:
+    """Reconstruct a packed batch -> (sum T, F) tensor; one tape node with
+    parents ``v_p`` and ``v_s``.
 
     ``lengths`` are the segments' frame counts, one per row of ``v_p`` and
-    ``v_s``; each must be >= 1 (``DataError``).
+    ``v_s``; each must be >= 1 (``DataError``). ``grad``: see the module
+    docstring.
     """
     v_p, v_s = ad.as_tensor(v_p), ad.as_tensor(v_s)
     lengths = _check_lengths(lengths, "decoder")
@@ -271,29 +344,51 @@ def decoder_forward(pt: dict, v_p, v_s, lengths) -> Tensor:
             f"decoder: {len(lengths)} segment lengths for "
             f"{v_p.shape[0]} v_p and {v_s.shape[0]} v_s rows"
         )
-    inputs = ad.concat(
+    # input rows [v_p; v_s; position], each segment's vectors over its frames
+    x = np.concatenate(
         [
-            ad.repeat_rows(v_p, lengths),
-            ad.repeat_rows(v_s, lengths),
-            ad.constant(_position_column(lengths)),
+            np.repeat(v_p.data, lengths, axis=0),
+            np.repeat(v_s.data, lengths, axis=0),
+            _position_column(lengths),
         ],
         axis=1,
     )
-    h1 = ad.tanh(inputs @ pt["w1"] + pt["b1"])
-    h2 = ad.tanh(h1 @ pt["w2"] + pt["b2"])
-    return h2 @ pt["w_out"] + pt["b_out"]
+    h1, h2, out = _mlp(params.arrays, x)
+    grads = None if grad is None else params.views(grad)
+    starts, d_p = np.cumsum(lengths) - lengths, v_p.shape[1]
+
+    def backward(g):
+        g_x = _mlp_backward(params.arrays, grads, x, h1, h2, g,
+                            v_p.requires_grad or v_s.requires_grad)
+        for v, cols in ((v_p, slice(0, d_p)), (v_s, slice(d_p, d_p + v_s.shape[1]))):
+            if v.requires_grad:
+                v._accumulate(np.add.reduceat(g_x[:, cols], starts, axis=0))
+
+    return Tensor(out, requires_grad=grad is not None, _parents=(v_p, v_s), _backward=backward)
 
 
-def discriminator_forward(pt: dict, v_a, v_b) -> Tensor:
-    """Pairs of phonetic vectors -> (P,) logits tensor."""
-    inputs = ad.concat([ad.as_tensor(v_a), ad.as_tensor(v_b)], axis=1)
-    h1 = ad.tanh(inputs @ pt["w1"] + pt["b1"])
-    h2 = ad.tanh(h1 @ pt["w2"] + pt["b2"])
-    return ad.tsum(h2 @ pt["w_out"] + pt["b_out"], axis=1)
+def discriminator_forward(params: ComponentParams, pairs, grad=None) -> Tensor:
+    """(P, 2d) rows ``[v_a, v_b]`` of phonetic vector pairs -> (P,) logits
+    tensor; one tape node with parent ``pairs``. ``grad``: see the module
+    docstring."""
+    pairs = ad.as_tensor(pairs)
+    h1, h2, out = _mlp(params.arrays, pairs.data)
+    grads = None if grad is None else params.views(grad)
+
+    def backward(g):
+        g_x = _mlp_backward(params.arrays, grads, pairs.data, h1, h2, g.reshape(-1, 1),
+                            pairs.requires_grad)
+        if pairs.requires_grad:
+            pairs._accumulate(g_x)
+
+    return Tensor(out.sum(axis=1), requires_grad=grad is not None, _parents=(pairs,),
+                  _backward=backward)
 
 
-def refine_forward(pt: dict, v) -> Tensor:
-    """Residual refinement map v -> z (same dimension)."""
+def refine_forward(params: ComponentParams, v, grad=None) -> Tensor:
+    """Residual refinement map v -> z (same dimension), on the tape.
+    ``grad``: see the module docstring."""
+    pt = params.tensors(grad)
     v = ad.as_tensor(v)
     return v + ad.tanh(v @ pt["w1"] + pt["b1"]) @ pt["w2"] + pt["b2"]
 
@@ -310,7 +405,7 @@ def encode(params: ComponentParams, x) -> np.ndarray:
         raise DimensionError(
             f"encoder: expected (T, {f_dim}) feature matrix, got {x.shape}"
         )
-    return encoder_forward(params.tensors(), x, [x.shape[0]]).data[0]
+    return encoder_forward(params, x, [x.shape[0]]).data[0]
 
 
 # -- optimizer -------------------------------------------------------------
@@ -335,26 +430,20 @@ def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimSta
     )
 
 
-def grad_step(params: ComponentParams, grads: dict, state: OptimState):
-    """One Adam update -> (new ComponentParams, new OptimState).
+def grad_step(params: ComponentParams, grad, state: OptimState):
+    """One Adam update from ``grad``, the gradient as one vector laid out
+    like ``params.flat`` -> (new ComponentParams, new OptimState).
 
     Adam is elementwise, so it runs once over the component's flat vector
     and gives the same bits as one update per array.
     """
-    for key, arr in params.arrays.items():
-        g = grads.get(key)
-        if g is None:
-            raise DataError(f"missing gradient for {params.name}.{key}")
-        if np.shape(g) != arr.shape:
-            raise DimensionError(
-                f"gradient shape {np.shape(g)} != parameter shape "
-                f"{arr.shape} for {params.name}.{key}"
-            )
-    g = np.concatenate(
-        [np.ravel(grads[k]) for k in params.arrays] or [np.zeros(0)], dtype=np.float64
-    )
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != params.flat.shape:
+        raise DimensionError(
+            f"gradient shape {g.shape} != parameter shape {params.flat.shape} for {params.name}"
+        )
     if not np.isfinite(g).all():
-        key = next(k for k in params.arrays if not np.all(np.isfinite(grads[k])))
+        key = next(k for k, v in params.views(g).items() if not np.isfinite(v).all())
         raise NumericError(f"non-finite gradient for {params.name}.{key}")
     step = state.step + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g

@@ -4,7 +4,8 @@ Every randomized step in the package draws from a generator seeded by
 ``derive_seed(master_seed, tag)`` so that independent steps never share or
 shift each other's random streams. Every generator is made by
 ``seeded_rng``, which takes an integer seed >= 0 and raises ``DataError``
-for anything else.
+for anything else. ``check_integer_fields`` gives the training configs'
+seed and count fields the same integer check, as ``ConfigError``.
 """
 
 import hashlib
@@ -12,16 +13,24 @@ import numbers
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = ["derive_seed"]
 
 
-def _check_integer(value, what: str, minimum=None) -> None:
+def _check_integer(value, what: str, minimum=None, error=DataError) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or minimum is not None and value < minimum):
         bound = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise DataError(f"{what} must be {bound}, got {value!r}")
+        raise error(f"{what} must be {bound}, got {value!r}")
+
+
+def check_integer_fields(config, names) -> None:
+    """``ConfigError`` naming the first of ``config``'s fields ``names``
+    whose value is not an integer: a bool, ``None`` or a float is not, a
+    numpy integer is. Ranges are the caller's checks."""
+    for name in names:
+        _check_integer(getattr(config, name), name, error=ConfigError)
 
 
 def derive_seed(master_seed: int, tag: str) -> int:

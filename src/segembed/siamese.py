@@ -7,7 +7,6 @@ of the phonetic vectors is trained with the contrastive loss alone,
 variant d).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from ._trainer import DisentangledModel, RefineModel
 from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .pairmine import PairSets
+from .seeding import check_integer_fields
 
 __all__ = [
     "RefineModel", "SiameseConfig", "contrastive_loss", "embed_corpus",
@@ -44,8 +44,7 @@ class SiameseConfig:
     drop_last: bool = True
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
+        check_integer_fields(self, ("k", "seed", "epochs", "batch_size"))
         if not self.margin > 0 or self.k < 1:  # NaN fails too
             raise ConfigError(f"margin must be > 0 and k >= 1, got {self.margin} and {self.k}")
         if not self.learning_rate > 0:
@@ -112,7 +111,7 @@ def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
     order = sorted(range(len(corpus)), key=lambda i: corpus[i].segment_id)
     vectors = _trainer.compute_embeddings(model, corpus, "phonetic", order)
     if variant == "d":
-        vectors = nc.refine_forward(refine.params.tensors(), vectors).data
+        vectors = nc.refine_forward(refine.params, vectors).data
     return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]
 
 

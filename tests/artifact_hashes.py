@@ -13,11 +13,15 @@ eval-std`` on its variant a, b and d embeddings at the CLI's default
 ``cli_cluster_accuracy.csv`` and ``cli_retrieval_map.csv``), and prints one
 ``sha256  name`` line per artifact, pair dump and CSV, in name order.
 These are all ``model.encoder_mode=pool``.
-A small ``model.encoder_mode=rnn`` CLI pipeline follows (synth, train a,
-refine, embed a and d; ``RNN_SETTINGS``), whose files are listed after the
-others as ``rnn/<name>``. Run it on two checkouts and ``diff`` the
-listings to check that a change keeps the outputs byte for byte. pytest
-does not collect this file.
+A small joint-training CLI run follows (synth, then train c with the
+adversarial term on from the second epoch and two discriminator steps per
+batch; ``JOINT_SETTINGS``), listed as ``joint/<name>``, and then a small
+``model.encoder_mode=rnn`` CLI pipeline (synth, train a and b, refine,
+embed a and d; ``RNN_SETTINGS``), listed as ``rnn/<name>``. So every
+training path (variants a, b and c; ``pool`` and ``rnn``) writes bytes
+into the listing. Run it on two checkouts and ``diff`` the listings to
+check that a change keeps the outputs byte for byte. pytest does not
+collect this file.
 
 The last bits of the dense products depend on how many threads the BLAS
 library splits them over, so the script pins every BLAS/OpenMP thread
@@ -54,6 +58,14 @@ RNN_SETTINGS = (
     "synth.feature_dim=8", "model.encoder_mode=rnn", "model.embed_dim=16",
     "model.enc_hidden=16", "model.dec_hidden=16", "model.disc_hidden=16",
     "train.epochs=2", "siamese.epochs=2", "siamese.refine_hidden=16",
+)
+
+JOINT_SETTINGS = (
+    "synth.n_units=6", "synth.n_speakers=3", "synth.instances_per_unit_speaker=4",
+    "synth.feature_dim=8", "model.embed_dim=16", "model.enc_hidden=16",
+    "model.dec_hidden=16", "model.disc_hidden=16", "train.epochs=3",
+    "train.batch_size=24", "train.disc_warmup_epochs=1", "train.disc_steps=2",
+    "siamese.k=8",
 )
 
 # The acceptance corpus has 20 unit labels, fewer than the defaults of
@@ -97,11 +109,20 @@ def cli_evals(seed, out_dir):
                 "--output", str(out_dir / name))
 
 
+def joint_run(seed, out_dir):
+    """synth and train c (joint training) with the ``pool`` encoder."""
+    cli(seed, out_dir, JOINT_SETTINGS, "synth")
+    cli(seed, out_dir, JOINT_SETTINGS, "train", "--corpus", str(out_dir / "corpus.jsonl"),
+        "--variant", "c")
+
+
 def rnn_pipeline(seed, out_dir):
-    """synth, train a, refine, and embed a and d with the ``rnn`` encoder."""
+    """synth, train a and b, refine, and embed a and d with the ``rnn``
+    encoder."""
     corpus, model = str(out_dir / "corpus.jsonl"), str(out_dir / "model_a.json")
     cli(seed, out_dir, RNN_SETTINGS, "synth")
-    cli(seed, out_dir, RNN_SETTINGS, "train", "--corpus", corpus, "--variant", "a")
+    for variant in "ab":
+        cli(seed, out_dir, RNN_SETTINGS, "train", "--corpus", corpus, "--variant", variant)
     cli(seed, out_dir, RNN_SETTINGS, "refine", "--corpus", corpus, "--checkpoint", model)
     cli(seed, out_dir, RNN_SETTINGS, "embed", "--corpus", corpus, "--checkpoint", model,
         "--variant", "a")
@@ -124,9 +145,10 @@ def main(argv) -> int:
             mine_audit(seed, out_dir, mode, 256, f"pairs_{mode}_b256.jsonl")
         cli_evals(seed, out_dir)
         print_hashes(out_dir)
-    with tempfile.TemporaryDirectory() as tmp:
-        rnn_pipeline(seed, Path(tmp))
-        print_hashes(Path(tmp), "rnn/")
+    for prefix, run in (("joint/", joint_run), ("rnn/", rnn_pipeline)):
+        with tempfile.TemporaryDirectory() as tmp:
+            run(seed, Path(tmp))
+            print_hashes(Path(tmp), prefix)
     return 0
 
 

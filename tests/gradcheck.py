@@ -1,10 +1,19 @@
-"""Finite-difference gradient oracle for the components and the tape.
+"""Finite-difference gradient oracle for the components and the tape, and
+the fine-grained tape reference of the component nodes.
 
 ``gradient_check(component, seed)`` builds one component's parameters, a
 small random batch and a scalar probe loss, and returns the largest
-relative error between the tape's gradients and central finite
-differences over every parameter entry; ``max_fd_error`` does the same for
-any parameters and loss. Tests require the error to be below 1e-4.
+relative error between the analytic gradients (the component's own
+backward: the hand-derived node, or the tape for ``rnn`` and refine) and
+central finite differences over every parameter entry; ``max_fd_error``
+does the same for any parameters and loss. Tests require the error to be
+below 1e-4.
+
+``tape_encoder``, ``tape_decoder`` and ``tape_discriminator`` are the
+``pool`` encoder, decoder and discriminator written as fine-grained tape
+graphs, with the batch layers ``segment_mean`` and ``repeat_rows``: the
+forms that ``neuralcore``'s single-node components must match bit for
+bit.
 """
 
 import numpy as np
@@ -29,6 +38,67 @@ def sigmoid(a) -> Tensor:
     return out
 
 
+def segment_mean(a, lengths) -> Tensor:
+    """Mean of each run of ``lengths[k]`` consecutive rows of the 2-D ``a``
+    -> one row per run; every length must be >= 1."""
+    a = ad.as_tensor(a)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n = lengths[:, None]
+    starts = np.cumsum(lengths) - lengths
+    out = Tensor(np.add.reduceat(a.data, starts, axis=0) / n, _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.repeat(g / n, lengths, axis=0))
+
+    out._backward = backward
+    return out
+
+
+def repeat_rows(a, lengths) -> Tensor:
+    """Row k of ``a`` repeated ``lengths[k]`` times, in row order."""
+    a = ad.as_tensor(a)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = Tensor(np.repeat(a.data, lengths, axis=0), _parents=(a,))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.add.reduceat(g, np.cumsum(lengths) - lengths, axis=0))
+
+    out._backward = backward
+    return out
+
+
+def tape_encoder(pt: dict, frames, lengths) -> Tensor:
+    """The ``pool`` encoder on the tape: (B, d) embeddings of a packed
+    batch."""
+    pooled = segment_mean(ad.tanh(ad.as_tensor(frames) @ pt["w_in"] + pt["b_in"]), lengths)
+    return pooled @ pt["w_out"] + pt["b_out"]
+
+
+def tape_decoder(pt: dict, v_p, v_s, lengths) -> Tensor:
+    """The decoder on the tape: (sum T, F) reconstruction of a packed
+    batch."""
+    position = nc._position_column(np.asarray(lengths, dtype=np.intp))
+    inputs = ad.concat(
+        [repeat_rows(v_p, lengths), repeat_rows(v_s, lengths), ad.constant(position)], axis=1
+    )
+    return tape_mlp(pt, inputs)
+
+
+def tape_discriminator(pt: dict, pairs) -> Tensor:
+    """The discriminator on the tape: (P,) logits of (P, 2d) pair rows."""
+    return ad.tsum(tape_mlp(pt, pairs), axis=1)
+
+
+def tape_mlp(pt: dict, x) -> Tensor:
+    """Two tanh layers and the affine output layer of the decoder and the
+    discriminator, on the tape."""
+    h1 = ad.tanh(ad.as_tensor(x) @ pt["w1"] + pt["b1"])
+    h2 = ad.tanh(h1 @ pt["w2"] + pt["b2"])
+    return h2 @ pt["w_out"] + pt["b_out"]
+
+
 def random_refine(dims: nc.ModelDims, seed: int) -> nc.ComponentParams:
     """Refinement parameters whose output layer is drawn, not zero, so every
     entry has a non-trivial gradient."""
@@ -45,8 +115,8 @@ def _probe_setup(component: str, seed: int, dims: nc.ModelDims):
         frames = rng.normal(size=(sum(lengths), dims.feature_dim))
         target = rng.normal(size=(len(lengths), dims.embed_dim))
 
-        def forward(pt):
-            return nc.encoder_forward(pt, frames, lengths)
+        def forward(p, grad):
+            return nc.encoder_forward(p, frames, lengths, grad)
 
     elif component == "Dec":
         params = nc.init_decoder(dims, seed)
@@ -54,31 +124,32 @@ def _probe_setup(component: str, seed: int, dims: nc.ModelDims):
         v_s = rng.normal(size=(len(lengths), dims.embed_dim))
         target = rng.normal(size=(sum(lengths), dims.feature_dim))
 
-        def forward(pt):
-            return nc.decoder_forward(pt, v_p, v_s, lengths)
+        def forward(p, grad):
+            return nc.decoder_forward(p, v_p, v_s, lengths, grad)
 
     elif component == "D_s":
         params = nc.init_discriminator(dims, seed)
         v_a = rng.normal(size=(3, dims.embed_dim))
         v_b = rng.normal(size=(3, dims.embed_dim))
         target = rng.normal(size=3)
+        pairs = np.concatenate([v_a, v_b], axis=1)
 
-        def forward(pt):
-            return sigmoid(nc.discriminator_forward(pt, v_a, v_b))
+        def forward(p, grad):
+            return sigmoid(nc.discriminator_forward(p, pairs, grad))
 
     elif component == "refine":
         params = random_refine(dims, seed)
         v = rng.normal(size=(3, dims.embed_dim))
         target = rng.normal(size=(3, dims.embed_dim))
 
-        def forward(pt):
-            return nc.refine_forward(pt, v)
+        def forward(p, grad):
+            return nc.refine_forward(p, v, grad)
 
     else:
         raise DataError(f"unknown component {component!r}")
 
-    def loss(pt):
-        return ad.tmean(ad.square(forward(pt) - ad.constant(target)))
+    def loss(p, grad):
+        return ad.tmean(ad.square(forward(p, grad) - ad.constant(target)))
 
     return params, loss
 
@@ -102,15 +173,16 @@ def gradient_check(
 
 
 def max_fd_error(params: nc.ComponentParams, loss_fn, fd_step: float = 1e-5) -> float:
-    """Max relative error between the tape's gradients of the scalar
-    ``loss_fn(tensors)`` and central finite differences, over every entry
-    of ``params``."""
-    tensors = params.tensors(requires_grad=True)
-    loss_fn(tensors).backward()
-    analytic = {k: t.grad for k, t in tensors.items()}
+    """Max relative error between the analytic gradients of the scalar
+    ``loss_fn(params, grad)`` and central finite differences, over every
+    entry of ``params``. ``loss_fn`` passes ``grad`` (a flat gradient
+    vector, or None) to the component forward; backward fills it."""
+    grad = np.zeros_like(params.flat)
+    loss_fn(params, grad).backward()
+    analytic = params.views(grad)
 
     def eval_loss(arrays):
-        return loss_fn({k: Tensor(a) for k, a in arrays.items()}).item()
+        return loss_fn(nc.ComponentParams(params.name, arrays), None).item()
 
     worst = 0.0
     arrays = {k: a.copy() for k, a in params.arrays.items()}

@@ -252,42 +252,27 @@ def test_shared_gradient_is_not_written_through():
     assert b.grad.tolist() == [1.0, 1.0]
 
 
-# -- batch layers: segment_mean, repeat_rows, pair_sq_dists ------------------
+# -- batch layer: pair_sq_dists ----------------------------------------------
 
-FD_LENGTHS = [2, 1, 3, 1]
 FD_PAIRS = np.array([[0, 1], [0, 2], [1, 2], [0, 1], [3, 0], [2, 2]])
 
 
 @pytest.mark.parametrize(
     "n_rows, layer",
-    [
-        (sum(FD_LENGTHS), lambda a: ad.segment_mean(a, FD_LENGTHS)),
-        (len(FD_LENGTHS), lambda a: ad.repeat_rows(a, FD_LENGTHS)),
-        (4, lambda a: ad.pair_sq_dists(a, FD_PAIRS)),
-    ],
-    ids=["segment_mean", "repeat_rows", "pair_sq_dists"],
+    [(4, lambda a: ad.pair_sq_dists(a, FD_PAIRS))],
+    ids=["pair_sq_dists"],
 )
 def test_batch_layer_gradients_match_finite_differences(n_rows, layer):
-    """``gradient_check``'s comparison and bound, with lengths that include 1
-    and pairs that repeat a row, a pair and i == j."""
+    """``gradient_check``'s comparison and bound, with pairs that repeat a
+    row, a pair and i == j."""
     rng = np.random.default_rng(3)
     params = ComponentParams("probe", {"a": rng.normal(size=(n_rows, 3))})
     target = ad.constant(rng.normal(size=layer(params.arrays["a"]).shape))
 
-    def loss(pt):
-        return ad.tmean(ad.square(layer(pt["a"]) - target))
+    def loss(p, grad):
+        return ad.tmean(ad.square(layer(p.tensors(grad)["a"]) - target))
 
     assert max_fd_error(params, loss) < 1e-4
-
-
-def _pool_and_repeat(lengths):
-    """The dense (B, sum T) pooling and (sum T, B) repetition matrices."""
-    seg = np.repeat(np.arange(len(lengths)), lengths)
-    pool = np.zeros((len(lengths), len(seg)))
-    pool[seg, np.arange(len(seg))] = 1.0 / np.asarray(lengths)[seg]
-    rep = np.zeros((len(seg), len(lengths)))
-    rep[np.arange(len(seg)), seg] = 1.0
-    return pool, rep
 
 
 def _value_and_grad(layer, a, g):
@@ -296,26 +281,6 @@ def _value_and_grad(layer, a, g):
     out = layer(t)
     ad.tsum(out * ad.constant(g)).backward()
     return out.data, t.grad
-
-
-SEGMENT_LENGTHS = st.lists(st.integers(1, 12), min_size=1, max_size=40)
-
-
-@settings(max_examples=100, deadline=None)
-@given(SEGMENT_LENGTHS, st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_segment_mean_and_repeat_rows_match_dense_matrices(lengths, width, seed):
-    rng = np.random.default_rng(seed)
-    pool, rep = _pool_and_repeat(lengths)
-    frames = rng.normal(size=(sum(lengths), width))
-    rows = rng.normal(size=(len(lengths), width))
-
-    out, grad = _value_and_grad(lambda a: ad.segment_mean(a, lengths), frames, rows)
-    np.testing.assert_allclose(out, pool @ frames, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grad, pool.T @ rows, rtol=0, atol=1e-12)
-
-    out, grad = _value_and_grad(lambda a: ad.repeat_rows(a, lengths), rows, frames)
-    np.testing.assert_allclose(out, rep @ rows, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(grad, rep.T @ frames, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -216,6 +216,22 @@ class TestSettingChecks:
     def test_siamese_config_takes_numpy_integer_k(self):
         assert SiameseConfig(k=np.int64(3)).k == 3
 
+    @pytest.mark.parametrize("value", [None, True, 2.5, 1.0, "3"])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(DisentangleConfig, f) for f in
+         ("seed", "epochs", "batch_size", "disc_steps", "disc_warmup_epochs")]
+        + [(SiameseConfig, f) for f in ("seed", "epochs", "batch_size")],
+    )
+    def test_integer_fields_are_config_errors_naming_the_field(self, cls, field, value):
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            cls(**{field: value})
+        default = getattr(cls(), field)
+        assert getattr(cls(**{field: np.int32(default)}), field) == default
+        if field == "seed":
+            assert cls(seed=-3).seed == -3
+
     @pytest.mark.parametrize("field", ["speaker_shift_scale", "noise_scale"])
     def test_synth_config_scale_nan(self, field):
         with pytest.raises(ConfigError, match="scales must be >= 0"):

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segembed import autodiff as ad
+from segembed import neuralcore as nc
+from segembed.autodiff import Tensor
 from segembed.errors import DataError, DimensionError, NumericError
 from segembed.neuralcore import (
     ADAM_BETA1,
@@ -26,12 +28,14 @@ from segembed.neuralcore import (
     init_discriminator,
     init_encoder,
     init_optim,
+    discriminator_forward,
     init_refine,
     load_checkpoint,
     refine_forward,
     save_checkpoint,
 )
 
+import gradcheck
 from gradcheck import gradient_check, max_fd_error, random_refine
 
 DIMS = ModelDims(feature_dim=39, embed_dim=256, enc_hidden=16, dec_hidden=16,
@@ -98,7 +102,7 @@ class TestEncoders:
     def test_bad_packed_lengths_are_data_errors(self, mode, lengths, message):
         params = init_encoder(replace(SMALL, encoder_mode=mode), seed=0)
         with pytest.raises(DataError, match=message):
-            encoder_forward(params.tensors(), RNG.normal(size=(5, 4)), lengths)
+            encoder_forward(params, RNG.normal(size=(5, 4)), lengths)
 
 
 def per_segment_rnn(arrays, frames, lengths):
@@ -136,7 +140,7 @@ class TestBatchedRecurrence:
         rng = np.random.default_rng(seed)
         params = init_encoder(SMALL_RNN, seed % 1000)
         frames = _packed(rng, lengths)
-        out = encoder_forward(params.tensors(), frames, lengths).data
+        out = encoder_forward(params, frames, lengths).data
         assert out.shape == (len(lengths), SMALL_RNN.embed_dim)
         np.testing.assert_allclose(
             out, per_segment_rnn(params.arrays, frames, lengths), rtol=0, atol=1e-12
@@ -144,14 +148,14 @@ class TestBatchedRecurrence:
         perm = rng.permutation(len(lengths))
         starts = np.cumsum(lengths) - lengths
         moved = np.concatenate([frames[starts[i] : starts[i] + lengths[i]] for i in perm])
-        permuted = encoder_forward(params.tensors(), moved, [lengths[i] for i in perm]).data
+        permuted = encoder_forward(params, moved, [lengths[i] for i in perm]).data
         np.testing.assert_allclose(permuted, out[perm], rtol=0, atol=1e-12)
 
     def test_encode_of_one_segment_equals_its_batched_row(self):
         lengths = [5, 1, 12, 5, 3, 1, 7]
         params = init_encoder(SMALL_RNN, seed=3)
         frames = _packed(np.random.default_rng(3), lengths)
-        batched = encoder_forward(params.tensors(), frames, lengths).data
+        batched = encoder_forward(params, frames, lengths).data
         # no argument names the kind: the forwards read it from ``w_rec``
         oracle = per_segment_rnn(params.arrays, frames, lengths)
         np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
@@ -169,8 +173,8 @@ class TestBatchedRecurrence:
         frames = _packed(rng, lengths)
         target = ad.constant(rng.normal(size=(len(lengths), SMALL_RNN.embed_dim)))
 
-        def loss(pt):
-            out = encoder_forward(pt, frames, lengths)
+        def loss(p, grad):
+            out = encoder_forward(p, frames, lengths, grad)
             return ad.tmean(ad.square(out - target))
 
         assert max_fd_error(params, loss) < 1e-4
@@ -179,20 +183,20 @@ class TestBatchedRecurrence:
 class TestDecoder:
     def test_shape_contract(self):
         params = init_decoder(DIMS, seed=1)
-        x = decoder_forward(params.tensors(), RNG.normal(size=(2, 256)),
+        x = decoder_forward(params, RNG.normal(size=(2, 256)),
                             RNG.normal(size=(2, 256)), [7, 3]).data
         assert x.shape == (10, 39)
 
     def test_deterministic(self):
         params = init_decoder(DIMS, seed=1)
         v_p, v_s = RNG.normal(size=(1, 256)), RNG.normal(size=(1, 256))
-        assert np.array_equal(decoder_forward(params.tensors(), v_p, v_s, [4]).data,
-                              decoder_forward(params.tensors(), v_p, v_s, [4]).data)
+        assert np.array_equal(decoder_forward(params, v_p, v_s, [4]).data,
+                              decoder_forward(params, v_p, v_s, [4]).data)
 
     def test_bad_length(self):
         params = init_decoder(DIMS, seed=1)
         with pytest.raises(DataError, match=r"segment lengths must be >= 1, got \[0\]"):
-            decoder_forward(params.tensors(), np.zeros((1, 256)), np.zeros((1, 256)), [0])
+            decoder_forward(params, np.zeros((1, 256)), np.zeros((1, 256)), [0])
 
     @pytest.mark.parametrize(
         "lengths, n_s, message",
@@ -210,7 +214,7 @@ class TestDecoder:
         v_p = RNG.normal(size=(3, SMALL.embed_dim))
         v_s = RNG.normal(size=(n_s, SMALL.embed_dim))
         with pytest.raises(DataError, match=message):
-            decoder_forward(params.tensors(), v_p, v_s, lengths)
+            decoder_forward(params, v_p, v_s, lengths)
 
 
 class TestDiscriminator:
@@ -220,18 +224,152 @@ class TestDiscriminator:
         assert params.arrays["w2"].shape == (128, 128)
 
 
+DESK = ModelDims(feature_dim=12, embed_dim=16, enc_hidden=32, dec_hidden=32,
+                 disc_hidden=64, refine_hidden=32)
+NODE_CASES = [
+    (SMALL, [1]),
+    (SMALL, [3, 1, 4, 1, 2]),
+    (DESK, [1, 7, 2, 1, 12, 5, 3, 1, 9]),
+    (DESK, list(np.random.default_rng(8).integers(1, 13, size=64))),
+]
+
+
+def _backprop(out, rng):
+    """Backpropagate sum(out * g) for a random g of out's shape."""
+    ad.tsum(out * ad.constant(rng.normal(size=out.shape))).backward()
+
+
+def _leaves(*arrays):
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+def _tape_grad(leaves: dict) -> np.ndarray:
+    """The tape leaves' gradients laid out like ComponentParams.flat."""
+    return np.concatenate([t.grad.ravel() for t in leaves.values()])
+
+
+class TestComponentNodes:
+    """Each component node gives the fine-grained tape's values and
+    gradients bit for bit (``np.array_equal``)."""
+
+    @pytest.mark.parametrize("dims, lengths", NODE_CASES)
+    def test_pool_encoder(self, dims, lengths):
+        params = init_encoder(dims, seed=1)
+        frames = RNG.normal(size=(sum(lengths), dims.feature_dim))
+        grad, ref = np.zeros_like(params.flat), params.tensors()
+        for t in ref.values():
+            t.requires_grad = True
+        out = encoder_forward(params, frames, lengths, grad)
+        want = gradcheck.tape_encoder(ref, frames, lengths)
+        assert np.array_equal(out.data, want.data)
+        _backprop(out, np.random.default_rng(0))
+        _backprop(want, np.random.default_rng(0))
+        assert np.array_equal(grad, _tape_grad(ref))
+
+    @pytest.mark.parametrize("dims, lengths", NODE_CASES)
+    def test_decoder(self, dims, lengths):
+        params = init_decoder(dims, seed=2)
+        rows = [RNG.normal(size=(len(lengths), dims.embed_dim)) for _ in range(2)]
+        grad, ref = np.zeros_like(params.flat), params.tensors()
+        for t in ref.values():
+            t.requires_grad = True
+        v_p, v_s = _leaves(*rows)
+        r_p, r_s = _leaves(*rows)
+        out = decoder_forward(params, v_p, v_s, lengths, grad)
+        want = gradcheck.tape_decoder(ref, r_p, r_s, lengths)
+        assert np.array_equal(out.data, want.data)
+        _backprop(out, np.random.default_rng(0))
+        _backprop(want, np.random.default_rng(0))
+        assert np.array_equal(grad, _tape_grad(ref))
+        assert np.array_equal(v_p.grad, r_p.grad) and np.array_equal(v_s.grad, r_s.grad)
+
+    @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("dims, lengths", NODE_CASES)
+    def test_discriminator(self, dims, lengths, trainable):
+        params = init_discriminator(dims, seed=3)
+        rows = RNG.normal(size=(len(lengths), 2 * dims.embed_dim))
+        grad, ref = (np.zeros_like(params.flat) if trainable else None), params.tensors()
+        for t in ref.values():
+            t.requires_grad = trainable
+        (pairs,), (r_pairs,) = _leaves(rows), _leaves(rows)
+        out = discriminator_forward(params, pairs, grad)
+        want = gradcheck.tape_discriminator(ref, r_pairs)
+        assert np.array_equal(out.data, want.data)
+        _backprop(out, np.random.default_rng(0))
+        _backprop(want, np.random.default_rng(0))
+        assert np.array_equal(pairs.grad, r_pairs.grad)
+        if trainable:
+            assert np.array_equal(grad, _tape_grad(ref))
+        else:
+            assert all(t.grad is None for t in ref.values())
+
+    def test_nodes_are_one_tape_node_each(self):
+        enc, dec = init_encoder(SMALL, seed=0), init_decoder(SMALL, seed=0)
+        frames, lengths = RNG.normal(size=(4, SMALL.feature_dim)), [3, 1]
+        v_p = encoder_forward(enc, frames, lengths, np.zeros_like(enc.flat))
+        v_s = encoder_forward(enc, frames, lengths)
+        out = decoder_forward(dec, v_p, v_s, lengths, np.zeros_like(dec.flat))
+        assert out._parents == (v_p, v_s) and v_p._parents == () and out.requires_grad
+        assert v_p.requires_grad and not v_s.requires_grad
+
+
+def _pool_and_repeat(lengths):
+    """The dense (B, sum T) pooling and (sum T, B) repetition matrices."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    pool = np.zeros((len(lengths), len(seg)))
+    pool[seg, np.arange(len(seg))] = 1.0 / np.asarray(lengths)[seg]
+    rep = np.zeros((len(seg), len(lengths)))
+    rep[np.arange(len(seg)), seg] = 1.0
+    return pool, rep
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_pool_and_decoder_nodes_match_dense_matrices(lengths, width, seed):
+    """The ``pool`` node's output and parameter gradient against the dense
+    pooling matrix, and the decoder node's ``v_p``/``v_s`` gradients against
+    the dense repetition matrix."""
+    rng = np.random.default_rng(seed)
+    pool, rep = _pool_and_repeat(lengths)
+    dims = ModelDims(feature_dim=width, embed_dim=width, enc_hidden=3, dec_hidden=3)
+    enc, dec = init_encoder(dims, seed % 1000), init_decoder(dims, seed % 1000)
+    frames = rng.normal(size=(sum(lengths), width))
+    g = rng.normal(size=(len(lengths), width))
+
+    grad, ref = np.zeros_like(enc.flat), enc.tensors(np.zeros_like(enc.flat))
+    out = encoder_forward(enc, frames, lengths, grad)
+    dense = ad.constant(pool) @ ad.tanh(ad.constant(frames) @ ref["w_in"] + ref["b_in"])
+    dense = dense @ ref["w_out"] + ref["b_out"]
+    np.testing.assert_allclose(out.data, dense.data, rtol=0, atol=1e-12)
+    ad.tsum(out * ad.constant(g)).backward()
+    ad.tsum(dense * ad.constant(g)).backward()
+    np.testing.assert_allclose(grad, _tape_grad(ref), rtol=0, atol=1e-12)
+
+    rows = rng.normal(size=(2, len(lengths), width))
+    g = rng.normal(size=(sum(lengths), width))
+    v_p, v_s = _leaves(*rows)
+    ad.tsum(decoder_forward(dec, v_p, v_s, lengths) * ad.constant(g)).backward()
+    r_p, r_s = _leaves(*rows)
+    position = ad.constant(nc._position_column(np.asarray(lengths)))
+    x = ad.concat([ad.constant(rep) @ r_p, ad.constant(rep) @ r_s, position], axis=1)
+    ad.tsum(gradcheck.tape_mlp(dec.tensors(), x) * ad.constant(g)).backward()
+    np.testing.assert_allclose(v_p.grad, r_p.grad, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v_s.grad, r_s.grad, rtol=0, atol=1e-12)
+
+
 class TestRefine:
     def test_identity_at_init(self):
         params = init_refine(DIMS, seed=3)
         v = RNG.normal(size=(4, 256))
-        assert np.array_equal(refine_forward(params.tensors(), v).data, v)
+        assert np.array_equal(refine_forward(params, v).data, v)
 
     def test_shape_and_determinism(self):
         params = random_refine(DIMS, seed=3)
         v = RNG.normal(size=(4, 256))
-        z = refine_forward(params.tensors(), v).data
+        z = refine_forward(params, v).data
         assert z.shape == (4, 256)
-        assert np.array_equal(z, refine_forward(params.tensors(), v).data)
+        assert np.array_equal(z, refine_forward(params, v).data)
         assert not np.array_equal(z, v)
 
 
@@ -239,7 +377,7 @@ class TestGradStep:
     def test_zero_grads_keep_params(self):
         params = ComponentParams("c", {"w": np.array([1.0, -2.0])})
         state = init_optim(params)
-        new_params, new_state = grad_step(params, {"w": np.zeros(2)}, state)
+        new_params, new_state = grad_step(params, np.zeros(2), state)
         assert np.array_equal(new_params.arrays["w"], params.arrays["w"])
         assert new_state.step == 1
 
@@ -247,16 +385,16 @@ class TestGradStep:
         params = ComponentParams("c", {"w": np.array([1.0])})
         state = init_optim(params)
         with pytest.raises(NumericError, match="w"):
-            grad_step(params, {"w": np.array([np.nan])}, state)
+            grad_step(params, np.array([np.nan]), state)
 
     def test_shape_mismatch_rejected(self):
         params = ComponentParams("c", {"w": np.zeros(3)})
         with pytest.raises(DimensionError):
-            grad_step(params, {"w": np.zeros(2)}, init_optim(params))
+            grad_step(params, np.zeros(2), init_optim(params))
 
     def test_adam_deterministic(self):
         params = ComponentParams("c", {"w": np.array([1.0, 2.0])})
-        g = {"w": np.array([0.3, -0.1])}
+        g = np.array([0.3, -0.1])
         a, _ = grad_step(params, g, init_optim(params))
         b, _ = grad_step(params, g, init_optim(params))
         assert np.array_equal(a.arrays["w"], b.arrays["w"])
@@ -302,7 +440,8 @@ class TestFlatAdam:
                 k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 6, size=s)
                 for k, s in shapes.items()
             }
-            params, state = grad_step(params, grads, state)
+            grad = np.concatenate([grads[k].ravel() for k in params.arrays])
+            params, state = grad_step(params, grad, state)
             ref, ref_m, ref_v = per_key_adam(ref, grads, ref_m, ref_v, step, learning_rate)
         assert state.step == n_steps
         for key in shapes:
@@ -323,33 +462,25 @@ class TestFlatAdam:
         assert offset == params.flat.size
         params.flat[-1] = 7.0
         assert params.arrays["b_out"][-1] == 7.0
-        new, state = grad_step(
-            params, {k: np.ones_like(a) for k, a in params.arrays.items()},
-            init_optim(params),
-        )
+        new, state = grad_step(params, np.ones_like(params.flat), init_optim(params))
         assert all(a.base is new.flat for a in new.arrays.values())
         assert state.m.shape == state.v.shape == new.flat.shape
 
     def test_errors_name_the_second_key(self):
         params = ComponentParams("c", {"a": np.zeros(2), "b": np.zeros(3)})
-        ok = np.ones(2)
         with pytest.raises(NumericError, match=r"^non-finite gradient for c\.b$"):
-            grad_step(params, {"a": ok, "b": np.array([0.0, np.inf, 0.0])},
-                      init_optim(params))
-        with pytest.raises(DimensionError, match=r"\(2,\) != parameter shape \(3,\) for c\.b"):
-            grad_step(params, {"a": ok, "b": np.zeros(2)}, init_optim(params))
-        with pytest.raises(DataError, match=r"^missing gradient for c\.b$"):
-            grad_step(params, {"a": ok}, init_optim(params))
+            grad_step(params, np.array([1.0, 1.0, 0.0, np.inf, 0.0]), init_optim(params))
+        with pytest.raises(DimensionError, match=r"\(4,\) != parameter shape \(5,\) for c$"):
+            grad_step(params, np.zeros(4), init_optim(params))
         with pytest.raises(NumericError, match=r"^c\.b: non-finite parameter values$"):
             ComponentParams("c", {"a": np.zeros(2), "b": np.array([1.0, np.nan])})
 
     def test_update_that_overflows_names_its_key(self):
         params = ComponentParams("c", {"a": np.zeros(2), "b": np.array([1.7e308])})
-        grads = {"a": np.ones(2), "b": np.array([-1.0])}
         with np.errstate(over="ignore"), pytest.raises(
             NumericError, match=r"^c\.b: non-finite parameter values$"
         ):
-            grad_step(params, grads, init_optim(params, learning_rate=1e308))
+            grad_step(params, np.array([1.0, 1.0, -1.0]), init_optim(params, learning_rate=1e308))
 
 
 class TestCheckpoint:
@@ -371,8 +502,7 @@ class TestCheckpoint:
         state = init_optim(params, 0.05)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            grads = {k: rng.normal(size=a.shape) for k, a in params.arrays.items()}
-            params, state = grad_step(params, grads, state)
+            params, state = grad_step(params, rng.normal(size=params.flat.shape), state)
         path = tmp_path / "model.json"
         save_checkpoint(path, {"E_p": params})
         loaded = load_checkpoint(path)[0]["E_p"]

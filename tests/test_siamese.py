@@ -252,7 +252,7 @@ class TestEmbedCorpus:
         b_entries = dict(embed_corpus(model, corpus, "b"))
         d_entries = dict(embed_corpus(model, corpus, "d", refined))
         for sid, vb in b_entries.items():
-            z = refine_forward(refined.params.tensors(), vb.reshape(1, -1)).data[0]
+            z = refine_forward(refined.params, vb.reshape(1, -1)).data[0]
             np.testing.assert_allclose(d_entries[sid], z, atol=1e-12)
 
     def test_missing_refine_params_rejected(self):
