@@ -150,9 +150,7 @@ def mine_pairs(vectors: np.ndarray, cfg_s, epoch: int, batch_index: int,
     seed = derive_seed(cfg_s.seed, f"mine:{epoch}:{batch_index}")
     if cfg_s.mining_mode == "knn_graph":
         return knn_graph_pairs(vectors, cfg_s.k, counter=counter)
-    if cfg_s.mining_mode == "topk_global":
-        return topk_global_pairs(vectors, cfg_s.k, seed, counter=counter)
-    raise ConfigError(f"unknown mining_mode {cfg_s.mining_mode!r}")
+    return topk_global_pairs(vectors, cfg_s.k, seed, counter=counter)
 
 
 # -- training loops ----------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A config file holds lines of the form ``section.key = value`` (``#``
 comments and blank lines ignored). The keys, their types and their defaults
-are not written here: they come from the fields of the four config
-dataclasses, ``synth.*`` from ``SynthConfig``, ``train.*`` and ``model.*``
-from ``DisentangleConfig``, ``siamese.*`` from ``SiameseConfig`` and
-``eval.*`` from ``EvalConfig``, plus the master ``seed``. An empty file
+are not written here: each of the four config dataclasses (``SynthConfig``,
+``DisentangleConfig``, ``SiameseConfig`` and ``EvalConfig``) names its
+fields' keys in its ``KEYS`` table, and a field gives its key's type and
+default; ``seed``, the master seed, sets the seed fields. An empty file
 resolves to the defaults (39-dim features, 256-dim embeddings, margin 1,
 discriminator of 2 x 128). Unknown keys, ill-typed values and non-finite
 floats are rejected by name, with the file and line they came from. The
@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from .corpus import SynthConfig, read_text_lines
 from .disentangle import DisentangleConfig
 from .errors import ConfigError, ParseError
+from .seeding import check_fields
 from .siamese import SiameseConfig
 
 
@@ -54,44 +55,42 @@ _PARSERS = {
 class EvalConfig:
     """Evaluation-protocol parameters."""
 
-    m: int = 70
+    m: int = 20
     n_values: tuple = (70, 140, 210, 280)
     top_k: tuple = (1, 5, 10, 20, 40, 60)
-    n_queries: int = 80
+    n_queries: int = 20
     n_documents: int = 40
 
+    KEYS = {  # config key -> bound of each field (``seeding.check_fields``)
+        "eval.m": ">= 1", "eval.n_values": ">= 1", "eval.top_k": ">= 1",
+        "eval.n_queries": ">= 1", "eval.n_documents": ">= 2"}
+
     def __post_init__(self):
-        if self.m < 1 or self.n_queries < 1 or self.n_documents < 2:
-            raise ConfigError("eval counts out of range")
-        for key, values in (("eval.n_values", self.n_values), ("eval.top_k", self.top_k)):
-            if not values or min(values) < 1:
-                raise ConfigError(f"{key} must list integers >= 1, got {values}")
+        check_fields(self)
 
 
-_SECTIONS = {"synth": SynthConfig, "train": DisentangleConfig,
-             "siamese": SiameseConfig, "eval": EvalConfig}
-_MODEL_FIELDS = ("embed_dim", "enc_hidden", "dec_hidden", "disc_hidden", "encoder_mode")
-_LENGTH_KEYS = ("synth.length_min", "synth.length_max")
+_CLASSES = (SynthConfig, DisentangleConfig, SiameseConfig, EvalConfig)  # RunConfig order
 
 
 def _derive_schema():
-    """SCHEMA, and key -> (config class, field name) for each key whose value
-    is its field's value as it is. A key is ``<section>.<field>`` with the
-    field's type and default, but for the four exceptions marked below."""
-    schema, targets = {"seed": (int, 0)}, {}
-    for section, cls in _SECTIONS.items():
-        for f in fields(cls):
-            prefix = "model" if f.name in _MODEL_FIELDS else section  # the model.* keys
-            key = f"{prefix}.{f.name}"
-            if f.name == "seed":  # stage seeds are not keys: the master seed sets them
-                continue
-            if f.name == "length_range":  # one int key per end
-                schema.update(zip(_LENGTH_KEYS, ((int, end) for end in f.default)))
-            elif f.name == "disc_learning_rate":  # -1 (any value <= 0) stands for None
+    """SCHEMA, and (config class, field name, keys, optional) per field: the
+    key its class's ``KEYS`` names (``seed`` sets two classes' seeds) with
+    the field's type and default, but for the two exceptions marked below."""
+    schema, targets = {}, []
+    for cls in _CLASSES:
+        kinds = {f.name: (f.type, f.default) for f in fields(cls)}
+        for key in cls.KEYS:
+            name = key.rpartition(".")[2]
+            kind, default = kinds[name]
+            keys, optional = (key,), default is None
+            if name == "length_range":  # one int key per end
+                keys = tuple(key.replace("range", end) for end in ("min", "max"))
+                schema.update(zip(keys, ((int, end) for end in default)))
+            elif optional:  # -1 (any value <= 0) stands for None
                 schema[key] = (float, -1.0)
             else:
-                schema[key] = (f.type, f.default)
-                targets[key] = (cls, f.name)
+                schema[key] = (kind, default)
+            targets.append((cls, name, keys, optional))
     return schema, targets
 
 
@@ -163,20 +162,8 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     values = {key: default for key, (_, default) in SCHEMA.items()}
     values.update(_parse_pairs(entries))
 
-    kwargs = {cls: {} for cls in _SECTIONS.values()}
-    for key, (cls, name) in _TARGETS.items():
-        kwargs[cls][name] = values[key]
-    kwargs[SynthConfig]["length_range"] = tuple(values[key] for key in _LENGTH_KEYS)
-    disc_lr = values["train.disc_learning_rate"]
-    kwargs[DisentangleConfig]["disc_learning_rate"] = disc_lr if disc_lr > 0 else None
-    for cls in (DisentangleConfig, SiameseConfig):
-        kwargs[cls]["seed"] = values["seed"]
-    synth, disentangle, siamese, evaluation = (cls(**kw) for cls, kw in kwargs.items())
-    return RunConfig(
-        seed=values["seed"],
-        synth=synth,
-        disentangle=disentangle,
-        siamese=siamese,
-        eval=evaluation,
-        resolved=values,
-    )
+    kwargs = {cls: {} for cls in _CLASSES}
+    for cls, name, keys, optional in _TARGETS:
+        value = tuple(values[key] for key in keys) if len(keys) > 1 else values[keys[0]]
+        kwargs[cls][name] = None if optional and value <= 0 else value
+    return RunConfig(values["seed"], *(cls(**kw) for cls, kw in kwargs.items()), values)

@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
     ParseError,
 )
-from .seeding import rng_for, seeded_rng
+from .seeding import check_fields, rng_for, seeded_rng
 
 __all__ = [
     "Corpus", "MiniBatch", "Segment", "SynthConfig", "load_corpus", "load_embeddings",
@@ -171,18 +171,17 @@ class SynthConfig:
     noise_scale: float = 0.05
     level: str = "word"
 
+    KEYS = {  # config key -> bound of each field (``seeding.check_fields``)
+        "synth.n_units": ">= 1", "synth.n_speakers": ">= 1",
+        "synth.instances_per_unit_speaker": ">= 1", "synth.length_range": ">= 1",
+        "synth.feature_dim": ">= 1", "synth.speaker_shift_scale": ">= 0",
+        "synth.noise_scale": ">= 0", "synth.level": LEVELS}
+
     def __post_init__(self):
-        if min(self.n_units, self.n_speakers, self.instances_per_unit_speaker) < 1:
-            raise ConfigError("synth counts must all be >= 1")
-        t_min, t_max = self.length_range
-        if not (1 <= t_min <= t_max):
-            raise ConfigError(f"invalid length_range {self.length_range}")
-        if self.feature_dim < 1:
-            raise ConfigError("feature_dim must be >= 1")
-        if not self.speaker_shift_scale >= 0 or not self.noise_scale >= 0:  # NaN fails too
-            raise ConfigError("scales must be >= 0")
-        if self.level not in LEVELS:
-            raise ConfigError(f"level must be one of {LEVELS}")
+        check_fields(self)
+        if len(self.length_range) != 2 or self.length_range[0] > self.length_range[1]:
+            raise ConfigError("synth.length_range must be a (min, max) pair with min <= max, "
+                              f"got {self.length_range}")
 
 
 def _resample_nearest(proto: np.ndarray, length: int) -> np.ndarray:

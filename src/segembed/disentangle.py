@@ -17,7 +17,7 @@ from . import neuralcore as nc
 from ._trainer import DisentangledModel, effective_speakers
 from .corpus import Corpus, write_csv
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .seeding import check_integer_fields, rng_for
+from .seeding import check_fields, rng_for
 
 __all__ = [
     "DisentangleConfig", "DisentangledModel", "adversarial_loss", "discriminator_loss",
@@ -51,27 +51,16 @@ class DisentangleConfig:
     disc_learning_rate: float | None = None  # defaults to learning_rate
     drop_last: bool = True
 
+    KEYS = {  # config key -> bound of each field (``seeding.check_fields``)
+        "train.epochs": ">= 1", "train.batch_size": ">= 2", "train.margin": "> 0",
+        "train.alpha_spk": ">= 0", "train.alpha_adv": ">= 0", "train.disc_steps": ">= 1",
+        "train.disc_warmup_epochs": ">= 0", "seed": None, "model.embed_dim": ">= 1",
+        "model.enc_hidden": ">= 1", "model.dec_hidden": ">= 1", "model.disc_hidden": ">= 1",
+        "model.encoder_mode": nc.ENCODER_MODES, "train.learning_rate": "> 0",
+        "train.disc_learning_rate": "> 0", "train.drop_last": None}
+
     def __post_init__(self):
-        check_integer_fields(
-            self, ("seed", "epochs", "batch_size", "disc_steps", "disc_warmup_epochs")
-        )
-        if self.epochs < 1 or self.batch_size < 2 or self.disc_steps < 1:
-            raise ConfigError("epochs >= 1, batch_size >= 2, disc_steps >= 1 required")
-        if not self.margin > 0:  # NaN fails too
-            raise ConfigError(f"speaker margin must be > 0, got {self.margin}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.disc_learning_rate is not None and not self.disc_learning_rate > 0:
-            raise ConfigError(f"disc_learning_rate must be > 0, got {self.disc_learning_rate}")
-        if not self.alpha_spk >= 0 or not self.alpha_adv >= 0:  # NaN fails too
-            raise ConfigError("loss weights must be >= 0")
-        if self.disc_warmup_epochs < 0:
-            raise ConfigError("disc_warmup_epochs must be >= 0")
-        if self.encoder_mode not in nc.ENCODER_MODES:
-            raise ConfigError(f"encoder_mode must be one of {nc.ENCODER_MODES}")
-        for key in ("embed_dim", "enc_hidden", "dec_hidden", "disc_hidden"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+        check_fields(self)
         if self.disc_learning_rate is None:
             object.__setattr__(self, "disc_learning_rate", self.learning_rate)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import write_csv
 from .errors import DataError, EvaluationError, NumericError
-from .seeding import derive_seed, seeded_rng
+from .seeding import _check_integer, derive_seed, seeded_rng
 
 __all__ = [
     "CosineGapReport", "accuracy_curve", "cluster_accuracy", "confusion_matrix",
@@ -266,8 +266,7 @@ def kmeans(vectors, n_clusters, seed, return_history: bool = False):
     else:
         raise DataError(f"need one seed per cluster count ({len(ks)}), got {seed!r}")
     for k in ks:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise DataError(f"n_clusters must be an integer, got {k!r}")
+        _check_integer(k, "n_clusters")
         if not 1 <= k <= n:
             raise DataError(f"need 1 <= n_clusters <= {n}, got {k}")
     rngs = [seeded_rng(s) for s in seeds]

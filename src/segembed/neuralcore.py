@@ -34,7 +34,6 @@ tape nodes per step (max T steps) rather than several per frame.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, DimensionError, NumericError, ParseError
-from .seeding import seeded_rng
+from .seeding import check_fields, seeded_rng
 
 __all__ = [
     "ComponentParams", "ModelDims", "OptimState", "encode", "grad_step",
@@ -67,16 +66,14 @@ class ModelDims:
     dec_hidden: int = 128
     disc_hidden: int = 128
     refine_hidden: int = 128
-    encoder_mode: str = "pool"  # one of ENCODER_MODES
+    encoder_mode: str = "pool"
+
+    KEYS = {  # field -> bound (``seeding.check_fields``)
+        "feature_dim": ">= 1", "embed_dim": ">= 1", "enc_hidden": ">= 1", "dec_hidden": ">= 1",
+        "disc_hidden": ">= 1", "refine_hidden": ">= 1", "encoder_mode": ENCODER_MODES}
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name == "encoder_mode":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.encoder_mode not in ENCODER_MODES:
-            raise DataError(f"unknown encoder_mode {self.encoder_mode!r}")
+        check_fields(self, error=DataError)
 
 
 def _split(flat: np.ndarray, shapes: dict) -> dict:

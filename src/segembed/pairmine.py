@@ -21,13 +21,12 @@ for byte.
 
 import functools
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericError
-from .seeding import seeded_rng
+from .seeding import _check_integer, seeded_rng
 
 __all__ = [
     "DistanceCounter", "PairSets", "knn_graph_pairs", "pairwise_distances",
@@ -143,11 +142,6 @@ def pair_indices(n: int) -> np.ndarray:
     return pairs
 
 
-def _check_k(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DataError(f"k must be an integer, got {k!r}")
-
-
 def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> PairSets:
     """Undirected k-NN graph of the batch.
 
@@ -155,7 +149,7 @@ def knn_graph_pairs(vectors, k: int, counter: DistanceCounter | None = None) -> 
     (ties by smaller index). Negatives: all remaining unordered pairs.
     Both lists are in row-major order.
     """
-    _check_k(k)
+    _check_integer(k, "k")
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
     if not 1 <= k <= n - 1:
@@ -179,7 +173,7 @@ def topk_global_pairs(
     """Fully-connected batch graph: top-k shortest pairs as positives and
     k seeded uniform draws (without replacement) from the rest as negatives.
     """
-    _check_k(k)
+    _check_integer(k, "k")
     dist = pairwise_distances(vectors, counter)
     n = dist.shape[0]
     total = n * (n - 1) // 2

@@ -18,7 +18,7 @@ from ._trainer import DisentangledModel, RefineModel
 from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .pairmine import PairSets
-from .seeding import check_integer_fields
+from .seeding import check_fields
 
 __all__ = [
     "RefineModel", "SiameseConfig", "contrastive_loss", "embed_corpus",
@@ -43,20 +43,14 @@ class SiameseConfig:
     refine_hidden: int = 128
     drop_last: bool = True
 
+    KEYS = {  # config key -> bound of each field (``seeding.check_fields``)
+        "siamese.margin": "> 0", "siamese.k": ">= 1", "siamese.mining_mode": MINING_MODES,
+        "siamese.gamma": ">= 0", "siamese.epochs": ">= 1", "siamese.batch_size": ">= 2",
+        "seed": None, "siamese.learning_rate": "> 0", "siamese.refine_hidden": ">= 1",
+        "siamese.drop_last": None}
+
     def __post_init__(self):
-        check_integer_fields(self, ("k", "seed", "epochs", "batch_size"))
-        if not self.margin > 0 or self.k < 1:  # NaN fails too
-            raise ConfigError(f"margin must be > 0 and k >= 1, got {self.margin} and {self.k}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.mining_mode not in MINING_MODES:
-            raise ConfigError(f"mining_mode must be one of {MINING_MODES}")
-        if not self.gamma >= 0:  # NaN fails too
-            raise ConfigError("gamma must be >= 0")
-        if self.epochs < 1 or self.batch_size < 2:
-            raise ConfigError("epochs >= 1 and batch_size >= 2 required")
-        if self.refine_hidden < 1:
-            raise ConfigError(f"siamese.refine_hidden must be >= 1, got {self.refine_hidden}")
+        check_fields(self)
 
 
 def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:

@@ -8,9 +8,9 @@ temporary directory, then ``segembed mine-audit`` with each
 ``siamese.batch_size=64`` (``pairs_<mode>.jsonl``) and at 256
 (``pairs_<mode>_b256.jsonl``, where the miners' tie handling meets the
 most pairs), then ``segembed eval-cluster`` and ``segembed
-eval-std`` on its variant a, b and d embeddings at the CLI's default
-``eval.n_values`` and ``eval.top_k`` (``EVAL_SETTINGS``; their CSVs are
-``cli_cluster_accuracy.csv`` and ``cli_retrieval_map.csv``), and prints one
+eval-std`` on its variant a, b and d embeddings at the CLI's eval
+defaults (their CSVs are ``cli_cluster_accuracy.csv`` and
+``cli_retrieval_map.csv``), and prints one
 ``sha256  name`` line per artifact, pair dump and CSV, in name order.
 These are all ``model.encoder_mode=pool``.
 A small joint-training CLI run follows (synth, then train c with the
@@ -68,11 +68,6 @@ JOINT_SETTINGS = (
     "siamese.k=8",
 )
 
-# The acceptance corpus has 20 unit labels, fewer than the defaults of
-# eval.m and eval.n_queries; eval.n_values and eval.top_k keep theirs.
-EVAL_SETTINGS = ("eval.m=20", "eval.n_queries=20")
-
-
 def cli(seed, out_dir, settings, *args):
     """``segembed --seed SEED --out-dir OUT_DIR --set S... ARGS``, quietly;
     a non-zero exit stops the script."""
@@ -104,7 +99,7 @@ def cli_evals(seed, out_dir):
     with tempfile.TemporaryDirectory() as cli_dir:
         for command, name in (("eval-cluster", "cli_cluster_accuracy.csv"),
                               ("eval-std", "cli_retrieval_map.csv")):
-            cli(seed, cli_dir, EVAL_SETTINGS, command,
+            cli(seed, cli_dir, (), command,
                 "--corpus", str(out_dir / "corpus.jsonl"), *embeddings,
                 "--output", str(out_dir / name))
 

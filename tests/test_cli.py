@@ -1,8 +1,11 @@
 """Configuration resolution and the command-line pipeline."""
 
+import csv
 import hashlib
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +42,7 @@ class TestParseConfig:
     def test_no_file_same_as_empty(self):
         cfg = parse_config(None)
         assert cfg.synth.feature_dim == 39
-        assert cfg.eval.n_queries == 80
+        assert cfg.eval.n_queries == 20
         assert cfg.eval.top_k == (1, 5, 10, 20, 40, 60)
 
     def test_file_values_and_comments(self, tmp_path):
@@ -382,6 +385,48 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert data == outputs["2"][name], name
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+REPORTS = ("loss_a.csv", "loss_b.csv", "refine_log.csv", "cosine_gap.csv",
+           "cluster_accuracy.csv", "retrieval_map.csv")
+
+
+def _readme_pipeline():
+    """The argument lists of the README's pipeline commands, without
+    ``segembed`` and without ``--config desk.cfg``."""
+    text = README.read_text(encoding="utf-8").split("drive the whole pipeline", 1)[1]
+    block = text.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert all(args[:3] == ["segembed", "--config", "desk.cfg"] for args in commands)
+    return [args[3:] for args in commands]
+
+
+def test_readme_pipeline_runs_at_the_defaults(tmp_path, capsys):
+    """Every README command ends with exit 0 with no config file, at the
+    default corpus and model sizes (one epoch of each training), and every
+    report it writes holds finite numbers only."""
+    epochs = ["--set", "train.epochs=1", "--set", "siamese.epochs=1"]
+    for args in _readme_pipeline():
+        args = [str(tmp_path) if arg == "run" else arg.replace("run/", f"{tmp_path}/")
+                for arg in args]
+        assert main([*epochs, *args]) == 0, (args, capsys.readouterr().err)
+    for name in REPORTS:
+        with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert rows, name
+        for row in rows:
+            numbers = [float(cell) for cell in row if _is_number(cell)]
+            assert numbers and all(map(math.isfinite, numbers)), (name, row)
+    capsys.readouterr()
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 class TestBadInputs:
     """Each malformed input exits 1 with a ``segembed: error:`` message, or
     3 with a ``segembed: configuration error:`` message."""
@@ -566,7 +611,7 @@ class TestBadInputs:
                     "meta": {"kind": "disentangled", "dims": {"embed_dim": 0}},
                     "components": {"E_p": {}, "E_s": {}, "Dec": {}, "D_s": {}},
                 },
-                "invalid model dims: embed_dim must be an integer >= 1, got 0",
+                "invalid model dims: embed_dim must be >= 1, got 0",
             ),
             (  # shapes are checked against the layout, so nothing this size is allocated
                 {
