@@ -163,11 +163,11 @@ def _finite(value: float, term: str, where: str) -> float:
     return value
 
 
-def _step(params, grad, state, component: str, where: str):
-    """``nc.grad_step`` on the flat gradient vector ``grad``; a
+def _step(params, grad, state, component: str, where: str) -> None:
+    """``nc.grad_step`` on the flat gradient vector ``grad``, in place; a
     NumericError gains the epoch, batch and component it happened in."""
     try:
-        return nc.grad_step(params, grad, state)
+        nc.grad_step(params, grad, state)
     except NumericError as exc:
         raise NumericError(f"{where}, component {component}: {exc}") from exc
 
@@ -239,7 +239,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                         disc_loss = bce_graph(logits, same_flags)
                         disc_value = _finite(disc_loss.item(), "disc", where)
                         disc_loss.backward()
-                        d_s, opt["D_s"] = _step(d_s, g_d, opt["D_s"], "D_s", where)
+                        _step(d_s, g_d, opt["D_s"], "D_s", where)
                     sums["disc"] += disc_value
 
                 v_s = nc.encoder_forward(e_s, frames, lengths, g_s)
@@ -265,9 +265,9 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                     loss = loss + cfg_s.gamma * c_loss
 
                 loss.backward()
-                e_p, opt["E_p"] = _step(e_p, g_p, opt["E_p"], "E_p", where)
-                e_s, opt["E_s"] = _step(e_s, g_s, opt["E_s"], "E_s", where)
-                dec, opt["Dec"] = _step(dec, g_dec, opt["Dec"], "Dec", where)
+                _step(e_p, g_p, opt["E_p"], "E_p", where)
+                _step(e_s, g_s, opt["E_s"], "E_s", where)
+                _step(dec, g_dec, opt["Dec"], "Dec", where)
 
             n_b = len(batches)
             row = {
@@ -319,7 +319,7 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
                 pos_pairs += len(pairs.positives)
                 neg_pairs += len(pairs.negatives)
                 loss.backward()
-                params, opt = _step(params, grad, opt, "refine", where)
+                _step(params, grad, opt, "refine", where)
             rows.append(
                 {
                     "epoch": epoch + 1,

@@ -191,6 +191,10 @@ def _resample_nearest(proto: np.ndarray, length: int) -> np.ndarray:
     return proto[pick]
 
 
+# A speaker transform or noise scale that overflows gives non-finite frames,
+# which building their Segment rejects with a DataError naming it; numpy's
+# warnings would only print the same failure untyped.
+@np.errstate(over="ignore", invalid="ignore")
 def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
     """Generate a labeled synthetic corpus; pure function of (cfg, seed).
 

@@ -200,6 +200,6 @@ def linear_probe_accuracy(vectors, labels, seed: int,
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = x_train.T @ (p - onehot) / len(train_idx)
-        params, opt = nc.grad_step(params, g.ravel(), opt)
+        nc.grad_step(params, g.ravel(), opt)
     pred = np.argmax(x_test @ params.arrays["w"], axis=1)
     return float(np.mean(pred == y[test_idx]))

@@ -6,9 +6,10 @@ written down once, in one layout table (key -> shape and fan-in, in draw
 order): the initializers draw from it and the checkpoint loader checks
 shapes against it without building a model. Each component's parameters
 are views into one contiguous float64 vector, so the package's one
-optimizer (Adam) checks and updates a component with a few whole-vector
-operations. Also houses checkpoint serialization, and the check of a
-loaded checkpoint's components against their layouts.
+optimizer (Adam) checks and updates a component in place with a few
+whole-vector operations; an update that would make a parameter non-finite
+raises before it writes one. Also houses checkpoint serialization, and the
+check of a loaded checkpoint's components against their layouts.
 
 Forward passes take a batch packed as all frames of its segments and the
 segments' lengths. The ``pool`` encoder (per-frame affine + tanh, temporal
@@ -17,9 +18,14 @@ discriminator are each one tape node: the forward is plain numpy and the
 backward is derived by hand, repeating the fine-grained tape's arithmetic
 expression for expression, so the gradients are the same bits (Baydin et
 al., JMLR 2018: coarse primitives with hand-written adjoints inside a
-reverse-mode tape). A forward given ``grad``, a float64 vector laid out
-like ``ComponentParams.flat``, adds each parameter's gradient into its
-view of that vector, and ``grad_step`` reads it as it is; without it the
+reverse-mode tape). The decoder's input row for a frame is [v_p; v_s;
+position], so its first layer takes the vectors' part once per segment,
+``v_p w_p + v_s w_s + b1`` over B rows, repeats it over the frames and adds
+``position w_pos``; its backward sums the layer's gradient per segment
+once and takes B-row products for ``w_p``, ``w_s``, ``v_p`` and ``v_s``.
+A forward given ``grad``, a float64 vector laid out like
+``ComponentParams.flat``, adds each parameter's gradient into its view of
+that vector, and ``grad_step`` reads it as it is; without it the
 parameters are constants. The recurrent encoder (``encoder_mode="rnn"``)
 and the refinement transform stay on the fine-grained tape: their
 parameter leaves start with their views of ``grad`` as gradient buffers.
@@ -34,7 +40,7 @@ tape nodes per step (max T steps) rather than several per frame.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,20 +103,17 @@ class ComponentParams:
 
     def __init__(self, name: str, arrays: dict):
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in arrays.items()}
-        flat = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
-        self._bind(name, flat, {k: a.shape for k, a in arrays.items()})
-
-    def _bind(self, name: str, flat: np.ndarray, shapes: dict) -> None:
-        self.name, self.flat, self.arrays = name, flat, _split(flat, shapes)
-        if not np.isfinite(flat).all():
-            key = next(k for k, a in self.arrays.items() if not np.isfinite(a).all())
+        self.name = name
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
+        self.arrays = _split(self.flat, {k: a.shape for k, a in arrays.items()})
+        if not np.isfinite(self.flat).all():
+            key = self._non_finite_key(self.flat)
             raise NumericError(f"{name}.{key}: non-finite parameter values")
 
-    def _with_flat(self, flat: np.ndarray) -> "ComponentParams":
-        """The same names and shapes over a new float64 vector ``flat``."""
-        new = object.__new__(ComponentParams)
-        new._bind(self.name, flat, {k: a.shape for k, a in self.arrays.items()})
-        return new
+    def _non_finite_key(self, flat: np.ndarray) -> str:
+        """The first key whose view of ``flat``, a vector laid out like
+        ``self.flat``, holds a non-finite value."""
+        return next(k for k, a in self.views(flat).items() if not np.isfinite(a).all())
 
     def views(self, flat: np.ndarray) -> dict:
         """``flat``, a vector laid out like ``self.flat`` (a gradient), as
@@ -256,9 +259,14 @@ def _check_lengths(lengths, what: str) -> np.ndarray:
 
 
 def _mlp(arrays: dict, x: np.ndarray):
-    """Two tanh layers and an affine output layer (decoder, discriminator)
-    on the rows of ``x`` -> (h1, h2, output)."""
-    h1 = np.tanh(x @ arrays["w1"] + arrays["b1"])
+    """Two tanh layers and an affine output layer (the discriminator) on
+    the rows of ``x`` -> (h1, h2, output)."""
+    return _head(arrays, np.tanh(x @ arrays["w1"] + arrays["b1"]))
+
+
+def _head(arrays: dict, h1: np.ndarray):
+    """The second tanh layer and the affine output layer of the decoder and
+    the discriminator on their first layer's output -> (h1, h2, output)."""
     h2 = np.tanh(h1 @ arrays["w2"] + arrays["b2"])
     return h1, h2, h2 @ arrays["w_out"] + arrays["b_out"]
 
@@ -275,15 +283,23 @@ def _affine_tanh_backward(g, x, h, grads, keys):
     return g
 
 
-def _mlp_backward(arrays, grads, x, h1, h2, g, input_grad: bool):
-    """Backward of ``_mlp`` for the output gradient ``g``: parameter
-    gradients into ``grads`` (None: constants), and the gradient of ``x``
-    if ``input_grad``, else None."""
+def _head_backward(arrays, grads, h1, h2, g):
+    """Backward of ``_head`` for the output gradient ``g``: parameter
+    gradients into ``grads`` (None: constants); returns the gradient of
+    ``h1``."""
     if grads is not None:
         grads["b_out"] += g.sum(axis=0)
         grads["w_out"] += h2.T @ g
     g = _affine_tanh_backward(g @ arrays["w_out"].T, h1, h2, grads, ("w2", "b2"))
-    g = _affine_tanh_backward(g @ arrays["w2"].T, x, h1, grads, ("w1", "b1"))
+    return g @ arrays["w2"].T
+
+
+def _mlp_backward(arrays, grads, x, h1, h2, g, input_grad: bool):
+    """Backward of ``_mlp`` for the output gradient ``g``: parameter
+    gradients into ``grads`` (None: constants), and the gradient of ``x``
+    if ``input_grad``, else None."""
+    g = _head_backward(arrays, grads, h1, h2, g)
+    g = _affine_tanh_backward(g, x, h1, grads, ("w1", "b1"))
     return g @ arrays["w1"].T if input_grad else None
 
 
@@ -341,25 +357,30 @@ def decoder_forward(params: ComponentParams, v_p, v_s, lengths, grad=None) -> Te
             f"decoder: {len(lengths)} segment lengths for "
             f"{v_p.shape[0]} v_p and {v_s.shape[0]} v_s rows"
         )
-    # input rows [v_p; v_s; position], each segment's vectors over its frames
-    x = np.concatenate(
-        [
-            np.repeat(v_p.data, lengths, axis=0),
-            np.repeat(v_s.data, lengths, axis=0),
-            _position_column(lengths),
-        ],
-        axis=1,
-    )
-    h1, h2, out = _mlp(params.arrays, x)
+    # first layer on the rows [v_p; v_s; position], the vectors' part once
+    # per segment: repeat(v_p w_p + v_s w_s + b1) + position w_pos
+    arrays = params.arrays
+    d = arrays["w1"].shape[0] // 2
+    w_p, w_s, w_pos = arrays["w1"][:d], arrays["w1"][d : 2 * d], arrays["w1"][2 * d :]
+    position = _position_column(lengths)
+    pre = np.repeat(v_p.data @ w_p + v_s.data @ w_s + arrays["b1"], lengths, axis=0)
+    pre += position @ w_pos
+    h1, h2, out = _head(arrays, np.tanh(pre, out=pre))
     grads = None if grad is None else params.views(grad)
-    starts, d_p = np.cumsum(lengths) - lengths, v_p.shape[1]
+    starts = np.cumsum(lengths) - lengths
 
     def backward(g):
-        g_x = _mlp_backward(params.arrays, grads, x, h1, h2, g,
-                            v_p.requires_grad or v_s.requires_grad)
-        for v, cols in ((v_p, slice(0, d_p)), (v_s, slice(d_p, d_p + v_s.shape[1]))):
+        g1 = _head_backward(arrays, grads, h1, h2, g)
+        g1 *= 1.0 - h1 * h1
+        per_segment = np.add.reduceat(g1, starts, axis=0)
+        if grads is not None:
+            grads["b1"] += per_segment.sum(axis=0)
+            grads["w1"][:d] += v_p.data.T @ per_segment
+            grads["w1"][d : 2 * d] += v_s.data.T @ per_segment
+            grads["w1"][2 * d :] += position.T @ g1
+        for v, w in ((v_p, w_p), (v_s, w_s)):
             if v.requires_grad:
-                v._accumulate(np.add.reduceat(g_x[:, cols], starts, axis=0))
+                v._accumulate(per_segment @ w.T)
 
     return Tensor(out, requires_grad=grad is not None, _parents=(v_p, v_s), _backward=backward)
 
@@ -408,10 +429,11 @@ def encode(params: ComponentParams, x) -> np.ndarray:
 # -- optimizer -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimState:
     """Adaptive-moment (Adam) optimizer state for one component; ``m`` and
-    ``v`` are flat vectors laid out like ``ComponentParams.flat``."""
+    ``v`` are flat vectors laid out like ``ComponentParams.flat``, which
+    ``grad_step`` updates in place."""
 
     learning_rate: float = 1e-3
     step: int = 0
@@ -427,12 +449,19 @@ def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimSta
     )
 
 
-def grad_step(params: ComponentParams, grad, state: OptimState):
+def grad_step(params: ComponentParams, grad, state: OptimState) -> None:
     """One Adam update from ``grad``, the gradient as one vector laid out
-    like ``params.flat`` -> (new ComponentParams, new OptimState).
+    like ``params.flat``, in place: ``params.flat`` (so every array view of
+    it), ``state.m``, ``state.v`` and ``state.step`` take their new values.
 
     Adam is elementwise, so it runs once over the component's flat vector
-    and gives the same bits as one update per array.
+    and gives the same bits as one update per array. A gradient of the
+    wrong shape (``DimensionError``) or with a non-finite entry
+    (``NumericError`` naming its key) changes nothing. An update that makes
+    a parameter non-finite raises ``NumericError`` naming its key and leaves
+    ``params.flat`` bit-unchanged, but ``state.m``, ``state.v`` and
+    ``state.step`` already hold the failed step's values, so the state is
+    not fit for another step.
     """
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != params.flat.shape:
@@ -440,15 +469,26 @@ def grad_step(params: ComponentParams, grad, state: OptimState):
             f"gradient shape {g.shape} != parameter shape {params.flat.shape} for {params.name}"
         )
     if not np.isfinite(g).all():
-        key = next(k for k, v in params.views(g).items() if not np.isfinite(v).all())
-        raise NumericError(f"non-finite gradient for {params.name}.{key}")
-    step = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**step)
-    v_hat = v / (1.0 - ADAM_BETA2**step)
-    flat = params.flat - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params._with_flat(flat), replace(state, step=step, m=m, v=v)
+        raise NumericError(f"non-finite gradient for {params.name}.{params._non_finite_key(g)}")
+    # the textbook update's operations in its order, through two scratch
+    # vectors, so the bits equal one update per array
+    state.step += 1
+    m, v, update, denom = state.m, state.v, np.empty_like(g), np.empty_like(g)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
+    np.multiply(1.0 - ADAM_BETA2, g, out=update)
+    v *= ADAM_BETA2
+    v += np.multiply(update, g, out=update)
+    np.divide(m, 1.0 - ADAM_BETA1**state.step, out=update)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**state.step, out=denom), out=denom)
+    denom += ADAM_EPS
+    update *= state.learning_rate
+    update /= denom
+    new_flat = np.subtract(params.flat, update, out=update)
+    if not np.isfinite(new_flat).all():
+        key = params._non_finite_key(new_flat)
+        raise NumericError(f"{params.name}.{key}: non-finite parameter values")
+    params.flat[...] = new_flat
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -13,7 +13,10 @@ below 1e-4.
 ``pool`` encoder, decoder and discriminator written as fine-grained tape
 graphs, with the batch layers ``segment_mean`` and ``repeat_rows``: the
 forms that ``neuralcore``'s single-node components must match bit for
-bit.
+bit. ``concat_decoder`` is the decoder as the paper writes it, each
+frame's row [v_p; v_s; position] through the first layer; the node's
+per-segment first layer sums in another order, so it matches that form
+to rounding only.
 """
 
 import numpy as np
@@ -77,8 +80,20 @@ def tape_encoder(pt: dict, frames, lengths) -> Tensor:
 
 
 def tape_decoder(pt: dict, v_p, v_s, lengths) -> Tensor:
-    """The decoder on the tape: (sum T, F) reconstruction of a packed
-    batch."""
+    """The decoder on the tape, its first layer taken once per segment:
+    (sum T, F) reconstruction of a packed batch."""
+    d = pt["w1"].shape[0] // 2
+    w_p, w_s = ad.slice_rows(pt["w1"], 0, d), ad.slice_rows(pt["w1"], d, 2 * d)
+    w_pos = ad.slice_rows(pt["w1"], 2 * d, 2 * d + 1)
+    position = ad.constant(nc._position_column(np.asarray(lengths, dtype=np.intp)))
+    per_segment = ad.as_tensor(v_p) @ w_p + ad.as_tensor(v_s) @ w_s + pt["b1"]
+    h1 = ad.tanh(repeat_rows(per_segment, lengths) + position @ w_pos)
+    return tape_head(pt, h1)
+
+
+def concat_decoder(pt: dict, v_p, v_s, lengths) -> Tensor:
+    """The decoder as the paper writes it, on the tape: every frame's input
+    row [v_p; v_s; position] goes through the first layer."""
     position = nc._position_column(np.asarray(lengths, dtype=np.intp))
     inputs = ad.concat(
         [repeat_rows(v_p, lengths), repeat_rows(v_s, lengths), ad.constant(position)], axis=1
@@ -94,7 +109,11 @@ def tape_discriminator(pt: dict, pairs) -> Tensor:
 def tape_mlp(pt: dict, x) -> Tensor:
     """Two tanh layers and the affine output layer of the decoder and the
     discriminator, on the tape."""
-    h1 = ad.tanh(ad.as_tensor(x) @ pt["w1"] + pt["b1"])
+    return tape_head(pt, ad.tanh(ad.as_tensor(x) @ pt["w1"] + pt["b1"]))
+
+
+def tape_head(pt: dict, h1) -> Tensor:
+    """The second tanh layer and the affine output layer, on the tape."""
     h2 = ad.tanh(h1 @ pt["w2"] + pt["b2"])
     return h2 @ pt["w_out"] + pt["b_out"]
 

@@ -679,6 +679,24 @@ class TestBadInputs:
             "segembed: error: epoch 1, batch 1: non-finite recon loss (inf)\n"
         )
 
+    def test_synth_overflow_prints_only_the_error_line(self, tmp_path):
+        """A speaker transform that overflows: exit 1 and the typed error
+        line, without numpy's RuntimeWarning, in a process of its own."""
+        result = subprocess.run(
+            [sys.executable, "-m", "segembed.cli", "--out-dir", str(tmp_path),
+             "--set", "synth.speaker_shift_scale=1e308", "--set", "synth.n_units=2",
+             "--set", "synth.n_speakers=2", "--set", "synth.instances_per_unit_speaker=2",
+             "synth"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr == (
+            "segembed: error: segment 'seg-000000': non-finite feature values\n"
+        )
+        assert not (tmp_path / "corpus.jsonl").exists()
+
     @pytest.mark.parametrize(
         "command, key, value, message",
         [

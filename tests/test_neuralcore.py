@@ -232,6 +232,7 @@ NODE_CASES = [
     (SMALL, [3, 1, 4, 1, 2]),
     (DESK, [1, 7, 2, 1, 12, 5, 3, 1, 9]),
     (DESK, list(np.random.default_rng(8).integers(1, 13, size=64))),
+    (ModelDims(), list(np.random.default_rng(9).integers(6, 13, size=32))),
 ]
 
 
@@ -303,6 +304,29 @@ class TestComponentNodes:
             assert np.array_equal(grad, _tape_grad(ref))
         else:
             assert all(t.grad is None for t in ref.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+    def test_decoder_matches_the_concatenated_input_form(self, lengths, seed):
+        """The per-segment first layer against the paper's form, each
+        frame's row [v_p; v_s; position] through it: equal to rounding,
+        1e-12 relative to each array's largest entry (an entry that is a
+        sum with cancellation has no elementwise relative bound)."""
+        rng = np.random.default_rng(seed)
+        params = init_decoder(SMALL, seed % 1000)
+        rows = rng.normal(size=(2, len(lengths), SMALL.embed_dim))
+        g = rng.normal(size=(sum(lengths), SMALL.feature_dim))
+        grad, ref = np.zeros_like(params.flat), params.tensors(np.zeros_like(params.flat))
+        v_p, v_s = _leaves(*rows)
+        r_p, r_s = _leaves(*rows)
+        out = decoder_forward(params, v_p, v_s, lengths, grad)
+        want = gradcheck.concat_decoder(ref, r_p, r_s, lengths)
+        ad.tsum(out * ad.constant(g)).backward()
+        ad.tsum(want * ad.constant(g)).backward()
+        for got, expected in ((out.data, want.data), (grad, _tape_grad(ref)),
+                              (v_p.grad, r_p.grad), (v_s.grad, r_s.grad)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
 
     def test_nodes_are_one_tape_node_each(self):
         enc, dec = init_encoder(SMALL, seed=0), init_decoder(SMALL, seed=0)
@@ -377,10 +401,11 @@ class TestRefine:
 class TestGradStep:
     def test_zero_grads_keep_params(self):
         params = ComponentParams("c", {"w": np.array([1.0, -2.0])})
+        before = params.flat.copy()
         state = init_optim(params)
-        new_params, new_state = grad_step(params, np.zeros(2), state)
-        assert np.array_equal(new_params.arrays["w"], params.arrays["w"])
-        assert new_state.step == 1
+        grad_step(params, np.zeros(2), state)
+        assert params.flat.tobytes() == before.tobytes()
+        assert state.step == 1
 
     def test_nan_gradient_rejected(self):
         params = ComponentParams("c", {"w": np.array([1.0])})
@@ -394,11 +419,13 @@ class TestGradStep:
             grad_step(params, np.zeros(2), init_optim(params))
 
     def test_adam_deterministic(self):
-        params = ComponentParams("c", {"w": np.array([1.0, 2.0])})
+        a, b = (ComponentParams("c", {"w": np.array([1.0, 2.0])}) for _ in range(2))
         g = np.array([0.3, -0.1])
-        a, _ = grad_step(params, g, init_optim(params))
-        b, _ = grad_step(params, g, init_optim(params))
-        assert np.array_equal(a.arrays["w"], b.arrays["w"])
+        grad_step(a, g, init_optim(a))
+        grad_step(b, g, init_optim(b))
+        assert not np.shares_memory(a.flat, b.flat)
+        assert a.flat.tobytes() == b.flat.tobytes()
+        assert not np.array_equal(a.arrays["w"], [1.0, 2.0])
 
 
 def per_key_adam(arrays, grads, m, v, step, learning_rate):
@@ -442,7 +469,7 @@ class TestFlatAdam:
                 for k, s in shapes.items()
             }
             grad = np.concatenate([grads[k].ravel() for k in params.arrays])
-            params, state = grad_step(params, grad, state)
+            grad_step(params, grad, state)
             ref, ref_m, ref_v = per_key_adam(ref, grads, ref_m, ref_v, step, learning_rate)
         assert state.step == n_steps
         for key in shapes:
@@ -463,9 +490,27 @@ class TestFlatAdam:
         assert offset == params.flat.size
         params.flat[-1] = 7.0
         assert params.arrays["b_out"][-1] == 7.0
-        new, state = grad_step(params, np.ones_like(params.flat), init_optim(params))
-        assert all(a.base is new.flat for a in new.arrays.values())
-        assert state.m.shape == state.v.shape == new.flat.shape
+        flat, arrays, state = params.flat, dict(params.arrays), init_optim(params)
+        before = flat.copy()
+        grad_step(params, np.ones_like(flat), state)
+        assert params.flat is flat and not np.array_equal(flat, before)
+        assert all(params.arrays[k] is a and a.base is flat for k, a in arrays.items())
+        assert state.m.shape == state.v.shape == flat.shape
+
+    def test_views_stay_on_one_vector_over_steps(self):
+        params = init_decoder(SMALL, seed=2)
+        flat, arrays, state = params.flat, dict(params.arrays), init_optim(params, 0.05)
+        m, v = state.m, state.v
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            grad_step(params, rng.normal(size=flat.shape), state)
+        assert params.flat is flat and state.m is m and state.v is v and state.step == 4
+        offset = 0
+        for key, arr in params.arrays.items():
+            assert arr is arrays[key] and arr.base is flat, key
+            assert np.shares_memory(arr, flat[offset : offset + arr.size])
+            assert arr.tobytes() == flat[offset : offset + arr.size].tobytes()
+            offset += arr.size
 
     def test_errors_name_the_second_key(self):
         params = ComponentParams("c", {"a": np.zeros(2), "b": np.zeros(3)})
@@ -482,6 +527,17 @@ class TestFlatAdam:
             NumericError, match=r"^c\.b: non-finite parameter values$"
         ):
             grad_step(params, np.array([1.0, 1.0, -1.0]), init_optim(params, learning_rate=1e308))
+
+    def test_update_that_overflows_leaves_params_bit_unchanged(self):
+        params = ComponentParams("c", {"a": np.array([0.5, -0.25]), "b": np.array([1.7e308])})
+        state = init_optim(params, learning_rate=1e308)
+        before, a, g = params.flat.copy(), params.arrays["a"], np.array([1.0, 1.0, -1.0])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"c\.b"):
+            grad_step(params, g, state)
+        assert params.flat.tobytes() == before.tobytes()
+        assert params.arrays["a"] is a and a.base is params.flat
+        # the moments and the step count already hold the failed step
+        assert state.step == 1 and state.m.tobytes() == ((1.0 - ADAM_BETA1) * g).tobytes()
 
 
 class TestCheckpoint:
@@ -503,7 +559,7 @@ class TestCheckpoint:
         state = init_optim(params, 0.05)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            params, state = grad_step(params, rng.normal(size=params.flat.shape), state)
+            grad_step(params, rng.normal(size=params.flat.shape), state)
         path = tmp_path / "model.json"
         save_checkpoint(path, {"E_p": params})
         loaded = load_checkpoint(path)[0]["E_p"]
