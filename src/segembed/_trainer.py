@@ -93,7 +93,9 @@ def speaker_pairs(speakers):
 
 def _pair_loss(vectors, positives, negatives, margin: float, what: str) -> ad.Tensor:
     """Sum of positive squared distances and negative squared hinges
-    max(margin - distance, 0)^2, divided by the total pair count."""
+    max(margin - distance, 0)^2 (margin > 0), divided by the pair count."""
+    if not margin > 0:  # NaN fails too
+        raise ConfigError("margin must be > 0")
     n_pairs = len(positives) + len(negatives)
     if n_pairs == 0:
         raise DataError(f"{what} needs at least one pair")

@@ -290,10 +290,9 @@ def tsum(a, axis=None) -> Tensor:
     return out
 
 
-def tmean(a, axis=None) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def concat(tensors, axis=0) -> Tensor:

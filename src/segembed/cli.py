@@ -272,29 +272,27 @@ def _run(args) -> str:
         )
         return f"eval-cluster: {summary} -> {path}"
 
-    if args.command == "eval-std":
-        table = {}
-        n_rel = 0
-        for variant, path in tagged.items():
-            index, queries = evalstd.build_retrieval_task(
-                _labeled_entries(path, labels),
-                labels,
-                cfg.eval.n_documents,
-                cfg.eval.n_queries,
-                derive_seed(master, "eval-std"),
-            )
-            reports = evalstd.run_retrieval(index, queries, cfg.eval.top_k)
-            table[variant] = {k: reports[k].map for k in cfg.eval.top_k}
-            n_rel = len(queries)
-        path = args.output or out_dir / "retrieval_map.csv"
-        evalstd.write_map_csv(path, table, cfg.eval.top_k)
-        k0 = cfg.eval.top_k[0]
-        summary = ", ".join(
-            f"{v}: MAP@{k0}={table[v][k0]:.4f}" for v in sorted(table)
+    # eval-std, the last command argparse accepts
+    table = {}
+    n_rel = 0
+    for variant, path in tagged.items():
+        index, queries = evalstd.build_retrieval_task(
+            _labeled_entries(path, labels),
+            labels,
+            cfg.eval.n_documents,
+            cfg.eval.n_queries,
+            derive_seed(master, "eval-std"),
         )
-        return f"eval-std: {n_rel} queries, {summary} -> {path}"
-
-    raise ConfigError(f"unknown command {args.command!r}")
+        reports = evalstd.run_retrieval(index, queries, cfg.eval.top_k)
+        table[variant] = {k: reports[k].map for k in cfg.eval.top_k}
+        n_rel = len(queries)
+    path = args.output or out_dir / "retrieval_map.csv"
+    evalstd.write_map_csv(path, table, cfg.eval.top_k)
+    k0 = cfg.eval.top_k[0]
+    summary = ", ".join(
+        f"{v}: MAP@{k0}={table[v][k0]:.4f}" for v in sorted(table)
+    )
+    return f"eval-std: {n_rel} queries, {summary} -> {path}"
 
 
 def main(argv=None) -> int:

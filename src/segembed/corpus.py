@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DECODE_ERRORS,
     ConfigError,
     DataError,
     DimensionError,
@@ -52,13 +53,13 @@ def _check_level(segment_id, level) -> None:
         )
 
 
-def validate_features(frames, segment_id: str = "?") -> np.ndarray:
+def validate_features(frames, segment_id: str) -> np.ndarray:
     """Check a feature matrix: 2-D, T >= 1, all values finite."""
     try:
         arr = np.asarray(frames, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+    except DECODE_ERRORS as exc:
         raise DataError(
-            f"segment {segment_id!r}: features must be a T x F matrix of numbers"
+            f"segment {segment_id!r}: features must be a T x F matrix of numbers: {exc}"
         ) from exc
     if arr.ndim != 2:
         raise DimensionError(
@@ -233,12 +234,7 @@ def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
                 frames = _resample_nearest(prototypes[u], length)
                 frames = frames @ gains[s].T + biases[s]
                 if cfg.noise_scale > 0:
-                    frames = frames + cfg.noise_scale * inst_rng.normal(
-                        size=frames.shape
-                    )
-                else:
-                    # keep the noise stream position independent of values
-                    frames = frames.copy()
+                    frames = frames + cfg.noise_scale * inst_rng.normal(size=frames.shape)
                 utt = per_speaker // UTTERANCE_GROUP
                 segments.append(
                     Segment(
@@ -387,7 +383,7 @@ def load_embeddings(path):
         mat = np.array([rec["vector"] for rec in records], dtype=np.float64)
         if len(set(ids)) == len(ids) and mat.ndim == 2 and np.isfinite(mat).all():
             return list(zip(ids, mat))
-    except (KeyError, TypeError, ValueError, OverflowError):  # UnicodeDecodeError too
+    except (KeyError, *DECODE_ERRORS):  # UnicodeDecodeError too
         pass  # the line-by-line read names the failure
     return _load_embeddings_by_line(path)
 
@@ -405,7 +401,7 @@ def _load_embeddings_by_line(path):
             rec = json.loads(line)
             sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
             first = first_line.setdefault(sid, lineno)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, *DECODE_ERRORS) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if first != lineno:
             raise DataError(

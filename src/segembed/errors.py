@@ -31,3 +31,7 @@ class EvaluationError(SegembedError):
 
 class NumericError(SegembedError):
     """Non-finite values or undefined numeric operations."""
+
+
+# What converting parsed JSON to numbers can raise; the file readers type it.
+DECODE_ERRORS = (TypeError, ValueError, OverflowError)

@@ -35,11 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Document:
-    """One spoken document: embedded word tokens plus transcript tokens."""
+    """One spoken document: embedded word tokens, and their transcript."""
 
     doc_id: str
     words: tuple  # of (token, vector)
-    transcript: tuple = ()
+    transcript: tuple = field(init=False)  # derived: the words' tokens, in order
 
     def __post_init__(self):
         if not self.words:
@@ -49,8 +49,7 @@ class Document:
         if len(dims) != 1 or any(len(s) != 1 for s in dims):
             raise DataError(f"document {self.doc_id!r}: inconsistent embedding dims")
         object.__setattr__(self, "words", words)
-        transcript = tuple(self.transcript) or tuple(t for t, _ in words)
-        object.__setattr__(self, "transcript", transcript)
+        object.__setattr__(self, "transcript", tuple(t for t, _ in words))
 
 
 @dataclass(frozen=True)

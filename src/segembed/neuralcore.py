@@ -2,8 +2,8 @@
 
 Five components: phonetic encoder, speaker encoder, decoder, speaker
 discriminator, and the refinement transform. Each component's arrays are
-written down once, in one layout table (key -> shape and fan-in, in draw
-order): the initializers draw from it and the checkpoint loader checks
+written down once, in one layout table (key -> shape and fan-in, None for
+zeros): the initializers draw from it and the checkpoint loader checks
 shapes against it without building a model. Each component's parameters
 are views into one contiguous float64 vector, so the package's one
 optimizer (Adam) checks and updates a component in place with a few
@@ -12,13 +12,14 @@ raises before it writes one. Also houses checkpoint serialization, and the
 check of a loaded checkpoint's components against their layouts.
 
 Forward passes take a batch packed as all frames of its segments and the
-segments' lengths. The ``pool`` encoder (per-frame affine + tanh, temporal
-mean pooling, affine to the embedding dimension), the decoder and the
-discriminator are each one tape node: the forward is plain numpy and the
-backward is derived by hand, repeating the fine-grained tape's arithmetic
-expression for expression, so the gradients are the same bits (Baydin et
-al., JMLR 2018: coarse primitives with hand-written adjoints inside a
-reverse-mode tape). The decoder's input row for a frame is [v_p; v_s;
+segments' lengths; an input of the wrong width is a ``DimensionError``
+naming the component and both widths. The ``pool`` encoder (per-frame
+affine + tanh, temporal mean pooling, affine to the embedding dimension),
+the decoder and the discriminator are each one tape node: the forward is
+plain numpy and the backward is derived by hand, repeating the
+fine-grained tape's arithmetic expression for expression, so the gradients
+are the same bits (Baydin et al., JMLR 2018: coarse primitives with
+hand-written adjoints inside a reverse-mode tape). The decoder's input row for a frame is [v_p; v_s;
 position], so its first layer takes the vectors' part once per segment,
 ``v_p w_p + v_s w_s + b1`` over B rows, repeats it over the frames and adds
 ``position w_pos``; its backward sums the layer's gradient per segment
@@ -40,13 +41,13 @@ tape nodes per step (max T steps) rather than several per frame.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, DimensionError, NumericError, ParseError
+from .errors import DECODE_ERRORS, DataError, DimensionError, NumericError, ParseError
 from .seeding import check_fields, seeded_rng
 
 __all__ = [
@@ -140,9 +141,9 @@ def _dense(w: str, b: str, n_in: int, n_out: int) -> dict:
 
 
 def _layouts(dims: ModelDims) -> dict:
-    """Each component's arrays in draw order: component -> {key: (shape,
-    fan-in)}. The initializers draw from it; the checkpoint loader checks
-    shapes against it."""
+    """Each component's arrays in order: component -> {key: (shape,
+    fan-in)}, fan-in None for zeros. The initializers draw from it; the
+    checkpoint loader checks shapes against it."""
     f, d = dims.feature_dim, dims.embed_dim
     h_e, h_d, h_s, h_r = dims.enc_hidden, dims.dec_hidden, dims.disc_hidden, dims.refine_hidden
     recurrent = {"w_rec": ((h_e, h_e), h_e)} if dims.encoder_mode == "rnn" else {}
@@ -154,20 +155,20 @@ def _layouts(dims: ModelDims) -> dict:
                     **_dense("w_out", "b_out", h_d, f)},
         "discriminator": {**_dense("w1", "b1", 2 * d, h_s), **_dense("w2", "b2", h_s, h_s),
                           **_dense("w_out", "b_out", h_s, 1)},
-        # the output layer is drawn first, and stored last
-        "refine": {**_dense("w2", "b2", h_r, d), **_dense("w1", "b1", d, h_r)},
+        # the output layer starts at zero: the identity map at step 0
+        "refine": {**_dense("w1", "b1", d, h_r), "w2": ((h_r, d), None), "b2": ((d,), None)},
     }
 
 
-def _draw(component: str, dims: ModelDims, seed: int, zeroed=()) -> dict:
+def _draw(component: str, dims: ModelDims, seed: int) -> dict:
     """The component's arrays, each uniform in +-1/sqrt(fan-in), drawn in
-    layout order from one generator; ``zeroed`` keys are zeros, not drawn.
-    An array too large to allocate is a ``DataError`` naming it."""
+    layout order from one generator; an array of fan-in None is zeros, not
+    drawn. An array too large to allocate is a ``DataError`` naming it."""
     rng = seeded_rng(seed)
     arrays = {}
     for key, (shape, fan_in) in _layouts(dims)[component].items():
         try:
-            if key in zeroed:
+            if fan_in is None:
                 arrays[key] = np.zeros(shape)
             else:
                 bound = 1.0 / np.sqrt(fan_in)
@@ -194,12 +195,11 @@ def init_discriminator(dims: ModelDims, seed: int) -> ComponentParams:
 def init_refine(dims: ModelDims, seed: int) -> ComponentParams:
     """Refinement transform parameters.
 
-    The output layer starts at zero, so the transform is exactly the
-    identity map at step 0 (the residual path carries the input through
-    unchanged).
+    The layout gives the output layer (``w2``, ``b2``) a zero start, so the
+    transform is exactly the identity map at step 0 (the residual path
+    carries the input through unchanged).
     """
-    arrays = _draw("refine", dims, seed, ("w2", "b2"))
-    return ComponentParams("refine", {k: arrays[k] for k in ("w1", "b1", "w2", "b2")})
+    return ComponentParams("refine", _draw("refine", dims, seed))
 
 
 # -- batched forward passes ----------------------------------------------
@@ -256,6 +256,12 @@ def _check_lengths(lengths, what: str) -> np.ndarray:
     if (lengths < 1).any():
         raise DataError(f"{what}: segment lengths must be >= 1, got {lengths.tolist()}")
     return lengths
+
+
+def _check_width(component: str, what: str, rows: str, x: np.ndarray, width: int) -> None:
+    """A ``DimensionError`` unless ``x`` is a matrix of ``width`` columns."""
+    if x.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(f"{component}: expected ({rows}, {width}) {what}, got {x.shape}")
 
 
 def _mlp(arrays: dict, x: np.ndarray):
@@ -325,11 +331,13 @@ def encoder_forward(params: ComponentParams, frames, lengths, grad=None) -> Tens
     """Encode a packed batch -> (B, d) embedding tensor.
 
     The encoder is ``rnn`` if its parameters hold ``w_rec``, else ``pool``
-    (one tape node). ``lengths`` are the segments' frame counts, in row
-    order; each must be >= 1 and they must sum to the number of frame rows
-    (``DataError``). ``grad``: see the module docstring.
+    (one tape node); ``frames`` has ``w_in``'s rows as columns. ``lengths``
+    are the segments' frame counts, in row order; each must be >= 1 and they
+    must sum to the number of frame rows (``DataError``). ``grad``: see the
+    module docstring.
     """
     frames = np.asarray(frames, dtype=np.float64)
+    _check_width("encoder", "feature matrix", "T", frames, params.arrays["w_in"].shape[0])
     lengths = _check_lengths(lengths, "encoder")
     if lengths.sum() != frames.shape[0]:
         raise DataError(
@@ -346,11 +354,15 @@ def decoder_forward(params: ComponentParams, v_p, v_s, lengths, grad=None) -> Te
     """Reconstruct a packed batch -> (sum T, F) tensor; one tape node with
     parents ``v_p`` and ``v_s``.
 
-    ``lengths`` are the segments' frame counts, one per row of ``v_p`` and
-    ``v_s``; each must be >= 1 (``DataError``). ``grad``: see the module
-    docstring.
+    ``v_p`` and ``v_s`` have d columns (``w1`` has 2d + 1 rows). ``lengths``
+    are the segments' frame counts, one per row of ``v_p`` and ``v_s``; each
+    must be >= 1 (``DataError``). ``grad``: see the module docstring.
     """
     v_p, v_s = ad.as_tensor(v_p), ad.as_tensor(v_s)
+    arrays = params.arrays
+    d = arrays["w1"].shape[0] // 2
+    _check_width("decoder", "v_p", "B", v_p.data, d)
+    _check_width("decoder", "v_s", "B", v_s.data, d)
     lengths = _check_lengths(lengths, "decoder")
     if not len(lengths) == v_p.shape[0] == v_s.shape[0]:
         raise DataError(
@@ -359,8 +371,6 @@ def decoder_forward(params: ComponentParams, v_p, v_s, lengths, grad=None) -> Te
         )
     # first layer on the rows [v_p; v_s; position], the vectors' part once
     # per segment: repeat(v_p w_p + v_s w_s + b1) + position w_pos
-    arrays = params.arrays
-    d = arrays["w1"].shape[0] // 2
     w_p, w_s, w_pos = arrays["w1"][:d], arrays["w1"][d : 2 * d], arrays["w1"][2 * d :]
     position = _position_column(lengths)
     pre = np.repeat(v_p.data @ w_p + v_s.data @ w_s + arrays["b1"], lengths, axis=0)
@@ -390,6 +400,7 @@ def discriminator_forward(params: ComponentParams, pairs, grad=None) -> Tensor:
     tensor; one tape node with parent ``pairs``. ``grad``: see the module
     docstring."""
     pairs = ad.as_tensor(pairs)
+    _check_width("discriminator", "pair rows", "P", pairs.data, params.arrays["w1"].shape[0])
     h1, h2, out = _mlp(params.arrays, pairs.data)
     grads = None if grad is None else params.views(grad)
 
@@ -404,10 +415,11 @@ def discriminator_forward(params: ComponentParams, pairs, grad=None) -> Tensor:
 
 
 def refine_forward(params: ComponentParams, v, grad=None) -> Tensor:
-    """Residual refinement map v -> z (same dimension), on the tape.
+    """Residual refinement map of (B, d) rows v -> z, on the tape.
     ``grad``: see the module docstring."""
-    pt = params.tensors(grad)
     v = ad.as_tensor(v)
+    _check_width("refine", "v", "B", v.data, params.arrays["w1"].shape[0])
+    pt = params.tensors(grad)
     return v + ad.tanh(v @ pt["w1"] + pt["b1"]) @ pt["w2"] + pt["b2"]
 
 
@@ -418,12 +430,7 @@ def encode(params: ComponentParams, x) -> np.ndarray:
     """Variable-length (T, F) feature matrix -> one vector of length d, with
     either encoder (phonetic or speaker) of either kind."""
     x = np.asarray(x, dtype=np.float64)
-    f_dim = params.arrays["w_in"].shape[0]
-    if x.ndim != 2 or x.shape[1] != f_dim:
-        raise DimensionError(
-            f"encoder: expected (T, {f_dim}) feature matrix, got {x.shape}"
-        )
-    return encoder_forward(params, x, [x.shape[0]]).data[0]
+    return encoder_forward(params, x, x.shape[:1]).data[0]  # one segment of T frames
 
 
 # -- optimizer -------------------------------------------------------------
@@ -431,22 +438,18 @@ def encode(params: ComponentParams, x) -> np.ndarray:
 
 @dataclass
 class OptimState:
-    """Adaptive-moment (Adam) optimizer state for one component; ``m`` and
-    ``v`` are flat vectors laid out like ``ComponentParams.flat``, which
-    ``grad_step`` updates in place."""
+    """Adaptive-moment (Adam) optimizer state for one component, made by
+    ``init_optim``; ``m`` and ``v`` are flat vectors laid out like
+    ``ComponentParams.flat``, which ``grad_step`` updates in place."""
 
-    learning_rate: float = 1e-3
+    learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_optim(params: ComponentParams, learning_rate: float = 1e-3) -> OptimState:
-    return OptimState(
-        learning_rate=learning_rate,
-        m=np.zeros_like(params.flat),
-        v=np.zeros_like(params.flat),
-    )
+    return OptimState(learning_rate, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def grad_step(params: ComponentParams, grad, state: OptimState) -> None:
@@ -521,7 +524,7 @@ def _checkpoint_array(path, name, key, entry) -> np.ndarray:
         shape = [int(n) for n in entry["shape"]]
     except KeyError as exc:
         raise ParseError(f"{path}: {name}.{key}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except DECODE_ERRORS as exc:
         raise ParseError(f"{path}: {name}.{key}: {exc}") from exc
     if data.ndim != 1 or min(shape, default=0) < 0 or data.size != math.prod(shape):
         raise ParseError(

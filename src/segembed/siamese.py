@@ -56,8 +56,6 @@ class SiameseConfig:
 def contrastive_loss(vectors, pairs: PairSets, margin: float) -> float:
     """Sum over positive pairs of squared distance plus sum over negative
     pairs of max(margin - distance, 0)^2, divided by the total pair count."""
-    if not margin > 0:  # NaN fails too
-        raise ConfigError("margin must be > 0")
     mat = np.asarray(vectors, dtype=np.float64)
     high = max(pairs.positives.max(initial=0), pairs.negatives.max(initial=0))
     if mat.ndim != 2 or high >= mat.shape[0]:
@@ -109,10 +107,9 @@ def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
     return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]
 
 
-def save_refine_model(path, refine: RefineModel, extra_meta: dict | None = None):
+def save_refine_model(path, refine: RefineModel):
     """Write a refinement transform as a single checkpoint document."""
     meta = {"kind": "refine", "dims": vars(refine.dims).copy()}
-    meta.update(extra_meta or {})
     nc.save_checkpoint(path, {"refine": refine.params}, meta)
 
 

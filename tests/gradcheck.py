@@ -25,6 +25,7 @@ from segembed import autodiff as ad
 from segembed import neuralcore as nc
 from segembed.autodiff import Tensor
 from segembed.errors import DataError
+from segembed.seeding import seeded_rng
 
 
 def sigmoid(a) -> Tensor:
@@ -120,8 +121,14 @@ def tape_head(pt: dict, h1) -> Tensor:
 
 def random_refine(dims: nc.ModelDims, seed: int) -> nc.ComponentParams:
     """Refinement parameters whose output layer is drawn, not zero, so every
-    entry has a non-trivial gradient."""
-    arrays = nc._draw("refine", dims, seed)
+    entry has a non-trivial gradient: each array uniform in
+    +-1/sqrt(fan-in) from one generator, the output layer drawn first."""
+    rng, d, h = seeded_rng(seed), dims.embed_dim, dims.refine_hidden
+    arrays = {}
+    for key, shape, fan_in in (("w2", (h, d), h), ("b2", (d,), h),
+                               ("w1", (d, h), d), ("b1", (h,), d)):
+        bound = 1.0 / np.sqrt(fan_in)
+        arrays[key] = rng.uniform(-bound, bound, size=shape)
     return nc.ComponentParams("refine", {k: arrays[k] for k in ("w1", "b1", "w2", "b2")})
 
 

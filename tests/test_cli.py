@@ -635,6 +635,71 @@ class TestBadInputs:
         )
         assert "invalid JSON" in self._error(capsys, code)
 
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def model_a(corpus_dir):
+        """The text of a variant-a checkpoint trained on the corpus."""
+        corpus = str(corpus_dir / "corpus.jsonl")
+        assert run_cli(corpus_dir, "train", "--corpus", corpus, "--variant", "a") == 0
+        return (corpus_dir / "model_a.json").read_text()
+
+    @staticmethod
+    def _one_error_line(capsys, code):
+        """Exit 1 with exactly one ``segembed: error:`` line and no traceback."""
+        err = TestBadInputs._error(capsys, code)
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        return err
+
+    @pytest.mark.parametrize("command", ["embed", "refine"])
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("data", "1" + "0" * 400, "int too large to convert to float"),
+            ("shape", "[1e400]", "cannot convert float infinity to integer"),
+        ],
+        ids=["data", "shape"],
+    )
+    def test_checkpoint_number_beyond_float64(
+        self, corpus_dir, model_a, tmp_path, capsys, command, key, text, message
+    ):
+        """A number that float64 or an int cannot hold, in E_p.b_in of a
+        trained checkpoint, is a ParseError naming the array."""
+        doc = json.loads(model_a)
+        entry = doc["components"]["E_p"]["b_in"]
+        if key == "data":
+            entry["data"][0] = "MARK"
+        else:
+            entry["shape"] = "MARK"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"MARK"', text))
+        code = run_cli(
+            tmp_path, command, "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path), *(["--variant", "a"] if command == "embed" else []),
+        )
+        err = self._one_error_line(capsys, code)
+        assert f"segembed: error: {path}: E_p.b_in: {message}\n" == err
+
+    @pytest.mark.parametrize("command", ["train", "refine", "embed"])
+    def test_corpus_frame_beyond_float64(self, corpus_dir, model_a, tmp_path, capsys, command):
+        """A frame value that float64 cannot hold is a DataError naming the
+        file, the line and the segment."""
+        lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["features"][1][2] = 10**400
+        lines[3] = json.dumps(record) + "\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines))
+        checkpoint = tmp_path / "model_a.json"
+        checkpoint.write_text(model_a)
+        args = {"train": ["--variant", "a"], "refine": ["--checkpoint", str(checkpoint)],
+                "embed": ["--checkpoint", str(checkpoint), "--variant", "a"]}[command]
+        code = run_cli(tmp_path / "out", command, "--corpus", str(corpus), *args)
+        err = self._one_error_line(capsys, code)
+        assert err.startswith(
+            f"segembed: error: {corpus}:4: segment {record['segment_id']!r}: features must "
+            "be a T x F matrix of numbers: int too large to convert to float"
+        )
+
     @staticmethod
     def _huge_corpus(corpus_dir, tmp_path):
         """The corpus with every feature set to 1e200; returns its path."""

@@ -98,6 +98,11 @@ class TestReconstructionLoss:
         with pytest.raises(DimensionError):
             reconstruction_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3)])
+    def test_not_a_non_empty_matrix(self, shape):
+        with pytest.raises(DimensionError, match=r"expected non-empty \(T, F\) matrices"):
+            reconstruction_loss(np.zeros(shape), np.zeros(shape))
+
     def test_matches_brute_force(self):
         for _ in range(100):
             t, f = int(RNG.integers(1, 5)), int(RNG.integers(1, 5))

@@ -56,6 +56,34 @@ def test_model_dims_reject_widths_that_are_not_integers_from_1(key, value):
         replace(SMALL, **{key: value})
 
 
+WIDE = {  # a forward fed inputs of the wrong width, and the error it must give
+    "encoder": (lambda: encoder_forward(init_encoder(SMALL, 0), np.zeros((3, 5)), [3]),
+                r"encoder: expected \(T, 4\) feature matrix, got \(3, 5\)"),
+    "rnn encoder": (lambda: encoder_forward(init_encoder(SMALL_RNN, 0), np.zeros((3, 5)), [3]),
+                    r"encoder: expected \(T, 4\) feature matrix, got \(3, 5\)"),
+    "decoder v_p": (lambda: decoder_forward(init_decoder(SMALL, 0), np.zeros((2, 5)),
+                                            np.zeros((2, 6)), [1, 2]),
+                    r"decoder: expected \(B, 6\) v_p, got \(2, 5\)"),
+    "decoder v_s": (lambda: decoder_forward(init_decoder(SMALL, 0), np.zeros((2, 6)),
+                                            np.zeros((2, 7)), [1, 2]),
+                    r"decoder: expected \(B, 6\) v_s, got \(2, 7\)"),
+    "discriminator": (lambda: discriminator_forward(init_discriminator(SMALL, 0),
+                                                    np.zeros((3, 11))),
+                      r"discriminator: expected \(P, 12\) pair rows, got \(3, 11\)"),
+    "refine": (lambda: refine_forward(init_refine(SMALL, 0), np.zeros((2, 5))),
+               r"refine: expected \(B, 6\) v, got \(2, 5\)"),
+    "refine 1-D": (lambda: refine_forward(init_refine(SMALL, 0), np.zeros(6)),
+                   r"refine: expected \(B, 6\) v, got \(6,\)"),
+}
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_forwards_reject_inputs_of_the_wrong_width(case):
+    forward, message = WIDE[case]
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        forward()
+
+
 class TestEncoders:
     def test_output_dimension_is_256(self):
         params = init_encoder(DIMS, seed=0)
