@@ -2,9 +2,15 @@
 
 Builds per-batch autodiff graphs from the neuralcore forwards (the
 ``pool`` encoders, the decoder and the discriminator are one tape node
-each; the losses and the adversarial pair gathering stay fine-grained),
-runs one ``backward()`` per update, mines pairs on detached embeddings, and
-applies the seeded optimizer to each component's flat gradient vector.
+each, and so is the reconstruction loss; the pair losses, BCE and the
+adversarial pair gathering stay fine-grained), runs one ``backward()`` per
+update, mines pairs on detached embeddings, and applies the seeded
+optimizer to each component's flat gradient vector. What depends only on
+the corpus is built once per run: every frame packed into one matrix
+(``PackedCorpus``), so a batch is one row gather, and one integer code per
+speaker, so a batch's speaker pairs are one comparison of codes over the
+shared ``pair_indices`` of its size; embedding extraction gathers its
+chunks from the same packing.
 Every random draw comes from a generator derived from (config seed, step
 tag), so skipping an optional loss term never shifts any other stream: a
 joint run with zero contrastive weight is bit-identical to plain
@@ -67,27 +73,66 @@ def effective_speakers(corpus: Corpus):
     return out
 
 
+def speaker_codes(speakers) -> np.ndarray:
+    """One integer per speaker id, in order; equal ids get equal codes."""
+    codes = {}
+    return np.array([codes.setdefault(s, len(codes)) for s in speakers], dtype=np.intp)
+
+
+class PackedCorpus:
+    """Every frame of a corpus in one (sum T, F) matrix, in corpus order,
+    with each segment's length and first row. Packed once per training run
+    or embedding pass, so that a batch is one row gather."""
+
+    def __init__(self, corpus: Corpus):
+        self.lengths = np.array([s.n_frames for s in corpus.segments], dtype=np.intp)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.frames = np.concatenate([s.features for s in corpus.segments])
+
+    def gather(self, indices):
+        """(frames, lengths) of the segments at the non-empty corpus
+        positions ``indices``, packed in that order: each segment's frames
+        in turn, as ``encoder_forward`` takes them."""
+        idx = np.asarray(indices, dtype=np.intp)
+        lengths = self.lengths[idx]
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1]) + np.repeat(self.starts[idx] - (ends - lengths), lengths)
+        return self.frames[rows], lengths
+
+
 # -- loss graphs ----------------------------------------------------------
 
 
 def recon_graph(x_rec, frames: np.ndarray, lengths) -> ad.Tensor:
-    """Batch mean of per-segment mean squared reconstruction error."""
+    """Batch mean of per-segment mean squared reconstruction error, as one
+    tape node with parent ``x_rec``.
+
+    With d = x_rec - frames and w each frame's weight 1 / (B T F), the value
+    is ``sum((d * d) * w)`` and the gradient of ``x_rec`` is
+    ``((g * w) * 2) * d``: the operations, in their order, of the tape's
+    sub, square, mul and sum nodes, so the bits are theirs.
+    """
+    x_rec = ad.as_tensor(x_rec)
     lengths = np.asarray(lengths, dtype=np.intp)
     w = np.repeat(1.0 / (len(lengths) * lengths * frames.shape[1]), lengths)
     w = w.reshape(-1, 1)
-    return ad.tsum(ad.square(x_rec - ad.constant(frames)) * ad.constant(w))
+    d = x_rec.data - frames
+
+    def backward(g):
+        x_rec._accumulate(((g * w) * 2.0) * d)
+
+    return ad.Tensor(((d * d) * w).sum(), _parents=(x_rec,), _backward=backward)
 
 
-def speaker_pairs(speakers):
-    """Same-speaker and different-speaker pairs (i, j), i < j, of a batch.
+def speaker_pairs(codes):
+    """Same-speaker and different-speaker pairs (i, j), i < j, of a batch
+    whose speakers have the integer ``codes`` (``speaker_codes``).
 
     Two (P, 2) int arrays, each in row-major order (by i, then j), the
     order of the nested loop over i < j.
     """
-    codes = {}
-    labels = np.array([codes.setdefault(s, len(codes)) for s in speakers])
-    pairs = pair_indices(len(labels))
-    same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    pairs = pair_indices(len(codes))
+    same = codes[pairs[:, 0]] == codes[pairs[:, 1]]
     return pairs[same], pairs[~same]
 
 
@@ -181,7 +226,8 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
 
     Returns (DisentangledModel, per-epoch loss log rows).
     """
-    speakers_all = effective_speakers(corpus)
+    codes = speaker_codes(effective_speakers(corpus))
+    packed = PackedCorpus(corpus)
     dims = nc.ModelDims(
         feature_dim=corpus.feature_dim,
         embed_dim=cfg.embed_dim,
@@ -217,11 +263,10 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             evals_before = counter.count
             for bi, batch in enumerate(batches):
                 where = f"epoch {epoch + 1}, batch {bi + 1}"
-                segs = [corpus[i] for i in batch.indices]
-                frames, lengths = nc.pack_sequences([s.features for s in segs])
-                spk = [speakers_all[i] for i in batch.indices]
+                idx = np.array(batch.indices)
+                frames, lengths = packed.gather(idx)
                 if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
-                    spk_pairs = speaker_pairs(spk)
+                    spk_pairs = speaker_pairs(codes[idx])
 
                 # one gradient vector per component, laid out like its flat
                 g_p, g_s, g_dec = (np.zeros_like(c.flat) for c in (e_p, e_s, dec))
@@ -230,7 +275,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
                 if cfg.alpha_adv > 0:
                     rng = rng_for(cfg.seed, f"dpairs:{epoch}:{bi}")
                     pair_idx, same_flags = _sample_speaker_pairs(
-                        spk_pairs, len(batch.indices), rng
+                        spk_pairs, len(idx), rng
                     )
                     ia, ib = pair_idx[:, 0], pair_idx[:, 1]
                     # the discriminator steps see the pairs of v_p as constants
@@ -347,10 +392,10 @@ def compute_embeddings(model: DisentangledModel, corpus: Corpus,
             f"corpus has {corpus.feature_dim}"
         )
     encoder = {"phonetic": model.e_p, "speaker": model.e_s}[which]
-    segments = [corpus[i] for i in (range(len(corpus)) if order is None else order)]
+    packed = PackedCorpus(corpus)
+    order = np.arange(len(corpus)) if order is None else np.asarray(order, dtype=np.intp)
     out = []
-    for start in range(0, len(segments), EMBED_CHUNK):
-        chunk = segments[start : start + EMBED_CHUNK]
-        frames, lengths = nc.pack_sequences([s.features for s in chunk])
+    for start in range(0, len(order), EMBED_CHUNK):
+        frames, lengths = packed.gather(order[start : start + EMBED_CHUNK])
         out.append(nc.encoder_forward(encoder, frames, lengths).data)
     return np.concatenate(out, axis=0)

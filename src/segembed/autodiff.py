@@ -6,10 +6,11 @@ elementwise ops, matmul, a few nonlinearities, reductions, concatenation,
 row gathering and slicing, and one batch layer, ``pair_sq_dists`` (squared
 distances over a (P, 2) pair array, one node, whose backward is the
 graph-Laplacian product of the weighted pair graph and so takes one batch
-of rows: see its docstring). ``neuralcore`` adds coarse nodes of its own:
-a ``Tensor`` built with ``_parents`` and a hand-written ``_backward``
-(the ``pool`` encoder, the decoder and the discriminator). All gradients
-are checked against central finite differences in the test suite.
+of rows: see its docstring). ``neuralcore`` and the trainer add coarse
+nodes of their own: a ``Tensor`` built with ``_parents`` and a
+hand-written ``_backward`` (the ``pool`` encoder, the decoder, the
+discriminator and the reconstruction loss). All gradients are checked
+against central finite differences in the test suite.
 
 ``backward()`` consumes the graph it runs through: each non-leaf node
 drops its parents and backward closure once its gradient has passed to its
@@ -23,7 +24,8 @@ write), so no two nodes ever share a gradient buffer; later gradients are
 added to it in place. A leaf may be given a zeroed gradient buffer before
 backward (``ComponentParams.tensors`` hands each parameter leaf its view of
 the component's flat gradient vector); its gradients are then all added
-into that buffer. Row gathering scatters its gradient back in one
+into that buffer; a gradient that needs no summing back to its operand's
+shape is passed on as it is. Row gathering scatters its gradient back in one
 ``np.bincount`` pass, which sums in the same order as ``np.add.at``; a row
 slice adds its gradient into its own rows only.
 """
@@ -34,7 +36,10 @@ import numpy as np
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
+    """Sum a broadcast gradient back down to the original operand shape; a
+    gradient of that shape already is returned as it is."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -210,13 +215,10 @@ def tanh(a) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow for large |x|."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    y[~pos] = e / (1.0 + e)
-    return y
+    """1 / (1 + exp(-x)) without overflow for large |x|: with e = exp(-|x|),
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(a) -> Tensor:
@@ -279,12 +281,7 @@ def tsum(a, axis=None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                a._accumulate(
-                    np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy()
-                )
+            a._accumulate(np.full(a.data.shape, g if axis is None else np.expand_dims(g, axis)))
 
     out._backward = backward
     return out

@@ -11,6 +11,8 @@ output directory and prints a one-line summary. Exit codes: 0 success,
 """
 
 import argparse
+import ctypes
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +40,39 @@ from .siamese import (
     train_joint,
     train_refine,
 )
+
+
+def _numpy_openblas() -> list:
+    """The OpenBLAS libraries that numpy's wheels bundle beside it (Linux and
+    Windows ``numpy.libs``, macOS ``numpy/.dylibs``), as ctypes handles: the
+    libraries numpy already loaded, so each handle is numpy's own."""
+    package = Path(np.__file__).resolve().parent
+    handles = []
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            handles.append(ctypes.CDLL(str(path)))
+        except OSError:
+            continue
+    return handles
+
+
+@functools.cache
+def _pin_blas_threads() -> str:
+    """Run numpy's OpenBLAS on one thread, so that no product's last bits
+    depend on how many threads it is split over. Returns the set-threads
+    symbol called (scipy-openblas's 64-bit-integer name first, then the
+    plain one), or "unpinned", changing nothing, when numpy's BLAS has
+    neither (MKL, Accelerate, or a library not bundled with numpy)."""
+    for lib in _numpy_openblas():
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return symbol
+    return "unpinned"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -296,6 +331,7 @@ def _run(args) -> str:
 
 
 def main(argv=None) -> int:
+    _pin_blas_threads()  # outputs must not depend on the BLAS thread count
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

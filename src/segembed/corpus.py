@@ -452,12 +452,12 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
             break
         if len(chunk) == 1:
             if batches:
-                merged = batches.pop().indices + (int(chunk[0]),)
+                merged = batches.pop().indices + tuple(chunk.tolist())
                 batches.append(MiniBatch(merged))
             else:
                 raise DataError("corpus too small to form a batch of >= 2 segments")
             break
-        batches.append(MiniBatch(tuple(int(i) for i in chunk)))
+        batches.append(MiniBatch(tuple(chunk.tolist())))
     if not batches:
         raise DataError("no batches: corpus smaller than batch_size with drop_last")
     return batches

@@ -86,7 +86,7 @@ def speaker_contrastive_loss(vectors, speaker_ids, margin: float) -> float:
         raise DataError("need at least 2 vectors of equal dimension")
     if len(speaker_ids) != mat.shape[0]:
         raise DataError("one speaker id per vector required")
-    pairs = _trainer.speaker_pairs(speaker_ids)
+    pairs = _trainer.speaker_pairs(_trainer.speaker_codes(speaker_ids))
     return _trainer.speaker_contrastive_graph(ad.constant(mat), pairs, margin).item()
 
 

@@ -5,14 +5,17 @@ discriminator, and the refinement transform. Each component's arrays are
 written down once, in one layout table (key -> shape and fan-in, None for
 zeros): the initializers draw from it and the checkpoint loader checks
 shapes against it without building a model. Each component's parameters
-are views into one contiguous float64 vector, so the package's one
+are views into one contiguous float64 vector, cut by a slot table (key,
+slice, shape) that the component builds once, so the package's one
 optimizer (Adam) checks and updates a component in place with a few
-whole-vector operations; an update that would make a parameter non-finite
-raises before it writes one. Also houses checkpoint serialization, and the
+whole-vector operations, and a forward's gradient views cost one slice
+per array; an update that would make a parameter non-finite raises before
+it writes one. Also houses checkpoint serialization, and the
 check of a loaded checkpoint's components against their layouts.
 
 Forward passes take a batch packed as all frames of its segments and the
-segments' lengths; an input of the wrong width is a ``DimensionError``
+segments' lengths (training gathers them from the corpus, packed once per
+run); an input of the wrong width is a ``DimensionError``
 naming the component and both widths. The ``pool`` encoder (per-frame
 affine + tanh, temporal mean pooling, affine to the embedding dimension),
 the decoder and the discriminator are each one tape node: the forward is
@@ -83,30 +86,27 @@ class ModelDims:
         check_fields(self, error=DataError)
 
 
-def _split(flat: np.ndarray, shapes: dict) -> dict:
-    """``flat`` as consecutive views of the given shapes, in key order."""
-    views, offset = {}, 0
-    for key, shape in shapes.items():
-        size = math.prod(shape)
-        views[key] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    return views
-
-
 class ComponentParams:
     """Named float64 parameter arrays for one component.
 
     All arrays live in one contiguous vector, ``flat``, in key order;
     ``arrays`` maps each name to its view into it. The optimizer updates a
     component with a few operations over ``flat``, and a gradient is one
-    vector with the same layout.
+    vector with the same layout. The layout is one slot table, (key, slice
+    of ``flat``, shape) per array, built once; ``arrays`` and ``views``
+    read it.
     """
 
     def __init__(self, name: str, arrays: dict):
         arrays = {k: np.asarray(a, dtype=np.float64) for k, a in arrays.items()}
         self.name = name
         self.flat = np.concatenate([a.ravel() for a in arrays.values()] or [np.zeros(0)])
-        self.arrays = _split(self.flat, {k: a.shape for k, a in arrays.items()})
+        slots, offset = [], 0
+        for key, a in arrays.items():
+            slots.append((key, slice(offset, offset + a.size), a.shape))
+            offset += a.size
+        self._slots = tuple(slots)
+        self.arrays = self.views(self.flat)
         if not np.isfinite(self.flat).all():
             key = self._non_finite_key(self.flat)
             raise NumericError(f"{name}.{key}: non-finite parameter values")
@@ -119,7 +119,7 @@ class ComponentParams:
     def views(self, flat: np.ndarray) -> dict:
         """``flat``, a vector laid out like ``self.flat`` (a gradient), as
         one view per key."""
-        return _split(flat, {k: a.shape for k, a in self.arrays.items()})
+        return {key: flat[rows].reshape(shape) for key, rows, shape in self._slots}
 
     def tensors(self, grad: np.ndarray | None = None) -> dict:
         """The arrays as tape leaves. Given ``grad``, a vector laid out like
@@ -203,12 +203,6 @@ def init_refine(dims: ModelDims, seed: int) -> ComponentParams:
 
 
 # -- batched forward passes ----------------------------------------------
-
-
-def pack_sequences(xs):
-    """Concatenate variable-length (T_i, F) matrices -> (frames, lengths)."""
-    lengths = [int(x.shape[0]) for x in xs]
-    return np.concatenate([np.asarray(x, np.float64) for x in xs], axis=0), lengths
 
 
 def _position_column(lengths: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ relative error between the analytic gradients (the component's own
 backward: the hand-derived node, or the tape for ``rnn`` and refine) and
 central finite differences over every parameter entry; ``max_fd_error``
 does the same for any parameters and loss. Tests require the error to be
-below 1e-4.
+below 1e-4. The decoder's probe loss is training's reconstruction loss,
+``_trainer.recon_graph``, so the check runs through that node's backward
+too; the other probes take the mean squared error on the tape.
 
 ``tape_encoder``, ``tape_decoder`` and ``tape_discriminator`` are the
 ``pool`` encoder, decoder and discriminator written as fine-grained tape
@@ -16,11 +18,14 @@ forms that ``neuralcore``'s single-node components must match bit for
 bit. ``concat_decoder`` is the decoder as the paper writes it, each
 frame's row [v_p; v_s; position] through the first layer; the node's
 per-segment first layer sums in another order, so it matches that form
-to rounding only.
+to rounding only. ``tape_recon`` is the reconstruction loss as the tape's
+sub, square, mul and sum nodes, the form ``_trainer.recon_graph``'s single
+node must match bit for bit.
 """
 
 import numpy as np
 
+from segembed import _trainer
 from segembed import autodiff as ad
 from segembed import neuralcore as nc
 from segembed.autodiff import Tensor
@@ -119,6 +124,15 @@ def tape_head(pt: dict, h1) -> Tensor:
     return h2 @ pt["w_out"] + pt["b_out"]
 
 
+def tape_recon(x_rec, frames: np.ndarray, lengths) -> Tensor:
+    """Batch mean of per-segment mean squared reconstruction error, on the
+    tape: each frame's squared error weighted by 1 / (B T F), summed."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    w = np.repeat(1.0 / (len(lengths) * lengths * frames.shape[1]), lengths)
+    w = w.reshape(-1, 1)
+    return ad.tsum(ad.square(x_rec - ad.constant(frames)) * ad.constant(w))
+
+
 def random_refine(dims: nc.ModelDims, seed: int) -> nc.ComponentParams:
     """Refinement parameters whose output layer is drawn, not zero, so every
     entry has a non-trivial gradient: each array uniform in
@@ -175,7 +189,10 @@ def _probe_setup(component: str, seed: int, dims: nc.ModelDims):
         raise DataError(f"unknown component {component!r}")
 
     def loss(p, grad):
-        return ad.tmean(ad.square(forward(p, grad) - ad.constant(target)))
+        out = forward(p, grad)
+        if component == "Dec":  # training's reconstruction loss node
+            return _trainer.recon_graph(out, target, lengths)
+        return ad.tmean(ad.square(out - ad.constant(target)))
 
     return params, loss
 

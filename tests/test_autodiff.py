@@ -80,6 +80,26 @@ def test_tanh_sigmoid_softplus_log_exp_chain():
     check_op(lambda a: ad.tsum(ad.softplus(a)), RNG.normal(size=(3, 3)))
 
 
+def masked_sigmoid(x):
+    """The logistic function by masks: 1 / (1 + exp(-x)) on x >= 0 and
+    exp(x) / (1 + exp(x)) on the rest."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    y[~pos] = e / (1.0 + e)
+    return y
+
+
+def test_stable_sigmoid_equals_the_masked_form_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, 709.8, 745.2, 1e308, np.inf, tiny, 2.2e-308, 1e-310, 1.0]
+    x = np.array(edges + [-v for v in edges] + RNG.normal(scale=30.0, size=64).tolist())
+    got, want = ad._stable_sigmoid(x), masked_sigmoid(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_sqrt_square_relu():
     check_op(lambda a: ad.tsum(ad.sqrt(a)), RNG.uniform(0.5, 2.0, size=(4,)))
     check_op(lambda a: ad.tsum(ad.square(a)), RNG.normal(size=(4,)))

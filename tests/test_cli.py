@@ -9,10 +9,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from segembed import cli
 from segembed.cli import main
 from segembed.config import parse_config
 from segembed.disentangle import DisentangledModel, save_model
@@ -342,47 +344,116 @@ class TestPipeline:
 
 
 THREAD_RUN = """
-import sys
+import json, sys
+from segembed import cli
 from segembed.cli import main
-out = sys.argv[1]
-corpus = out + "/corpus.jsonl"
-settings = [arg for s in (
-    "synth.n_units=10", "synth.n_speakers=4", "synth.instances_per_unit_speaker=8",
-    "synth.feature_dim=12", "model.embed_dim=16", "model.enc_hidden=32",
-    "model.dec_hidden=32", "model.disc_hidden=64", "train.epochs=1",
-    "train.batch_size=64", "train.alpha_adv=0.5", "train.disc_warmup_epochs=0",
-    "siamese.epochs=1", "siamese.batch_size=64", "siamese.k=32",
-    "siamese.refine_hidden=32",
-) for arg in ("--set", s)]
-for args in (
-    ["synth"],
-    ["train", "--corpus", corpus, "--variant", "b"],
-    ["refine", "--corpus", corpus, "--checkpoint", out + "/model_b.json"],
-    ["embed", "--corpus", corpus, "--checkpoint", out + "/model_b.json",
-     "--refine", out + "/refine.json", "--variant", "d"],
-):
-    if main(["--out-dir", out, *settings, *args]) != 0:
-        sys.exit(f"{args[0]} failed")
+out, settings, commands = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+overrides = [arg for s in settings for arg in ("--set", s)]
+for args in commands:
+    if main(["--out-dir", out, *overrides, *(a.replace("OUT", out) for a in args)]) != 0:
+        sys.exit(f"{args} failed")
 """
+DESK_DIMS = ("synth.feature_dim=12", "model.embed_dim=16", "model.enc_hidden=32",
+             "model.dec_hidden=32", "model.disc_hidden=64", "train.alpha_adv=0.5",
+             "siamese.k=32", "siamese.refine_hidden=32")
+ONE_EPOCH = ("synth.n_units=10", "synth.n_speakers=4", "synth.instances_per_unit_speaker=8",
+             "train.epochs=1", "train.disc_warmup_epochs=0", "siamese.epochs=1")
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """synth, train b, refine and embed d at 1 and at 2 BLAS/OpenMP threads,
-    each in its own process (the variables are read when numpy loads), give
-    the same bytes in every output file."""
+def _refine_and_embed_d(variant, *refine_settings):
+    return (
+        ["train", "--corpus", "OUT/corpus.jsonl", "--variant", variant],
+        [*refine_settings, "refine", "--corpus", "OUT/corpus.jsonl",
+         "--checkpoint", f"OUT/model_{variant}.json"],
+        ["embed", "--corpus", "OUT/corpus.jsonl", "--checkpoint", f"OUT/model_{variant}.json",
+         "--refine", "OUT/refine.json", "--variant", "d"],
+    )
+
+
+THREAD_CASES = {
+    # the desk.cfg sizes at |B| = 64
+    "desk": (DESK_DIMS + ONE_EPOCH + ("train.batch_size=64", "siamese.batch_size=64"),
+             (["synth"], *_refine_and_embed_d("b"))),
+    # the benchmark's pairs_b256 settings, one epoch each: |B| = 256,
+    # knn_graph mining in joint training, topk_global in refine
+    "pairs_b256": (
+        DESK_DIMS + ("train.disc_steps=3", "train.disc_learning_rate=0.01",
+                     "siamese.learning_rate=0.01", "siamese.margin=6.0",
+                     "synth.n_speakers=4", "synth.instances_per_unit_speaker=8",
+                     "train.epochs=1", "train.disc_warmup_epochs=0", "siamese.epochs=1",
+                     "train.batch_size=256", "siamese.batch_size=256",
+                     "siamese.mining_mode=knn_graph"),
+        (["synth"], *_refine_and_embed_d("c", "--set", "siamese.mining_mode=topk_global")),
+    ),
+    # the model sizes of an empty config (F = 39, d = 256, hidden 128) on a
+    # small corpus, at the desk case's |B| = 64
+    "default sizes": (ONE_EPOCH + ("train.batch_size=64", "siamese.batch_size=64"),
+                      (["synth"], *_refine_and_embed_d("b"))),
+}
+
+
+@pytest.mark.parametrize("case", THREAD_CASES)
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    """Each case's commands at 1 and at 2 BLAS/OpenMP threads, each run in
+    its own process (the variables are read when numpy loads), give the
+    same bytes in every output file."""
+    settings, commands = THREAD_CASES[case]
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        result = subprocess.run([sys.executable, "-c", THREAD_RUN, str(out)], env=env,
-                                capture_output=True, text=True, timeout=300)
+        argv = [sys.executable, "-c", THREAD_RUN, str(out), json.dumps(settings),
+                json.dumps(commands)]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
         outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert {"model_b.json", "refine.json", "embeddings_d.jsonl"} <= outputs["1"].keys()
+    assert {"refine.json", "embeddings_d.jsonl"} <= outputs["1"].keys()
     assert outputs["1"].keys() == outputs["2"].keys()
-    for name, data in outputs["1"].items():
-        assert data == outputs["2"][name], name
+    differ = sorted(name for name, data in outputs["1"].items() if data != outputs["2"][name])
+    assert not differ
+
+
+@pytest.fixture
+def fresh_blas_pin():
+    """``cli._pin_blas_threads`` resolved anew in the test and after it."""
+    cli._pin_blas_threads.cache_clear()
+    yield
+    cli._pin_blas_threads.cache_clear()
+
+
+def _library(*symbols):
+    """A stand-in for a loaded library exporting ``symbols``, each a
+    set-threads function that records its argument."""
+    calls = []
+    return SimpleNamespace(**{s: (lambda n, s=s: calls.append((s, n))) for s in symbols}), calls
+
+
+@pytest.mark.parametrize(
+    "symbols, called",
+    [
+        (("openblas_set_num_threads", "scipy_openblas_set_num_threads64_"),
+         "scipy_openblas_set_num_threads64_"),
+        (("openblas_set_num_threads",), "openblas_set_num_threads"),
+        ((), "unpinned"),
+    ],
+    ids=["scipy-openblas", "openblas", "no symbol"],
+)
+def test_blas_pin_calls_the_first_set_threads_symbol_found(
+    monkeypatch, fresh_blas_pin, symbols, called
+):
+    library, calls = _library(*symbols)
+    monkeypatch.setattr(cli, "_numpy_openblas", lambda: [library])
+    assert cli._pin_blas_threads() == called
+    assert calls == ([] if called == "unpinned" else [(called, 1)])
+
+
+def test_blas_pin_without_a_bundled_openblas_reports_unpinned(monkeypatch, fresh_blas_pin,
+                                                               tmp_path, capsys):
+    monkeypatch.setattr(cli, "_numpy_openblas", lambda: [])
+    assert cli._pin_blas_threads() == "unpinned"
+    assert run_cli(tmp_path, "synth") == 0
+    capsys.readouterr()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segembed import _trainer
 from segembed import autodiff as ad
 from segembed import neuralcore as nc
 from segembed._trainer import (
+    DisentangledModel,
+    PackedCorpus,
     _sample_speaker_pairs,
     bce_graph,
+    compute_embeddings,
+    speaker_codes,
     speaker_contrastive_graph,
     speaker_pairs,
 )
-from segembed.corpus import Corpus, Segment, SynthConfig, synth_corpus
+from segembed.corpus import Corpus, Segment, SynthConfig, make_batches, synth_corpus
 from segembed.disentangle import (
     DisentangleConfig,
     adversarial_loss,
@@ -148,7 +153,7 @@ class TestSpeakerContrastiveLoss:
         vectors = RNG.normal(size=(6, 4))
         speakers = ["a", "a", "b", "b", "c", "a"]
         graph_value = speaker_contrastive_graph(
-            ad.constant(vectors), speaker_pairs(speakers), 1.0
+            ad.constant(vectors), speaker_pairs(speaker_codes(speakers)), 1.0
         ).item()
         assert graph_value == pytest.approx(
             brute_speaker_contrastive(vectors, speakers, 1.0), abs=1e-12
@@ -184,7 +189,7 @@ class TestSpeakerPairs:
     @settings(max_examples=300, deadline=None)
     @given(SPEAKER_LISTS, st.integers(0, 2**32 - 1))
     def test_same_pairs_and_draws_as_nested_loop(self, speakers, seed):
-        same, diff = speaker_pairs(speakers)
+        same, diff = speaker_pairs(speaker_codes(speakers))
         ref_same, ref_diff = nested_loop_speaker_pairs(speakers)
         assert same.shape == (len(ref_same), 2) and diff.shape == (len(ref_diff), 2)
         assert [tuple(p) for p in same.tolist()] == ref_same
@@ -263,6 +268,68 @@ def _tiny_corpus(seed=0):
     )
 
 
+def _corpus_of_lengths(lengths, width, seed):
+    rng = np.random.default_rng(seed)
+    return Corpus(tuple(
+        Segment(f"s{i}", f"u{i}", "spk", None, "word", rng.normal(size=(t, width)))
+        for i, t in enumerate(lengths)
+    ))
+
+
+def _segments_packed(corpus, indices):
+    """The frames and lengths of the segments at ``indices``, concatenated
+    one segment at a time: what a batch packed on its own holds."""
+    segments = [corpus[i] for i in indices]
+    return np.concatenate([s.features for s in segments]), [s.n_frames for s in segments]
+
+
+class TestPackedCorpus:
+    """Training packs the corpus once and gathers each batch's rows; every
+    batch must hold the bits of its segments concatenated one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=40), st.integers(1, 4),
+           st.integers(2, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    @example([1] * 7, 3, 3, False, 0)  # 7 = 2 * 3 + 1: the last batch is merged
+    @example([1, 4, 1, 1, 2], 2, 2, False, 1)
+    def test_batch_gather_equals_segments_concatenated(self, lengths, width, batch_size,
+                                                       drop_last, seed):
+        corpus = _corpus_of_lengths(lengths, width, seed)
+        try:
+            batches = make_batches(corpus, batch_size, seed, drop_last)
+        except DataError:
+            return  # no batch forms
+        packed = PackedCorpus(corpus)
+        for batch in batches:
+            frames, got_lengths = packed.gather(np.array(batch.indices))
+            want, want_lengths = _segments_packed(corpus, batch.indices)
+            assert frames.dtype == np.float64 and frames.flags.c_contiguous
+            assert np.array_equal(frames, want)
+            assert got_lengths.tolist() == want_lengths
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=30), st.integers(1, 7),
+           st.integers(0, 2**32 - 1))
+    @example([1] * 9, 4, 0)
+    def test_embeddings_in_an_order_equal_each_chunk_alone(self, lengths, chunk, seed):
+        """``compute_embeddings`` with an ``order``, in chunks of ``chunk``
+        segments, equals the encoder on each chunk packed on its own."""
+        corpus = _corpus_of_lengths(lengths, 3, seed)
+        dims = nc.ModelDims(feature_dim=3, embed_dim=4, enc_hidden=5, dec_hidden=5,
+                            disc_hidden=5)
+        model = DisentangledModel(dims, nc.init_encoder(dims, 1), nc.init_encoder(dims, 2),
+                                  nc.init_decoder(dims, 3), nc.init_discriminator(dims, 4))
+        order = np.random.default_rng(seed).permutation(len(corpus)).tolist()
+        want = np.concatenate([
+            nc.encoder_forward(model.e_s, *_segments_packed(corpus, order[i : i + chunk])).data
+            for i in range(0, len(order), chunk)
+        ])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_trainer, "EMBED_CHUNK", chunk)
+            got = compute_embeddings(model, corpus, "speaker", order)
+        assert np.array_equal(got, want)
+
+
 def _tiny_config(**kw):
     defaults = dict(
         epochs=10, batch_size=12, embed_dim=8, enc_hidden=12, dec_hidden=12,
@@ -319,7 +386,7 @@ class TestTraining:
         model, rows = train_disentangle(corpus, cfg)
         init = nc.init_encoder(model.dims, derive_seed(cfg.seed, "init:E_p"))
         grad = np.zeros_like(init.flat)
-        frames, lengths = nc.pack_sequences([s.features for s in corpus])
+        frames, lengths = PackedCorpus(corpus).gather(range(len(corpus)))
         ad.tsum(nc.encoder_forward(init, frames, lengths, grad)).backward()
         views = init.views(grad)
         assert not views["w_rec"].any() and views["w_in"].any()

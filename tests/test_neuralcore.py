@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segembed import _trainer
 from segembed import autodiff as ad
 from segembed import neuralcore as nc
 from segembed.autodiff import Tensor
@@ -312,6 +313,33 @@ class TestComponentNodes:
         _backprop(want, np.random.default_rng(0))
         assert np.array_equal(grad, _tape_grad(ref))
         assert np.array_equal(v_p.grad, r_p.grad) and np.array_equal(v_s.grad, r_s.grad)
+
+    @pytest.mark.parametrize("scale", [None, 0.37], ids=["root", "scaled"])
+    @pytest.mark.parametrize("dims, lengths", NODE_CASES)
+    def test_recon_loss(self, dims, lengths, scale):
+        """Training's reconstruction loss node, as the loss itself and under
+        a scale, against the tape's sub, square, mul and sum nodes."""
+        rows = RNG.normal(size=(sum(lengths), dims.feature_dim))
+        frames = RNG.normal(size=rows.shape)
+        (x_rec,), (r_rec,) = _leaves(rows), _leaves(rows)
+        out = _trainer.recon_graph(x_rec, frames, lengths)
+        want = gradcheck.tape_recon(r_rec, frames, lengths)
+        assert np.array_equal(out.data, want.data)
+        for loss in (out, want):
+            (loss if scale is None else loss * scale).backward()
+        assert np.array_equal(x_rec.grad, r_rec.grad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    def test_recon_loss_value_on_few_terms(self, lengths, width, seed):
+        """With a handful of terms a term's last bit reaches the sum's, so a
+        value summed in another order shows."""
+        rng = np.random.default_rng(seed)
+        rows, frames = rng.normal(size=(2, sum(lengths), width))
+        x_rec = ad.constant(rows)
+        assert np.array_equal(_trainer.recon_graph(x_rec, frames, lengths).data,
+                              gradcheck.tape_recon(x_rec, frames, lengths).data)
 
     @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
     @pytest.mark.parametrize("dims, lengths", NODE_CASES)
