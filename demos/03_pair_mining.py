@@ -49,7 +49,7 @@ corpus = synth_corpus(
 batch_size = 16
 counter = DistanceCounter()
 for i, batch in enumerate(make_batches(corpus, batch_size, seed=1)):
-    vectors = np.stack([corpus[j].features.mean(axis=0) for j in batch.indices])
+    vectors = np.stack([corpus[j].features.mean(axis=0) for j in batch])
     topk_global_pairs(vectors, k=6, seed=i, counter=counter)
 m = len(corpus)
 print(f"M = {m}, batch = {batch_size}")

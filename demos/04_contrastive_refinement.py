@@ -7,8 +7,6 @@ contrastive loss over mined pairs. The intra/inter cosine gap shows how
 compactly same-unit segments cluster.
 """
 
-import numpy as np
-
 from segembed import (
     DisentangleConfig,
     SiameseConfig,
@@ -62,9 +60,8 @@ for variant, model, ref in (
     ("a", model_a, None), ("b", model_b, None),
     ("c", model_c, None), ("d", model_b, refined),
 ):
-    entries = embed_corpus(model, test, variant, ref)
-    vectors = np.asarray([v for _, v in entries])
-    labs = [labels[sid] for sid, _ in entries]
+    ids, vectors = embed_corpus(model, test, variant, ref)  # ids and (N, d) rows
+    labs = [labels[sid] for sid in ids]
     rep = intra_inter_stats(vectors, labs)
     gaps[variant] = rep.delta
     print(f"   ({variant})   {rep.intra:7.4f}  {rep.inter:7.4f}  {rep.delta:7.4f}")

@@ -60,13 +60,12 @@ print(f"average precision with relevant = {{d0, d2}}: {report.map:.4f}")
 print("\n=== end-to-end synthetic retrieval task ===")
 n_labels, per_label, dim = 8, 12, 6
 centers = rng.normal(size=(n_labels, dim)) * 3.0
-entries, labels = [], {}
-for i in range(n_labels * per_label):
-    label = f"unit{i % n_labels}"
-    sid = f"s{i:03d}"
-    entries.append((sid, centers[i % n_labels] + 0.2 * rng.normal(size=dim)))
-    labels[sid] = label
-index, queries = build_retrieval_task(entries, labels, n_documents=12,
+# an embedding table: segment ids, and their vectors as the rows of one matrix
+ids = [f"s{i:03d}" for i in range(n_labels * per_label)]
+units = np.arange(len(ids)) % n_labels
+vectors = centers[units] + 0.2 * rng.normal(size=(len(ids), dim))
+labels = {sid: f"unit{u}" for sid, u in zip(ids, units)}
+index, queries = build_retrieval_task(ids, vectors, labels, n_documents=12,
                                       n_queries=5, seed=4)
 print(f"{len(index)} documents, {len(queries)} queries "
       f"({[q.term for q in queries]})")

@@ -18,7 +18,7 @@ Typical flow::
     model, log = train_disentangle(corpus, DisentangleConfig(epochs=10,
                                                              embed_dim=32))
     refine, _ = train_refine(corpus, model, SiameseConfig(epochs=10))
-    entries = embed_corpus(model, corpus, "d", refine)
+    ids, vectors = embed_corpus(model, corpus, "d", refine)  # (N,) ids, (N, d) rows
 
 Every randomized operation takes an explicit seed; identical inputs and
 seeds reproduce results bit-for-bit.

@@ -261,9 +261,8 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             sums = {"recon": 0.0, "spk": 0.0, "adv": 0.0, "disc": 0.0, "contrastive": 0.0}
             pos_pairs = neg_pairs = 0
             evals_before = counter.count
-            for bi, batch in enumerate(batches):
+            for bi, idx in enumerate(batches):
                 where = f"epoch {epoch + 1}, batch {bi + 1}"
-                idx = np.array(batch.indices)
                 frames, lengths = packed.gather(idx)
                 if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
                     spk_pairs = speaker_pairs(codes[idx])
@@ -355,9 +354,9 @@ def run_refine_training(corpus: Corpus, base: DisentangledModel, cfg_s):
             total = 0.0
             pos_pairs = neg_pairs = 0
             evals_before = counter.count
-            for bi, batch in enumerate(batches):
+            for bi, idx in enumerate(batches):
                 where = f"epoch {epoch + 1}, batch {bi + 1}"
-                v_batch = frozen[list(batch.indices)]
+                v_batch = frozen[idx]
                 pairs = mine_pairs(v_batch, cfg_s, epoch, bi, counter)
                 grad = np.zeros_like(params.flat)
                 z = nc.refine_forward(params, v_batch, grad)

@@ -169,25 +169,21 @@ def _parse_embeddings_args(items):
     return tagged
 
 
-def _labeled_entries(path, labels):
-    """Embedding entries of segments that carry a unit label. Every
-    segment id must be in the corpus."""
-    entries = load_embeddings(path)
-    unknown = [sid for sid, _ in entries if sid not in labels]
+def _labeled_table(path, labels):
+    """(ids, vectors, unit labels) of the rows of an embedding file whose
+    segments carry a unit label. Every segment id must be in the corpus."""
+    ids, vectors = load_embeddings(path)
+    unknown = [sid for sid in ids if sid not in labels]
     if unknown:
         raise DataError(
             f"{path}: {len(unknown)} segment ids not in the corpus, "
             f"first {unknown[0]!r}"
         )
-    keep = [(sid, vec) for sid, vec in entries if labels[sid] is not None]
-    if not keep:
+    rows = [r for r, sid in enumerate(ids) if labels[sid] is not None]
+    if not rows:
         raise DataError(f"{path}: no labeled segments to evaluate")
-    return keep
-
-
-def _labeled_vectors(path, labels):
-    keep = _labeled_entries(path, labels)
-    return np.asarray([vec for _, vec in keep]), [labels[sid] for sid, _ in keep]
+    ids = [ids[r] for r in rows]
+    return ids, vectors[rows], [labels[sid] for sid in ids]
 
 
 def _echo_config(cfg, out_dir: Path):
@@ -249,28 +245,26 @@ def _run(args) -> str:
             if not args.refine:
                 raise ConfigError("embed --variant d requires --refine CHECKPOINT")
             refined = load_refine_model(args.refine)
-        entries = embed_corpus(model, corpus, args.variant, refined)
+        ids, vectors = embed_corpus(model, corpus, args.variant, refined)
         path = args.output or out_dir / f"embeddings_{args.variant}.jsonl"
-        save_embeddings(path, entries)
-        return f"embed[{args.variant}]: wrote {len(entries)} vectors to {path}"
+        save_embeddings(path, ids, vectors)
+        return f"embed[{args.variant}]: wrote {len(ids)} vectors to {path}"
 
     if args.command == "mine-audit":
-        entries = load_embeddings(args.embeddings)
-        vectors = np.asarray([vec for _, vec in entries])
+        _, vectors = load_embeddings(args.embeddings)
         cfg_s = replace(cfg.siamese, seed=derive_seed(master, "mine-audit:pairs"))
         counter = pairmine.DistanceCounter()
         batches = make_batches(
-            entries, cfg_s.batch_size, derive_seed(master, "mine-audit"),
+            vectors, cfg_s.batch_size, derive_seed(master, "mine-audit"),
             cfg_s.drop_last,
         )
         records = [
-            (batch.indices,
-             _trainer.mine_pairs(vectors[list(batch.indices)], cfg_s, 0, bi, counter))
-            for bi, batch in enumerate(batches)
+            (idx, _trainer.mine_pairs(vectors[idx], cfg_s, 0, bi, counter))
+            for bi, idx in enumerate(batches)
         ]
         path = args.output or out_dir / "pairs.jsonl"
         pairmine.write_pair_dump(path, records)
-        bound = len(entries) * cfg_s.batch_size
+        bound = len(vectors) * cfg_s.batch_size
         return (
             f"mine-audit: {len(records)} batches, {counter.count} distance "
             f"evaluations (bound M*|B| = {bound}) to {path}"
@@ -282,8 +276,8 @@ def _run(args) -> str:
     if args.command == "eval-sim":
         rows = []
         for variant, path in tagged.items():
-            vectors, kept = _labeled_vectors(path, labels)
-            rows.append((variant, level, evalcluster.intra_inter_stats(vectors, kept)))
+            _, vectors, units = _labeled_table(path, labels)
+            rows.append((variant, level, evalcluster.intra_inter_stats(vectors, units)))
         path = args.output or out_dir / "cosine_gap.csv"
         evalcluster.write_cosine_gap_csv(path, rows)
         summary = ", ".join(f"{v}: Δ={r.delta:.4f}" for v, _, r in rows)
@@ -295,9 +289,9 @@ def _run(args) -> str:
             evaluation = replace(evaluation, n_values=_parse_n_values(args.n))
         curves = {}
         for variant, path in tagged.items():
-            vectors, kept = _labeled_vectors(path, labels)
+            _, vectors, units = _labeled_table(path, labels)
             curves[variant] = evalcluster.accuracy_curve(
-                vectors, kept, evaluation.m, evaluation.n_values,
+                vectors, units, evaluation.m, evaluation.n_values,
                 derive_seed(master, "eval-cluster"),
             )
         path = args.output or out_dir / "cluster_accuracy.csv"
@@ -311,8 +305,10 @@ def _run(args) -> str:
     table = {}
     n_rel = 0
     for variant, path in tagged.items():
+        ids, vectors, _ = _labeled_table(path, labels)
         index, queries = evalstd.build_retrieval_task(
-            _labeled_entries(path, labels),
+            ids,
+            vectors,
             labels,
             cfg.eval.n_documents,
             cfg.eval.n_queries,

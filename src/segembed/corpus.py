@@ -6,8 +6,10 @@ A corpus file is UTF-8 JSON-lines, one object per segment with string keys
 ``speaker_id`` and ``unit_label``, and ``features`` (array of T arrays of F
 numbers). ``load_corpus`` reads all of it; ``load_labels`` reads only the
 labels, with the same record checks, and never decodes a frame value.
-An embedding file is JSON-lines with keys ``segment_id`` and ``vector``.
-Both round-trip bit-exactly at double precision.
+An embedding file is JSON-lines with keys ``segment_id`` (a string) and
+``vector`` (a non-empty array of numbers); in memory it is one table: the
+ids as a list of str and the vectors as the rows of one (N, d) float64
+matrix. Both round-trip bit-exactly at double precision.
 """
 
 import csv
@@ -24,11 +26,13 @@ from .errors import (
     EmptyCorpusError,
     NumericError,
     ParseError,
+    has_bool_literal,
+    json_numbers,
 )
 from .seeding import check_fields, rng_for, seeded_rng
 
 __all__ = [
-    "Corpus", "MiniBatch", "Segment", "SynthConfig", "load_corpus", "load_embeddings",
+    "Corpus", "Segment", "SynthConfig", "load_corpus", "load_embeddings",
     "make_batches", "save_corpus", "save_embeddings", "split_corpus", "synth_corpus",
 ]
 
@@ -53,10 +57,11 @@ def _check_level(segment_id, level) -> None:
         )
 
 
-def validate_features(frames, segment_id: str) -> np.ndarray:
-    """Check a feature matrix: 2-D, T >= 1, all values finite."""
+def validate_features(frames, segment_id: str, scan_bools: bool = False) -> np.ndarray:
+    """Check a feature matrix: 2-D, T >= 1, all values finite numbers
+    (``scan_bools`` as in ``errors.json_numbers``)."""
     try:
-        arr = np.asarray(frames, dtype=np.float64)
+        arr = json_numbers(frames, scan_bools)
     except DECODE_ERRORS as exc:
         raise DataError(
             f"segment {segment_id!r}: features must be a T x F matrix of numbers: {exc}"
@@ -135,21 +140,6 @@ class Corpus:
 
     def __getitem__(self, i: int) -> Segment:
         return self.segments[i]
-
-
-@dataclass(frozen=True)
-class MiniBatch:
-    """Distinct corpus positions forming one training batch."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) < 2:
-            raise DataError(f"mini-batch needs at least 2 indices, got {len(idx)}")
-        if len(set(idx)) != len(idx):
-            raise DataError("mini-batch indices must be distinct")
-        object.__setattr__(self, "indices", idx)
 
 
 @dataclass(frozen=True)
@@ -267,7 +257,7 @@ _LABELS_DECODER = json.JSONDecoder(parse_float=len)
 
 
 def _records(path, decoder):
-    """Yield (line number, record) for each non-blank line of a corpus file,
+    """Yield (line number, line, record) for each non-blank line of a corpus file,
     decoded with ``decoder``, once its metadata keys (_RECORD_KEYS) have the
     documented types and its level is known. A file without records raises
     EmptyCorpusError."""
@@ -293,7 +283,7 @@ def _records(path, decoder):
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         empty = False
-        yield lineno, rec
+        yield lineno, line, rec
     if empty:
         raise EmptyCorpusError(f"{path}: no segments")
 
@@ -301,8 +291,10 @@ def _records(path, decoder):
 def load_corpus(path) -> Corpus:
     """Read a JSON-lines corpus file, preserving record order."""
     segments = []
-    for lineno, rec in _records(path, _CORPUS_DECODER):
+    for lineno, line, rec in _records(path, _CORPUS_DECODER):
         try:
+            if has_bool_literal(line):  # only a scan finds a boolean among numbers
+                validate_features(rec["features"], rec["segment_id"], scan_bools=True)
             seg = Segment(
                 segment_id=rec["segment_id"],
                 utterance_id=rec["utterance_id"],
@@ -328,7 +320,7 @@ def load_labels(path):
     frames are neither decoded into floats nor validated.
     """
     ids, levels, units = [], set(), []
-    for _, rec in _records(path, _LABELS_DECODER):
+    for _, _, rec in _records(path, _LABELS_DECODER):
         ids.append(rec["segment_id"])
         levels.add(rec["level"])
         units.append(rec.get("unit_label"))
@@ -350,39 +342,54 @@ def save_corpus(path, corpus: Corpus) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def save_embeddings(path, entries) -> None:
-    """Write (segment_id, vector) entries as JSON-lines, order preserved.
+def embedding_matrix(ids, vectors) -> np.ndarray:
+    """``vectors`` as the float64 matrix of the embedding table (ids,
+    vectors); raises DimensionError unless it is 2-D with one row per id
+    and, like every vector of an embedding file, its rows are non-empty."""
+    try:
+        vectors = np.asarray(vectors, dtype=np.float64)
+    except DECODE_ERRORS as exc:  # ragged rows, or not numbers
+        raise DimensionError(f"embeddings must be an (N, d) matrix of numbers: {exc}") from exc
+    if vectors.ndim != 2 or len(vectors) != len(ids) or len(ids) and not vectors.shape[1]:
+        raise DimensionError(
+            f"embeddings must be an (N, d) matrix, d >= 1, with one row per id: "
+            f"{len(ids)} ids, vectors of shape {vectors.shape}"
+        )
+    return vectors
 
-    All vectors must share one dimension. Values are written with full
-    double precision (shortest round-tripping decimal form).
-    """
-    entries = [(sid, np.asarray(v, dtype=np.float64)) for sid, v in entries]
-    dims = {v.shape for _, v in entries}
-    if any(len(shape) != 1 for shape in dims):
-        raise DimensionError("embedding vectors must be 1-D")
-    if len(dims) > 1:
-        raise DimensionError(f"mixed embedding dimensions: {sorted(d[0] for d in dims)}")
+
+def save_embeddings(path, ids, vectors) -> None:
+    """Write an embedding table, one line per id and its row of the (N, d)
+    matrix ``vectors``, in order, at full double precision (shortest
+    round-tripping decimal form)."""
+    vectors = embedding_matrix(ids, vectors)
     with open(path, "w", encoding="utf-8") as fh:
-        for sid, vec in entries:
-            fh.write(json.dumps({"segment_id": sid, "vector": vec.tolist()}) + "\n")
+        for sid, row in zip(ids, vectors.tolist()):
+            fh.write(json.dumps({"segment_id": sid, "vector": row}) + "\n")
 
 
 def load_embeddings(path):
-    """Read a JSON-lines embedding file -> list of (segment_id, vector).
+    """Read a JSON-lines embedding file -> (ids, vectors): the segment ids
+    as a list of str and the vectors as the rows of one (N, d) float64
+    matrix, in file order.
 
-    Every vector must be 1-D, of one shared dimension, and finite, and no
-    segment_id may repeat. The file is decoded in one pass into one float64
-    matrix, whose rows are the vectors, with one finiteness check; only a
-    file that fails a check is read again line by line, to name the first
-    bad line.
+    Every segment_id must be a string, and no segment_id may repeat; every
+    vector must be a non-empty 1-D array of numbers, of one shared
+    dimension, and finite. The file is decoded in one pass into one matrix,
+    with one dtype check and one finiteness check; only a file that fails a
+    check, or whose text holds ``true`` or ``false``, is read again line by
+    line, to name the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            text = fh.read()
+        records = [json.loads(line) for line in text.split("\n") if line.strip()]
         ids = [rec["segment_id"] for rec in records]
-        mat = np.array([rec["vector"] for rec in records], dtype=np.float64)
-        if len(set(ids)) == len(ids) and mat.ndim == 2 and np.isfinite(mat).all():
-            return list(zip(ids, mat))
+        mat = np.array([rec["vector"] for rec in records])
+        if (not has_bool_literal(text) and set(map(type, ids)) == {str}
+                and len(set(ids)) == len(ids) and mat.dtype.kind in "fiu"
+                and mat.ndim == 2 and mat.shape[1] and np.isfinite(mat).all()):
+            return ids, mat.astype(np.float64, copy=False)
     except (KeyError, *DECODE_ERRORS):  # UnicodeDecodeError too
         pass  # the line-by-line read names the failure
     return _load_embeddings_by_line(path)
@@ -390,33 +397,36 @@ def load_embeddings(path):
 
 def _load_embeddings_by_line(path):
     """``load_embeddings``, one line at a time: the first failed check
-    raises with its line number."""
-    out = []
-    dim = None
+    raises with its line number. A file without vectors gives ([], a (0, 0)
+    matrix)."""
+    ids, rows = [], []
     first_line = {}
     for lineno, line in read_text_lines(path):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            sid, vec = rec["segment_id"], np.asarray(rec["vector"], np.float64)
+            sid, vec = rec["segment_id"], json_numbers(rec["vector"], has_bool_literal(line))
             first = first_line.setdefault(sid, lineno)
         except (KeyError, *DECODE_ERRORS) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not isinstance(sid, str):
+            raise ParseError(f"{path}:{lineno}: segment_id must be a string")
         if first != lineno:
             raise DataError(
                 f"{path}:{lineno}: duplicate segment_id {sid!r} (first on line {first})"
             )
         if vec.ndim != 1:
             raise DimensionError(f"{path}:{lineno}: vector must be 1-D")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DimensionError(f"{path}:{lineno}: dimension {vec.shape[0]} != {dim}")
+        if not vec.size:
+            raise DimensionError(f"{path}:{lineno}: empty vector")
+        if rows and vec.shape != rows[0].shape:
+            raise DimensionError(f"{path}:{lineno}: dimension {vec.size} != {rows[0].size}")
         if not np.isfinite(vec).all():
             raise NumericError(f"{path}:{lineno}: non-finite vector entry")
-        out.append((sid, vec))
-    return out
+        ids.append(sid)
+        rows.append(vec)
+    return ids, np.array(rows) if rows else np.empty((0, 0))
 
 
 def write_csv(path, columns, rows) -> None:
@@ -432,7 +442,8 @@ def write_csv(path, columns, rows) -> None:
 
 def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
     """Seeded uniform shuffle of the indices of ``corpus`` (a Corpus, or any
-    sequence: only its length is read), cut into consecutive batches.
+    sequence: only its length is read), cut into consecutive batches: a list
+    of read-only intp arrays, slices of the one permutation.
 
     With drop_last, every batch has exactly batch_size elements. Otherwise a
     shorter final batch is kept; a final batch of a single element is merged
@@ -444,23 +455,19 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
     m = len(corpus)
     if m == 0:
         raise DataError("no segments to batch")
-    order = seeded_rng(seed).permutation(m)
-    batches = []
-    for start in range(0, m, batch_size):
-        chunk = order[start : start + batch_size]
-        if len(chunk) < batch_size and drop_last:
-            break
-        if len(chunk) == 1:
-            if batches:
-                merged = batches.pop().indices + tuple(chunk.tolist())
-                batches.append(MiniBatch(merged))
-            else:
-                raise DataError("corpus too small to form a batch of >= 2 segments")
-            break
-        batches.append(MiniBatch(tuple(chunk.tolist())))
-    if not batches:
+    order = seeded_rng(seed).permutation(m).astype(np.intp, copy=False)
+    order.flags.writeable = False
+    ends = list(range(batch_size, m + 1, batch_size))
+    if not drop_last and m % batch_size:
+        if m % batch_size > 1:
+            ends.append(m)
+        elif ends:
+            ends[-1] = m
+        else:
+            raise DataError("corpus too small to form a batch of >= 2 segments")
+    if not ends:
         raise DataError("no batches: corpus smaller than batch_size with drop_last")
-    return batches
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def split_corpus(corpus: Corpus, test_fraction: float, seed: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import write_csv
+from .corpus import embedding_matrix, write_csv
 from .errors import DataError, EvaluationError
 from .evalcluster import _row_norms, cosine
 from .seeding import rng_for
@@ -267,42 +267,40 @@ def mean_average_precision(rankings, relevant_sets) -> RetrievalReport:
 # -- synthetic retrieval task ----------------------------------------------
 
 
-def build_retrieval_task(entries, labels_by_id, n_documents: int,
+def build_retrieval_task(ids, vectors, labels_by_id, n_documents: int,
                          n_queries: int, seed: int):
     """Partition embedded segments into documents and select queries.
 
-    ``entries`` is a list of (segment_id, vector); ``labels_by_id`` maps
+    ``ids`` and ``vectors`` are an embedding table (``load_embeddings``):
+    the segment ids and the rows of an (N, d) matrix; ``labels_by_id`` maps
     segment_id -> unit label. Segments are shuffled (seeded) into
     ``n_documents`` near-equal documents whose transcripts are the member
     labels. Queries are the top TF-IDF terms; each query's embedding is one
     seeded sampled realization of that term. Returns (DocumentIndex,
     [QuerySpec, ...]).
     """
-    if n_documents < 2 or n_documents > len(entries):
+    vectors = embedding_matrix(ids, vectors)
+    if n_documents < 2 or n_documents > len(ids):
         raise DataError("need 2 <= n_documents <= number of segments")
-    order = rng_for(seed, "retrieval:partition").permutation(len(entries))
-    buckets = np.array_split(order, n_documents)
+    labels = [labels_by_id[sid] for sid in ids]
+    order = rng_for(seed, "retrieval:partition").permutation(len(ids))
     documents = []
-    for d, bucket in enumerate(buckets):
-        words = []
-        for i in bucket:
-            sid, vec = entries[int(i)]
-            label = labels_by_id[sid]
-            if label is None:
-                raise DataError(f"segment {sid!r} has no unit label")
-            words.append((label, vec))
-        documents.append(Document(doc_id=f"doc-{d:04d}", words=tuple(words)))
+    for d, bucket in enumerate(np.array_split(order, n_documents)):
+        words = [labels[i] for i in bucket]
+        if None in words:
+            raise DataError(f"segment {ids[bucket[words.index(None)]]!r} has no unit label")
+        documents.append(Document(doc_id=f"doc-{d:04d}", words=tuple(zip(words, vectors[bucket]))))
     index = DocumentIndex(tuple(documents))
 
     terms = tfidf_select_queries([d.transcript for d in index.documents], n_queries)
-    by_label = {}
-    for sid, vec in entries:
-        by_label.setdefault(labels_by_id[sid], []).append(vec)
+    rows_by_label = {}
+    for r, label in enumerate(labels):
+        rows_by_label.setdefault(label, []).append(r)
     query_rng = rng_for(seed, "retrieval:queries")
     queries = []
     for term in terms:
-        pool = by_label[term]
-        embedding = pool[int(query_rng.integers(len(pool)))]
+        pool = rows_by_label[term]
+        embedding = vectors[pool[int(query_rng.integers(len(pool)))]]
         relevant = frozenset(
             d.doc_id for d in index.documents if term in d.transcript
         )

@@ -50,7 +50,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DECODE_ERRORS, DataError, DimensionError, NumericError, ParseError
+from .errors import (
+    DECODE_ERRORS,
+    DataError,
+    DimensionError,
+    NumericError,
+    ParseError,
+    has_bool_literal,
+    json_numbers,
+)
 from .seeding import check_fields, seeded_rng
 
 __all__ = [
@@ -512,9 +520,12 @@ def _require_object(path, key, value) -> None:
         raise ParseError(f"{path}: {key} must be a JSON object, got {type(value).__name__}")
 
 
-def _checkpoint_array(path, name, key, entry) -> np.ndarray:
+def _checkpoint_array(path, name, key, entry, scan_bools) -> np.ndarray:
+    """Array ``key`` of component ``name`` from its checkpoint ``entry``,
+    whose data and shape must be JSON numbers (``errors.json_numbers``)."""
     try:
-        data = np.asarray(entry["data"], dtype=np.float64)
+        data = json_numbers(entry["data"], scan_bools)
+        json_numbers(entry["shape"], scan_bools)
         shape = [int(n) for n in entry["shape"]]
     except KeyError as exc:
         raise ParseError(f"{path}: {name}.{key}: missing key {exc}") from exc
@@ -532,23 +543,27 @@ def load_checkpoint(path):
 
     Invalid JSON, a missing ``components``, ``data`` or ``shape`` key, a
     ``components``, component or ``meta`` value that is not a JSON object,
-    and data whose size does not match its shape raise ``ParseError``.
+    a ``data`` or ``shape`` entry that is not a JSON number (a string or a
+    boolean included), and data whose size does not match its shape raise
+    ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            text = fh.read()
+            doc = json.loads(text)
         except ValueError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "components" not in doc:
         raise ParseError(f"{path}: missing key 'components'")
     _require_object(path, "components", doc["components"])
     _require_object(path, "meta", doc.get("meta", {}))
-    components = {}
+    components, scan_bools = {}, has_bool_literal(text)
     for name, arrays in doc["components"].items():
         _require_object(path, f"components.{name}", arrays)
         components[name] = ComponentParams(
             name,
-            {key: _checkpoint_array(path, name, key, entry) for key, entry in arrays.items()},
+            {key: _checkpoint_array(path, name, key, entry, scan_bools)
+             for key, entry in arrays.items()},
         )
     return components, doc.get("meta", {})
 

@@ -85,7 +85,9 @@ def train_refine(corpus: Corpus, base: DisentangledModel, cfg_s: SiameseConfig):
 
 def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
                  refine: RefineModel | None = None):
-    """One (segment_id, vector) per segment, ordered by segment_id.
+    """Embedding table of ``corpus``: (ids, vectors), the segment ids in
+    sorted order as a list of str and their vectors as the rows of one
+    (N, d) float64 matrix, as ``corpus.save_embeddings`` writes it.
 
     Variants a, b, c emit phonetic vectors of the given model (what differs
     is how the model was trained); variant d additionally applies the
@@ -104,7 +106,7 @@ def embed_corpus(model: DisentangledModel, corpus: Corpus, variant: str,
     vectors = _trainer.compute_embeddings(model, corpus, "phonetic", order)
     if variant == "d":
         vectors = nc.refine_forward(refine.params, vectors).data
-    return [(corpus[i].segment_id, vectors[r]) for r, i in enumerate(order)]
+    return [corpus[i].segment_id for i in order], vectors
 
 
 def save_refine_model(path, refine: RefineModel):

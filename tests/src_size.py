@@ -1,5 +1,6 @@
 """Print the size of the package source: total lines, code-only lines and
-the number of public names.
+the number of public names, then the total and code-only lines of each
+module, so that a change can show where its lines went.
 
     PYTHONPATH=src python tests/src_size.py
 
@@ -45,6 +46,8 @@ def main() -> None:
     print(f"src lines: {sum(len(text.splitlines()) for text in texts)}")
     print(f"code-only lines: {sum(code_lines(text) for text in texts)}")
     print(f"segembed.__all__: {len(segembed.__all__)}")
+    for path, text in zip(files, texts):
+        print(f"{path.name}: {len(text.splitlines())} / {code_lines(text)}")
 
 
 if __name__ == "__main__":

@@ -215,7 +215,7 @@ def test_criterion_3_pair_mining_oracles():
     counter = DistanceCounter()
     batches = se.make_batches(corpus, batch_size, seed=0, drop_last=True)
     for i, batch in enumerate(batches):
-        vectors = np.stack([corpus[j].features.mean(axis=0) for j in batch.indices])
+        vectors = np.stack([corpus[j].features.mean(axis=0) for j in batch])
         se.topk_global_pairs(vectors, SIAMESE["k"], seed=i, counter=counter)
     bound = len(corpus) * batch_size
     ok = mismatches == 0 and counter.count <= bound
@@ -343,10 +343,9 @@ def _run_pipeline(master, out_dir):
     for variant, model, ref in (
         ("a", model_a, None), ("b", model_b, None), ("d", model_b, refined),
     ):
-        entries = se.embed_corpus(model, test, variant, ref)
-        se.save_embeddings(out_dir / f"embeddings_{variant}.jsonl", entries)
-        vectors = np.asarray([vec for _, vec in entries])
-        labs = [labels[sid] for sid, _ in entries]
+        ids, vectors = se.embed_corpus(model, test, variant, ref)
+        se.save_embeddings(out_dir / f"embeddings_{variant}.jsonl", ids, vectors)
+        labs = [labels[sid] for sid in ids]
         gap = se.intra_inter_stats(vectors, labs)
         curve = dict(
             se.accuracy_curve(
@@ -356,7 +355,7 @@ def _run_pipeline(master, out_dir):
             )
         )
         index, queries = se.build_retrieval_task(
-            entries, labels, N_DOCUMENTS, N_QUERIES, se.derive_seed(master, "eval-std")
+            ids, vectors, labels, N_DOCUMENTS, N_QUERIES, se.derive_seed(master, "eval-std")
         )
         retrieval = se.run_retrieval(index, queries, RETRIEVAL_TOP_K)
         stats[variant] = {"delta": gap.delta, "acc": curve, "map": retrieval.map}

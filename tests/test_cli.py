@@ -572,6 +572,45 @@ class TestBadInputs:
         err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
         assert f"{path}:10: duplicate segment_id {sid!r} (first on line 5)" in err
 
+    @staticmethod
+    def _empty_vectors(records):
+        for rec in records:
+            rec["vector"] = []
+
+    @staticmethod
+    def _numeric_id(records):
+        records[2]["segment_id"] = 7
+
+    @staticmethod
+    def _string_entry(records):
+        records[4]["vector"][1] = "0.5"
+
+    @staticmethod
+    def _boolean_entry(records):
+        records[4]["vector"][3] = True
+
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std", "mine-audit"])
+    @pytest.mark.parametrize("edit, message", [
+        (_empty_vectors, ":1: empty vector"),
+        (_numeric_id, ":3: segment_id must be a string"),
+        (_string_entry, ":5: could not convert string to float"),
+        (_boolean_entry, ":5: could not convert boolean to float"),
+    ], ids=["empty vectors", "numeric id", "string entry", "boolean entry"])
+    def test_embedding_file_of_the_wrong_types(
+        self, corpus_dir, tmp_path, capsys, command, edit, message
+    ):
+        """Every command that reads embeddings stops at the first line
+        that the format forbids, and writes no report."""
+        path = self._embeddings(corpus_dir, tmp_path, edit)
+        if command == "mine-audit":
+            code = run_cli(tmp_path, command, "--embeddings", str(path))
+        else:
+            code = self._eval(corpus_dir, tmp_path, command, path)
+        err = self._one_error_line(capsys, code)
+        assert err.startswith(f"segembed: error: {path}{message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.jsonl",
+                                                               "resolved_config.txt"]
+
     def test_mine_audit_overflowing_vectors(self, corpus_dir, tmp_path, capsys):
         def inflate(records):
             records[0]["vector"] = records[1]["vector"] = [1e200] * 4
@@ -749,6 +788,47 @@ class TestBadInputs:
         )
         err = self._one_error_line(capsys, code)
         assert f"segembed: error: {path}: E_p.b_in: {message}\n" == err
+
+    @pytest.mark.parametrize("command", ["embed", "refine"])
+    @pytest.mark.parametrize("text, message", [
+        ('"0.25"', "could not convert string to float"),
+        ("true", "could not convert boolean to float"),
+    ], ids=["string", "boolean"])
+    def test_checkpoint_entry_not_a_number(
+        self, corpus_dir, model_a, tmp_path, capsys, command, text, message
+    ):
+        """A JSON string or boolean among the data of E_p.b_in is a
+        ParseError naming the array, though float() would take either."""
+        doc = json.loads(model_a)
+        doc["components"]["E_p"]["b_in"]["data"][1] = "MARK"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"MARK"', text))
+        code = run_cli(
+            tmp_path, command, "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path), *(["--variant", "a"] if command == "embed" else []),
+        )
+        err = self._one_error_line(capsys, code)
+        assert err.startswith(f"segembed: error: {path}: E_p.b_in: {message}")
+
+    @pytest.mark.parametrize("value, message", [
+        ("2.5", "could not convert string to float"),
+        (True, "could not convert boolean to float"),
+    ], ids=["string", "boolean"])
+    def test_corpus_frame_not_a_number(self, corpus_dir, tmp_path, capsys, value, message):
+        """A JSON string or boolean as a frame value is a DataError naming
+        the file, the line and the segment."""
+        lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["features"][1][2] = value
+        lines[3] = json.dumps(record) + "\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines))
+        code = run_cli(tmp_path / "out", "train", "--corpus", str(corpus), "--variant", "a")
+        err = self._one_error_line(capsys, code)
+        assert err.startswith(
+            f"segembed: error: {corpus}:4: segment {record['segment_id']!r}: features must "
+            f"be a T x F matrix of numbers: {message}"
+        )
 
     @pytest.mark.parametrize("command", ["train", "refine", "embed"])
     def test_corpus_frame_beyond_float64(self, corpus_dir, model_a, tmp_path, capsys, command):

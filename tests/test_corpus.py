@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segembed.corpus import (
     Corpus,
     _load_embeddings_by_line,
-    MiniBatch,
     Segment,
     SynthConfig,
     load_corpus,
@@ -29,6 +30,7 @@ from segembed.errors import (
     NumericError,
     ParseError,
 )
+from segembed.seeding import seeded_rng
 
 
 def _segment(i, n_frames=3, dim=4, **kw):
@@ -112,7 +114,11 @@ class TestCorpusFile:
         with pytest.raises((DataError, DimensionError), match="s1"):
             load_corpus(path)
 
-    @pytest.mark.parametrize("features", [[[0.5, 1.0], [2.0]], [["a", "b"]], {"x": 1}])
+    @pytest.mark.parametrize("features", [
+        [[0.5, 1.0], [2.0]], [["a", "b"]], {"x": 1},
+        # JSON strings and booleans are not numbers
+        [["1.5", 2.0]], [[0.5, True]], [[True, False]], [[1, 10**30], [False, 2]],
+    ])
     def test_features_not_a_matrix_of_numbers(self, tmp_path, features):
         path = tmp_path / "c.jsonl"
         _write_lines(path, [_record(0, [[0.5, 0.5]]), _record(1, features)])
@@ -263,31 +269,30 @@ class TestLoadLabels:
 class TestEmbeddingFile:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        entries = [(f"s{i}", rng.normal(size=256)) for i in range(2)]
+        vectors = rng.normal(size=(2, 256))
         path = tmp_path / "e.jsonl"
-        save_embeddings(path, entries)
+        save_embeddings(path, ["s0", "s1"], vectors)
         assert len(path.read_text().splitlines()) == 2
-        loaded = load_embeddings(path)
-        assert [sid for sid, _ in loaded] == ["s0", "s1"]
-        for (_, a), (_, b) in zip(entries, loaded):
-            assert np.array_equal(a, b)
+        ids, loaded = load_embeddings(path)
+        assert ids == ["s0", "s1"]
+        assert np.array_equal(loaded, vectors)
 
     @pytest.mark.parametrize("lines", [
         [],
         ["", "  "],
         ['{"segment_id": "a", "vector": [1, 2.5]}', "",
          '{"segment_id": "b", "vector": [3, -0.0]}'],
-        ['{"segment_id": "a", "vector": ["1.5", true]}'],
-        ['{"segment_id": "a", "vector": []}', '{"segment_id": 7, "vector": []}'],
         ['{"vector": [0.1, 0.2], "segment_id": "a", "extra": null}'],
+        ['{"segment_id": "a", "vector": [1, %s]}' % (10**30)],
+        ['{"segment_id": "untrue", "vector": [1, 2]}', '{"segment_id": "b", "vector": [3, 4]}'],
     ])
     def test_one_pass_equals_line_by_line(self, tmp_path, lines):
         path = tmp_path / "e.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
-        got, want = load_embeddings(path), _load_embeddings_by_line(path)
-        assert [sid for sid, _ in got] == [sid for sid, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        (got_ids, got), (want_ids, want) = load_embeddings(path), _load_embeddings_by_line(path)
+        assert got_ids == want_ids
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     GOOD = '{"segment_id": "s%d", "vector": [0.5, 1, -2]}'
 
@@ -302,6 +307,15 @@ class TestEmbeddingFile:
         ('{"vector": [1, 2, 3]}', ParseError, ":3: 'segment_id'"),
         ('{"segment_id": "x", "vector": ["a", 1, 2]}', ParseError,
          ":3: could not convert string to float"),
+        ('{"segment_id": "x", "vector": ["1.5", 1, 2]}', ParseError,
+         ":3: could not convert string to float"),
+        ('{"segment_id": "x", "vector": [1.5, true, 2]}', ParseError,
+         ":3: could not convert boolean to float"),
+        ('{"segment_id": "x", "vector": [true, false, true]}', ParseError,
+         ":3: could not convert boolean to float"),
+        ('{"segment_id": "x", "vector": []}', DimensionError, ":3: empty vector"),
+        ('{"segment_id": 7, "vector": [1, 2, 3]}', ParseError,
+         ":3: segment_id must be a string"),
         ('{"segment_id": ["x"], "vector": [1, 2, 3]}', ParseError, ":3: unhashable type"),
         ('{"segment_id": "x", "vector": 5}', DimensionError, ":3: vector must be 1-D"),
         ('{"segment_id": "x", "vector": [[1, 2, 3]]}', DimensionError, ":3: vector must be 1-D"),
@@ -337,13 +351,23 @@ class TestEmbeddingFile:
     def test_mixed_dims_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
             save_embeddings(
-                tmp_path / "e.jsonl",
-                [("a", np.zeros(256)), ("b", np.zeros(128))],
+                tmp_path / "e.jsonl", ["a", "b"], [np.zeros(256), np.zeros(128)],
             )
+
+    @pytest.mark.parametrize("ids, vectors", [
+        (["a"], np.zeros(3)),
+        (["a", "b", "c"], np.zeros((2, 3))),
+        (["a", "b"], np.zeros((2, 0))),
+    ], ids=["1-D", "rows != ids", "empty rows"])
+    def test_table_that_is_not_one_row_per_id_rejected(self, tmp_path, ids, vectors):
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(DimensionError, match="one row per id"):
+            save_embeddings(path, ids, vectors)
+        assert not path.exists()
 
     def test_unwritable_path_raises_io_error(self, tmp_path):
         with pytest.raises(OSError):
-            save_embeddings(tmp_path / "nope" / "e.jsonl", [("a", np.zeros(3))])
+            save_embeddings(tmp_path / "nope" / "e.jsonl", ["a"], np.zeros((1, 3)))
 
 
 class TestSynth:
@@ -424,26 +448,26 @@ class TestBatches:
 
     def test_drop_last_counts(self):
         batches = make_batches(self._corpus(10), 4, seed=0, drop_last=True)
-        assert [len(b.indices) for b in batches] == [4, 4]
+        assert [len(b) for b in batches] == [4, 4]
 
     def test_keep_last_counts(self):
         batches = make_batches(self._corpus(10), 4, seed=0, drop_last=False)
-        assert [len(b.indices) for b in batches] == [4, 4, 2]
+        assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_keep_last_merges_singleton(self):
         batches = make_batches(self._corpus(9), 4, seed=0, drop_last=False)
-        assert sorted(len(b.indices) for b in batches) == [4, 5]
+        assert sorted(len(b) for b in batches) == [4, 5]
 
     def test_determinism_and_cover(self):
         b1 = make_batches(self._corpus(10), 4, seed=5, drop_last=False)
         b2 = make_batches(self._corpus(10), 4, seed=5, drop_last=False)
-        assert [b.indices for b in b1] == [b.indices for b in b2]
-        covered = [i for b in b1 for i in b.indices]
+        assert [b.tolist() for b in b1] == [b.tolist() for b in b2]
+        covered = [i for b in b1 for i in b]
         assert sorted(covered) == list(range(10))
 
     def test_drop_last_subset_no_repeats(self):
         batches = make_batches(self._corpus(11), 4, seed=2, drop_last=True)
-        covered = [i for b in batches for i in b.indices]
+        covered = [i for b in batches for i in b]
         assert len(covered) == len(set(covered)) == 8
 
     def test_batch_size_below_two_rejected(self):
@@ -454,15 +478,42 @@ class TestBatches:
         with pytest.raises(DataError, match="no batches"):
             make_batches(self._corpus(3), 4, seed=0, drop_last=True)
         kept = make_batches(self._corpus(3), 4, seed=0, drop_last=False)
-        assert [len(b.indices) for b in kept] == [3]
+        assert [len(b) for b in kept] == [3]
         with pytest.raises(DataError, match="no segments"):
             make_batches([], 4, seed=0, drop_last=False)
 
-    def test_minibatch_invariants(self):
-        with pytest.raises(DataError):
-            MiniBatch((3,))
-        with pytest.raises(DataError):
-            MiniBatch((3, 3))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(2, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(9, 4, False, 0)  # 9 = 2 * 4 + 1: the final singleton is merged
+    @example(1, 2, False, 0)
+    @example(5, 6, True, 0)
+    def test_batches_are_read_only_slices_of_the_seeded_permutation(
+        self, m, batch_size, drop_last, seed
+    ):
+        """Every batch holds at least 2 distinct indices, no index repeats
+        across batches, the batches cut the seeded permutation in order, and
+        each has batch_size indices but a kept short last one or the one a
+        final singleton joined; no batch at all is a DataError."""
+        full, rest = divmod(m, batch_size)
+        if m == 0 or (drop_last and not full) or (not drop_last and m == 1):
+            with pytest.raises(DataError):
+                make_batches(range(m), batch_size, seed, drop_last)
+            return
+        batches = make_batches(range(m), batch_size, seed, drop_last)
+        sizes = [batch_size] * full
+        if not drop_last and rest > 1:
+            sizes.append(rest)
+        elif not drop_last and rest == 1:
+            sizes[-1] += 1
+        assert [len(b) for b in batches] == sizes
+        covered = np.concatenate(batches)
+        assert covered.tolist() == seeded_rng(seed).permutation(m)[:len(covered)].tolist()
+        assert len(set(covered.tolist())) == len(covered)
+        for b in batches:
+            assert b.dtype == np.intp and not b.flags.writeable
+            assert len(set(b.tolist())) == len(b) >= 2
+            with pytest.raises(ValueError):
+                b[0] = 0
 
 
 def test_split_corpus_partitions():

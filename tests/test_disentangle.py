@@ -301,8 +301,8 @@ class TestPackedCorpus:
             return  # no batch forms
         packed = PackedCorpus(corpus)
         for batch in batches:
-            frames, got_lengths = packed.gather(np.array(batch.indices))
-            want, want_lengths = _segments_packed(corpus, batch.indices)
+            frames, got_lengths = packed.gather(batch)
+            want, want_lengths = _segments_packed(corpus, batch)
             assert frames.dtype == np.float64 and frames.flags.c_contiguous
             assert np.array_equal(frames, want)
             assert got_lengths.tolist() == want_lengths

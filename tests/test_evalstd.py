@@ -198,19 +198,20 @@ class TestRetrievalTask:
     def _entries(n_labels=4, per_label=10, dim=3, seed=0):
         rng = np.random.default_rng(seed)
         centers = rng.normal(size=(n_labels, dim)) * 4
-        entries, labels = [], {}
+        ids, vectors, labels = [], [], {}
         i = 0
         for label in range(n_labels):
             for _ in range(per_label):
                 sid = f"s{i:03d}"
-                entries.append((sid, centers[label] + 0.1 * rng.normal(size=dim)))
+                ids.append(sid)
+                vectors.append(centers[label] + 0.1 * rng.normal(size=dim))
                 labels[sid] = f"u{label}"
                 i += 1
-        return entries, labels
+        return ids, np.array(vectors), labels
 
     def test_build_and_run(self):
-        entries, labels = self._entries()
-        index, queries = build_retrieval_task(entries, labels, n_documents=5,
+        ids, vectors, labels = self._entries()
+        index, queries = build_retrieval_task(ids, vectors, labels, n_documents=5,
                                               n_queries=3, seed=0)
         assert len(index) == 5
         assert len(queries) == 3
@@ -222,15 +223,15 @@ class TestRetrievalTask:
 
     @pytest.mark.parametrize("top_k", [[], ()])
     def test_empty_top_k_rejected(self, top_k):
-        entries, labels = self._entries()
-        index, queries = build_retrieval_task(entries, labels, 5, 3, seed=0)
+        ids, vectors, labels = self._entries()
+        index, queries = build_retrieval_task(ids, vectors, labels, 5, 3, seed=0)
         with pytest.raises(DataError, match="non-empty sequence"):
             run_retrieval(index, queries, top_k)
 
     def test_deterministic(self):
-        entries, labels = self._entries()
-        a_index, a_queries = build_retrieval_task(entries, labels, 5, 3, seed=4)
-        b_index, b_queries = build_retrieval_task(entries, labels, 5, 3, seed=4)
+        ids, vectors, labels = self._entries()
+        a_index, a_queries = build_retrieval_task(ids, vectors, labels, 5, 3, seed=4)
+        b_index, b_queries = build_retrieval_task(ids, vectors, labels, 5, 3, seed=4)
         assert [d.transcript for d in a_index.documents] == [
             d.transcript for d in b_index.documents
         ]

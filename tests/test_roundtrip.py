@@ -66,20 +66,21 @@ def test_checkpoint_roundtrips_bit_for_bit(components, meta):
 
 
 @st.composite
-def _embedding_entries(draw):
-    dim = draw(st.integers(0, 6))
+def _embedding_tables(draw):
+    dim = draw(st.integers(1, 6))  # the format has no empty vector
     ids = draw(st.lists(NAMES, max_size=8, unique=True))
-    return [(sid, draw(_float_arrays((dim,)))) for sid in ids]
+    return ids, draw(_float_arrays((len(ids), dim)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_embedding_entries())
-@example([("a", np.array([-0.0, 5e-324, -1e308])), ("b", np.array([1e308, 0.0, -5e-324]))])
-def test_embeddings_roundtrip_bit_for_bit(entries):
-    loaded = _roundtrip(save_embeddings, load_embeddings, entries)
-    assert [sid for sid, _ in loaded] == [sid for sid, _ in entries]
-    for (_, got), (_, want) in zip(loaded, entries):
-        assert _same_bits(np.asarray(got), want)
+@given(_embedding_tables())
+@example((["a", "b"], np.array([[-0.0, 5e-324, -1e308], [1e308, 0.0, -5e-324]])))
+def test_embeddings_roundtrip_bit_for_bit(table):
+    ids, vectors = table
+    got_ids, got = _roundtrip(save_embeddings, load_embeddings, ids, vectors)
+    assert got_ids == ids
+    # an empty file tells no dimension
+    assert _same_bits(got, vectors) if ids else got.shape == (0, 0)
 
 
 @st.composite

@@ -26,7 +26,7 @@ def _mined(seed):
 SEEDED = {
     "kmeans": lambda seed: kmeans(POINTS, 3, seed),
     "kmeans_runs": lambda seed: np.concatenate(kmeans(POINTS, [2, 3], [0, seed])),
-    "make_batches": lambda seed: np.array([b.indices for b in make_batches(range(8), 4, seed)]),
+    "make_batches": lambda seed: np.array(make_batches(range(8), 4, seed)),
     "topk_global_pairs": _mined,
     "init_encoder": lambda seed: init_encoder(DIMS, seed).flat,
 }

@@ -229,31 +229,30 @@ class TestEmbedCorpus:
     def test_counting_and_dimension(self):
         corpus = _corpus()
         model, _ = train_disentangle(corpus, _cfg_d(epochs=2))
-        entries = embed_corpus(model, corpus, "b")
-        assert len(entries) == len(corpus)
-        assert all(vec.shape == (8,) for _, vec in entries)
-        ids = [sid for sid, _ in entries]
+        ids, vectors = embed_corpus(model, corpus, "b")
+        assert len(ids) == len(corpus)
+        assert vectors.shape == (len(corpus), 8)
         assert ids == sorted(ids)
 
     def test_identity_refine_reproduces_variant_b(self):
         corpus = _corpus()
         model, _ = train_disentangle(corpus, _cfg_d(epochs=2))
         fresh = RefineModel(model.dims, init_refine(model.dims, seed=9))
-        b_entries = embed_corpus(model, corpus, "b")
-        d_entries = embed_corpus(model, corpus, "d", fresh)
-        for (sb, vb), (sd, vd) in zip(b_entries, d_entries):
-            assert sb == sd
-            assert np.array_equal(vb, vd)
+        b_ids, b_vectors = embed_corpus(model, corpus, "b")
+        d_ids, d_vectors = embed_corpus(model, corpus, "d", fresh)
+        assert b_ids == d_ids
+        assert np.array_equal(b_vectors, d_vectors)
 
     def test_variant_d_is_pointwise_refinement_of_b(self):
         corpus = _corpus()
         model, _ = train_disentangle(corpus, _cfg_d(epochs=2))
         refined, _ = train_refine(corpus, model, _cfg_s(epochs=2))
-        b_entries = dict(embed_corpus(model, corpus, "b"))
-        d_entries = dict(embed_corpus(model, corpus, "d", refined))
-        for sid, vb in b_entries.items():
+        b_ids, b_vectors = embed_corpus(model, corpus, "b")
+        d_ids, d_vectors = embed_corpus(model, corpus, "d", refined)
+        assert b_ids == d_ids
+        for vb, vd in zip(b_vectors, d_vectors):
             z = refine_forward(refined.params, vb.reshape(1, -1)).data[0]
-            np.testing.assert_allclose(d_entries[sid], z, atol=1e-12)
+            np.testing.assert_allclose(vd, z, atol=1e-12)
 
     def test_missing_refine_params_rejected(self):
         corpus = _corpus()
@@ -264,10 +263,9 @@ class TestEmbedCorpus:
     def test_deterministic(self):
         corpus = _corpus()
         model, _ = train_disentangle(corpus, _cfg_d(epochs=2))
-        e1 = embed_corpus(model, corpus, "b")
-        e2 = embed_corpus(model, corpus, "b")
-        for (s1, v1), (s2, v2) in zip(e1, e2):
-            assert s1 == s2 and np.array_equal(v1, v2)
+        ids1, v1 = embed_corpus(model, corpus, "b")
+        ids2, v2 = embed_corpus(model, corpus, "b")
+        assert ids1 == ids2 and np.array_equal(v1, v2)
 
     def test_default_dims_produce_length_256_vectors(self):
         from segembed.disentangle import DisentangledModel
@@ -287,6 +285,6 @@ class TestEmbedCorpus:
             init_encoder(dims, 0), init_encoder(dims, 1),
             init_decoder(dims, 2), init_discriminator(dims, 3),
         )
-        entries = embed_corpus(model, corpus, "b")
-        assert len(entries) == 24
-        assert all(vec.shape == (256,) for _, vec in entries)
+        ids, vectors = embed_corpus(model, corpus, "b")
+        assert len(ids) == 24
+        assert vectors.shape == (24, 256)
