@@ -49,12 +49,14 @@ index = DocumentIndex((
     Document("d1", (("x", np.array([0.0, 1.0])), ("y", np.array([-1.0, 0.2])))),
     Document("d2", (("z", np.array([0.8, -0.3])),)),
 ))
-ranked = rank_documents(QuerySpec("q", query_vec), index, top_k=2)
-for doc_id, score in ranked:
+# the ranking is index positions and their scores; ids are read from the index
+positions, scores = rank_documents(QuerySpec("q", query_vec), index, top_k=2)
+for doc_id, score in zip(index.doc_ids[positions], scores):
     print(f"  {doc_id}: {score:+.4f}")
-report = mean_average_precision(
-    {"q": [doc_id for doc_id, _ in ranked]}, {"q": {"d0", "d2"}}
-)
+# MAP reads, per query, whether the document at each rank is relevant
+relevant = {"d0", "d2"}
+hits = [[doc_id in relevant for doc_id in index.doc_ids[positions]]]
+report = mean_average_precision(["q"], hits, [len(relevant)])
 print(f"average precision with relevant = {{d0, d2}}: {report.map:.4f}")
 
 print("\n=== end-to-end synthetic retrieval task ===")

@@ -6,13 +6,17 @@ one sampled spoken realization, documents are ranked by the mean of the
 top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
 
-All queries are ranked in one pass, for all top_k. A ``DocumentIndex``
-stacks every word vector into one matrix, computes its row norms once and
-keeps each document's word slots as a padded index array, so the queries
-are scored against the whole archive with one ``cosine`` call, one sort
-along the padded axis and one sequential cumulative sum, which is read at
-each document's effective k for every requested top_k. One ``np.lexsort``
-then ranks the documents for every query at every top_k.
+All queries are ranked in one pass, for all top_k, and on index arrays. A
+``DocumentIndex`` stacks every word vector into one matrix, computes its
+row norms once and keeps each document's word slots as a padded index
+array, so the queries are scored against the whole archive with one
+``cosine`` call, one sort along the padded axis and one sequential
+cumulative sum, which is read at each document's effective k for every
+requested top_k. One ``np.lexsort`` then ranks the documents for every
+query at every top_k as index positions. ``run_retrieval`` reads those
+positions against one (queries, documents) boolean relevance matrix, and
+average precision is one ``np.cumsum`` of the hits and one sequential
+``np.add.accumulate`` of the precisions at the relevant ranks.
 """
 
 import math
@@ -182,48 +186,44 @@ def relevance_score(query_embedding, document, top_k):
 
 
 def rank_documents(query, index: DocumentIndex, top_k):
-    """All documents as (doc_id, score) sorted by descending relevance
-    score (ties by id); with a sequence ``top_k``, one such list per value.
+    """Index positions and scores of all documents, sorted by descending
+    relevance score (ties by doc id), as two arrays ``(positions, scores)``.
 
-    ``query`` is a ``QuerySpec``, or a sequence of them: then the result
-    holds one entry per query, equal to that query's own result, and all
-    queries are scored and sorted together.
+    ``query`` is a ``QuerySpec``, or a sequence of them, which adds a
+    leading query axis whose row q equals query q's own result. A sequence
+    ``top_k`` adds an axis of one ranking per value after it, as in
+    ``relevance_score``. The ranked ids are ``index.doc_ids[positions]``.
     """
     single = isinstance(query, QuerySpec)
     specs = [query] if single else list(query)
-    if not specs:
-        return []
-    dims = {len(q.embedding) for q in specs}
+    dims = {len(q.embedding) for q in specs} or {index.matrix.shape[1]}
     if len(dims) != 1:
         raise DataError(f"query embeddings differ in length: {sorted(dims)}")
-    embeddings = query.embedding if single else np.array([q.embedding for q in specs])
-    scores = relevance_score(embeddings, index, top_k)
+    embeddings = np.array([q.embedding for q in specs]).reshape(len(specs), *dims)
+    scores = relevance_score(embeddings[0] if single else embeddings, index, top_k)
     ties = np.broadcast_to(index.id_ranks, scores.shape)
-    order = np.lexsort((ties, -scores), axis=-1)
-    flat_scores = scores.reshape(-1, len(index))
-    rows = [
-        list(zip(index.doc_ids[o].tolist(), row[o].tolist()))
-        for o, row in zip(order.reshape(flat_scores.shape), flat_scores)
-    ]
-    if np.ndim(top_k):  # regroup the rows of each query's top_k values
-        n_k = scores.shape[-2]
-        rows = [rows[r:r + n_k] for r in range(0, len(rows), n_k)]
-    return rows[0] if single else rows
+    positions = np.lexsort((ties, -scores), axis=-1)
+    return positions, np.take_along_axis(scores, positions, axis=-1)
 
 
-def average_precision(ranked_ids, relevant) -> float:
-    """AP of one ranked list: mean over relevant documents of the precision
-    at each relevant document's rank."""
-    relevant = set(relevant)
-    if not relevant:
+def average_precision(hits, n_relevant):
+    """AP along the last axis of ``hits``, which says whether the document
+    at each rank is relevant, with ``n_relevant`` relevant documents per
+    ranking: the mean over relevant documents of the precision at each
+    one's rank, a relevant document missing from the ranking counting 0.
+
+    The precisions are summed left to right, as a loop over the ranks would
+    (not pairwise), so each AP is bit-equal to that loop's. Padding a
+    ranking with ``False`` leaves its AP unchanged.
+    """
+    hits = np.asarray(hits, dtype=bool)
+    n_relevant = np.asarray(n_relevant)
+    if np.any(n_relevant < 1):
         raise EvaluationError("average precision needs a non-empty relevant set")
-    hits = 0
-    total = 0.0
-    for rank, doc_id in enumerate(ranked_ids, start=1):
-        if doc_id in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+    precision = np.where(hits, np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1), 0.0)
+    start = np.zeros(hits.shape[:-1] + (1,))  # the loop's 0.0, and an empty ranking's total
+    totals = np.add.accumulate(np.concatenate([start, precision], axis=-1), axis=-1)
+    return totals[..., -1] / n_relevant
 
 
 @dataclass(frozen=True)
@@ -236,21 +236,26 @@ class RetrievalReport:
     excluded: tuple
 
 
-def mean_average_precision(rankings, relevant_sets) -> RetrievalReport:
+def mean_average_precision(terms, hits, n_relevant) -> RetrievalReport:
     """MAP over queries.
 
-    ``rankings`` maps query term -> ranked document ids; ``relevant_sets``
-    maps query term -> relevant document ids. Queries with an empty
-    relevant set are excluded with a warning and reported.
+    Row q of the (Q, R) boolean ``hits`` says whether the document at each
+    rank of query ``terms[q]``'s ranking is relevant, and ``n_relevant[q]``
+    is its number of relevant documents. Queries with none are excluded
+    with a warning and reported; a repeated term keeps its last row.
     """
-    per_query = {}
-    excluded = []
-    for term, ranked in rankings.items():
-        rel = set(relevant_sets.get(term, ()))
-        if not rel:
-            excluded.append(term)
-            continue
-        per_query[term] = average_precision(ranked, rel)
+    terms = list(terms)
+    hits = np.asarray(hits, dtype=bool)
+    n_relevant = np.asarray(n_relevant)
+    if hits.ndim != 2 or len(hits) != len(terms) or n_relevant.shape != (len(terms),):
+        raise DataError(
+            f"need one hits row and relevant count per term: {len(terms)} terms, "
+            f"hits {hits.shape}, n_relevant {n_relevant.shape}"
+        )
+    ap = average_precision(hits, np.where(n_relevant == 0, 1, n_relevant))
+    rows = dict(zip(terms, zip(n_relevant.tolist(), ap.tolist())))
+    per_query = {term: value for term, (n, value) in rows.items() if n}
+    excluded = tuple(sorted(term for term, (n, _) in rows.items() if not n))
     if excluded:
         warnings.warn(
             f"{len(excluded)} queries with no relevant documents excluded from MAP"
@@ -260,7 +265,7 @@ def mean_average_precision(rankings, relevant_sets) -> RetrievalReport:
     return RetrievalReport(
         map=float(np.mean(list(per_query.values()))),
         per_query=per_query,
-        excluded=tuple(sorted(excluded)),
+        excluded=excluded,
     )
 
 
@@ -285,11 +290,15 @@ def build_retrieval_task(ids, vectors, labels_by_id, n_documents: int,
     labels = [labels_by_id[sid] for sid in ids]
     order = rng_for(seed, "retrieval:partition").permutation(len(ids))
     documents = []
+    docs_by_label = {}
     for d, bucket in enumerate(np.array_split(order, n_documents)):
         words = [labels[i] for i in bucket]
         if None in words:
             raise DataError(f"segment {ids[bucket[words.index(None)]]!r} has no unit label")
-        documents.append(Document(doc_id=f"doc-{d:04d}", words=tuple(zip(words, vectors[bucket]))))
+        doc_id = f"doc-{d:04d}"
+        for label in set(words):
+            docs_by_label.setdefault(label, []).append(doc_id)
+        documents.append(Document(doc_id=doc_id, words=tuple(zip(words, vectors[bucket]))))
     index = DocumentIndex(tuple(documents))
 
     terms = tfidf_select_queries([d.transcript for d in index.documents], n_queries)
@@ -301,10 +310,7 @@ def build_retrieval_task(ids, vectors, labels_by_id, n_documents: int,
     for term in terms:
         pool = rows_by_label[term]
         embedding = vectors[pool[int(query_rng.integers(len(pool)))]]
-        relevant = frozenset(
-            d.doc_id for d in index.documents if term in d.transcript
-        )
-        queries.append(QuerySpec(term=term, embedding=embedding, relevant=relevant))
+        queries.append(QuerySpec(term, embedding, frozenset(docs_by_label[term])))
     return index, queries
 
 
@@ -313,18 +319,21 @@ def run_retrieval(index: DocumentIndex, queries, top_k):
 
     An int ``top_k`` gives one ``RetrievalReport``; a sequence gives
     ``{k: RetrievalReport}``. All queries are ranked in one
-    ``rank_documents`` call, once for all values.
+    ``rank_documents`` call, once for all values, and each ranking is
+    read against one (Q, D) relevance matrix by index position.
     """
     ks = list(top_k) if np.ndim(top_k) else [top_k]
     queries = list(queries)
-    ranked = dict(zip([q.term for q in queries], rank_documents(queries, index, ks)))
-    relevant = {q.term: q.relevant for q in queries}
+    positions, _ = rank_documents(queries, index, ks)
+    position_of = dict(zip(index.doc_ids.tolist(), range(len(index))))
+    relevant = np.zeros((len(queries), len(index)), dtype=bool)
+    for row, q in zip(relevant, queries):
+        row[[position_of[d] for d in q.relevant if d in position_of]] = True
+    hits = np.take_along_axis(relevant[:, None], positions, axis=-1)
+    terms = [q.term for q in queries]
+    n_relevant = [len(q.relevant) for q in queries]
     reports = {
-        k: mean_average_precision(
-            {term: [doc_id for doc_id, _ in lists[i]] for term, lists in ranked.items()},
-            relevant,
-        )
-        for i, k in enumerate(ks)
+        k: mean_average_precision(terms, hits[:, i], n_relevant) for i, k in enumerate(ks)
     }
     return reports if np.ndim(top_k) else reports[ks[0]]
 

@@ -522,7 +522,8 @@ def _require_object(path, key, value) -> None:
 
 def _checkpoint_array(path, name, key, entry, scan_bools) -> np.ndarray:
     """Array ``key`` of component ``name`` from its checkpoint ``entry``,
-    whose data and shape must be JSON numbers (``errors.json_numbers``)."""
+    whose data and shape must be JSON numbers (``errors.json_numbers``),
+    the shape's JSON integers."""
     try:
         data = json_numbers(entry["data"], scan_bools)
         json_numbers(entry["shape"], scan_bools)
@@ -531,6 +532,8 @@ def _checkpoint_array(path, name, key, entry, scan_bools) -> np.ndarray:
         raise ParseError(f"{path}: {name}.{key}: missing key {exc}") from exc
     except DECODE_ERRORS as exc:
         raise ParseError(f"{path}: {name}.{key}: {exc}") from exc
+    if not all(isinstance(n, int) for n in entry["shape"]):
+        raise ParseError(f"{path}: {name}.{key}: shape {entry['shape']} must hold JSON integers")
     if data.ndim != 1 or min(shape, default=0) < 0 or data.size != math.prod(shape):
         raise ParseError(
             f"{path}: {name}.{key}: {data.size} values do not fill shape {shape}"
@@ -544,8 +547,8 @@ def load_checkpoint(path):
     Invalid JSON, a missing ``components``, ``data`` or ``shape`` key, a
     ``components``, component or ``meta`` value that is not a JSON object,
     a ``data`` or ``shape`` entry that is not a JSON number (a string or a
-    boolean included), and data whose size does not match its shape raise
-    ``ParseError``.
+    boolean included), a ``shape`` entry that is not a JSON integer, and
+    data whose size does not match its shape raise ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

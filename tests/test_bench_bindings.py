@@ -5,7 +5,8 @@ the workloads reach every op and loss graph the benchmark expects of them.
 that moves or is renamed would only fail a traced benchmark run. A traced
 run also fails when a wrapped function outside a workload's ``idle`` set
 records no call; the workload test below checks that rule for the autodiff
-ops and the loss graphs on short runs of two workloads. The bench files
+ops, the loss graphs and the traced retrieval functions of ``evalstd`` on
+short runs of two workloads. The bench files
 are executed from their paths, so nothing is written under ``bench/``.
 """
 
@@ -31,6 +32,8 @@ LOOKUPS = (
 REACHED = (
     *(("autodiff", op) for op in TRACER["AUTODIFF_OPS"]),
     *(("_trainer", graph) for graph in TRACER["TRAINER_GRAPHS"]),
+    *((module, name) for module, name in TRACER["FUNCTIONS"] + TRACER["COUNTED"]
+      if module == "evalstd"),
 )
 
 

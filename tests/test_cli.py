@@ -790,6 +790,27 @@ class TestBadInputs:
         assert f"segembed: error: {path}: E_p.b_in: {message}\n" == err
 
     @pytest.mark.parametrize("command", ["embed", "refine"])
+    @pytest.mark.parametrize("fraction", [".9", ".0"])
+    def test_checkpoint_shape_not_an_integer(
+        self, corpus_dir, model_a, tmp_path, capsys, command, fraction
+    ):
+        """A shape entry of E_p.b_in that is a JSON float, even a whole
+        one, is a ParseError naming the array, though int() of it is the
+        array's true length."""
+        doc = json.loads(model_a)
+        entry = doc["components"]["E_p"]["b_in"]
+        text = f"[{len(entry['data'])}{fraction}]"
+        entry["shape"] = "MARK"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"MARK"', text))
+        code = run_cli(
+            tmp_path, command, "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path), *(["--variant", "a"] if command == "embed" else []),
+        )
+        err = self._one_error_line(capsys, code)
+        assert err == f"segembed: error: {path}: E_p.b_in: shape {text} must hold JSON integers\n"
+
+    @pytest.mark.parametrize("command", ["embed", "refine"])
     @pytest.mark.parametrize("text, message", [
         ('"0.25"', "could not convert string to float"),
         ("true", "could not convert boolean to float"),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _brute_relevance
 
@@ -15,6 +15,7 @@ from segembed.evalstd import (
     Document,
     DocumentIndex,
     QuerySpec,
+    RetrievalReport,
     average_precision,
     build_retrieval_task,
     mean_average_precision,
@@ -31,6 +32,21 @@ RNG = np.random.default_rng(51)
 def _doc(doc_id, vectors, tokens=None):
     tokens = tokens or [f"w{i}" for i in range(len(vectors))]
     return Document(doc_id, tuple(zip(tokens, vectors)))
+
+
+def _ranked(index, ranking):
+    """A ``rank_documents`` result, ``(positions, scores)``, as the nested
+    lists of (doc_id, score) pairs it stands for."""
+    positions, scores = ranking
+    assert positions.shape == scores.shape and positions.dtype.kind == "i"
+    if positions.ndim > 1:
+        return [_ranked(index, pair) for pair in zip(positions, scores)]
+    return list(zip(index.doc_ids[positions].tolist(), scores.tolist()))
+
+
+def _hits(ranked_ids, relevant):
+    """Whether the document at each rank of ``ranked_ids`` is relevant."""
+    return [doc_id in relevant for doc_id in ranked_ids]
 
 
 class TestTfidf:
@@ -111,23 +127,26 @@ class TestRankDocuments:
     def test_single_document(self):
         q = QuerySpec("q", np.array([1.0, 0.0]))
         index = DocumentIndex((_doc("only", [np.array([0.2, 0.9])]),))
-        assert rank_documents(q, index, 1)[0][0] == "only"
+        positions, scores = rank_documents(q, index, 1)
+        assert index.doc_ids[positions[0]] == "only"
+        assert positions.shape == scores.shape == (1,)
 
     def test_exact_match_ranks_first(self):
         qv = np.array([1.0, 0.0])
         index = DocumentIndex(
             (_doc("hit", [qv]), _doc("miss", [np.array([0.0, 1.0])]))
         )
-        ranked = rank_documents(QuerySpec("q", qv), index, 1)
-        assert [doc_id for doc_id, _ in ranked] == ["hit", "miss"]
+        positions, _ = rank_documents(QuerySpec("q", qv), index, 1)
+        assert index.doc_ids[positions].tolist() == ["hit", "miss"]
 
     def test_scores_independent_of_document_order(self):
         docs = [
             _doc(f"d{i}", [RNG.normal(size=3) for _ in range(3)]) for i in range(4)
         ]
         q = QuerySpec("q", RNG.normal(size=3))
-        a = dict(rank_documents(q, DocumentIndex(tuple(docs)), 2))
-        b = dict(rank_documents(q, DocumentIndex(tuple(reversed(docs))), 2))
+        a_index, b_index = DocumentIndex(tuple(docs)), DocumentIndex(tuple(reversed(docs)))
+        a = dict(_ranked(a_index, rank_documents(q, a_index, 2)))
+        b = dict(_ranked(b_index, rank_documents(q, b_index, 2)))
         assert a == b
 
 
@@ -141,14 +160,27 @@ def brute_average_precision(ranked_ids, relevant):
     return sum(ap_terms) / len(relevant)
 
 
+def loop_average_precision(ranked_ids, relevant) -> float:
+    """Bit reference for AP: one left-to-right pass over the ranks, adding
+    the precision at each relevant document's rank."""
+    relevant = set(relevant)
+    hits = 0
+    total = 0.0
+    for rank, doc_id in enumerate(ranked_ids, start=1):
+        if doc_id in relevant:
+            hits += 1
+            total += hits / rank
+    return total / len(relevant)
+
+
 class TestAveragePrecisionAndMap:
     def test_hand_example(self):
-        ap = average_precision(["r1", "n1", "r2"], {"r1", "r2"})
+        ap = average_precision(_hits(["r1", "n1", "r2"], {"r1", "r2"}), 2)
         assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
         assert ap == pytest.approx(0.8333, abs=1e-4)
 
     def test_all_relevant_first(self):
-        assert average_precision(["r1", "r2", "n"], {"r1", "r2"}) == 1.0
+        assert average_precision(_hits(["r1", "r2", "n"], {"r1", "r2"}), 2) == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -158,7 +190,7 @@ class TestAveragePrecisionAndMap:
             rng.shuffle(docs)
             n_rel = int(rng.integers(1, n + 1))
             relevant = set(rng.choice(docs, size=n_rel, replace=False))
-            assert average_precision(docs, relevant) == pytest.approx(
+            assert average_precision(_hits(docs, relevant), len(relevant)) == pytest.approx(
                 brute_average_precision(docs, relevant), abs=1e-12
             )
 
@@ -167,7 +199,10 @@ class TestAveragePrecisionAndMap:
         relevant = {"q1": {"a"}, "q2": {"a"}, "q3": set()}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = mean_average_precision(rankings, relevant)
+            report = mean_average_precision(
+                list(rankings), [_hits(rankings[t], relevant[t]) for t in rankings],
+                [len(relevant[t]) for t in rankings],
+            )
         assert report.map == pytest.approx((1.0 + 0.5) / 2.0)
         assert report.excluded == ("q3",)
         assert len(caught) == 1
@@ -175,7 +210,55 @@ class TestAveragePrecisionAndMap:
     def test_no_scorable_queries_rejected(self):
         with pytest.raises(EvaluationError), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mean_average_precision({"q": ["a"]}, {"q": set()})
+            mean_average_precision(["q"], [[False]], [0])
+
+    @pytest.mark.parametrize("hits, n_relevant", [
+        ([False, True], [1]),  # hits not (Q, R)
+        ([[False, True]], 1),  # n_relevant not (Q,)
+        ([[False, True], [True, False]], [1]),
+    ])
+    def test_mismatched_shapes_rejected(self, hits, n_relevant):
+        with pytest.raises(DataError, match="one hits row"):
+            mean_average_precision(["q"], hits, n_relevant)
+
+    def test_empty_relevant_set_rejected(self):
+        with pytest.raises(EvaluationError, match="non-empty relevant set"):
+            average_precision([[True], [False]], [1, 0])
+
+
+_hit_patterns = st.integers(1, 60).flatmap(lambda n: st.one_of(
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.just([False] * n),  # no hit
+    st.just([True] * n),  # all hits
+    st.just([False] * (n - 1) + [True]),  # one relevant document, at the last rank
+))
+
+
+class TestExactAveragePrecision:
+    """``average_precision`` equals the left-to-right loop bit for bit."""
+
+    @staticmethod
+    def _reference(hits, n_missing):
+        """The loop's AP of ``hits``, with ``n_missing`` more relevant
+        documents that are not in the ranking; and the relevant count."""
+        ranked = [f"d{i}" for i in range(len(hits))]
+        relevant = {d for d, hit in zip(ranked, hits) if hit}
+        relevant |= {f"missing{j}" for j in range(n_missing if relevant else max(n_missing, 1))}
+        return loop_average_precision(ranked, relevant), len(relevant)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_hit_patterns, st.integers(0, 3)), min_size=1, max_size=4))
+    @example([([True], 0)])  # a single document
+    @example([([False], 1)])
+    @example([([], 1)])  # an empty ranking
+    def test_equals_loop_on_random_hit_patterns(self, rows):
+        expected, n_relevant = zip(*(self._reference(h, m) for h, m in rows))
+        for (hits, _), ap, n in zip(rows, expected, n_relevant):
+            assert average_precision(hits, n) == ap
+        # one batch, shorter rankings padded with False
+        width = max(len(h) for h, _ in rows)
+        batch = [h + [False] * (width - len(h)) for h, _ in rows]
+        assert average_precision(batch, n_relevant).tolist() == list(expected)
 
 
 class TestDocumentTypes:
@@ -288,7 +371,7 @@ class TestBatchedScoringProperties:
         assert max(abs(got - oracle[doc.doc_id])
                    for doc, got in zip(index.documents, single)) < 1e-12
 
-        ranked = rank_documents(QuerySpec("q", query), index, top_k)
+        ranked = _ranked(index, rank_documents(QuerySpec("q", query), index, top_k))
         by_id = {doc.doc_id: score for doc, score in zip(index.documents, single)}
         assert ranked == sorted(by_id.items(), key=lambda kv: (-kv[1], kv[0]))
         along = [oracle[doc_id] for doc_id, _ in ranked]
@@ -305,7 +388,8 @@ class TestBatchedScoringProperties:
 
         shuffled = list(index.documents)
         random.shuffle(shuffled)
-        assert rank_documents(QuerySpec("q", query), DocumentIndex(tuple(shuffled)), top_k) == ranked
+        shuffled = DocumentIndex(tuple(shuffled))
+        assert _ranked(shuffled, rank_documents(QuerySpec("q", query), shuffled, top_k)) == ranked
 
     @settings(max_examples=200, deadline=None)
     @given(_archives(), st.lists(st.integers(1, 10), max_size=3), st.data())
@@ -321,7 +405,9 @@ class TestBatchedScoringProperties:
             relevance_score(query, doc, k) for k in ks
         ]
         spec = QuerySpec("q", query)
-        assert rank_documents(spec, index, ks) == [rank_documents(spec, index, k) for k in ks]
+        assert _ranked(index, rank_documents(spec, index, ks)) == [
+            _ranked(index, rank_documents(spec, index, k)) for k in ks
+        ]
 
         ids = sorted(d.doc_id for d in index.documents)
         queries = [
@@ -350,7 +436,9 @@ class TestBatchedScoringProperties:
         ks = (top_k, 8, 1)  # 8 is above every document's length (at most 7)
         embeddings = np.array(vectors)
         for k in (top_k, ks):
-            assert rank_documents(specs, index, k) == [rank_documents(s, index, k) for s in specs]
+            assert _ranked(index, rank_documents(specs, index, k)) == [
+                _ranked(index, rank_documents(s, index, k)) for s in specs
+            ]
             per_query = np.array([relevance_score(v, index, k) for v in vectors])
             assert relevance_score(embeddings, index, k).tobytes() == per_query.tobytes()
             doc = index.documents[0]
@@ -358,24 +446,62 @@ class TestBatchedScoringProperties:
                 np.asarray(relevance_score(v, doc, k)).tolist() for v in vectors
             ]
 
-        relevant = {s.term: s.relevant for s in specs}
         reports = run_retrieval(index, specs, ks)
         for k in ks:
+            ranked = [index.doc_ids[rank_documents(s, index, k)[0]] for s in specs]
             one_at_a_time = mean_average_precision(
-                {s.term: [doc_id for doc_id, _ in rank_documents(s, index, k)]
-                 for s in specs},
-                relevant,
+                [s.term for s in specs],
+                [_hits(ids, s.relevant) for ids, s in zip(ranked, specs)],
+                [len(s.relevant) for s in specs],
             )
             assert reports[k] == one_at_a_time
             assert run_retrieval(index, specs, k) == one_at_a_time
+
+    @settings(max_examples=200, deadline=None)
+    @given(_archives(), st.data())
+    def test_reports_equal_each_query_and_top_k_alone(self, archive, data):
+        """Every field of every report equals the one built from each
+        query's own ranking at each top_k and the AP loop; a relevant set
+        may be empty or name a document outside the index."""
+        query, index, top_k = archive
+        ids = [d.doc_id for d in index.documents] + ["not-indexed"]
+        vectors = [query, *(d.words[0][1] for d in index.documents[:3])]
+        specs = [QuerySpec(f"q{i}", v, data.draw(st.sets(st.sampled_from(ids))))
+                 for i, v in enumerate(vectors)]
+        ks = (top_k, 8, 1)
+        excluded = tuple(sorted(s.term for s in specs if not s.relevant))
+        expected = {}
+        for k in ks:
+            per_query = {
+                s.term: loop_average_precision(
+                    index.doc_ids[rank_documents(s, index, k)[0]].tolist(), s.relevant
+                )
+                for s in specs if s.relevant
+            }
+            mean = float(np.mean(list(per_query.values()))) if per_query else None
+            expected[k] = RetrievalReport(mean, per_query, excluded)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if len(excluded) == len(specs):
+                with pytest.raises(EvaluationError, match="no query"):
+                    run_retrieval(index, specs, ks)
+                return
+            reports = run_retrieval(index, specs, ks)
+        assert reports == expected
+        assert len(caught) == (len(ks) if excluded else 0)  # one per top_k
 
     def test_one_query_in_a_list_and_no_queries(self):
         index = DocumentIndex((_doc("x", [np.array([1.0, 0.0])]),
                                _doc("y", [np.array([0.0, 1.0]), np.array([1.0, 1.0])])))
         spec = QuerySpec("q", np.array([1.0, 0.5]))
-        assert rank_documents([spec], index, 2) == [rank_documents(spec, index, 2)]
-        assert rank_documents((spec,), index, (1, 2)) == [rank_documents(spec, index, (1, 2))]
-        assert rank_documents([], index, 1) == []
+        assert _ranked(index, rank_documents([spec], index, 2)) == [
+            _ranked(index, rank_documents(spec, index, 2))
+        ]
+        assert _ranked(index, rank_documents((spec,), index, (1, 2))) == [
+            _ranked(index, rank_documents(spec, index, (1, 2)))
+        ]
+        assert [a.shape for a in rank_documents([], index, 1)] == [(0, 2), (0, 2)]
+        assert [a.shape for a in rank_documents([], index, (1, 2, 3))] == [(0, 3, 2)] * 2
         with pytest.raises(DataError, match="differ in length"):
             rank_documents([spec, QuerySpec("r", np.ones(3))], index, 1)
         with pytest.raises(DataError, match="must be 1-D"):
