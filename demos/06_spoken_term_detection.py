@@ -10,7 +10,6 @@ precision summarizes the ranked lists.
 import numpy as np
 
 from segembed import (
-    Document,
     DocumentIndex,
     QuerySpec,
     build_retrieval_task,
@@ -34,21 +33,19 @@ print("('the' occurs everywhere, so its score is zero and it is never picked)")
 
 print("\n=== relevance scoring ===")
 query_vec = np.array([1.0, 0.0])
-doc = Document("d0", (
-    ("hit", np.array([0.9, 0.1])),
-    ("near", np.array([0.7, 0.7])),
-    ("far", np.array([-0.2, 1.0])),
-))
+# an archive is a table of word vectors and each document's rows of it
+words = np.array([
+    [0.9, 0.1], [0.7, 0.7], [-0.2, 1.0],  # d0: "hit", "near", "far"
+    [0.0, 1.0], [-1.0, 0.2],  # d1
+    [0.8, -0.3],  # d2
+])
+doc = DocumentIndex(["d0"], words, [[0, 1, 2]])
 # a sequence of top_k values is scored from one sort of the similarities
-for k, score in zip((1, 2, 3), relevance_score(query_vec, doc, (1, 2, 3))):
+for k, (score,) in zip((1, 2, 3), relevance_score(query_vec, doc, (1, 2, 3))):
     print(f"top-{k} mean cosine: {score:.4f}")
 
 print("\n=== ranking and average precision ===")
-index = DocumentIndex((
-    doc,
-    Document("d1", (("x", np.array([0.0, 1.0])), ("y", np.array([-1.0, 0.2])))),
-    Document("d2", (("z", np.array([0.8, -0.3])),)),
-))
+index = DocumentIndex(["d0", "d1", "d2"], words, [[0, 1, 2], [3, 4], [5]])
 # the ranking is index positions and their scores; ids are read from the index
 positions, scores = rank_documents(QuerySpec("q", query_vec), index, top_k=2)
 for doc_id, score in zip(index.doc_ids[positions], scores):

@@ -7,19 +7,21 @@ top-k cosine similarities between the query and the document's words, and
 retrieval quality is summarized as mean average precision.
 
 All queries are ranked in one pass, for all top_k, and on index arrays. A
-``DocumentIndex`` stacks every word vector into one matrix, computes its
-row norms once and keeps each document's word slots as a padded index
-array, so the queries are scored against the whole archive with one
-``cosine`` call, one sort along the padded axis and one sequential
-cumulative sum, which is read at each document's effective k for every
-requested top_k. One ``np.lexsort`` then ranks the documents for every
-query at every top_k as index positions. ``run_retrieval`` reads those
-positions against one (queries, documents) boolean relevance matrix, and
-average precision is one ``np.cumsum`` of the hits and one sequential
-``np.add.accumulate`` of the precisions at the relevant ranks.
+``DocumentIndex`` is a table of word vectors (in ``build_retrieval_task``
+the embedding table itself), its row norms computed once, and each
+document's member rows as a padded index array, so the queries are scored
+against the whole archive with one ``cosine`` call, one sort along the
+padded axis and one sequential cumulative sum, which is read at each
+document's effective k for every requested top_k. One ``np.lexsort``
+then ranks the documents for every query at every top_k as index
+positions. ``run_retrieval`` reads those positions against one (queries,
+documents) boolean relevance matrix, and average precision is one
+``np.cumsum`` of the hits and one sequential ``np.add.accumulate`` of the
+precisions at the relevant ranks.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,78 +33,70 @@ from .evalcluster import _row_norms, cosine
 from .seeding import rng_for
 
 __all__ = [
-    "Document", "DocumentIndex", "QuerySpec", "build_retrieval_task",
+    "DocumentIndex", "QuerySpec", "build_retrieval_task",
     "mean_average_precision", "rank_documents", "relevance_score", "run_retrieval",
     "tfidf_select_queries",
 ]
 
 
-@dataclass(frozen=True)
-class Document:
-    """One spoken document: embedded word tokens, and their transcript."""
-
-    doc_id: str
-    words: tuple  # of (token, vector)
-    transcript: tuple = field(init=False)  # derived: the words' tokens, in order
-
-    def __post_init__(self):
-        if not self.words:
-            raise DataError(f"document {self.doc_id!r} has no words")
-        words = tuple((str(t), np.asarray(v, dtype=np.float64)) for t, v in self.words)
-        dims = {v.shape for _, v in words}
-        if len(dims) != 1 or any(len(s) != 1 for s in dims):
-            raise DataError(f"document {self.doc_id!r}: inconsistent embedding dims")
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "transcript", tuple(t for t, _ in words))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DocumentIndex:
-    """Immutable archive of spoken documents sharing one embedding dim.
+    """Immutable archive of spoken documents over one table of word vectors.
 
-    Construction also builds the scoring arrays: ``matrix`` stacks every
-    word vector in document order, row ``r`` of ``slots`` lists document
-    ``r``'s rows of ``matrix`` padded with ``len(matrix)``, ``norms``
-    holds the row norms of ``matrix``, ``lengths`` the word counts,
-    ``doc_ids`` the document ids in index order and ``id_ranks`` each doc
-    id's rank in sorted order, the tie-break of ``rank_documents``.
+    ``doc_ids`` names the documents in index order. ``vectors`` is an
+    (N, d) matrix of word vectors, copied once as read-only float64, and
+    ``members`` holds one non-empty 1-D integer array of row indices per
+    document, in word order; documents may share rows. Construction also
+    builds the scoring arrays: row ``r`` of ``slots`` lists document
+    ``r``'s rows padded with ``N``, ``norms`` holds the row norms of
+    ``vectors``, ``lengths`` the word counts and ``id_ranks`` each doc id's
+    rank in sorted order, the tie-break of ``rank_documents``.
     """
 
-    documents: tuple
-    doc_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    id_ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    doc_ids: np.ndarray
+    vectors: np.ndarray
+    members: tuple
+    norms: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+    id_ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        docs = tuple(self.documents)
-        if not docs:
+        ids, members = list(self.doc_ids), tuple(np.array(m) for m in self.members)
+        if not ids:
             raise DataError("document index is empty")
-        ids = [d.doc_id for d in docs]
+        if len(members) != len(ids):
+            raise DataError(f"need one member array per document: {len(ids)} ids, "
+                            f"{len(members)} member arrays")
         if len(set(ids)) != len(ids):
             raise DataError("duplicate document ids")
-        dims = {d.words[0][1].shape[0] for d in docs}
-        if len(dims) != 1:
-            raise DataError(f"mixed embedding dimensions across documents: {dims}")
-        object.__setattr__(self, "documents", docs)
-        matrix = np.array([v for d in docs for _, v in d.words])
-        lengths = np.array([len(d.words) for d in docs])
-        starts = np.cumsum(lengths) - lengths
-        cols = np.arange(lengths.max())
-        slots = np.where(cols < lengths[:, None], starts[:, None] + cols, len(matrix))
-        id_ranks = np.empty(len(docs), dtype=np.intp)
-        id_ranks[sorted(range(len(docs)), key=ids.__getitem__)] = np.arange(len(docs))
-        doc_ids = np.array(ids, dtype=object)
-        for name, value in (("doc_ids", doc_ids), ("matrix", matrix),
-                            ("norms", _row_norms(matrix)), ("slots", slots),
+        try:  # a copy, so that the caller's array stays writable and the index immutable
+            vectors = np.array(self.vectors, dtype=np.float64)
+            if vectors.ndim != 2 or not vectors.shape[1]:
+                raise ValueError(f"got shape {vectors.shape}")
+        except (TypeError, ValueError) as exc:  # also ragged rows, or not numbers
+            raise DataError(f"word vectors must be an (N, d) matrix, d >= 1: {exc}") from exc
+        for doc_id, rows in zip(ids, members):
+            if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
+                    or rows.min() < 0 or rows.max() >= len(vectors)):
+                raise DataError(f"document {doc_id!r}: members must be a non-empty 1-D "
+                                f"array of row indices in [0, {len(vectors)})")
+            rows.flags.writeable = False
+        lengths = np.array([len(rows) for rows in members])
+        slots = np.full((len(ids), lengths.max()), len(vectors))
+        for row, rows in zip(slots, members):
+            row[:len(rows)] = rows
+        id_ranks = np.empty(len(ids), dtype=np.intp)
+        id_ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        for name, value in (("doc_ids", np.array(ids, dtype=object)), ("vectors", vectors),
+                            ("norms", _row_norms(vectors)), ("slots", slots),
                             ("lengths", lengths), ("id_ranks", id_ranks)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "members", members)
 
     def __len__(self):
-        return len(self.documents)
+        return len(self.doc_ids)
 
 
 @dataclass(frozen=True)
@@ -140,10 +134,9 @@ def tfidf_select_queries(transcripts, n_queries: int):
         for tok, c in counts.items():
             max_tf[tok] = max(max_tf.get(tok, 0), c)
             df[tok] = df.get(tok, 0) + 1
-    if n_queries < 1 or n_queries > len(max_tf):
-        raise DataError(
-            f"n_queries must be in [1, {len(max_tf)}], got {n_queries}"
-        )
+    if not isinstance(n_queries, numbers.Integral) or not 1 <= n_queries <= len(max_tf):
+        raise DataError(f"n_queries must be an integer in [1, {len(max_tf)}], "
+                        f"got {n_queries!r}")
     scored = [
         (tok, max_tf[tok] * math.log(n_docs / df[tok])) for tok in max_tf
     ]
@@ -151,38 +144,32 @@ def tfidf_select_queries(transcripts, n_queries: int):
     return [tok for tok, _ in scored[:n_queries]]
 
 
-def relevance_score(query_embedding, document, top_k):
+def relevance_score(query_embedding, index, top_k):
     """Mean of the top min(k, |d|) cosine similarities between the query
-    embedding and a document's word embeddings.
+    embedding and a document's word embeddings, for every document of the
+    ``DocumentIndex`` ``index``: one float64 per document in index order.
 
-    ``document`` is a ``Document``, scored as a float, or a
-    ``DocumentIndex``, scored as one float64 per document in index order.
     ``top_k`` is an int or a sequence of ints; a sequence adds a leading
-    axis with one score (or row of scores) per value, all read from the
-    same sort and cumulative sum. A (Q, d) matrix of query embeddings adds
-    a leading query axis in front of that, each query's scores bit-equal
-    to its own call's. The top similarities are summed in descending
-    order, left to right.
+    axis with one row of scores per value, all read from the same sort and
+    cumulative sum. A (Q, d) matrix of query embeddings adds a leading
+    query axis in front of that, each query's scores bit-equal to its own
+    call's. The top similarities are summed in descending order, left to
+    right.
     """
     ks = np.asarray(top_k)
     if ks.ndim > 1 or ks.dtype.kind not in "iu" or np.any(ks < 1):  # [] is float
         raise DataError(
             f"top_k must be an int >= 1 or a non-empty sequence of them, got {top_k!r}"
         )
-    index = DocumentIndex((document,)) if isinstance(document, Document) else document
     if not isinstance(index, DocumentIndex):
-        raise DataError(f"expected a Document or DocumentIndex, got {type(index).__name__}")
-    sims = cosine(index.matrix, query_embedding, norms=index.norms)
+        raise DataError(f"expected a DocumentIndex, got {type(index).__name__}")
+    sims = cosine(index.vectors, query_embedding, norms=index.norms)
     padding = np.full(sims.shape[:-1] + (1,), -np.inf)
     sims = np.concatenate([sims, padding], axis=-1)[..., index.slots]
     sims.sort(axis=-1)
     cumulative = np.cumsum(sims[..., ::-1], axis=-1)
     k_eff = np.minimum(ks[..., None], index.lengths)
-    scores = cumulative[..., np.arange(len(index)), k_eff - 1] / k_eff
-    if index is document:
-        return scores
-    scores = scores[..., 0]
-    return float(scores) if scores.ndim == 0 else scores
+    return cumulative[..., np.arange(len(index)), k_eff - 1] / k_eff
 
 
 def rank_documents(query, index: DocumentIndex, top_k):
@@ -196,7 +183,7 @@ def rank_documents(query, index: DocumentIndex, top_k):
     """
     single = isinstance(query, QuerySpec)
     specs = [query] if single else list(query)
-    dims = {len(q.embedding) for q in specs} or {index.matrix.shape[1]}
+    dims = {len(q.embedding) for q in specs} or {index.vectors.shape[1]}
     if len(dims) != 1:
         raise DataError(f"query embeddings differ in length: {sorted(dims)}")
     embeddings = np.array([q.embedding for q in specs]).reshape(len(specs), *dims)
@@ -241,8 +228,9 @@ def mean_average_precision(terms, hits, n_relevant) -> RetrievalReport:
 
     Row q of the (Q, R) boolean ``hits`` says whether the document at each
     rank of query ``terms[q]``'s ranking is relevant, and ``n_relevant[q]``
-    is its number of relevant documents. Queries with none are excluded
-    with a warning and reported; a repeated term keeps its last row.
+    is its number of relevant documents, an integer no smaller than the
+    row's hits (else a DataError). Queries with none are excluded with a
+    warning and reported; a repeated term keeps its last row.
     """
     terms = list(terms)
     hits = np.asarray(hits, dtype=bool)
@@ -252,6 +240,12 @@ def mean_average_precision(terms, hits, n_relevant) -> RetrievalReport:
             f"need one hits row and relevant count per term: {len(terms)} terms, "
             f"hits {hits.shape}, n_relevant {n_relevant.shape}"
         )
+    if n_relevant.size and n_relevant.dtype.kind not in "iu":
+        raise DataError(f"relevant counts must be integers, got {n_relevant.tolist()}")
+    over = hits.sum(axis=1) > n_relevant
+    if over.any():
+        q = int(over.argmax())
+        raise DataError(f"query {terms[q]!r}: {hits[q].sum()} hits but {n_relevant[q]} relevant")
     ap = average_precision(hits, np.where(n_relevant == 0, 1, n_relevant))
     rows = dict(zip(terms, zip(n_relevant.tolist(), ap.tolist())))
     per_query = {term: value for term, (n, value) in rows.items() if n}
@@ -278,30 +272,34 @@ def build_retrieval_task(ids, vectors, labels_by_id, n_documents: int,
 
     ``ids`` and ``vectors`` are an embedding table (``load_embeddings``):
     the segment ids and the rows of an (N, d) matrix; ``labels_by_id`` maps
-    segment_id -> unit label. Segments are shuffled (seeded) into
-    ``n_documents`` near-equal documents whose transcripts are the member
-    labels. Queries are the top TF-IDF terms; each query's embedding is one
-    seeded sampled realization of that term. Returns (DocumentIndex,
-    [QuerySpec, ...]).
+    segment_id -> unit label, and a segment without one is a DataError.
+    Segments are shuffled (seeded) into ``n_documents`` near-equal documents
+    whose transcripts are the member labels. Queries are the top TF-IDF
+    terms; each query's embedding is one seeded sampled realization of that
+    term. Returns (DocumentIndex, [QuerySpec, ...]); the index's word
+    vectors are the table's rows and each document's members are its
+    bucket of the seeded permutation.
     """
     vectors = embedding_matrix(ids, vectors)
-    if n_documents < 2 or n_documents > len(ids):
-        raise DataError("need 2 <= n_documents <= number of segments")
-    labels = [labels_by_id[sid] for sid in ids]
+    if not isinstance(n_documents, numbers.Integral) or not 2 <= n_documents <= len(ids):
+        raise DataError(f"n_documents must be an integer in [2, {len(ids)}], "
+                        f"got {n_documents!r}")
+    labels = [labels_by_id.get(sid) for sid in ids]
     order = rng_for(seed, "retrieval:partition").permutation(len(ids))
-    documents = []
+    buckets = np.array_split(order, n_documents)
+    doc_ids = [f"doc-{d:04d}" for d in range(n_documents)]
+    transcripts = []
     docs_by_label = {}
-    for d, bucket in enumerate(np.array_split(order, n_documents)):
+    for doc_id, bucket in zip(doc_ids, buckets):
         words = [labels[i] for i in bucket]
         if None in words:
             raise DataError(f"segment {ids[bucket[words.index(None)]]!r} has no unit label")
-        doc_id = f"doc-{d:04d}"
         for label in set(words):
             docs_by_label.setdefault(label, []).append(doc_id)
-        documents.append(Document(doc_id=doc_id, words=tuple(zip(words, vectors[bucket]))))
-    index = DocumentIndex(tuple(documents))
+        transcripts.append(words)
+    index = DocumentIndex(doc_ids, vectors, buckets)
 
-    terms = tfidf_select_queries([d.transcript for d in index.documents], n_queries)
+    terms = tfidf_select_queries(transcripts, n_queries)
     rows_by_label = {}
     for r, label in enumerate(labels):
         rows_by_label.setdefault(label, []).append(r)

@@ -285,23 +285,21 @@ def test_criterion_5_retrieval_oracles():
         dim = int(rng.integers(2, 4))
         query_vec = rng.normal(size=dim)
         k = int(rng.integers(1, 8))
-        docs = []
-        for d in range(n_docs):
-            n_words = int(rng.integers(1, 7))
-            words = tuple(
-                (f"w{w}", rng.normal(size=dim)) for w in range(n_words)
-            )
-            docs.append(se.Document(f"doc{d}", words))
-        for doc in docs:
-            got = se.relevance_score(query_vec, doc, k)
-            expected = _brute_relevance(query_vec, [v for _, v in doc.words], k)
-            worst = max(worst, abs(got - expected))
-        index = se.DocumentIndex(tuple(docs))
+        word_lists = [rng.normal(size=(int(rng.integers(1, 7)), dim)) for _ in range(n_docs)]
+        doc_ids = [f"doc{d}" for d in range(n_docs)]
+        # each document is a one-document index over its own rows
+        for doc_id, words in zip(doc_ids, word_lists):
+            doc = se.DocumentIndex([doc_id], words, [np.arange(len(words))])
+            (got,) = se.relevance_score(query_vec, doc, k)
+            worst = max(worst, abs(got - _brute_relevance(query_vec, words, k)))
+        ends = np.cumsum([len(words) for words in word_lists])
+        members = [np.arange(end - len(words), end) for end, words in zip(ends, word_lists)]
+        index = se.DocumentIndex(doc_ids, np.concatenate(word_lists), members)
         query = se.QuerySpec("q", query_vec)
         positions, _ = se.rank_documents(query, index, k)
         ranked = index.doc_ids[positions].tolist()
         n_rel = int(rng.integers(1, n_docs + 1))
-        relevant = set(rng.choice([d.doc_id for d in docs], n_rel, replace=False))
+        relevant = set(rng.choice(doc_ids, n_rel, replace=False))
         got_map = _map_of(ranked, relevant)
         worst = max(worst, abs(got_map - _brute_ap(ranked, relevant)))
 

@@ -4,7 +4,7 @@ import segembed as se
 
 PUBLIC = [
     "ComponentParams", "Corpus", "CosineGapReport", "DisentangleConfig",
-    "DisentangledModel", "DistanceCounter", "Document", "DocumentIndex",
+    "DisentangledModel", "DistanceCounter", "DocumentIndex",
     "ModelDims", "OptimState", "PairSets", "QuerySpec", "RefineModel", "Segment",
     "SiameseConfig", "SynthConfig", "accuracy_curve", "adversarial_loss",
     "build_retrieval_task", "cluster_accuracy", "confusion_matrix", "contrastive_loss",
@@ -25,7 +25,7 @@ def test_all_is_sorted_without_duplicates():
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 56
     assert se.__all__ == PUBLIC
 
 

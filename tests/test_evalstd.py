@@ -12,7 +12,6 @@ from test_acceptance import _brute_relevance
 from segembed.errors import DataError, EvaluationError
 from segembed.evalcluster import cosine
 from segembed.evalstd import (
-    Document,
     DocumentIndex,
     QuerySpec,
     RetrievalReport,
@@ -29,9 +28,25 @@ from segembed.evalstd import (
 RNG = np.random.default_rng(51)
 
 
-def _doc(doc_id, vectors, tokens=None):
-    tokens = tokens or [f"w{i}" for i in range(len(vectors))]
-    return Document(doc_id, tuple(zip(tokens, vectors)))
+def _index(docs):
+    """A ``DocumentIndex`` of ``docs``, (doc_id, word vectors) pairs, each
+    document's words its own rows of one stacked matrix, in order."""
+    ids, word_lists = zip(*docs)
+    ends = np.cumsum([len(words) for words in word_lists])
+    members = [np.arange(end - len(words), end) for end, words in zip(ends, word_lists)]
+    return DocumentIndex(ids, np.array([v for words in word_lists for v in words]), members)
+
+
+def _score(query, vectors, top_k):
+    """The relevance score of one document of words ``vectors``."""
+    return relevance_score(query, _index([("d", vectors)]), top_k)[0]
+
+
+def _alone(index, d):
+    """The document ``d`` of ``index`` as a one-document index over a copy of
+    its rows, which sit at other positions than in ``index``."""
+    rows = index.members[d]
+    return DocumentIndex([index.doc_ids[d]], index.vectors[rows], [np.arange(len(rows))])
 
 
 def _ranked(index, ranking):
@@ -73,78 +88,72 @@ class TestTfidf:
         with pytest.raises(DataError):
             tfidf_select_queries([["a", "b"]], 3)
 
+    @pytest.mark.parametrize("n_queries", [1.5, 1.0, "1", None])
+    def test_count_that_is_not_an_integer_rejected(self, n_queries):
+        with pytest.raises(DataError, match="n_queries must be an integer"):
+            tfidf_select_queries([["a", "b"], ["c"]], n_queries)
+
 
 class TestRelevanceScore:
     def test_identical_singleton(self):
         q = RNG.normal(size=4)
-        assert relevance_score(q, _doc("d", [q]), top_k=5) == pytest.approx(1.0)
+        assert _score(q, [q], top_k=5) == pytest.approx(1.0)
 
     def test_hand_example(self):
         q = np.array([1.0, 0.0])
-        doc = _doc(
-            "d",
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-             np.array([math.sqrt(0.5), math.sqrt(0.5)])],
-        )
+        doc = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+               np.array([math.sqrt(0.5), math.sqrt(0.5)])]
         expected = (1.0 + math.sqrt(0.5)) / 2.0
-        assert relevance_score(q, doc, top_k=2) == pytest.approx(expected, abs=1e-12)
+        assert _score(q, doc, top_k=2) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.8536, abs=1e-4)
 
     def test_short_document_divides_by_effective_k(self):
         q = np.array([1.0, 0.0])
-        doc = _doc("d", [np.array([0.5, 0.5])])
-        assert relevance_score(q, doc, top_k=5) == pytest.approx(
+        assert _score(q, [np.array([0.5, 0.5])], top_k=5) == pytest.approx(
             cosine(q, np.array([0.5, 0.5]))
         )
 
     def test_monotone_in_word_similarity(self):
         q = np.array([1.0, 0.0])
-        low = _doc("d", [np.array([0.0, 1.0]), np.array([1.0, 1.0])])
-        high = _doc("d", [np.array([1.0, 0.1]), np.array([1.0, 1.0])])
-        assert relevance_score(q, high, 2) > relevance_score(q, low, 2)
+        low = [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+        high = [np.array([1.0, 0.1]), np.array([1.0, 1.0])]
+        assert _score(q, high, 2) > _score(q, low, 2)
 
     def test_rescaling_invariance(self):
         q = RNG.normal(size=3)
         vectors = [RNG.normal(size=3) for _ in range(4)]
-        doc = _doc("d", vectors)
-        scaled = _doc("d", [7.0 * v for v in vectors])
-        assert relevance_score(3.0 * q, scaled, 2) == pytest.approx(
-            relevance_score(q, doc, 2), abs=1e-12
-        )
+        scaled = [7.0 * v for v in vectors]
+        assert _score(3.0 * q, scaled, 2) == pytest.approx(_score(q, vectors, 2), abs=1e-12)
 
     @pytest.mark.parametrize("top_k", [0, [1, 0], [[1, 2]], [], (), 2.0, [1, 2.5]])
     def test_bad_top_k_rejected(self, top_k):
         with pytest.raises(DataError, match="top_k"):
-            relevance_score(np.ones(2), _doc("d", [np.ones(2)]), top_k)
+            relevance_score(np.ones(2), _index([("d", [np.ones(2)])]), top_k)
 
     def test_k_beyond_doc_size_is_k_independent(self):
         q = RNG.normal(size=3)
-        doc = _doc("d", [RNG.normal(size=3) for _ in range(3)])
-        assert relevance_score(q, doc, 3) == relevance_score(q, doc, 10)
+        doc = [RNG.normal(size=3) for _ in range(3)]
+        assert _score(q, doc, 3) == _score(q, doc, 10)
 
 
 class TestRankDocuments:
     def test_single_document(self):
         q = QuerySpec("q", np.array([1.0, 0.0]))
-        index = DocumentIndex((_doc("only", [np.array([0.2, 0.9])]),))
+        index = _index([("only", [np.array([0.2, 0.9])])])
         positions, scores = rank_documents(q, index, 1)
         assert index.doc_ids[positions[0]] == "only"
         assert positions.shape == scores.shape == (1,)
 
     def test_exact_match_ranks_first(self):
         qv = np.array([1.0, 0.0])
-        index = DocumentIndex(
-            (_doc("hit", [qv]), _doc("miss", [np.array([0.0, 1.0])]))
-        )
+        index = _index([("hit", [qv]), ("miss", [np.array([0.0, 1.0])])])
         positions, _ = rank_documents(QuerySpec("q", qv), index, 1)
         assert index.doc_ids[positions].tolist() == ["hit", "miss"]
 
     def test_scores_independent_of_document_order(self):
-        docs = [
-            _doc(f"d{i}", [RNG.normal(size=3) for _ in range(3)]) for i in range(4)
-        ]
+        docs = [(f"d{i}", [RNG.normal(size=3) for _ in range(3)]) for i in range(4)]
         q = QuerySpec("q", RNG.normal(size=3))
-        a_index, b_index = DocumentIndex(tuple(docs)), DocumentIndex(tuple(reversed(docs)))
+        a_index, b_index = _index(docs), _index(docs[::-1])
         a = dict(_ranked(a_index, rank_documents(q, a_index, 2)))
         b = dict(_ranked(b_index, rank_documents(q, b_index, 2)))
         assert a == b
@@ -221,6 +230,20 @@ class TestAveragePrecisionAndMap:
         with pytest.raises(DataError, match="one hits row"):
             mean_average_precision(["q"], hits, n_relevant)
 
+    @pytest.mark.parametrize("hits, n_relevant, counts", [
+        ([[True, True, True]], [1], "3 hits but 1"),
+        ([[False, True, True]], [1], "2 hits but 1"),
+        ([[True, False]], [0], "1 hits but 0"),
+    ])
+    def test_more_hits_than_relevant_documents_rejected(self, hits, n_relevant, counts):
+        with pytest.raises(DataError, match=f"query 'q': {counts} relevant"):
+            mean_average_precision(["q"], hits, n_relevant)
+
+    @pytest.mark.parametrize("n_relevant", [[1.5], [1.0], [True], ["1"]])
+    def test_count_that_is_not_an_integer_rejected(self, n_relevant):
+        with pytest.raises(DataError, match="relevant counts must be integers"):
+            mean_average_precision(["q"], [[True, False]], n_relevant)
+
     def test_empty_relevant_set_rejected(self):
         with pytest.raises(EvaluationError, match="non-empty relevant set"):
             average_precision([[True], [False]], [1, 0])
@@ -261,19 +284,69 @@ class TestExactAveragePrecision:
         assert average_precision(batch, n_relevant).tolist() == list(expected)
 
 
-class TestDocumentTypes:
-    def test_empty_document_rejected(self):
-        with pytest.raises(DataError):
-            Document("d", ())
+class TestDocumentIndex:
+    VECTORS = np.arange(1.0, 7.0).reshape(3, 2)
 
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(DataError):
-            Document("d", (("a", np.zeros(3)), ("b", np.zeros(4))))
+    def test_empty_document_rejected(self):
+        with pytest.raises(DataError, match="'d': members must be a non-empty"):
+            DocumentIndex(["d"], self.VECTORS, [[]])
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(DataError, match="matrix"):
+            DocumentIndex(["d"], [np.zeros(3), np.zeros(4)], [[0, 1]])
 
     def test_duplicate_doc_ids_rejected(self):
-        doc = _doc("d", [np.zeros(2) + 1])
-        with pytest.raises(DataError):
-            DocumentIndex((doc, doc))
+        with pytest.raises(DataError, match="duplicate"):
+            DocumentIndex(["d", "d"], self.VECTORS, [[0], [1]])
+
+    def test_no_documents_rejected(self):
+        with pytest.raises(DataError, match="empty"):
+            DocumentIndex([], self.VECTORS, [])
+
+    def test_member_count_must_equal_id_count(self):
+        with pytest.raises(DataError, match="2 ids, 1 member arrays"):
+            DocumentIndex(["a", "b"], self.VECTORS, [[0, 1]])
+        with pytest.raises(DataError, match="1 ids, 2 member arrays"):
+            DocumentIndex(["a"], self.VECTORS, [[0], [1]])
+
+    @pytest.mark.parametrize("vectors", [
+        np.ones(3), np.ones((2, 2, 2)), np.ones((3, 0)), [["a", "b"]], 1.0,
+    ])
+    def test_vectors_not_a_matrix_rejected(self, vectors):
+        with pytest.raises(DataError, match="matrix"):
+            DocumentIndex(["d"], vectors, [[0]])
+
+    @pytest.mark.parametrize("rows", [
+        [], [0.0], [0, 1.5], [True], [3], [-1], [[0, 1]], 0,
+    ])
+    def test_bad_member_array_rejected(self, rows):
+        with pytest.raises(DataError, match=r"'b': members .* in \[0, 3\)"):
+            DocumentIndex(["a", "b"], self.VECTORS, [[0], rows])
+
+    def test_documents_share_rows_in_word_order(self):
+        index = DocumentIndex(["a", "b"], self.VECTORS, [[2, 0], [0, 2, 2]])
+        assert index.slots.tolist() == [[2, 0, 3], [0, 2, 2]]
+        assert index.lengths.tolist() == [2, 3]
+        assert [m.tolist() for m in index.members] == [[2, 0], [0, 2, 2]]
+        assert index.norms.tolist() == np.linalg.norm(self.VECTORS, axis=1).tolist()
+
+    def test_writes_to_the_callers_arrays_leave_scores_unchanged(self):
+        vectors = RNG.normal(size=(6, 3))
+        members = [np.array([0, 4]), np.array([5, 1, 2]), np.array([3])]
+        index = DocumentIndex(["a", "b", "c"], vectors, members)
+        queries = RNG.normal(size=(4, 3))
+        before = relevance_score(queries, index, (1, 2, 5)).tobytes()
+        vectors[:] = RNG.normal(size=vectors.shape)
+        for rows in members:
+            rows[:] = 0
+        assert relevance_score(queries, index, (1, 2, 5)).tobytes() == before
+        assert vectors.flags.writeable and members[0].flags.writeable
+        assert not index.vectors.flags.writeable
+        assert not any(m.flags.writeable for m in index.members)
+
+    def test_only_an_index_is_scored(self):
+        with pytest.raises(DataError, match="expected a DocumentIndex"):
+            relevance_score(np.ones(2), [np.ones(2)], 1)
 
 
 class TestRetrievalTask:
@@ -311,13 +384,38 @@ class TestRetrievalTask:
         with pytest.raises(DataError, match="non-empty sequence"):
             run_retrieval(index, queries, top_k)
 
+    def test_index_is_the_table_and_the_seeded_partition(self):
+        ids, vectors, labels = self._entries()
+        index, queries = build_retrieval_task(ids, vectors, labels, 7, 3, seed=2)
+        assert index.vectors.tobytes() == vectors.tobytes()
+        members = np.concatenate(index.members)
+        assert sorted(members.tolist()) == list(range(len(ids)))
+        assert sorted(index.lengths.tolist()) == [5] * 2 + [6] * 5
+        for q in queries:  # a query's relevant documents are those holding its term
+            assert q.relevant == {
+                doc_id for doc_id, rows in zip(index.doc_ids, index.members)
+                if q.term in {labels[ids[r]] for r in rows}
+            }
+
+    def test_segment_without_a_label_rejected(self):
+        ids, vectors, labels = self._entries()
+        del labels["s005"]
+        with pytest.raises(DataError, match="segment 's005' has no unit label"):
+            build_retrieval_task(ids, vectors, labels, 5, 3, seed=0)
+
+    @pytest.mark.parametrize("n_documents", [2.5, 5.0, "5", 1, 41])
+    def test_document_count_not_an_integer_in_range_rejected(self, n_documents):
+        ids, vectors, labels = self._entries()
+        with pytest.raises(DataError, match=r"n_documents must be an integer in \[2, 40\]"):
+            build_retrieval_task(ids, vectors, labels, n_documents, 3, seed=0)
+
     def test_deterministic(self):
         ids, vectors, labels = self._entries()
         a_index, a_queries = build_retrieval_task(ids, vectors, labels, 5, 3, seed=4)
         b_index, b_queries = build_retrieval_task(ids, vectors, labels, 5, 3, seed=4)
-        assert [d.transcript for d in a_index.documents] == [
-            d.transcript for d in b_index.documents
-        ]
+        assert a_index.doc_ids.tolist() == b_index.doc_ids.tolist()
+        assert [m.tolist() for m in a_index.members] == [m.tolist() for m in b_index.members]
+        assert np.array_equal(a_index.vectors, b_index.vectors)
         for qa, qb in zip(a_queries, b_queries):
             assert qa.term == qb.term
             assert np.array_equal(qa.embedding, qb.embedding)
@@ -333,27 +431,24 @@ _components = st.one_of(
 
 @st.composite
 def _archives(draw):
-    """(query, index, top_k) with shared word vectors across documents,
-    documents that repeat another's words in a new order, and doc ids whose
-    sorted order differs from index order."""
+    """(query, index, top_k) over one pool matrix of word vectors, with rows
+    shared across documents, documents that repeat another's rows in a new
+    order, and doc ids whose sorted order differs from index order."""
     dim = draw(st.integers(2, 4))
     vector = st.lists(_components, min_size=dim, max_size=dim).map(np.array).filter(
         lambda v: np.linalg.norm(v) > 1e-3
     )
-    pool = draw(st.lists(vector, min_size=1, max_size=6))
+    pool = np.array(draw(st.lists(vector, min_size=1, max_size=6)))
     picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=7)
-    word_lists = draw(st.lists(picks, min_size=1, max_size=6))
-    for i in range(len(word_lists)):
+    members = draw(st.lists(picks, min_size=1, max_size=6))
+    for i in range(len(members)):
         if i and draw(st.booleans()):
-            source = word_lists[draw(st.integers(0, i - 1))]
-            word_lists[i] = draw(st.permutations(source))
-    ids = draw(st.permutations(range(len(word_lists))))
-    docs = [
-        _doc(f"doc{ids[d]}", [pool[p] for p in picks])
-        for d, picks in enumerate(word_lists)
-    ]
+            source = members[draw(st.integers(0, i - 1))]
+            members[i] = draw(st.permutations(source))
+    ids = draw(st.permutations(range(len(members))))
+    index = DocumentIndex([f"doc{i}" for i in ids], pool, members)
     query = draw(vector)
-    return query, DocumentIndex(tuple(docs)), draw(st.integers(1, 10))
+    return query, index, draw(st.integers(1, 10))
 
 
 class TestBatchedScoringProperties:
@@ -361,34 +456,39 @@ class TestBatchedScoringProperties:
     @given(_archives(), st.randoms(use_true_random=False))
     def test_scores_and_ranking_match_oracle(self, archive, random):
         query, index, top_k = archive
+        ids = index.doc_ids.tolist()
         batched = relevance_score(query, index, top_k)
-        single = [relevance_score(query, doc, top_k) for doc in index.documents]
+        single = [relevance_score(query, _alone(index, d), top_k)[0] for d in range(len(index))]
         assert batched.tolist() == single
         oracle = {
-            doc.doc_id: _brute_relevance(query, [v for _, v in doc.words], top_k)
-            for doc in index.documents
+            doc_id: _brute_relevance(query, index.vectors[rows], top_k)
+            for doc_id, rows in zip(ids, index.members)
         }
-        assert max(abs(got - oracle[doc.doc_id])
-                   for doc, got in zip(index.documents, single)) < 1e-12
+        assert max(abs(got - oracle[doc_id]) for doc_id, got in zip(ids, single)) < 1e-12
 
         ranked = _ranked(index, rank_documents(QuerySpec("q", query), index, top_k))
-        by_id = {doc.doc_id: score for doc, score in zip(index.documents, single)}
+        by_id = dict(zip(ids, single))
         assert ranked == sorted(by_id.items(), key=lambda kv: (-kv[1], kv[0]))
         along = [oracle[doc_id] for doc_id, _ in ranked]
         assert all(a >= b - 1e-12 for a, b in zip(along, along[1:]))
 
         # documents with the same multiset of words tie exactly
         signature = {
-            doc.doc_id: sorted(tuple(v) for _, v in doc.words) for doc in index.documents
+            doc_id: sorted(tuple(v) for v in index.vectors[rows])
+            for doc_id, rows in zip(ids, index.members)
         }
         for a in by_id:
             for b in by_id:
                 if signature[a] == signature[b]:
                     assert by_id[a] == by_id[b]
 
-        shuffled = list(index.documents)
-        random.shuffle(shuffled)
-        shuffled = DocumentIndex(tuple(shuffled))
+        # the same archive with its documents and its rows in another order
+        docs, rows = list(range(len(index))), list(range(len(index.vectors)))
+        random.shuffle(docs)
+        random.shuffle(rows)
+        moved_to = np.argsort(rows)
+        shuffled = DocumentIndex(index.doc_ids[docs], index.vectors[rows],
+                                 [moved_to[index.members[d]] for d in docs])
         assert _ranked(shuffled, rank_documents(QuerySpec("q", query), shuffled, top_k)) == ranked
 
     @settings(max_examples=200, deadline=None)
@@ -400,20 +500,20 @@ class TestBatchedScoringProperties:
         assert relevance_score(query, index, ks).tolist() == [
             relevance_score(query, index, k).tolist() for k in ks
         ]
-        doc = index.documents[-1]
+        doc = _alone(index, -1)
         assert relevance_score(query, doc, ks).tolist() == [
-            relevance_score(query, doc, k) for k in ks
+            relevance_score(query, doc, k).tolist() for k in ks
         ]
         spec = QuerySpec("q", query)
         assert _ranked(index, rank_documents(spec, index, ks)) == [
             _ranked(index, rank_documents(spec, index, k)) for k in ks
         ]
 
-        ids = sorted(d.doc_id for d in index.documents)
+        ids = sorted(index.doc_ids.tolist())
         queries = [
-            QuerySpec(f"q{i}", d.words[0][1],
+            QuerySpec(f"q{i}", index.vectors[rows[0]],
                       data.draw(st.sets(st.sampled_from(ids), min_size=1)))
-            for i, d in enumerate(index.documents)
+            for i, rows in enumerate(index.members)
         ]
         reports = run_retrieval(index, queries, ks)
         assert reports == {k: run_retrieval(index, queries, k) for k in ks}
@@ -424,11 +524,11 @@ class TestBatchedScoringProperties:
     @given(_archives(), st.data())
     def test_query_batch_equals_one_query_at_a_time(self, archive, data):
         query, index, top_k = archive
-        words = [v for d in index.documents for _, v in d.words]
+        words = list(index.vectors[np.concatenate(index.members)])
         # word vectors as queries tie exactly with their own words; q0 repeats
         picks = data.draw(st.lists(st.sampled_from(words), max_size=4))
         vectors = [query, *picks, query]
-        ids = sorted(d.doc_id for d in index.documents)
+        ids = sorted(index.doc_ids.tolist())
         specs = [
             QuerySpec(f"q{i}", v, data.draw(st.sets(st.sampled_from(ids), min_size=1)))
             for i, v in enumerate(vectors)
@@ -441,9 +541,9 @@ class TestBatchedScoringProperties:
             ]
             per_query = np.array([relevance_score(v, index, k) for v in vectors])
             assert relevance_score(embeddings, index, k).tobytes() == per_query.tobytes()
-            doc = index.documents[0]
+            doc = _alone(index, 0)
             assert relevance_score(embeddings, doc, k).tolist() == [
-                np.asarray(relevance_score(v, doc, k)).tolist() for v in vectors
+                relevance_score(v, doc, k).tolist() for v in vectors
             ]
 
         reports = run_retrieval(index, specs, ks)
@@ -464,8 +564,8 @@ class TestBatchedScoringProperties:
         query's own ranking at each top_k and the AP loop; a relevant set
         may be empty or name a document outside the index."""
         query, index, top_k = archive
-        ids = [d.doc_id for d in index.documents] + ["not-indexed"]
-        vectors = [query, *(d.words[0][1] for d in index.documents[:3])]
+        ids = index.doc_ids.tolist() + ["not-indexed"]
+        vectors = [query, *(index.vectors[rows[0]] for rows in index.members[:3])]
         specs = [QuerySpec(f"q{i}", v, data.draw(st.sets(st.sampled_from(ids))))
                  for i, v in enumerate(vectors)]
         ks = (top_k, 8, 1)
@@ -491,8 +591,8 @@ class TestBatchedScoringProperties:
         assert len(caught) == (len(ks) if excluded else 0)  # one per top_k
 
     def test_one_query_in_a_list_and_no_queries(self):
-        index = DocumentIndex((_doc("x", [np.array([1.0, 0.0])]),
-                               _doc("y", [np.array([0.0, 1.0]), np.array([1.0, 1.0])])))
+        index = _index([("x", [np.array([1.0, 0.0])]),
+                        ("y", [np.array([0.0, 1.0]), np.array([1.0, 1.0])])])
         spec = QuerySpec("q", np.array([1.0, 0.5]))
         assert _ranked(index, rank_documents([spec], index, 2)) == [
             _ranked(index, rank_documents(spec, index, 2))
