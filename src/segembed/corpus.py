@@ -10,10 +10,33 @@ An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ``vector`` (a non-empty array of numbers); in memory it is one table: the
 ids as a list of str and the vectors as the rows of one (N, d) float64
 matrix. Both round-trip bit-exactly at double precision.
+
+Once ``load_corpus`` has parsed a corpus file and every check has passed,
+it writes the parse beside it as ``<corpus path>.cache``, so that later
+reads skip the JSON: a one-line ASCII JSON header, then the frames of every
+segment in order as one payload of little-endian float64, row-major.
+The header is ``{"corpus_sha256": C, "payload_sha256": P, "feature_dim":
+F, "level": L, "segments": [[segment_id, utterance_id, speaker_id,
+unit_label, T], ...]}``, keys in that order: C is the sha256 of the corpus
+bytes, and P the sha256 of every byte after P's closing quote, the rest of
+the header and the frames, so that a changed byte anywhere is caught. The
+sidecar is a function of the corpus bytes alone. ``load_corpus`` and
+``load_labels`` use it only when both checksums and the header's types
+hold, and still build their result through ``Segment``, ``Corpus`` and
+the level and id checks; otherwise they parse the file, which stays the
+reference, and ``load_corpus`` rewrites the sidecar. ``load_labels``
+never writes it. The write goes through a temporary file in the same
+directory and ``os.replace``; an ``OSError`` on the way leaves no sidecar
+and no temporary file, and is not an error of the read. The sidecar is
+never required: deleting it is always safe.
 """
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +49,7 @@ from .errors import (
     EmptyCorpusError,
     NumericError,
     ParseError,
+    SegembedError,
     has_bool_literal,
     json_numbers,
 )
@@ -256,13 +280,14 @@ _CORPUS_DECODER = json.JSONDecoder()
 _LABELS_DECODER = json.JSONDecoder(parse_float=len)
 
 
-def _records(path, decoder):
-    """Yield (line number, line, record) for each non-blank line of a corpus file,
+def _records(path, lines, decoder):
+    """Yield (line number, line, record) for each non-blank line of the corpus
+    file ``path``, from its ``lines`` as ``read_text_lines`` gives them,
     decoded with ``decoder``, once its metadata keys (_RECORD_KEYS) have the
     documented types and its level is known. A file without records raises
     EmptyCorpusError."""
     empty = True
-    for lineno, line in read_text_lines(path):
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
@@ -288,10 +313,114 @@ def _records(path, decoder):
         raise EmptyCorpusError(f"{path}: no segments")
 
 
-def load_corpus(path) -> Corpus:
-    """Read a JSON-lines corpus file, preserving record order."""
+def _lines_of(path, data):
+    """``read_text_lines(path)`` of ``data``, the bytes already read from
+    ``path``. Bytes that are not UTF-8 are read from the file again, so that
+    the failure is named as ``read_text_lines`` names it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return read_text_lines(path)
+    return enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1)
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
+def _sidecar_head(corpus_sha256: str, payload_sha256: str) -> bytes:
+    return f'{{"corpus_sha256": "{corpus_sha256}", "payload_sha256": "{payload_sha256}"'.encode()
+
+
+_HEAD_SIZE = len(_sidecar_head("0" * 64, "0" * 64))  # the bytes P does not cover
+
+
+def _is_row(row) -> bool:
+    """Whether ``row`` is a header row: [segment_id, utterance_id,
+    speaker_id, unit_label, T] of the documented types, T >= 1."""
+    return (isinstance(row, list) and len(row) == 5
+            and isinstance(row[0], str) and isinstance(row[1], str)
+            and all(v is None or isinstance(v, str) for v in row[2:4])
+            and type(row[4]) is int and row[4] >= 1)
+
+
+def _read_sidecar(path, corpus_digest):
+    """The sidecar of the corpus file ``path`` as (F, level, rows, frames),
+    frames the payload bytes, when it was written for corpus bytes of sha256
+    ``corpus_digest()`` (called only when a sidecar is there), its own
+    checksum holds and its header has the documented types, a known level,
+    unique segment ids and the payload's size; None otherwise."""
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            blob = fh.read()
+        end = blob.index(b"\n") + 1
+        header = json.loads(blob[:end].decode("ascii"))
+    except (OSError, ValueError):  # no sidecar, a directory, no header line, or not JSON
+        return None
+    if (not isinstance(header, dict) or header.get("corpus_sha256") != corpus_digest()
+            or header.get("payload_sha256")
+            != hashlib.sha256(memoryview(blob)[_HEAD_SIZE:]).hexdigest()):
+        return None
+    f_dim, level, rows = header.get("feature_dim"), header.get("level"), header.get("segments")
+    frames = memoryview(blob)[end:]
+    if not (type(f_dim) is int and f_dim >= 1 and level in LEVELS
+            and isinstance(rows, list) and rows and all(map(_is_row, rows))
+            and len({row[0] for row in rows}) == len(rows)
+            and sum(row[4] for row in rows) * f_dim * 8 == len(frames)):
+        return None
+    return f_dim, level, rows, frames
+
+
+def _corpus_of(f_dim, level, rows, frames) -> Corpus:
+    """The Corpus a sidecar holds, through every check of ``Segment`` and
+    ``Corpus``; each segment's features are its own rows of one writable
+    float64 copy of the payload."""
+    table = np.frombuffer(frames, dtype="<f8").astype(np.float64).reshape(-1, f_dim)
+    ends = np.cumsum([row[4] for row in rows]).tolist()
+    return Corpus(tuple(
+        Segment(segment_id=sid, utterance_id=uid, speaker_id=spk, unit_label=unit,
+                level=level, features=table[end - n_frames:end])
+        for (sid, uid, spk, unit, n_frames), end in zip(rows, ends)
+    ))
+
+
+def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
+    """Write the sidecar of ``corpus``, parsed from corpus bytes of sha256
+    ``corpus_sha256`` at ``path``, through a temporary file that no exit
+    leaves behind; an OSError leaves the sidecar as it was."""
+    meta = json.dumps({
+        "feature_dim": corpus.feature_dim, "level": corpus.level,
+        "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
+                     for s in corpus.segments],
+    })
+    rest = f", {meta[1:]}\n".encode()
+    frames = np.concatenate([s.features for s in corpus.segments]).astype("<f8", copy=False)
+    payload_sha256 = hashlib.sha256(rest)
+    payload_sha256.update(frames)
+    target = _sidecar_path(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    try:
+        fh = open(tmp, "xb")  # mode 0o666 less the umask
+    except OSError:
+        return
+    try:
+        with fh:
+            fh.write(_sidecar_head(corpus_sha256, payload_sha256.hexdigest()))
+            fh.write(rest)
+            fh.write(frames)
+        os.replace(tmp, target)
+    except BaseException as exc:  # KeyboardInterrupt too: no temporary file outlives it
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
+def _parse_corpus(path, lines) -> Corpus:
+    """The Corpus of the corpus file ``path`` from its ``lines``: the parse
+    path, with every check and error message of the format."""
     segments = []
-    for lineno, line, rec in _records(path, _CORPUS_DECODER):
+    for lineno, line, rec in _records(path, lines, _CORPUS_DECODER):
         try:
             if has_bool_literal(line):  # only a scan finds a boolean among numbers
                 validate_features(rec["features"], rec["segment_id"], scan_bools=True)
@@ -311,16 +440,45 @@ def load_corpus(path) -> Corpus:
     return Corpus(tuple(segments))
 
 
+def load_corpus(path) -> Corpus:
+    """Read a JSON-lines corpus file, preserving record order: from its
+    sidecar when that was written for these bytes, else by parsing it, and
+    then writing the sidecar (module docstring)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    corpus_sha256 = hashlib.sha256(data).hexdigest()
+    cached = _read_sidecar(path, lambda: corpus_sha256)
+    if cached is not None:
+        try:
+            return _corpus_of(*cached)
+        except SegembedError:  # a sidecar that fails a check: the parse decides
+            pass
+    corpus = _parse_corpus(path, _lines_of(path, data))
+    _write_sidecar(path, corpus_sha256, corpus)
+    return corpus
+
+
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def load_labels(path):
     """``(level, {segment_id: unit_label})`` of a corpus file, in record
     order, for commands that need no frames.
 
     Every record passes the checks of ``load_corpus`` on its metadata, and
     the file those on levels and segment ids, with the same errors; the
-    frames are neither decoded into floats nor validated.
+    frames are neither decoded into floats nor validated. The labels come
+    from the corpus's sidecar when ``load_corpus`` has written one for these
+    bytes; this never writes it.
     """
+    cached = _read_sidecar(path, lambda: _file_sha256(path))
+    if cached is not None:
+        _, level, rows, _ = cached
+        return level, {row[0]: row[3] for row in rows}
     ids, levels, units = [], set(), []
-    for _, _, rec in _records(path, _LABELS_DECODER):
+    for _, _, rec in _records(path, read_text_lines(path), _LABELS_DECODER):
         ids.append(rec["segment_id"])
         levels.add(rec["level"])
         units.append(rec.get("unit_label"))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import embedding_matrix, write_csv
-from .errors import DataError, EvaluationError
+from .errors import DataError, EvaluationError, NumericError
 from .evalcluster import _row_norms, cosine
 from .seeding import rng_for
 
@@ -76,6 +76,10 @@ class DocumentIndex:
                 raise ValueError(f"got shape {vectors.shape}")
         except (TypeError, ValueError) as exc:  # also ragged rows, or not numbers
             raise DataError(f"word vectors must be an (N, d) matrix, d >= 1: {exc}") from exc
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"document index: word vector {int(np.argmin(finite))} "
+                               "has a non-finite entry")
         for doc_id, rows in zip(ids, members):
             if (rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu"
                     or rows.min() < 0 or rows.max() >= len(vectors)):
@@ -111,6 +115,8 @@ class QuerySpec:
         embedding = np.asarray(self.embedding, dtype=np.float64)
         if embedding.ndim != 1:
             raise DataError(f"query {self.term!r}: embedding must be 1-D")
+        if not np.isfinite(embedding).all():
+            raise NumericError(f"query {self.term!r}: non-finite embedding entry")
         object.__setattr__(self, "embedding", embedding)
         object.__setattr__(self, "relevant", frozenset(self.relevant))
 

@@ -17,6 +17,7 @@ import pytest
 from segembed import cli
 from segembed.cli import main
 from segembed.config import parse_config
+from segembed.corpus import load_corpus
 from segembed.disentangle import DisentangledModel, save_model
 from segembed.errors import ConfigError
 from segembed.neuralcore import (
@@ -498,6 +499,51 @@ def _is_number(cell):
     return True
 
 
+class TestCorpusSidecar:
+    """A broken corpus sidecar costs a command only the parse: exit 0, the
+    same outputs, and the sidecar repaired where the directory allows."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def reference(tmp_path_factory):
+        """A corpus, its sidecar, and the variant-a outputs trained on it."""
+        out = tmp_path_factory.mktemp("reference")
+        assert run_cli(out, "synth") == 0
+        assert run_cli(out, "train", "--corpus", str(out / "corpus.jsonl"), "--variant", "a") == 0
+        return out
+
+    @pytest.mark.parametrize("fault", ["truncated", "payload byte flipped", "directory",
+                                       "replace raises"])
+    def test_broken_sidecar(self, reference, tmp_path, monkeypatch, capsys, fault):
+        corpus, sidecar = tmp_path / "corpus.jsonl", tmp_path / "corpus.jsonl.cache"
+        corpus.write_bytes((reference / "corpus.jsonl").read_bytes())
+        good = (reference / "corpus.jsonl.cache").read_bytes()
+        if fault == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif fault == "payload byte flipped":
+            sidecar.write_bytes(good[:-1] + bytes([good[-1] ^ 0x01]))
+        elif fault == "directory":
+            sidecar.mkdir()
+        else:
+            def replace(src, dst):
+                raise OSError("replace failed")
+
+            monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "out"
+        assert run_cli(out, "train", "--corpus", str(corpus), "--variant", "a") == 0
+        for name in ("model_a.json", "loss_a.csv"):
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+        if fault == "directory":
+            assert sidecar.is_dir()
+        elif fault == "replace raises":
+            assert not sidecar.exists()
+        else:
+            assert sidecar.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == (
+            ["corpus.jsonl"] + (["corpus.jsonl.cache"] if sidecar.is_file() else []))
+        capsys.readouterr()
+
+
 class TestBadInputs:
     """Each malformed input exits 1 with a ``segembed: error:`` message, or
     3 with a ``segembed: configuration error:`` message."""
@@ -760,6 +806,28 @@ class TestBadInputs:
         assert err.count("\n") == 1 and "Traceback" not in err, err
         return err
 
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def stale_sidecar(corpus_dir):
+        """The bytes of a valid sidecar of the unedited corpus."""
+        load_corpus(corpus_dir / "corpus.jsonl")
+        return (corpus_dir / "corpus.jsonl.cache").read_bytes()
+
+    def _stale_sidecar_changes_nothing(self, capsys, corpus, stale_sidecar, run):
+        """``run()`` on the bad ``corpus`` alone, then with ``stale_sidecar``
+        beside it: both exit 1 with the same single error line, which is
+        returned, and neither writes a sidecar for the bad corpus."""
+        sidecar = corpus.with_name(corpus.name + ".cache")
+        errors = []
+        for placed in (None, stale_sidecar):
+            if placed is not None:
+                sidecar.write_bytes(placed)
+            errors.append(self._one_error_line(capsys, run()))
+            assert sidecar.read_bytes() == placed if placed else not sidecar.exists()
+            assert not list(corpus.parent.glob(f"{sidecar.name}.*"))  # no temporary file
+        assert errors[0] == errors[1]
+        return errors[0]
+
     @pytest.mark.parametrize("command", ["embed", "refine"])
     @pytest.mark.parametrize(
         "key, text, message",
@@ -835,7 +903,9 @@ class TestBadInputs:
         ("2.5", "could not convert string to float"),
         (True, "could not convert boolean to float"),
     ], ids=["string", "boolean"])
-    def test_corpus_frame_not_a_number(self, corpus_dir, tmp_path, capsys, value, message):
+    def test_corpus_frame_not_a_number(
+        self, corpus_dir, stale_sidecar, tmp_path, capsys, value, message
+    ):
         """A JSON string or boolean as a frame value is a DataError naming
         the file, the line and the segment."""
         lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
@@ -844,15 +914,17 @@ class TestBadInputs:
         lines[3] = json.dumps(record) + "\n"
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("".join(lines))
-        code = run_cli(tmp_path / "out", "train", "--corpus", str(corpus), "--variant", "a")
-        err = self._one_error_line(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, corpus, stale_sidecar, lambda: run_cli(
+            tmp_path / "out", "train", "--corpus", str(corpus), "--variant", "a"))
         assert err.startswith(
             f"segembed: error: {corpus}:4: segment {record['segment_id']!r}: features must "
             f"be a T x F matrix of numbers: {message}"
         )
 
     @pytest.mark.parametrize("command", ["train", "refine", "embed"])
-    def test_corpus_frame_beyond_float64(self, corpus_dir, model_a, tmp_path, capsys, command):
+    def test_corpus_frame_beyond_float64(
+        self, corpus_dir, model_a, stale_sidecar, tmp_path, capsys, command
+    ):
         """A frame value that float64 cannot hold is a DataError naming the
         file, the line and the segment."""
         lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
@@ -865,8 +937,8 @@ class TestBadInputs:
         checkpoint.write_text(model_a)
         args = {"train": ["--variant", "a"], "refine": ["--checkpoint", str(checkpoint)],
                 "embed": ["--checkpoint", str(checkpoint), "--variant", "a"]}[command]
-        code = run_cli(tmp_path / "out", command, "--corpus", str(corpus), *args)
-        err = self._one_error_line(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, corpus, stale_sidecar, lambda: run_cli(
+            tmp_path / "out", command, "--corpus", str(corpus), *args))
         assert err.startswith(
             f"segembed: error: {corpus}:4: segment {record['segment_id']!r}: features must "
             "be a T x F matrix of numbers: int too large to convert to float"
@@ -945,7 +1017,7 @@ class TestBadInputs:
         ],
     )
     def test_corpus_field_of_wrong_type(
-        self, corpus_dir, tmp_path, capsys, command, key, value, message
+        self, corpus_dir, stale_sidecar, tmp_path, capsys, command, key, value, message
     ):
         lines = (corpus_dir / "corpus.jsonl").read_text().splitlines(keepends=True)
         record = json.loads(lines[3])
@@ -960,8 +1032,8 @@ class TestBadInputs:
         else:
             embeddings = self._embeddings(corpus_dir, tmp_path, lambda records: None)
             args = ["--embeddings", f"a={embeddings}"]
-        code = run_cli(tmp_path / "out", command, "--corpus", str(corpus), *args)
-        err = self._error(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, corpus, stale_sidecar, lambda: run_cli(
+            tmp_path / "out", command, "--corpus", str(corpus), *args))
         assert err == f"segembed: error: {corpus}:4: {message}\n"
 
     @pytest.mark.parametrize("variant", ["a", "b"])
@@ -977,11 +1049,12 @@ class TestBadInputs:
             "(10, 1000000000000)\n"
         )
 
-    def test_corpus_not_utf8(self, tmp_path, capsys):
+    def test_corpus_not_utf8(self, stale_sidecar, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")
-        code = run_cli(tmp_path, "train", "--corpus", str(path))
-        assert f"{path}: not valid UTF-8" in self._error(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_sidecar, lambda: run_cli(
+            tmp_path, "train", "--corpus", str(path)))
+        assert f"{path}: not valid UTF-8" in err
 
     def test_embeddings_not_utf8(self, corpus_dir, tmp_path, capsys):
         path = tmp_path / "emb.jsonl"

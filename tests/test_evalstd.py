@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _brute_relevance
 
-from segembed.errors import DataError, EvaluationError
+from segembed.errors import DataError, EvaluationError, NumericError
 from segembed.evalcluster import cosine
 from segembed.evalstd import (
     DocumentIndex,
@@ -316,6 +316,16 @@ class TestDocumentIndex:
         with pytest.raises(DataError, match="matrix"):
             DocumentIndex(["d"], vectors, [[0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_word_vector_rejected(self, bad):
+        """A NaN or infinity is named as a non-finite entry of the index,
+        not reported later as an overflow of the norms."""
+        vectors = self.VECTORS.copy()
+        vectors[1, 0] = bad
+        with pytest.raises(NumericError, match="^document index: word vector 1 has a "
+                                               "non-finite entry$"):
+            DocumentIndex(["a", "b"], vectors, [[0], [1, 2]])
+
     @pytest.mark.parametrize("rows", [
         [], [0.0], [0, 1.5], [True], [3], [-1], [[0, 1]], 0,
     ])
@@ -343,6 +353,11 @@ class TestDocumentIndex:
         assert vectors.flags.writeable and members[0].flags.writeable
         assert not index.vectors.flags.writeable
         assert not any(m.flags.writeable for m in index.members)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_embedding_rejected(self, bad):
+        with pytest.raises(NumericError, match="^query 'q': non-finite embedding entry$"):
+            QuerySpec("q", [bad, 1.0], {"a"})
 
     def test_only_an_index_is_scored(self):
         with pytest.raises(DataError, match="expected a DocumentIndex"):
