@@ -15,20 +15,23 @@ Once ``load_corpus`` has parsed a corpus file and every check has passed,
 it writes the parse beside it as ``<corpus path>.cache``, so that later
 reads skip the JSON: a one-line ASCII JSON header, then the frames of every
 segment in order as one payload of little-endian float64, row-major.
-The header is ``{"corpus_sha256": C, "payload_sha256": P, "feature_dim":
-F, "level": L, "segments": [[segment_id, utterance_id, speaker_id,
-unit_label, T], ...]}``, keys in that order: C is the sha256 of the corpus
-bytes, and P the sha256 of every byte after P's closing quote, the rest of
-the header and the frames, so that a changed byte anywhere is caught. The
-sidecar is a function of the corpus bytes alone. ``load_corpus`` and
-``load_labels`` use it only when both checksums and the header's types
-hold, and still build their result through ``Segment``, ``Corpus`` and
-the level and id checks; otherwise they parse the file, which stays the
-reference, and ``load_corpus`` rewrites the sidecar. ``load_labels``
-never writes it. The write goes through a temporary file in the same
-directory and ``os.replace``; an ``OSError`` on the way leaves no sidecar
-and no temporary file, and is not an error of the read. The sidecar is
-never required: deleting it is always safe.
+The header is ``{"format": V, "corpus_sha256": C, "payload_sha256": P,
+"feature_dim": F, "level": L, "segments": [[segment_id, utterance_id,
+speaker_id, unit_label, T], ...]}``, keys in that order: V is the version
+of the sidecar's layout and of the parse rules it was written under, C the
+sha256 of the corpus bytes, and P the sha256 of every byte after P's
+closing quote, the rest of the header and the frames, so that a changed
+byte anywhere is caught. The sidecar is a function of the corpus bytes
+alone. ``load_corpus`` and ``load_labels`` use it only when V is this
+module's version, both checksums and the header's types hold, and still
+build their result through ``Segment``, ``Corpus`` and the level and id
+checks; otherwise they parse the file, which stays the reference, and
+``load_corpus`` rewrites the sidecar. ``load_labels`` never writes it. The
+write goes through a temporary file in the same directory, with the
+corpus file's permissions less the umask, and ``os.replace``; an
+``OSError`` on the way leaves no sidecar and no temporary file, and is not
+an error of the read. The sidecar is never required: deleting it is
+always safe.
 """
 
 import contextlib
@@ -37,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,23 +317,19 @@ def _records(path, lines, decoder):
         raise EmptyCorpusError(f"{path}: no segments")
 
 
-def _lines_of(path, data):
-    """``read_text_lines(path)`` of ``data``, the bytes already read from
-    ``path``. Bytes that are not UTF-8 are read from the file again, so that
-    the failure is named as ``read_text_lines`` names it."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return read_text_lines(path)
-    return enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1)
-
-
 def _sidecar_path(path) -> str:
     return os.fspath(path) + ".cache"
 
 
+# The version of the sidecar: bump it whenever its layout changes or the parse
+# accepts or rejects anything it did not before, so that no sidecar written
+# under other rules stands in for the parse.
+_SIDECAR_FORMAT = 1
+
+
 def _sidecar_head(corpus_sha256: str, payload_sha256: str) -> bytes:
-    return f'{{"corpus_sha256": "{corpus_sha256}", "payload_sha256": "{payload_sha256}"'.encode()
+    return (f'{{"format": {_SIDECAR_FORMAT}, "corpus_sha256": "{corpus_sha256}", '
+            f'"payload_sha256": "{payload_sha256}"').encode()
 
 
 _HEAD_SIZE = len(_sidecar_head("0" * 64, "0" * 64))  # the bytes P does not cover
@@ -346,10 +346,11 @@ def _is_row(row) -> bool:
 
 def _read_sidecar(path, corpus_digest):
     """The sidecar of the corpus file ``path`` as (F, level, rows, frames),
-    frames the payload bytes, when it was written for corpus bytes of sha256
-    ``corpus_digest()`` (called only when a sidecar is there), its own
-    checksum holds and its header has the documented types, a known level,
-    unique segment ids and the payload's size; None otherwise."""
+    frames the payload bytes, when it is of this ``_SIDECAR_FORMAT``, was
+    written for corpus bytes of sha256 ``corpus_digest()`` (called only when
+    a sidecar is there), its own checksum holds and its header has the
+    documented types, a known level, unique segment ids and the payload's
+    size; None otherwise."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
             blob = fh.read()
@@ -357,7 +358,9 @@ def _read_sidecar(path, corpus_digest):
         header = json.loads(blob[:end].decode("ascii"))
     except (OSError, ValueError):  # no sidecar, a directory, no header line, or not JSON
         return None
-    if (not isinstance(header, dict) or header.get("corpus_sha256") != corpus_digest()
+    if (not isinstance(header, dict) or type(header.get("format")) is not int
+            or header["format"] != _SIDECAR_FORMAT
+            or header.get("corpus_sha256") != corpus_digest()
             or header.get("payload_sha256")
             != hashlib.sha256(memoryview(blob)[_HEAD_SIZE:]).hexdigest()):
         return None
@@ -387,7 +390,8 @@ def _corpus_of(f_dim, level, rows, frames) -> Corpus:
 def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
     """Write the sidecar of ``corpus``, parsed from corpus bytes of sha256
     ``corpus_sha256`` at ``path``, through a temporary file that no exit
-    leaves behind; an OSError leaves the sidecar as it was."""
+    leaves behind, with the permissions of the corpus file less the umask;
+    an OSError leaves the sidecar as it was."""
     meta = json.dumps({
         "feature_dim": corpus.feature_dim, "level": corpus.level,
         "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
@@ -400,7 +404,8 @@ def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
     target = _sidecar_path(path)
     tmp = f"{target}.{os.urandom(8).hex()}.tmp"
     try:
-        fh = open(tmp, "xb")  # mode 0o666 less the umask
+        mode = stat.S_IMODE(os.stat(path).st_mode) & 0o666  # never more readable than the corpus
+        fh = open(tmp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
     except OSError:
         return
     try:
@@ -453,14 +458,21 @@ def load_corpus(path) -> Corpus:
             return _corpus_of(*cached)
         except SegembedError:  # a sidecar that fails a check: the parse decides
             pass
-    corpus = _parse_corpus(path, _lines_of(path, data))
+    try:  # the bytes already read, decoded and split as read_text_lines does
+        corpus = _parse_corpus(
+            path, enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1))
+    except UnicodeDecodeError:  # the file again, to name the failure as read_text_lines does
+        corpus = _parse_corpus(path, read_text_lines(path))
     _write_sidecar(path, corpus_sha256, corpus)
     return corpus
 
 
 def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def load_labels(path):

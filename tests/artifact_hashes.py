@@ -26,9 +26,9 @@ collect this file.
 The joint and ``rnn`` runs read their corpus with ``train``, which writes
 the corpus sidecar beside it, so the listing holds
 ``joint/corpus.jsonl.cache`` and ``rnn/corpus.jsonl.cache``. A sidecar's
-bytes are a function of the corpus bytes alone (the corpus's sha256, the
-rows, the frames as little-endian float64 and a sha256 of those, with no
-timestamp or process id), so these two lines are as deterministic as the
+bytes are a function of the corpus bytes alone (the format version, the
+corpus's sha256, the rows, the frames as little-endian float64 and a
+sha256 of those, with no timestamp or process id), so these two lines are as deterministic as the
 corpus. The main pipeline saves its corpus with ``save_corpus`` and reads
 only its labels (``eval-cluster`` and ``eval-std``), and neither writes a
 sidecar, so it lists none.

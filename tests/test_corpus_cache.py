@@ -25,6 +25,7 @@ from segembed.corpus import (
     save_corpus,
     synth_corpus,
 )
+from segembed.errors import ParseError
 
 
 def _sidecar(path):
@@ -95,9 +96,17 @@ class TestSidecarUse:
             assert load_labels(corpus_file) == _labels_of(want)
         assert _leftovers(corpus_file.parent) == []
 
-    def test_written_with_the_umask_permissions(self, corpus_file, good_sidecar):
+    @pytest.mark.parametrize("corpus_mode", [0o600, 0o640, 0o666], ids=oct)
+    def test_never_more_readable_than_the_corpus(self, corpus_file, corpus_mode):
+        """The sidecar has the corpus file's permissions less the umask."""
+        os.chmod(corpus_file, corpus_mode)
+        umask = os.umask(0o022)
+        try:
+            load_corpus(corpus_file)
+        finally:
+            os.umask(umask)
         mode = stat.S_IMODE(os.stat(_sidecar(corpus_file)).st_mode)
-        assert mode == stat.S_IMODE(os.stat(corpus_file).st_mode)  # both 0o666 less the umask
+        assert mode == corpus_mode & ~0o022
 
     def test_bytes_depend_only_on_the_corpus_bytes(self, tmp_path, corpus_file, good_sidecar):
         other = tmp_path / "elsewhere" / "renamed.jsonl"
@@ -112,8 +121,9 @@ class TestSidecarUse:
     def test_header_holds_the_corpus_checksum_and_the_rows(self, corpus_file, good_sidecar):
         header = json.loads(good_sidecar.split(b"\n", 1)[0])
         want = _parse(corpus_file)
-        assert list(header) == ["corpus_sha256", "payload_sha256", "feature_dim", "level",
-                                "segments"]
+        assert list(header) == ["format", "corpus_sha256", "payload_sha256", "feature_dim",
+                                "level", "segments"]
+        assert header["format"] == corpus_module._SIDECAR_FORMAT
         assert header["corpus_sha256"] == hashlib.sha256(corpus_file.read_bytes()).hexdigest()
         assert (header["feature_dim"], header["level"]) == (want.feature_dim, want.level)
         assert header["segments"] == [
@@ -132,6 +142,34 @@ class TestSidecarUse:
         fresh = _write_corpus(tmp_path / "fresh.jsonl", seed=6)
         load_corpus(fresh)
         assert _sidecar(corpus_file).read_bytes() == _sidecar(fresh).read_bytes()
+
+
+def _mixed_line_endings(path, last=""):
+    """A corpus of four records ended by ``\\r``, ``\\r\\n``, ``\\r``, a
+    blank line and ``\\n``, then ``last``, with ids that hold characters
+    ``str.splitlines`` splits on."""
+    recs = [json.dumps({"segment_id": f"s{i}\u2028\x85", "utterance_id": "u",
+                        "level": "word", "features": [[i, 0.5]]}, ensure_ascii=False)
+            for i in range(4)]
+    path.write_text("\r".join(recs[:2]) + "\r\n" + recs[2] + "\r\r\n" + recs[3] + "\n"
+                    + last, encoding="utf-8")
+    return path
+
+
+class TestFirstRead:
+    """The parse of the bytes ``load_corpus`` has read splits and numbers
+    lines as reading the file as text does."""
+
+    def test_line_endings(self, tmp_path):
+        path = _mixed_line_endings(tmp_path / "corpus.jsonl")
+        want = _parse(path)
+        assert [s.segment_id for s in want.segments] == [f"s{i}\u2028\x85" for i in range(4)]
+        _assert_same(load_corpus(path), want)
+
+    def test_line_numbers(self, tmp_path):
+        path = _mixed_line_endings(tmp_path / "corpus.jsonl", '{"segment_id": 1}')
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:6: segment_id must be a string$"):
+            load_corpus(path)
 
 
 def _flip(blob, i):
@@ -207,6 +245,14 @@ def _header_end(blob):
     return blob.index(b"\n") + 1
 
 
+def _other_format(path, good):
+    """The sidecar as another version of the format would head it; both
+    checksums still hold, as P does not cover the version."""
+    version = corpus_module._SIDECAR_FORMAT
+    _sidecar(path).write_bytes(good.replace(
+        f'{{"format": {version},'.encode(), f'{{"format": {version + 1},'.encode(), 1))
+
+
 FAULTS = {
     "empty": _truncated(lambda b: 0),
     "truncated in the checksums": _truncated(lambda b: 100),
@@ -224,6 +270,7 @@ FAULTS = {
     "header a list": lambda path, good: _sidecar(path).write_bytes(
         b"[1, 2]" + good[_header_end(good) - 1:]),
     "header not ASCII": lambda path, good: _sidecar(path).write_bytes(b"\xff" + good[1:]),
+    "another format version": _other_format,
     **{f"forged: {name}": _fault_of_fields(name) for name in WRONG_FIELDS},
 }
 
