@@ -5,12 +5,11 @@ Builds per-batch autodiff graphs from the neuralcore forwards (the
 each, and so is the reconstruction loss; the pair losses, BCE and the
 adversarial pair gathering stay fine-grained), runs one ``backward()`` per
 update, mines pairs on detached embeddings, and applies the seeded
-optimizer to each component's flat gradient vector. What depends only on
-the corpus is built once per run: every frame packed into one matrix
-(``PackedCorpus``), so a batch is one row gather, and one integer code per
-speaker, so a batch's speaker pairs are one comparison of codes over the
-shared ``pair_indices`` of its size; embedding extraction gathers its
-chunks from the same packing.
+optimizer to each component's flat gradient vector. A batch's frames are
+one row gather from the corpus's packed frames (``Corpus.gather``), and so
+are the chunks of embedding extraction. One integer code per speaker is
+built once per run, so a batch's speaker pairs are one comparison of codes
+over the shared ``pair_indices`` of its size.
 Every random draw comes from a generator derived from (config seed, step
 tag), so skipping an optional loss term never shifts any other stream: a
 joint run with zero contrastive weight is bit-identical to plain
@@ -77,27 +76,6 @@ def speaker_codes(speakers) -> np.ndarray:
     """One integer per speaker id, in order; equal ids get equal codes."""
     codes = {}
     return np.array([codes.setdefault(s, len(codes)) for s in speakers], dtype=np.intp)
-
-
-class PackedCorpus:
-    """Every frame of a corpus in one (sum T, F) matrix, in corpus order,
-    with each segment's length and first row. Packed once per training run
-    or embedding pass, so that a batch is one row gather."""
-
-    def __init__(self, corpus: Corpus):
-        self.lengths = np.array([s.n_frames for s in corpus.segments], dtype=np.intp)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.frames = np.concatenate([s.features for s in corpus.segments])
-
-    def gather(self, indices):
-        """(frames, lengths) of the segments at the non-empty corpus
-        positions ``indices``, packed in that order: each segment's frames
-        in turn, as ``encoder_forward`` takes them."""
-        idx = np.asarray(indices, dtype=np.intp)
-        lengths = self.lengths[idx]
-        ends = np.cumsum(lengths)
-        rows = np.arange(ends[-1]) + np.repeat(self.starts[idx] - (ends - lengths), lengths)
-        return self.frames[rows], lengths
 
 
 # -- loss graphs ----------------------------------------------------------
@@ -227,7 +205,6 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
     Returns (DisentangledModel, per-epoch loss log rows).
     """
     codes = speaker_codes(effective_speakers(corpus))
-    packed = PackedCorpus(corpus)
     dims = nc.ModelDims(
         feature_dim=corpus.feature_dim,
         embed_dim=cfg.embed_dim,
@@ -263,7 +240,7 @@ def run_disentangle_training(corpus: Corpus, cfg, cfg_s=None):
             evals_before = counter.count
             for bi, idx in enumerate(batches):
                 where = f"epoch {epoch + 1}, batch {bi + 1}"
-                frames, lengths = packed.gather(idx)
+                frames, lengths = corpus.gather(idx)
                 if cfg.alpha_adv > 0 or cfg.alpha_spk > 0:
                     spk_pairs = speaker_pairs(codes[idx])
 
@@ -391,10 +368,9 @@ def compute_embeddings(model: DisentangledModel, corpus: Corpus,
             f"corpus has {corpus.feature_dim}"
         )
     encoder = {"phonetic": model.e_p, "speaker": model.e_s}[which]
-    packed = PackedCorpus(corpus)
     order = np.arange(len(corpus)) if order is None else np.asarray(order, dtype=np.intp)
     out = []
     for start in range(0, len(order), EMBED_CHUNK):
-        frames, lengths = packed.gather(order[start : start + EMBED_CHUNK])
+        frames, lengths = corpus.gather(order[start : start + EMBED_CHUNK])
         out.append(nc.encoder_forward(encoder, frames, lengths).data)
     return np.concatenate(out, axis=0)

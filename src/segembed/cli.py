@@ -74,7 +74,10 @@ def _pin_blas_threads() -> str:
     return "unpinned"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parse with it, never change it."""
     parser = argparse.ArgumentParser(
         prog="segembed",
         description="Segment-embedding training and evaluation pipeline.",

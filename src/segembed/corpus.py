@@ -4,8 +4,11 @@ corpus generation, and mini-batch construction.
 A corpus file is UTF-8 JSON-lines, one object per segment with string keys
 ``segment_id``, ``utterance_id`` and ``level``, string-or-null keys
 ``speaker_id`` and ``unit_label``, and ``features`` (array of T arrays of F
-numbers). ``load_corpus`` reads all of it; ``load_labels`` reads only the
-labels, with the same record checks, and never decodes a frame value.
+numbers). ``load_corpus`` reads all of it; ``load_labels`` reads its level
+and labels, which a sidecar (below) holds without a frame, and otherwise
+those of ``load_corpus``, with its checks and errors. A ``Corpus`` packs
+the frames of its segments once, in order, into one matrix: the one
+layout that training, embedding and the sidecar read.
 An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ``vector`` (a non-empty array of numbers); in memory it is one table: the
 ids as a list of str and the vectors as the rows of one (N, d) float64
@@ -13,8 +16,9 @@ matrix. Both round-trip bit-exactly at double precision.
 
 Once ``load_corpus`` has parsed a corpus file and every check has passed,
 it writes the parse beside it as ``<corpus path>.cache``, so that later
-reads skip the JSON: a one-line ASCII JSON header, then the frames of every
-segment in order as one payload of little-endian float64, row-major.
+reads skip the JSON: a one-line ASCII JSON header, then the packed frames
+of the corpus (``Corpus.frames``) as one payload of little-endian float64,
+row-major.
 The header is ``{"format": V, "corpus_sha256": C, "payload_sha256": P,
 "feature_dim": F, "level": L, "segments": [[segment_id, utterance_id,
 speaker_id, unit_label, T], ...]}``, keys in that order: V is the version
@@ -23,10 +27,11 @@ sha256 of the corpus bytes, and P the sha256 of every byte after P's
 closing quote, the rest of the header and the frames, so that a changed
 byte anywhere is caught. The sidecar is a function of the corpus bytes
 alone. ``load_corpus`` and ``load_labels`` use it only when V is this
-module's version, both checksums and the header's types hold, and still
-build their result through ``Segment``, ``Corpus`` and the level and id
-checks; otherwise they parse the file, which stays the reference, and
-``load_corpus`` rewrites the sidecar. ``load_labels`` never writes it. The
+module's version, both checksums and the header's types hold, and
+``load_corpus`` still builds its result through ``Segment``, ``Corpus``
+and the level and id checks; otherwise the file, which stays the
+reference, is parsed and the sidecar rewritten (``load_labels`` does both
+through ``load_corpus``). The
 write goes through a temporary file in the same directory, with the
 corpus file's permissions less the umask, and ``os.replace``; an
 ``OSError`` on the way leaves no sidecar and no temporary file, and is not
@@ -128,26 +133,23 @@ class Segment:
         return self.features.shape[0]
 
 
-def _corpus_level(levels, ids) -> str:
-    """The one level in ``levels``, once the segment ``ids`` are checked
-    unique; raises DataError naming the mixed levels or the first repeat."""
-    if len(levels) != 1:
-        raise DataError(f"mixed segment levels in corpus: {sorted(levels)}")
-    seen = set()
-    for i in ids:
-        if i in seen:
-            raise DataError(f"duplicate segment_id {i!r}")
-        seen.add(i)
-    return next(iter(levels))
-
-
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of segments with a common feature dim."""
+    """Ordered, immutable collection of segments with a common feature dim
+    and level and unique segment ids.
+
+    Built, it packs every segment's frames once, in corpus order, into the
+    (sum T, F) float64 matrix ``frames``, with each segment's length in
+    ``lengths`` and first row in ``starts``, all three read-only; ``gather``
+    reads a batch from them as one row gather.
+    """
 
     segments: tuple
     feature_dim: int = field(init=False)
     level: str = field(init=False)
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -156,18 +158,39 @@ class Corpus:
         dims = {s.features.shape[1] for s in segments}
         if len(dims) != 1:
             raise DimensionError(f"mixed feature dimensions in corpus: {sorted(dims)}")
-        level = _corpus_level(
-            {s.level for s in segments}, [s.segment_id for s in segments]
-        )
+        levels = {s.level for s in segments}
+        if len(levels) != 1:
+            raise DataError(f"mixed segment levels in corpus: {sorted(levels)}")
+        seen = set()
+        for s in segments:
+            if s.segment_id in seen:
+                raise DataError(f"duplicate segment_id {s.segment_id!r}")
+            seen.add(s.segment_id)
+        lengths = np.array([s.n_frames for s in segments], dtype=np.intp)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "feature_dim", dims.pop())
-        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "level", levels.pop())
+        packed = {"frames": np.concatenate([s.features for s in segments]),
+                  "lengths": lengths, "starts": np.cumsum(lengths) - lengths}
+        for name, array in packed.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.segments)
 
     def __getitem__(self, i: int) -> Segment:
         return self.segments[i]
+
+    def gather(self, indices):
+        """(frames, lengths) of the segments at the non-empty corpus
+        positions ``indices``, packed in that order: each segment's frames
+        in turn, as ``neuralcore.encoder_forward`` takes them."""
+        idx = np.asarray(indices, dtype=np.intp)
+        lengths = self.lengths[idx]
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1]) + np.repeat(self.starts[idx] - (ends - lengths), lengths)
+        return self.frames[rows], lengths
 
 
 @dataclass(frozen=True)
@@ -279,42 +302,6 @@ def read_text_lines(path):
 
 
 _CORPUS_DECODER = json.JSONDecoder()
-# Builds no float: a non-integer number decodes to the length of its text,
-# so reading labels costs no float parsing of the frames.
-_LABELS_DECODER = json.JSONDecoder(parse_float=len)
-
-
-def _records(path, lines, decoder):
-    """Yield (line number, line, record) for each non-blank line of the corpus
-    file ``path``, from its ``lines`` as ``read_text_lines`` gives them,
-    decoded with ``decoder``, once its metadata keys (_RECORD_KEYS) have the
-    documented types and its level is known. A file without records raises
-    EmptyCorpusError."""
-    empty = True
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        try:
-            rec = decoder.decode(line)
-        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise ParseError(f"{path}:{lineno}: a record must be a JSON object")
-        for key, nullable in _RECORD_KEYS:
-            if not nullable and key not in rec:
-                raise ParseError(f"{path}:{lineno}: missing key {key!r}")
-            value = rec.get(key)
-            if not (isinstance(value, str) or nullable and value is None):
-                kind = "a string or null" if nullable else "a string"
-                raise ParseError(f"{path}:{lineno}: {key} must be {kind}")
-        try:
-            _check_level(rec["segment_id"], rec["level"])
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        empty = False
-        yield lineno, line, rec
-    if empty:
-        raise EmptyCorpusError(f"{path}: no segments")
 
 
 def _sidecar_path(path) -> str:
@@ -344,13 +331,12 @@ def _is_row(row) -> bool:
             and type(row[4]) is int and row[4] >= 1)
 
 
-def _read_sidecar(path, corpus_digest):
+def _read_sidecar(path, corpus_sha256: str):
     """The sidecar of the corpus file ``path`` as (F, level, rows, frames),
     frames the payload bytes, when it is of this ``_SIDECAR_FORMAT``, was
-    written for corpus bytes of sha256 ``corpus_digest()`` (called only when
-    a sidecar is there), its own checksum holds and its header has the
-    documented types, a known level, unique segment ids and the payload's
-    size; None otherwise."""
+    written for corpus bytes of sha256 ``corpus_sha256``, its own checksum
+    holds and its header has the documented types, a known level, unique
+    segment ids and the payload's size; None otherwise."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
             blob = fh.read()
@@ -360,7 +346,7 @@ def _read_sidecar(path, corpus_digest):
         return None
     if (not isinstance(header, dict) or type(header.get("format")) is not int
             or header["format"] != _SIDECAR_FORMAT
-            or header.get("corpus_sha256") != corpus_digest()
+            or header.get("corpus_sha256") != corpus_sha256
             or header.get("payload_sha256")
             != hashlib.sha256(memoryview(blob)[_HEAD_SIZE:]).hexdigest()):
         return None
@@ -398,7 +384,7 @@ def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
                      for s in corpus.segments],
     })
     rest = f", {meta[1:]}\n".encode()
-    frames = np.concatenate([s.features for s in corpus.segments]).astype("<f8", copy=False)
+    frames = corpus.frames.astype("<f8", copy=False)
     payload_sha256 = hashlib.sha256(rest)
     payload_sha256.update(frames)
     target = _sidecar_path(path)
@@ -422,26 +408,47 @@ def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
 
 
 def _parse_corpus(path, lines) -> Corpus:
-    """The Corpus of the corpus file ``path`` from its ``lines``: the parse
-    path, with every check and error message of the format."""
+    """The Corpus of the corpus file ``path`` from its ``lines``, as
+    ``read_text_lines`` gives them: the parse path, with every check and
+    error message of the format. Each non-blank line is one record, whose
+    metadata keys (_RECORD_KEYS) must have the documented types before its
+    level and then its features are checked. A file without records raises
+    EmptyCorpusError."""
     segments = []
-    for lineno, line, rec in _records(path, lines, _CORPUS_DECODER):
+    for lineno, line in lines:
+        if not line.strip():
+            continue
         try:
+            rec = _CORPUS_DECODER.decode(line)
+        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}:{lineno}: a record must be a JSON object")
+        for key, nullable in _RECORD_KEYS:
+            if not nullable and key not in rec:
+                raise ParseError(f"{path}:{lineno}: missing key {key!r}")
+            value = rec.get(key)
+            if not (isinstance(value, str) or nullable and value is None):
+                kind = "a string or null" if nullable else "a string"
+                raise ParseError(f"{path}:{lineno}: {key} must be {kind}")
+        try:
+            _check_level(rec["segment_id"], rec["level"])
             if has_bool_literal(line):  # only a scan finds a boolean among numbers
                 validate_features(rec["features"], rec["segment_id"], scan_bools=True)
-            seg = Segment(
+            segments.append(Segment(
                 segment_id=rec["segment_id"],
                 utterance_id=rec["utterance_id"],
                 speaker_id=rec.get("speaker_id"),
                 unit_label=rec.get("unit_label"),
                 level=rec["level"],
                 features=rec["features"],
-            )
+            ))
         except KeyError as exc:
             raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
         except (DataError, DimensionError) as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-        segments.append(seg)
+    if not segments:
+        raise EmptyCorpusError(f"{path}: no segments")
     return Corpus(tuple(segments))
 
 
@@ -452,7 +459,7 @@ def load_corpus(path) -> Corpus:
     with open(path, "rb") as fh:
         data = fh.read()
     corpus_sha256 = hashlib.sha256(data).hexdigest()
-    cached = _read_sidecar(path, lambda: corpus_sha256)
+    cached = _read_sidecar(path, corpus_sha256)
     if cached is not None:
         try:
             return _corpus_of(*cached)
@@ -467,34 +474,23 @@ def load_corpus(path) -> Corpus:
     return corpus
 
 
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def load_labels(path):
     """``(level, {segment_id: unit_label})`` of a corpus file, in record
     order, for commands that need no frames.
 
-    Every record passes the checks of ``load_corpus`` on its metadata, and
-    the file those on levels and segment ids, with the same errors; the
-    frames are neither decoded into floats nor validated. The labels come
-    from the corpus's sidecar when ``load_corpus`` has written one for these
-    bytes; this never writes it.
+    They come from the corpus's sidecar when ``load_corpus`` has written
+    one for these bytes, which decodes no frame. Otherwise they are those
+    of ``load_corpus(path)``, with every check and error of a full read,
+    frames included, and it writes the sidecar.
     """
-    cached = _read_sidecar(path, lambda: _file_sha256(path))
-    if cached is not None:
-        _, level, rows, _ = cached
-        return level, {row[0]: row[3] for row in rows}
-    ids, levels, units = [], set(), []
-    for _, _, rec in _records(path, read_text_lines(path), _LABELS_DECODER):
-        ids.append(rec["segment_id"])
-        levels.add(rec["level"])
-        units.append(rec.get("unit_label"))
-    return _corpus_level(levels, ids), dict(zip(ids, units))
+    with open(path, "rb") as fh:
+        corpus_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    cached = _read_sidecar(path, corpus_sha256)
+    if cached is None:
+        corpus = load_corpus(path)
+        return corpus.level, {s.segment_id: s.unit_label for s in corpus.segments}
+    _, level, rows, _ = cached
+    return level, {row[0]: row[3] for row in rows}
 
 
 def save_corpus(path, corpus: Corpus) -> None:

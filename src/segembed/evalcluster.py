@@ -1,8 +1,10 @@
 """Embedding-quality analysis: intra/inter cosine statistics and k-means
 clustering accuracy.
 
-Vectors whose norms or squared distances overflow float64 raise
-``NumericError`` here rather than yield inf or NaN statistics.
+A vector with a NaN or infinite entry raises ``NumericError``
+"non-finite vector entry" before any norm is taken, and vectors whose norms
+or squared distances overflow float64 raise ``NumericError`` here rather
+than yield inf or NaN statistics.
 
 The cosine gap report gives exact means over all same-label and
 different-label unordered pairs (computed via the norm-of-summed-unit-
@@ -24,7 +26,7 @@ import numpy as np
 
 from .corpus import write_csv
 from .errors import DataError, EvaluationError, NumericError
-from .seeding import _check_integer, derive_seed, seeded_rng
+from .seeding import _check_integer, _is_integer, derive_seed, seeded_rng
 
 __all__ = [
     "CosineGapReport", "accuracy_curve", "cluster_accuracy", "confusion_matrix",
@@ -33,6 +35,11 @@ __all__ = [
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations
 KMEANS_TOL = 1e-6  # stop once no center moves farther than this
+
+
+def _check_entries(mat) -> None:
+    if not np.isfinite(mat).all():
+        raise NumericError("non-finite vector entry")
 
 
 def _finite(values, what: str):
@@ -63,7 +70,8 @@ def cosine(a, b, *, norms=None):
     same float as the same row of a 2-D ``a``. A caller that scores many
     ``b`` against one 2-D ``a`` may compute its row norms once,
     ``np.linalg.norm(a, axis=1)``, and pass them as ``norms``: the result
-    is the same.
+    is the same, and the rows of ``a``, which the norms were computed
+    from, are not checked finite again.
     """
     a = np.asarray(a, dtype=np.float64, order="C")
     b = np.asarray(b, dtype=np.float64, order="C")
@@ -71,14 +79,17 @@ def cosine(a, b, *, norms=None):
     queries = b[None] if b.ndim == 1 else b
     if rows.ndim != 2 or queries.ndim != 2 or rows.shape[1] != queries.shape[1]:
         raise DataError(f"vectors must be of equal length: {a.shape} vs {b.shape}")
-    na = _row_norms(rows) if norms is None else norms
+    _check_entries(queries)
+    if norms is None:
+        _check_entries(rows)
+        norms = _row_norms(rows)
     with np.errstate(over="ignore"):
         # one vector's norm at a time, the dot product a 1-D ``b`` gets
         nb = np.array([np.linalg.norm(q) for q in queries])
-        if np.any(nb == 0.0) or np.any(na == 0.0):
+        if np.any(nb == 0.0) or np.any(norms == 0.0):
             raise NumericError("cosine undefined for a zero vector")
         # |a . b| <= |a| |b|, so a finite denominator keeps the dot finite
-        denominators = _finite(nb[:, None] * na, "vector norms")
+        denominators = _finite(nb[:, None] * norms, "vector norms")
     sims = np.einsum("ij,qj->qi", rows, queries)
     sims /= denominators
     np.clip(sims, -1.0, 1.0, out=sims)
@@ -102,13 +113,15 @@ class CosineGapReport:
 
 def intra_inter_stats(vectors, labels) -> CosineGapReport:
     """Exact mean cosine similarity over all same-label and different-label
-    unordered pairs of the labeled embeddings."""
+    unordered pairs of the labeled embeddings. Labels that do not order
+    among themselves, such as None among strings, are a ``DataError``."""
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != len(labels):
         raise DataError("vectors must be (N, d) with one label per row")
     n = mat.shape[0]
     if n < 2:
         raise EvaluationError("need at least 2 labeled points")
+    _check_entries(mat)
     norms = _finite(_row_norms(mat), "vector norms")
     if np.any(norms == 0.0):
         raise NumericError("cosine statistics undefined with zero vectors")
@@ -116,9 +129,13 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
 
     # sum of pairwise dots within a set = (||sum||^2 - count) / 2 on unit rows
     labels = np.asarray(labels)
+    try:
+        groups = np.unique(labels)
+    except TypeError as exc:  # labels that do not order, such as None among strings
+        raise DataError(f"labels must be mutually orderable: {exc}") from exc
     intra_sum = 0.0
     intra_count = 0
-    for label in np.unique(labels):
+    for label in groups:
         rows = unit[labels == label]
         if rows.shape[0] < 2:
             continue
@@ -241,8 +258,8 @@ def kmeans(vectors, n_clusters, seed, return_history: bool = False):
     empty clusters are repaired by reassigning the point currently
     farthest from its center. Returns one cluster id in [0, n) per point.
     With return_history, also returns the point-to-center cost after each
-    step, which is computed only then. Squared distances that overflow
-    float64 raise ``NumericError``.
+    step, which is computed only then. A non-finite vector entry, or
+    squared distances that overflow float64, raise ``NumericError``.
 
     ``n_clusters`` is an int, or a sequence of ints with ``seed`` a
     sequence of seeds of the same length: then the result is a list with
@@ -256,6 +273,7 @@ def kmeans(vectors, n_clusters, seed, return_history: bool = False):
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("vectors must be (N, d)")
+    _check_entries(mat)
     n = mat.shape[0]
     single = not _is_sequence(n_clusters)
     ks = [n_clusters] if single else list(n_clusters)
@@ -381,8 +399,8 @@ def select_top_labels(labels, m: int):
     for label in labels:
         if label is not None:
             counts[label] = counts.get(label, 0) + 1
-    if m < 1 or m > len(counts):
-        raise DataError(f"m must be in [1, {len(counts)}], got {m}")
+    if not _is_integer(m) or not 1 <= m <= len(counts):
+        raise DataError(f"m must be an integer in [1, {len(counts)}], got {m!r}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(label for label, _ in ranked[:m])
 

@@ -14,8 +14,8 @@ it writes one. Also houses checkpoint serialization, and the
 check of a loaded checkpoint's components against their layouts.
 
 Forward passes take a batch packed as all frames of its segments and the
-segments' lengths (training gathers them from the corpus, packed once per
-run); an input of the wrong width is a ``DimensionError``
+segments' lengths (training gathers them from the corpus's frames, packed
+once when the corpus is built); an input of the wrong width is a ``DimensionError``
 naming the component and both widths. The ``pool`` encoder (per-frame
 affine + tanh, temporal mean pooling, affine to the embedding dimension),
 the decoder and the discriminator are each one tape node: the forward is

@@ -23,15 +23,16 @@ into the listing. Run it on two checkouts and ``diff`` the listings to
 check that a change keeps the outputs byte for byte. pytest does not
 collect this file.
 
-The joint and ``rnn`` runs read their corpus with ``train``, which writes
-the corpus sidecar beside it, so the listing holds
-``joint/corpus.jsonl.cache`` and ``rnn/corpus.jsonl.cache``. A sidecar's
-bytes are a function of the corpus bytes alone (the format version, the
-corpus's sha256, the rows, the frames as little-endian float64 and a
-sha256 of those, with no timestamp or process id), so these two lines are as deterministic as the
-corpus. The main pipeline saves its corpus with ``save_corpus`` and reads
-only its labels (``eval-cluster`` and ``eval-std``), and neither writes a
-sidecar, so it lists none.
+Every pipeline writes the corpus sidecar beside its corpus: the joint and
+``rnn`` runs when ``train`` reads the corpus, and the main pipeline, which
+saves its corpus with ``save_corpus`` and reads only its labels, when
+``eval-cluster`` first reads them (a corpus without a sidecar is read with
+``load_corpus``, which writes it). So the listing holds
+``corpus.jsonl.cache``, ``joint/corpus.jsonl.cache`` and
+``rnn/corpus.jsonl.cache``. A sidecar's bytes are a function of the corpus
+bytes alone (the format version, the corpus's sha256, the rows, the frames
+as little-endian float64 and a sha256 of those, with no timestamp or
+process id), so these three lines are as deterministic as the corpus.
 
 The last bits of the dense products depend on how many threads the BLAS
 library splits them over, so the script pins every BLAS/OpenMP thread

@@ -1,6 +1,7 @@
-"""Print the size of the package source: total lines, code-only lines and
-the number of public names, then the total and code-only lines of each
-module, so that a change can show where its lines went.
+"""Print the size of the package source: total lines, code-only lines, the
+number of public names and the number of configuration keys, then the
+total and code-only lines of each module, so that a change can show where
+its lines went and how many settable values it leaves.
 
     PYTHONPATH=src python tests/src_size.py
 
@@ -8,7 +9,8 @@ Total lines are the lines of every ``src/segembed/*.py`` file. Code-only
 lines are counted with ``tokenize``: a line counts when a token other than a
 comment starts on it or runs through it, and a statement that is only a
 string (a docstring) counts for none of its lines, nor do blank lines. The
-public names are ``segembed.__all__``. pytest does not collect this file.
+public names are ``segembed.__all__``, and the configuration keys are
+``segembed.config.SCHEMA``. pytest does not collect this file.
 """
 
 import io
@@ -20,6 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 import segembed  # noqa: E402
+from segembed import config  # noqa: E402
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -46,6 +49,7 @@ def main() -> None:
     print(f"src lines: {sum(len(text.splitlines()) for text in texts)}")
     print(f"code-only lines: {sum(code_lines(text) for text in texts)}")
     print(f"segembed.__all__: {len(segembed.__all__)}")
+    print(f"config keys: {len(config.SCHEMA)}")
     for path, text in zip(files, texts):
         print(f"{path.name}: {len(text.splitlines())} / {code_lines(text)}")
 

@@ -109,6 +109,17 @@ class TestParseConfig:
             )
         assert "seed = 5\n" in (tmp_path / "flag" / "resolved_config.txt").read_text()
 
+    def test_no_option_leaks_into_the_next_call(self, tmp_path, capsys):
+        """``main`` builds its parser once per process; the options of one
+        call are not in the next call's configuration."""
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(tmp_path / "first", "--set", "seed=7", "synth") == 0
+        assert run_cli(tmp_path / "second", "synth") == 0
+        capsys.readouterr()
+        text = (tmp_path / "second" / "resolved_config.txt").read_text()
+        assert text == parse_config(None, TINY[1::2]).to_text()
+        assert "seed = 7\n" not in text
+
 
 TINY = [
     "--set", "synth.n_units=4",

@@ -89,6 +89,17 @@ class TestSegmentAndCorpus:
         with pytest.raises(DataError):
             Corpus((_segment(0), _segment(1, level="phoneme")))
 
+    def test_frames_are_the_segments_concatenated_read_only(self):
+        segments = tuple(_segment(i, n_frames=n) for i, n in enumerate([2, 1, 4]))
+        corpus = Corpus(segments)
+        assert corpus.frames.dtype == np.float64
+        assert np.array_equal(corpus.frames, np.concatenate([s.features for s in segments]))
+        assert corpus.lengths.tolist() == [2, 1, 4]
+        assert corpus.starts.tolist() == [0, 2, 3]
+        for array in (corpus.frames, corpus.lengths, corpus.starts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
 
 class TestCorpusFile:
     def test_load_counts_and_order(self, tmp_path):
@@ -165,7 +176,7 @@ def _labels_of(corpus):
 
 class TestLoadLabels:
     """``load_labels`` reads what ``load_corpus`` reads of the labels, and
-    fails where it fails (frames aside) with the same error."""
+    fails where it fails with the same error."""
 
     @pytest.mark.parametrize("seed, level", [(0, "word"), (3, "syllable"), (8, "phoneme")])
     def test_matches_load_corpus_on_synth_corpora(self, tmp_path, seed, level):
@@ -256,14 +267,13 @@ class TestLoadLabels:
         assert str(from_labels.value) == str(from_corpus.value)
         assert message in str(from_labels.value)
 
-    def test_frames_are_neither_decoded_nor_checked(self, tmp_path):
+    def test_frames_are_checked_as_load_corpus_checks_them(self, tmp_path):
         path = tmp_path / "c.jsonl"
         frameless = {k: v for k, v in _record(3, None).items() if k != "features"}
         _write_lines(path, [_record(0, [[0.5] * 3]), _record(1, [[0.5] * 4]),
                             _record(2, []), frameless])
-        assert load_labels(path) == ("word", {f"s{i}": None for i in range(4)})
-        with pytest.raises(DimensionError):
-            load_corpus(path)
+        self._assert_same_error(path, DimensionError,
+                                ":3: segment 's2': features must be a T x F matrix, got ndim=1")
 
 
 class TestEmbeddingFile:

@@ -43,8 +43,10 @@ def _labels_of(corpus):
 
 def _assert_same(got, want):
     """Same level, dimension, order, ids, metadata and feature arrays
-    (bytes, dtype, shape and writeability)."""
+    (bytes, dtype, shape and writeability), and the same packed frames."""
     assert (got.level, got.feature_dim, len(got)) == (want.level, want.feature_dim, len(want))
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.lengths.tolist() == want.lengths.tolist()
     for g, w in zip(got.segments, want.segments):
         assert (g.segment_id, g.utterance_id, g.speaker_id, g.unit_label, g.level) == (
             w.segment_id, w.utterance_id, w.speaker_id, w.unit_label, w.level)
@@ -55,7 +57,7 @@ def _assert_same(got, want):
 
 def _no_parse():
     """Inside it, a read that parses the corpus file fails the test."""
-    return mock.patch.object(corpus_module, "_records",
+    return mock.patch.object(corpus_module, "_parse_corpus",
                              side_effect=AssertionError("the corpus was parsed"))
 
 
@@ -85,10 +87,14 @@ def good_sidecar(corpus_file):
 
 
 class TestSidecarUse:
-    def test_only_load_corpus_writes_it_and_later_reads_use_it(self, corpus_file):
+    def test_a_miss_writes_it_and_later_reads_use_it(self, corpus_file):
         want = _parse(corpus_file)
+        assert not _sidecar(corpus_file).exists()  # save_corpus writes none
         assert load_labels(corpus_file) == _labels_of(want)
-        assert not _sidecar(corpus_file).exists()  # save_corpus and load_labels write none
+        assert _sidecar(corpus_file).is_file()
+        with _no_parse():
+            assert load_labels(corpus_file) == _labels_of(want)
+        _sidecar(corpus_file).unlink()
         _assert_same(load_corpus(corpus_file), want)
         assert _sidecar(corpus_file).is_file()
         with _no_parse():
@@ -283,8 +289,13 @@ class TestBrokenSidecar:
     def test_falls_back_to_the_parse_and_is_repaired(self, corpus_file, good_sidecar, fault):
         want = _parse(corpus_file)
         FAULTS[fault](corpus_file, good_sidecar)
-        assert _sidecar(corpus_file).read_bytes() != good_sidecar
-        assert load_labels(corpus_file) == _labels_of(want)  # reads, never repairs
+        broken = _sidecar(corpus_file).read_bytes()
+        assert broken != good_sidecar
+        assert load_labels(corpus_file) == _labels_of(want)
+        # a miss repairs it; frames that only Segment rejects are no miss for the labels
+        repaired = good_sidecar if fault != "forged: non-finite frame" else broken
+        assert _sidecar(corpus_file).read_bytes() == repaired
+        _sidecar(corpus_file).write_bytes(broken)
         _assert_same(load_corpus(corpus_file), want)
         assert _sidecar(corpus_file).read_bytes() == good_sidecar
         assert _leftovers(corpus_file.parent) == []

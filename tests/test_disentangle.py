@@ -12,7 +12,6 @@ from segembed import autodiff as ad
 from segembed import neuralcore as nc
 from segembed._trainer import (
     DisentangledModel,
-    PackedCorpus,
     _sample_speaker_pairs,
     bce_graph,
     compute_embeddings,
@@ -283,9 +282,9 @@ def _segments_packed(corpus, indices):
     return np.concatenate([s.features for s in segments]), [s.n_frames for s in segments]
 
 
-class TestPackedCorpus:
-    """Training packs the corpus once and gathers each batch's rows; every
-    batch must hold the bits of its segments concatenated one by one."""
+class TestCorpusGather:
+    """Training gathers each batch's rows from the corpus's packed frames;
+    every batch must hold the bits of its segments concatenated one by one."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=40), st.integers(1, 4),
@@ -299,9 +298,8 @@ class TestPackedCorpus:
             batches = make_batches(corpus, batch_size, seed, drop_last)
         except DataError:
             return  # no batch forms
-        packed = PackedCorpus(corpus)
         for batch in batches:
-            frames, got_lengths = packed.gather(batch)
+            frames, got_lengths = corpus.gather(batch)
             want, want_lengths = _segments_packed(corpus, batch)
             assert frames.dtype == np.float64 and frames.flags.c_contiguous
             assert np.array_equal(frames, want)
@@ -386,7 +384,7 @@ class TestTraining:
         model, rows = train_disentangle(corpus, cfg)
         init = nc.init_encoder(model.dims, derive_seed(cfg.seed, "init:E_p"))
         grad = np.zeros_like(init.flat)
-        frames, lengths = PackedCorpus(corpus).gather(range(len(corpus)))
+        frames, lengths = corpus.gather(range(len(corpus)))
         ad.tsum(nc.encoder_forward(init, frames, lengths, grad)).backward()
         views = init.views(grad)
         assert not views["w_rec"].any() and views["w_in"].any()

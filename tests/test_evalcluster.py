@@ -217,6 +217,10 @@ class TestIntraInterStats:
         with pytest.raises(EvaluationError):
             intra_inter_stats(RNG.normal(size=(3, 2)), ["a", "b", "c"])
 
+    def test_labels_that_do_not_order_rejected(self):
+        with pytest.raises(DataError, match="^labels must be mutually orderable: "):
+            intra_inter_stats(RNG.normal(size=(3, 2)), ["x", None, "x"])
+
     def test_single_label_rejected(self):
         with pytest.raises(EvaluationError):
             intra_inter_stats(RNG.normal(size=(3, 2)), ["a", "a", "a"])
@@ -447,6 +451,25 @@ class TestOverflow:
         assert big_history == [h * 2.0**1000 for h in history]
 
 
+class TestNonFiniteEntries:
+    """A NaN or infinite entry is named as one before any norm is taken,
+    not reported as an overflow of the norms or distances."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda bad: cosine([bad, 1.0], [1.0, 1.0]),
+        lambda bad: cosine([1.0, 1.0], [bad, 1.0]),
+        lambda bad: cosine(np.ones((2, 2)), [[1.0, 1.0], [1.0, bad]]),
+        lambda bad: intra_inter_stats([[bad, 1.0], [1.0, 2.0]], ["x", "x"]),
+        lambda bad: kmeans([[bad, 0], [0, 1], [1, 1]], 2, 0),
+        lambda bad: kmeans([[1, 0], [0, 1], [1, bad]], [1, 2], [0, 1]),
+    ], ids=["cosine rows", "cosine query", "cosine query matrix", "intra_inter_stats",
+            "kmeans", "kmeans runs"])
+    def test_named_as_a_non_finite_entry(self, call, bad):
+        with pytest.raises(NumericError, match="^non-finite vector entry$"):
+            call(bad)
+
+
 class TestConfusionMatrix:
     def test_counting_example(self):
         counts = confusion_matrix(["A", "A", "B"], [0, 0, 1], ("A", "B"), 2)
@@ -569,6 +592,15 @@ class TestProtocol:
     def test_select_top_labels(self):
         labels = ["a"] * 3 + ["b"] * 5 + ["c"] * 3 + [None]
         assert select_top_labels(labels, 2) == ("b", "a")
+
+    @pytest.mark.parametrize("m", [1.5, True, 0, 4, "2", None])
+    def test_m_that_is_not_an_integer_in_range_rejected(self, m):
+        labels = ["a", "b", "c", "a"]
+        message = rf"^m must be an integer in \[1, 3\], got {re.escape(repr(m))}$"
+        with pytest.raises(DataError, match=message):
+            select_top_labels(labels, m)
+        with pytest.raises(DataError, match=message):
+            accuracy_curve(np.ones((4, 2)), labels, m, (2,), 0)
 
     def test_accuracy_curve_shape_and_range(self):
         rng = np.random.default_rng(6)

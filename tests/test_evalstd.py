@@ -359,6 +359,12 @@ class TestDocumentIndex:
         with pytest.raises(NumericError, match="^query 'q': non-finite embedding entry$"):
             QuerySpec("q", [bad, 1.0], {"a"})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_vector_scored_directly_rejected(self, bad):
+        index = DocumentIndex(["a", "b"], self.VECTORS, [[0], [1, 2]])
+        with pytest.raises(NumericError, match="^non-finite vector entry$"):
+            relevance_score(np.array([bad, 1.0]), index, 1)
+
     def test_only_an_index_is_scored(self):
         with pytest.raises(DataError, match="expected a DocumentIndex"):
             relevance_score(np.ones(2), [np.ones(2)], 1)
