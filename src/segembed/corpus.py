@@ -14,29 +14,40 @@ An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ids as a list of str and the vectors as the rows of one (N, d) float64
 matrix. Both round-trip bit-exactly at double precision.
 
-Once ``load_corpus`` has parsed a corpus file and every check has passed,
-it writes the parse beside it as ``<corpus path>.cache``, so that later
-reads skip the JSON: a one-line ASCII JSON header, then the packed frames
-of the corpus (``Corpus.frames``) as one payload of little-endian float64,
-row-major.
-The header is ``{"format": V, "corpus_sha256": C, "payload_sha256": P,
-"feature_dim": F, "level": L, "segments": [[segment_id, utterance_id,
-speaker_id, unit_label, T], ...]}``, keys in that order: V is the version
-of the sidecar's layout and of the parse rules it was written under, C the
-sha256 of the corpus bytes, and P the sha256 of every byte after P's
-closing quote, the rest of the header and the frames, so that a changed
-byte anywhere is caught. The sidecar is a function of the corpus bytes
-alone. ``load_corpus`` and ``load_labels`` use it only when V is this
-module's version, both checksums and the header's types hold, and
-``load_corpus`` still builds its result through ``Segment``, ``Corpus``
-and the level and id checks; otherwise the file, which stays the
-reference, is parsed and the sidecar rewritten (``load_labels`` does both
-through ``load_corpus``). The
-write goes through a temporary file in the same directory, with the
-corpus file's permissions less the umask, and ``os.replace``; an
-``OSError`` on the way leaves no sidecar and no temporary file, and is not
-an error of the read. The sidecar is never required: deleting it is
-always safe.
+A parsed file is kept beside it as ``<path>.cache``, a sidecar, so that
+later reads skip the JSON: a one-line ASCII JSON header, then one payload
+of little-endian float64, row-major. The header is ``{"format": V,
+"<kind>_sha256": S, "payload_sha256": P, ...}``, keys in that order: V is
+the version of the sidecar's layout and of the parse rules it was written
+under, S the sha256 of the file's bytes, and P the sha256 of every byte
+after P's closing quote, the rest of the header and the payload, so that a
+changed byte anywhere is caught. A sidecar is a function of the file bytes
+alone, and there are two kinds:
+
+- ``corpus``: the header goes on with ``"feature_dim": F, "level": L,
+  "segments": [[segment_id, utterance_id, speaker_id, unit_label, T],
+  ...]``, and the payload is the packed frames (``Corpus.frames``).
+  ``load_corpus`` writes it once it has parsed the file and every check
+  has passed.
+- ``embeddings``: the header goes on with ``"dim": d, "segment_ids":
+  [...]``, and the payload is the (N, d) matrix. Only ``save_embeddings``
+  writes it, beside the file, hashing the bytes it wrote, and only for a
+  table that ``load_embeddings`` returns: at least one row, unique string
+  ids, d >= 1 and every value finite. ``load_embeddings`` writes nothing.
+
+A reader uses a sidecar only when V is this module's version, the kind
+and S are those of the file it reads, P holds, and the header's fields
+have the documented types and sizes; ``load_corpus`` still builds its
+result through ``Segment``, ``Corpus`` and the level and id checks, and
+``load_embeddings`` through the checks on ids and values above. Otherwise
+the file, which stays the reference, is parsed, with its errors and line
+numbers; ``load_corpus`` then rewrites the corpus sidecar (``load_labels``
+does both through ``load_corpus``). A sidecar is written only beside a
+regular file, never beside a device or a FIFO. The write goes through a
+temporary file in the same directory, with the file's permissions less the
+umask, and ``os.replace``; an ``OSError`` on the way leaves no sidecar and
+no temporary file, and is not an error of the read or the save. A sidecar
+is never required: deleting it is always safe.
 """
 
 import contextlib
@@ -308,35 +319,25 @@ def _sidecar_path(path) -> str:
     return os.fspath(path) + ".cache"
 
 
-# The version of the sidecar: bump it whenever its layout changes or the parse
+# The version of the sidecars: bump it whenever a layout changes or a parse
 # accepts or rejects anything it did not before, so that no sidecar written
 # under other rules stands in for the parse.
 _SIDECAR_FORMAT = 1
 
 
-def _sidecar_head(corpus_sha256: str, payload_sha256: str) -> bytes:
-    return (f'{{"format": {_SIDECAR_FORMAT}, "corpus_sha256": "{corpus_sha256}", '
+def _sidecar_head(kind: str, source_sha256: str, payload_sha256: str) -> bytes:
+    """The bytes a sidecar of ``kind`` ("corpus" or "embeddings") begins
+    with, which its payload checksum does not cover."""
+    return (f'{{"format": {_SIDECAR_FORMAT}, "{kind}_sha256": "{source_sha256}", '
             f'"payload_sha256": "{payload_sha256}"').encode()
 
 
-_HEAD_SIZE = len(_sidecar_head("0" * 64, "0" * 64))  # the bytes P does not cover
-
-
-def _is_row(row) -> bool:
-    """Whether ``row`` is a header row: [segment_id, utterance_id,
-    speaker_id, unit_label, T] of the documented types, T >= 1."""
-    return (isinstance(row, list) and len(row) == 5
-            and isinstance(row[0], str) and isinstance(row[1], str)
-            and all(v is None or isinstance(v, str) for v in row[2:4])
-            and type(row[4]) is int and row[4] >= 1)
-
-
-def _read_sidecar(path, corpus_sha256: str):
-    """The sidecar of the corpus file ``path`` as (F, level, rows, frames),
-    frames the payload bytes, when it is of this ``_SIDECAR_FORMAT``, was
-    written for corpus bytes of sha256 ``corpus_sha256``, its own checksum
-    holds and its header has the documented types, a known level, unique
-    segment ids and the payload's size; None otherwise."""
+def _read_sidecar(path, kind: str, source_sha256: str):
+    """The sidecar of the file ``path`` as (header, payload), the header a
+    dict and the payload the bytes after its line, when it is of this
+    ``_SIDECAR_FORMAT`` and ``kind``, was written for file bytes of sha256
+    ``source_sha256`` and its own checksum holds; None otherwise. The
+    caller checks the header's other fields."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
             blob = fh.read()
@@ -344,14 +345,72 @@ def _read_sidecar(path, corpus_sha256: str):
         header = json.loads(blob[:end].decode("ascii"))
     except (OSError, ValueError):  # no sidecar, a directory, no header line, or not JSON
         return None
+    head_size = len(_sidecar_head(kind, source_sha256, "0" * 64))
     if (not isinstance(header, dict) or type(header.get("format")) is not int
             or header["format"] != _SIDECAR_FORMAT
-            or header.get("corpus_sha256") != corpus_sha256
+            or header.get(f"{kind}_sha256") != source_sha256
             or header.get("payload_sha256")
-            != hashlib.sha256(memoryview(blob)[_HEAD_SIZE:]).hexdigest()):
+            != hashlib.sha256(memoryview(blob)[head_size:]).hexdigest()):
         return None
+    return header, memoryview(blob)[end:]
+
+
+def _write_sidecar(path, kind: str, source_sha256: str, fields: dict, payload) -> None:
+    """Write the sidecar of ``kind`` for the bytes, of sha256
+    ``source_sha256``, of the file ``path``: the head, then ``fields`` as
+    the rest of the header line, then ``payload`` as little-endian float64,
+    row-major. It goes through a temporary file that no exit leaves behind,
+    with the permissions of the file less the umask; an OSError leaves the
+    sidecar as it was. A file that is not a regular one gets none."""
+    try:
+        file_mode = os.stat(path).st_mode
+    except OSError:
+        return
+    if not stat.S_ISREG(file_mode):  # a device or a FIFO: its bytes are not kept
+        return
+    rest = f", {json.dumps(fields)[1:]}\n".encode()
+    payload = np.ascontiguousarray(payload, dtype="<f8")
+    payload_sha256 = hashlib.sha256(rest)
+    payload_sha256.update(payload)
+    target = _sidecar_path(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    mode = stat.S_IMODE(file_mode) & 0o666  # never more readable than the file
+    try:
+        fh = open(tmp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
+    except OSError:
+        return
+    try:
+        with fh:
+            fh.write(_sidecar_head(kind, source_sha256, payload_sha256.hexdigest()))
+            fh.write(rest)
+            fh.write(payload)
+        os.replace(tmp, target)
+    except BaseException as exc:  # KeyboardInterrupt too: no temporary file outlives it
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
+def _is_row(row) -> bool:
+    """Whether ``row`` is a corpus sidecar's header row: [segment_id,
+    utterance_id, speaker_id, unit_label, T] of the documented types, T >= 1."""
+    return (isinstance(row, list) and len(row) == 5
+            and isinstance(row[0], str) and isinstance(row[1], str)
+            and all(v is None or isinstance(v, str) for v in row[2:4])
+            and type(row[4]) is int and row[4] >= 1)
+
+
+def _read_corpus_sidecar(path, corpus_sha256: str):
+    """The sidecar of the corpus file ``path`` as (F, level, rows, frames),
+    frames the payload bytes, when ``_read_sidecar`` takes it for these
+    corpus bytes and its header has the documented types, a known level,
+    unique segment ids and the payload's size; None otherwise."""
+    sidecar = _read_sidecar(path, "corpus", corpus_sha256)
+    if sidecar is None:
+        return None
+    header, frames = sidecar
     f_dim, level, rows = header.get("feature_dim"), header.get("level"), header.get("segments")
-    frames = memoryview(blob)[end:]
     if not (type(f_dim) is int and f_dim >= 1 and level in LEVELS
             and isinstance(rows, list) and rows and all(map(_is_row, rows))
             and len({row[0] for row in rows}) == len(rows)
@@ -371,40 +430,6 @@ def _corpus_of(f_dim, level, rows, frames) -> Corpus:
                 level=level, features=table[end - n_frames:end])
         for (sid, uid, spk, unit, n_frames), end in zip(rows, ends)
     ))
-
-
-def _write_sidecar(path, corpus_sha256: str, corpus: Corpus) -> None:
-    """Write the sidecar of ``corpus``, parsed from corpus bytes of sha256
-    ``corpus_sha256`` at ``path``, through a temporary file that no exit
-    leaves behind, with the permissions of the corpus file less the umask;
-    an OSError leaves the sidecar as it was."""
-    meta = json.dumps({
-        "feature_dim": corpus.feature_dim, "level": corpus.level,
-        "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
-                     for s in corpus.segments],
-    })
-    rest = f", {meta[1:]}\n".encode()
-    frames = corpus.frames.astype("<f8", copy=False)
-    payload_sha256 = hashlib.sha256(rest)
-    payload_sha256.update(frames)
-    target = _sidecar_path(path)
-    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode) & 0o666  # never more readable than the corpus
-        fh = open(tmp, "xb", opener=lambda name, flags: os.open(name, flags, mode))
-    except OSError:
-        return
-    try:
-        with fh:
-            fh.write(_sidecar_head(corpus_sha256, payload_sha256.hexdigest()))
-            fh.write(rest)
-            fh.write(frames)
-        os.replace(tmp, target)
-    except BaseException as exc:  # KeyboardInterrupt too: no temporary file outlives it
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        if not isinstance(exc, OSError):
-            raise
 
 
 def _parse_corpus(path, lines) -> Corpus:
@@ -459,7 +484,7 @@ def load_corpus(path) -> Corpus:
     with open(path, "rb") as fh:
         data = fh.read()
     corpus_sha256 = hashlib.sha256(data).hexdigest()
-    cached = _read_sidecar(path, corpus_sha256)
+    cached = _read_corpus_sidecar(path, corpus_sha256)
     if cached is not None:
         try:
             return _corpus_of(*cached)
@@ -469,8 +494,12 @@ def load_corpus(path) -> Corpus:
         corpus = _parse_corpus(
             path, enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1))
     except UnicodeDecodeError:  # the file again, to name the failure as read_text_lines does
-        corpus = _parse_corpus(path, read_text_lines(path))
-    _write_sidecar(path, corpus_sha256, corpus)
+        return _parse_corpus(path, read_text_lines(path))
+    _write_sidecar(path, "corpus", corpus_sha256, {
+        "feature_dim": corpus.feature_dim, "level": corpus.level,
+        "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
+                     for s in corpus.segments],
+    }, corpus.frames)
     return corpus
 
 
@@ -485,7 +514,7 @@ def load_labels(path):
     """
     with open(path, "rb") as fh:
         corpus_sha256 = hashlib.sha256(fh.read()).hexdigest()
-    cached = _read_sidecar(path, corpus_sha256)
+    cached = _read_corpus_sidecar(path, corpus_sha256)
     if cached is None:
         corpus = load_corpus(path)
         return corpus.level, {s.segment_id: s.unit_label for s in corpus.segments}
@@ -524,31 +553,78 @@ def embedding_matrix(ids, vectors) -> np.ndarray:
     return vectors
 
 
+def _is_embedding_table(ids, vectors) -> bool:
+    """Whether (ids, vectors), ``vectors`` one (N, d) row per id, is a
+    table that ``load_embeddings`` returns: at least one row, unique string
+    ids, d >= 1 and every value finite."""
+    return (len(ids) >= 1 and all(isinstance(sid, str) for sid in ids)
+            and len(set(ids)) == len(ids) and vectors.shape[1] >= 1
+            and bool(np.isfinite(vectors).all()))
+
+
 def save_embeddings(path, ids, vectors) -> None:
     """Write an embedding table, one line per id and its row of the (N, d)
     matrix ``vectors``, in order, at full double precision (shortest
-    round-tripping decimal form)."""
+    round-tripping decimal form), and then its sidecar (module docstring)
+    when ``load_embeddings`` would return the table."""
     vectors = embedding_matrix(ids, vectors)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, row in zip(ids, vectors.tolist()):
-            fh.write(json.dumps({"segment_id": sid, "vector": row}) + "\n")
+    data = "".join(json.dumps({"segment_id": sid, "vector": row}) + "\n"
+                   for sid, row in zip(ids, vectors.tolist())).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    if _is_embedding_table(ids, vectors):
+        _write_sidecar(path, "embeddings", hashlib.sha256(data).hexdigest(),
+                       {"dim": vectors.shape[1], "segment_ids": list(ids)}, vectors)
+
+
+def _read_embedding_sidecar(path, embeddings_sha256: str):
+    """The table the sidecar of the embedding file ``path`` holds, as
+    ``load_embeddings`` returns it, when ``_read_sidecar`` takes it for
+    these file bytes, its ``dim`` is an int, its ``segment_ids`` a list,
+    the payload N·d·8 bytes and the table passes ``_is_embedding_table``;
+    None otherwise."""
+    sidecar = _read_sidecar(path, "embeddings", embeddings_sha256)
+    if sidecar is None:
+        return None
+    header, payload = sidecar
+    dim, ids = header.get("dim"), header.get("segment_ids")
+    if not (type(dim) is int and dim >= 1 and isinstance(ids, list)
+            and len(ids) * dim * 8 == len(payload)):
+        return None
+    vectors = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(len(ids), dim)
+    return (ids, vectors) if _is_embedding_table(ids, vectors) else None
 
 
 def load_embeddings(path):
     """Read a JSON-lines embedding file -> (ids, vectors): the segment ids
-    as a list of str and the vectors as the rows of one (N, d) float64
-    matrix, in file order.
+    as a list of str and the vectors as the rows of one writable (N, d)
+    float64 matrix, in file order.
 
     Every segment_id must be a string, and no segment_id may repeat; every
     vector must be a non-empty 1-D array of numbers, of one shared
-    dimension, and finite. The file is decoded in one pass into one matrix,
-    with one dtype check and one finiteness check; only a file that fails a
-    check, or whose text holds ``true`` or ``false``, is read again line by
-    line, to name the first bad line.
+    dimension, and finite. The table comes from the file's sidecar when
+    ``save_embeddings`` wrote one for these bytes (module docstring); the
+    read writes none. Otherwise the file is decoded in one pass into one
+    matrix, with one dtype check and one finiteness check; only a file
+    that fails a check, or whose text holds ``true`` or ``false``, is read
+    again line by line, to name the first bad line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cached = _read_embedding_sidecar(path, hashlib.sha256(data).hexdigest())
+    if cached is not None:
+        return cached
+    try:  # the bytes already read, decoded as reading the file as text does
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:  # the file again, to name the failure as read_text_lines does
+        return _load_embeddings_by_line(path, read_text_lines(path))
+    return _parse_embeddings(path, text)
+
+
+def _parse_embeddings(path, text):
+    """The embedding table of the text of the file ``path``: one pass, or
+    ``_load_embeddings_by_line`` when that pass fails a check."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
         records = [json.loads(line) for line in text.split("\n") if line.strip()]
         ids = [rec["segment_id"] for rec in records]
         mat = np.array([rec["vector"] for rec in records])
@@ -556,18 +632,19 @@ def load_embeddings(path):
                 and len(set(ids)) == len(ids) and mat.dtype.kind in "fiu"
                 and mat.ndim == 2 and mat.shape[1] and np.isfinite(mat).all()):
             return ids, mat.astype(np.float64, copy=False)
-    except (KeyError, *DECODE_ERRORS):  # UnicodeDecodeError too
+    except (KeyError, *DECODE_ERRORS):
         pass  # the line-by-line read names the failure
-    return _load_embeddings_by_line(path)
+    return _load_embeddings_by_line(path, enumerate(io.StringIO(text), start=1))
 
 
-def _load_embeddings_by_line(path):
-    """``load_embeddings``, one line at a time: the first failed check
-    raises with its line number. A file without vectors gives ([], a (0, 0)
-    matrix)."""
+def _load_embeddings_by_line(path, lines):
+    """The embedding table of the file ``path`` from its ``lines``, as
+    ``read_text_lines`` gives them, one line at a time: the first failed
+    check raises with its line number. A file without vectors gives ([], a
+    (0, 0) matrix)."""
     ids, rows = [], []
     first_line = {}
-    for lineno, line in read_text_lines(path):
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:

@@ -57,6 +57,18 @@ def _row_norms(rows):
         return np.linalg.norm(rows, axis=1)
 
 
+def _check_label_types(labels) -> None:
+    """Raise DataError when ``labels`` holds strings and other values (None
+    aside): a numpy array of them makes 1 and "1" one class, and a sort
+    cannot order them."""
+    names = {}
+    for label in labels:
+        if label is not None:
+            names.setdefault(isinstance(label, str), type(label).__name__)
+    if len(names) == 2:
+        raise DataError(f"labels mix {names[True]} and {names[False]} values")
+
+
 def cosine(a, b, *, norms=None):
     """Cosine similarity of two equal-length nonzero vectors.
 
@@ -114,7 +126,8 @@ class CosineGapReport:
 def intra_inter_stats(vectors, labels) -> CosineGapReport:
     """Exact mean cosine similarity over all same-label and different-label
     unordered pairs of the labeled embeddings. Labels that do not order
-    among themselves, such as None among strings, are a ``DataError``."""
+    among themselves, such as None among strings, or that mix strings with
+    other types, are a ``DataError``."""
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != len(labels):
         raise DataError("vectors must be (N, d) with one label per row")
@@ -127,6 +140,7 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
         raise NumericError("cosine statistics undefined with zero vectors")
     unit = mat / norms[:, None]
 
+    _check_label_types(labels)
     # sum of pairwise dots within a set = (||sum||^2 - count) / 2 on unit rows
     labels = np.asarray(labels)
     try:
@@ -394,11 +408,14 @@ def cluster_accuracy(counts) -> float:
 
 
 def select_top_labels(labels, m: int):
-    """The m most frequent labels (ties broken lexicographically)."""
+    """The m most frequent labels (ties broken lexicographically); None
+    labels are not counted, and labels that mix strings with other types
+    are a ``DataError``."""
     counts = {}
     for label in labels:
         if label is not None:
             counts[label] = counts.get(label, 0) + 1
+    _check_label_types(counts)
     if not _is_integer(m) or not 1 <= m <= len(counts):
         raise DataError(f"m must be an integer in [1, {len(counts)}], got {m!r}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -29,10 +29,15 @@ saves its corpus with ``save_corpus`` and reads only its labels, when
 ``eval-cluster`` first reads them (a corpus without a sidecar is read with
 ``load_corpus``, which writes it). So the listing holds
 ``corpus.jsonl.cache``, ``joint/corpus.jsonl.cache`` and
-``rnn/corpus.jsonl.cache``. A sidecar's bytes are a function of the corpus
-bytes alone (the format version, the corpus's sha256, the rows, the frames
-as little-endian float64 and a sha256 of those, with no timestamp or
-process id), so these three lines are as deterministic as the corpus.
+``rnn/corpus.jsonl.cache``. ``save_embeddings`` writes the embedding
+sidecar beside every embedding file it writes, so the listing holds
+``embeddings_a.jsonl.cache``, ``embeddings_b.jsonl.cache``,
+``embeddings_d.jsonl.cache``, ``rnn/embeddings_a.jsonl.cache`` and
+``rnn/embeddings_d.jsonl.cache`` too. A sidecar's bytes are a function of
+its file's bytes alone (the format version, the file's sha256, the rows or
+ids, the frames or vectors as little-endian float64 and a sha256 of those,
+with no timestamp or process id), so these eight lines are as
+deterministic as the files beside them.
 
 The last bits of the dense products depend on how many threads the BLAS
 library splits them over, so the script pins every BLAS/OpenMP thread

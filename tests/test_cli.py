@@ -17,7 +17,7 @@ import pytest
 from segembed import cli
 from segembed.cli import main
 from segembed.config import parse_config
-from segembed.corpus import load_corpus
+from segembed.corpus import load_corpus, load_embeddings, save_embeddings
 from segembed.disentangle import DisentangledModel, save_model
 from segembed.errors import ConfigError
 from segembed.neuralcore import (
@@ -153,6 +153,27 @@ def run_cli(out_dir, *args):
     return main(["--out-dir", str(out_dir), *TINY, *args])
 
 
+def _text_mode_writer(path, ids, vectors):
+    """One ``json.dumps`` line per row, written to a UTF-8 text file: the
+    reference for the bytes ``save_embeddings`` writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sid, row in zip(ids, np.asarray(vectors, dtype=np.float64).tolist()):
+            fh.write(json.dumps({"segment_id": sid, "vector": row}) + "\n")
+
+
+@pytest.mark.parametrize("ids, vectors", [
+    (["\u00e9t\u00e9", "\u2028\r\n", "\ud800"], [[-0.0, 5e-324], [1e308, -1e-308], [1, 2]]),
+    (["a", "b"], [[np.nan, np.inf], [-np.inf, 0.1]]),
+    ([7, "7"], [[0.1], [0.2]]),
+    (["a", "a"], [[1.0], [2.0]]),
+    ([], np.empty((0, 2))),
+], ids=["edge values", "non-finite", "integer id", "duplicate ids", "no rows"])
+def test_save_embeddings_writes_the_text_mode_writers_bytes(tmp_path, ids, vectors):
+    save_embeddings(tmp_path / "got.jsonl", ids, vectors)
+    _text_mode_writer(tmp_path / "want.jsonl", ids, vectors)
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -254,6 +275,15 @@ class TestPipeline:
         assert len(lines) == 48
         rec = json.loads(lines[0])
         assert len(rec["vector"]) == 8
+        capsys.readouterr()
+
+    def test_embeddings_are_the_text_mode_writers_bytes(self, run_dir, tmp_path, capsys):
+        """``embed`` writes each embedding file byte for byte as a writer of
+        ``json.dumps`` lines to a UTF-8 text file does."""
+        for variant in "abcd":
+            path = run_dir / f"embeddings_{variant}.jsonl"
+            _text_mode_writer(tmp_path / "want.jsonl", *load_embeddings(path))
+            assert path.read_bytes() == (tmp_path / "want.jsonl").read_bytes(), variant
         capsys.readouterr()
 
     def test_mine_audit(self, run_dir, capsys):
@@ -594,13 +624,26 @@ class TestBadInputs:
             "--embeddings", f"a={path}",
         )
 
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def stale_embeddings(corpus_dir, tmp_path_factory):
+        """The bytes of the sidecar that ``save_embeddings`` writes for the
+        embedding file that ``_embeddings`` writes before an edit."""
+        path = TestBadInputs._embeddings(corpus_dir, tmp_path_factory.mktemp("unedited"),
+                                         lambda records: None)
+        text = path.read_bytes()
+        save_embeddings(path, *load_embeddings(path))
+        assert path.read_bytes() == text
+        return path.with_name(path.name + ".cache").read_bytes()
+
     @pytest.mark.parametrize("command", ["eval-sim", "eval-std"])
-    def test_non_finite_vector(self, corpus_dir, tmp_path, capsys, command):
+    def test_non_finite_vector(self, corpus_dir, stale_embeddings, tmp_path, capsys, command):
         def poison(records):
             records[5]["vector"][2] = float("nan")
 
         path = self._embeddings(corpus_dir, tmp_path, poison)
-        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, command, path)))
         assert f"{path}:6: non-finite vector entry" in err
 
     @pytest.mark.parametrize(
@@ -610,23 +653,27 @@ class TestBadInputs:
             ([0.5, 0.25], "list indices must be integers"),
         ],
     )
-    def test_unparsable_record(self, corpus_dir, tmp_path, capsys, record, message):
+    def test_unparsable_record(
+        self, corpus_dir, stale_embeddings, tmp_path, capsys, record, message
+    ):
         def corrupt(records):
             records[2] = record
 
         path = self._embeddings(corpus_dir, tmp_path, corrupt)
-        err = self._error(capsys, self._eval(corpus_dir, tmp_path, "eval-sim", path))
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, "eval-sim", path)))
         assert f"{path}:3: " in err
         assert message in err
 
     @pytest.mark.parametrize("command", ["eval-sim", "eval-std"])
-    def test_duplicate_segment_id(self, corpus_dir, tmp_path, capsys, command):
+    def test_duplicate_segment_id(self, corpus_dir, stale_embeddings, tmp_path, capsys, command):
         def repeat(records):
             records[9]["segment_id"] = records[4]["segment_id"]
 
         path = self._embeddings(corpus_dir, tmp_path, repeat)
         sid = json.loads(path.read_text().splitlines()[4])["segment_id"]
-        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, command, path)))
         assert f"{path}:10: duplicate segment_id {sid!r} (first on line 5)" in err
 
     @staticmethod
@@ -654,45 +701,51 @@ class TestBadInputs:
         (_boolean_entry, ":5: could not convert boolean to float"),
     ], ids=["empty vectors", "numeric id", "string entry", "boolean entry"])
     def test_embedding_file_of_the_wrong_types(
-        self, corpus_dir, tmp_path, capsys, command, edit, message
+        self, corpus_dir, stale_embeddings, tmp_path, capsys, command, edit, message
     ):
         """Every command that reads embeddings stops at the first line
         that the format forbids, and writes no report."""
         path = self._embeddings(corpus_dir, tmp_path, edit)
-        if command == "mine-audit":
-            code = run_cli(tmp_path, command, "--embeddings", str(path))
-        else:
-            code = self._eval(corpus_dir, tmp_path, command, path)
-        err = self._one_error_line(capsys, code)
-        assert err.startswith(f"segembed: error: {path}{message}")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.jsonl",
-                                                               "resolved_config.txt"]
 
-    def test_mine_audit_overflowing_vectors(self, corpus_dir, tmp_path, capsys):
+        def run():
+            if command == "mine-audit":
+                return run_cli(tmp_path, command, "--embeddings", str(path))
+            return self._eval(corpus_dir, tmp_path, command, path)
+
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, run)
+        assert err.startswith(f"segembed: error: {path}{message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [  # the sidecar is the stale one
+            "emb.jsonl", "emb.jsonl.cache", "resolved_config.txt"]
+
+    def test_mine_audit_overflowing_vectors(self, corpus_dir, stale_embeddings, tmp_path, capsys):
         def inflate(records):
             records[0]["vector"] = records[1]["vector"] = [1e200] * 4
 
         path = self._embeddings(corpus_dir, tmp_path, inflate)
-        code = run_cli(tmp_path, "mine-audit", "--embeddings", str(path))
-        assert "squared distances overflow" in self._error(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            run_cli(tmp_path, "mine-audit", "--embeddings", str(path))))
+        assert "squared distances overflow" in err
 
     @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std"])
-    def test_eval_overflowing_vector(self, corpus_dir, tmp_path, capsys, command):
+    def test_eval_overflowing_vector(
+        self, corpus_dir, stale_embeddings, tmp_path, capsys, command
+    ):
         def inflate(records):
             records[0]["vector"] = [1e200] * 4
 
         path = self._embeddings(corpus_dir, tmp_path, inflate)
-        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
-        assert err.count("\n") == 1
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, command, path)))
         assert "overflow: vector entries too large" in err
 
     def _mine_audit_12(self, corpus_dir, tmp_path, drop_last):
-        """mine-audit over the first 12 segments with a batch size of 64."""
+        """The embedding file of the first 12 segments, and a function
+        that runs mine-audit over it with a batch size of 64."""
         def truncate(records):
             del records[12:]
 
         path = self._embeddings(corpus_dir, tmp_path, truncate)
-        return main([
+        return path, lambda: main([
             "--out-dir", str(tmp_path), *TINY, "--set", "siamese.batch_size=64",
             "--set", f"siamese.drop_last={drop_last}",
             "mine-audit", "--embeddings", str(path),
@@ -701,27 +754,28 @@ class TestBadInputs:
     def test_mine_audit_keeps_short_batch_without_drop_last(
         self, corpus_dir, tmp_path, capsys
     ):
-        assert self._mine_audit_12(corpus_dir, tmp_path, "false") == 0
+        assert self._mine_audit_12(corpus_dir, tmp_path, "false")[1]() == 0
         out = capsys.readouterr().out
         assert "mine-audit: 1 batches, 66 distance evaluations" in out
         (record,) = map(json.loads, (tmp_path / "pairs.jsonl").read_text().splitlines())
         assert sorted(record["indices"]) == list(range(12))
 
     def test_mine_audit_without_batches_fails_like_training(
-        self, corpus_dir, tmp_path, capsys
+        self, corpus_dir, stale_embeddings, tmp_path, capsys
     ):
-        code = self._mine_audit_12(corpus_dir, tmp_path, "true")
-        err = self._error(capsys, code)
+        path, run = self._mine_audit_12(corpus_dir, tmp_path, "true")
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, run)
         assert "no batches: corpus smaller than batch_size with drop_last" in err
         assert not (tmp_path / "pairs.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["eval-sim", "eval-cluster", "eval-std"])
-    def test_segment_not_in_corpus(self, corpus_dir, tmp_path, capsys, command):
+    def test_segment_not_in_corpus(self, corpus_dir, stale_embeddings, tmp_path, capsys, command):
         def rename(records):
             records[7]["segment_id"] = "seg-stranger"
 
         path = self._embeddings(corpus_dir, tmp_path, rename)
-        err = self._error(capsys, self._eval(corpus_dir, tmp_path, command, path))
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, command, path)))
         assert "1 segment ids not in the corpus, first 'seg-stranger'" in err
 
     def _embed(self, corpus_dir, tmp_path, checkpoint_text):
@@ -824,19 +878,22 @@ class TestBadInputs:
         load_corpus(corpus_dir / "corpus.jsonl")
         return (corpus_dir / "corpus.jsonl.cache").read_bytes()
 
-    def _stale_sidecar_changes_nothing(self, capsys, corpus, stale_sidecar, run):
-        """``run()`` on the bad ``corpus`` alone, then with ``stale_sidecar``
+    def _stale_sidecar_changes_nothing(self, capsys, path, stale_sidecar, run):
+        """``run()`` on the bad corpus or embedding file ``path`` alone, then
+        with ``stale_sidecar``, a valid sidecar of the file before its edit,
         beside it: both exit 1 with the same single error line, which is
-        returned, and neither writes a sidecar for the bad corpus."""
-        sidecar = corpus.with_name(corpus.name + ".cache")
-        errors = []
+        returned, and leave no temporary file. The first run writes no
+        sidecar, and the second leaves the stale one."""
+        sidecar = path.with_name(path.name + ".cache")
+        errors, left = [], []
         for placed in (None, stale_sidecar):
             if placed is not None:
                 sidecar.write_bytes(placed)
             errors.append(self._one_error_line(capsys, run()))
-            assert sidecar.read_bytes() == placed if placed else not sidecar.exists()
-            assert not list(corpus.parent.glob(f"{sidecar.name}.*"))  # no temporary file
+            left.append(sidecar.read_bytes() if sidecar.exists() else None)
+            assert not list(path.parent.glob(f"{sidecar.name}.*"))  # no temporary file
         assert errors[0] == errors[1]
+        assert left == [None, stale_sidecar]
         return errors[0]
 
     @pytest.mark.parametrize("command", ["embed", "refine"])
@@ -1067,11 +1124,12 @@ class TestBadInputs:
             tmp_path, "train", "--corpus", str(path)))
         assert f"{path}: not valid UTF-8" in err
 
-    def test_embeddings_not_utf8(self, corpus_dir, tmp_path, capsys):
+    def test_embeddings_not_utf8(self, corpus_dir, stale_embeddings, tmp_path, capsys):
         path = tmp_path / "emb.jsonl"
         path.write_bytes(b"\xff\xfe{}\n")
-        code = self._eval(corpus_dir, tmp_path, "eval-sim", path)
-        assert f"{path}: not valid UTF-8" in self._error(capsys, code)
+        err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
+            self._eval(corpus_dir, tmp_path, "eval-sim", path)))
+        assert f"{path}: not valid UTF-8" in err
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -17,6 +17,7 @@ from segembed.corpus import (
     load_embeddings,
     load_labels,
     make_batches,
+    read_text_lines,
     save_corpus,
     save_embeddings,
     split_corpus,
@@ -299,7 +300,8 @@ class TestEmbeddingFile:
     def test_one_pass_equals_line_by_line(self, tmp_path, lines):
         path = tmp_path / "e.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
-        (got_ids, got), (want_ids, want) = load_embeddings(path), _load_embeddings_by_line(path)
+        got_ids, got = load_embeddings(path)
+        want_ids, want = _load_embeddings_by_line(path, read_text_lines(path))
         assert got_ids == want_ids
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -342,7 +344,7 @@ class TestEmbeddingFile:
         with pytest.raises(error) as got:
             load_embeddings(path)
         with pytest.raises(error) as want:
-            _load_embeddings_by_line(path)
+            _load_embeddings_by_line(path, read_text_lines(path))
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}{message}")
 

@@ -1,12 +1,15 @@
-"""The corpus sidecar, ``<corpus path>.cache``: what ``load_corpus`` and
-``load_labels`` build from it equals what the parse builds, and a sidecar
-that is broken, stale, unreadable or unwritable only costs the parse."""
+"""The sidecars, ``<path>.cache``, of corpus and embedding files: what
+``load_corpus``, ``load_labels`` and ``load_embeddings`` build from one
+equals what the parse builds, a sidecar that is broken, stale, forged,
+unreadable or unwritable only costs the parse, and none is written beside
+a file that is not a regular one."""
 
 import hashlib
 import json
 import os
 import stat
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -20,12 +23,14 @@ from segembed.corpus import (
     LEVELS,
     SynthConfig,
     load_corpus,
+    load_embeddings,
     load_labels,
     read_text_lines,
     save_corpus,
+    save_embeddings,
     synth_corpus,
 )
-from segembed.errors import ParseError
+from segembed.errors import DataError, NumericError, ParseError
 
 
 def _sidecar(path):
@@ -61,10 +66,9 @@ def _no_parse():
                              side_effect=AssertionError("the corpus was parsed"))
 
 
-def _leftovers(directory):
-    """Files in ``directory`` other than a corpus and its sidecar."""
-    return sorted(p.name for p in directory.iterdir()
-                  if p.name not in ("corpus.jsonl", "corpus.jsonl.cache"))
+def _leftovers(directory, name="corpus.jsonl"):
+    """Files in ``directory`` other than the file ``name`` and its sidecar."""
+    return sorted(p.name for p in directory.iterdir() if p.name not in (name, f"{name}.cache"))
 
 
 def _write_corpus(path, seed=5, **synth):
@@ -182,16 +186,19 @@ def _flip(blob, i):
     return blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1:]
 
 
-def _forge(blob, **changes):
-    """``blob``, a sidecar, with ``changes`` to its header fields and both
-    checksums made to hold again, as the writer makes them."""
+def _forge(blob, kind=None, **changes):
+    """``blob``, a sidecar of either kind, with ``changes`` to the header
+    fields after its checksums (``frames`` the payload), headed as a
+    sidecar of ``kind`` if given, and both checksums made to hold again, as
+    the writer makes them."""
     line, frames = blob.split(b"\n", 1)
     frames = changes.pop("frames", frames)
-    header = {**json.loads(line), **changes}
-    rest = {k: header[k] for k in ("feature_dim", "level", "segments")}
+    fields = list(json.loads(line).items())  # format, <kind>_sha256, payload_sha256, ...
+    source_key, source_sha256 = fields[1]
+    rest = {**dict(fields[3:]), **changes}
     tail = f", {json.dumps(rest)[1:]}\n".encode() + frames
-    head = corpus_module._sidecar_head(header["corpus_sha256"],
-                                       hashlib.sha256(tail).hexdigest())
+    head = corpus_module._sidecar_head(kind or source_key.removesuffix("_sha256"),
+                                       source_sha256, hashlib.sha256(tail).hexdigest())
     return head + tail
 
 
@@ -426,3 +433,333 @@ def test_sidecar_reads_equal_the_parse(text):
             cached = load_labels(path)
         assert cached[0] == labels[0]
         assert list(cached[1].items()) == list(labels[1].items())
+
+
+# -- the embedding sidecar ---------------------------------------------------
+
+
+def _parse_table(path):
+    """The reference: the embedding table as the parse reads it."""
+    return corpus_module._parse_embeddings(path, path.read_text(encoding="utf-8"))
+
+
+def _assert_same_table(got, want):
+    """Same ids, in order and of type str, and the same matrix: value
+    bytes, dtype, shape, writeability and C order."""
+    (got_ids, got_vectors), (want_ids, want_vectors) = got, want
+    assert got_ids == want_ids and all(type(sid) is str for sid in got_ids)
+    assert (got_vectors.dtype, got_vectors.shape) == (want_vectors.dtype, want_vectors.shape)
+    assert got_vectors.tobytes() == want_vectors.tobytes()
+    assert got_vectors.flags.writeable == want_vectors.flags.writeable
+    assert got_vectors.flags.c_contiguous == want_vectors.flags.c_contiguous
+
+
+def _no_table_parse():
+    """Inside it, a read that parses the embedding file fails the test."""
+    fail = AssertionError("the embedding file was parsed")
+    return mock.patch.multiple(corpus_module, _parse_embeddings=mock.Mock(side_effect=fail),
+                               _load_embeddings_by_line=mock.Mock(side_effect=fail))
+
+
+TABLE_IDS = ["s0", "s1", "\u00e9t\u00e9", "s3", "\u2028", "s5"]
+
+
+@pytest.fixture
+def table_file(tmp_path):
+    """An embedding file, with the sidecar ``save_embeddings`` wrote."""
+    path = tmp_path / "emb.jsonl"
+    save_embeddings(path, TABLE_IDS, np.random.default_rng(4).normal(size=(len(TABLE_IDS), 3)))
+    return path
+
+
+@pytest.fixture
+def good_table_sidecar(table_file):
+    return _sidecar(table_file).read_bytes()
+
+
+class TestEmbeddingSidecarUse:
+    def test_save_writes_it_and_reads_use_it(self, table_file, good_table_sidecar):
+        want = _parse_table(table_file)
+        with _no_table_parse():
+            _assert_same_table(load_embeddings(table_file), want)
+        _sidecar(table_file).unlink()
+        _assert_same_table(load_embeddings(table_file), want)
+        assert not _sidecar(table_file).exists()  # a read writes none
+        # saving the table again writes the same bytes: a function of the file bytes
+        save_embeddings(table_file, *want)
+        assert _sidecar(table_file).read_bytes() == good_table_sidecar
+        with _no_table_parse():
+            _assert_same_table(load_embeddings(table_file), want)
+        assert _leftovers(table_file.parent, "emb.jsonl") == []
+
+    def test_header_holds_the_file_checksum_and_the_ids(self, table_file, good_table_sidecar):
+        header = json.loads(good_table_sidecar.split(b"\n", 1)[0])
+        ids, vectors = _parse_table(table_file)
+        assert list(header) == ["format", "embeddings_sha256", "payload_sha256", "dim",
+                                "segment_ids"]
+        assert header["format"] == corpus_module._SIDECAR_FORMAT
+        assert header["embeddings_sha256"] == hashlib.sha256(table_file.read_bytes()).hexdigest()
+        assert (header["dim"], header["segment_ids"]) == (3, ids)
+        assert good_table_sidecar.endswith(vectors.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("file_mode", [0o600, 0o640, 0o666], ids=oct)
+    def test_never_more_readable_than_the_file(self, table_file, file_mode):
+        """The sidecar has the embedding file's permissions less the umask."""
+        ids, vectors = _parse_table(table_file)
+        os.chmod(table_file, file_mode)
+        _sidecar(table_file).unlink()
+        umask = os.umask(0o022)
+        try:
+            save_embeddings(table_file, ids, vectors)  # keeps the file's mode
+        finally:
+            os.umask(umask)
+        mode = stat.S_IMODE(os.stat(_sidecar(table_file)).st_mode)
+        assert mode == file_mode & ~0o022
+
+    @pytest.mark.parametrize("ids, vectors, error", [
+        ([1, 2], np.ones((2, 3)), ParseError),
+        (["a", "b"], [[1.0, 2.0], [np.nan, 0.0]], NumericError),
+        (["a", "a"], np.ones((2, 3)), DataError),
+        ([], np.empty((0, 3)), None),
+    ], ids=["integer ids", "NaN row", "duplicate ids", "no rows"])
+    def test_no_sidecar_for_a_table_the_reader_rejects(self, table_file, ids, vectors, error):
+        """Saving over a file with a sidecar leaves no sidecar that stands
+        in for the parse; the reader's error is the parse's."""
+        save_embeddings(table_file, ids, vectors)
+        sidecar = _sidecar(table_file)
+        stale = sidecar.read_bytes() if sidecar.exists() else None
+        if error is None:
+            assert load_embeddings(table_file)[0] == []
+        else:
+            with pytest.raises(error):
+                load_embeddings(table_file)
+        assert (sidecar.read_bytes() if sidecar.exists() else None) == stale
+        sidecar.unlink(missing_ok=True)
+        save_embeddings(table_file, ids, vectors)
+        assert not sidecar.exists()
+        assert _leftovers(table_file.parent, "emb.jsonl") == []
+
+
+# Header changes a sidecar may not have, though both checksums hold; each is
+# a function of the header and payload, giving the changes.
+WRONG_TABLE_FIELDS = {
+    "duplicate id": lambda h, v: {"segment_ids": [h["segment_ids"][0]] * len(v)},
+    "integer id": lambda h, v: {"segment_ids": [7, *h["segment_ids"][1:]]},
+    "null id": lambda h, v: {"segment_ids": [None, *h["segment_ids"][1:]]},
+    "segment_ids an object": lambda h, v: {"segment_ids": {"a": 1}},
+    "no ids": lambda h, v: {"segment_ids": [], "frames": b""},
+    "NaN value": lambda h, v: {"frames": np.where(v == v[2, 1], np.nan, v).tobytes()},
+    "inf value": lambda h, v: {"frames": np.where(v == v[0, 0], -np.inf, v).tobytes()},
+    "d 0": lambda h, v: {"dim": 0},
+    "d 0 and no payload": lambda h, v: {"dim": 0, "frames": b""},
+    "d a string": lambda h, v: {"dim": "3"},
+    "d a boolean": lambda h, v: {"dim": True},
+    "d of another payload size": lambda h, v: {"dim": 2},
+    "one id too few": lambda h, v: {"segment_ids": h["segment_ids"][1:]},
+    "payload one row short": lambda h, v: {"frames": v[1:].tobytes()},
+    "payload one value long": lambda h, v: {"frames": v.tobytes() + v[0, :1].tobytes()},
+}
+
+
+def _fault_of_table_fields(name):
+    def fault(path, good):
+        header = json.loads(good.split(b"\n", 1)[0])
+        vectors = _parse_table(path)[1]
+        _sidecar(path).write_bytes(_forge(good, **WRONG_TABLE_FIELDS[name](header, vectors)))
+    return fault
+
+
+def _corpus_sidecar_in_its_place(path, good):
+    corpus = _write_corpus(path.with_name("corpus.jsonl"))
+    load_corpus(corpus)
+    os.replace(_sidecar(corpus), _sidecar(path))
+    corpus.unlink()
+
+
+def _text(ids, vectors):
+    return "".join(json.dumps({"segment_id": sid, "vector": row}) + "\n"
+                   for sid, row in zip(ids, vectors.tolist()))
+
+
+# Edits of an embedding file after its sidecar was written, as functions of
+# its table and text, giving the new text.
+STALE_EDITS = {
+    "a value": lambda ids, v, text: _text(ids, np.where(v == v[0, 0], 1.5, v)),
+    "an id": lambda ids, v, text: _text(["s9", *ids[1:]], v),
+    "a line appended": lambda ids, v, text: text + '{"segment_id": "x", "vector": [1, 2, 3]}\n',
+    "CRLF lines": lambda ids, v, text: text.replace("\n", "\r\n"),
+}
+
+
+TABLE_FAULTS = {
+    "empty": _truncated(lambda b: 0),
+    "truncated in the checksums": _truncated(lambda b: 100),
+    "truncated in the ids": _truncated(lambda b: _header_end(b) - 10),
+    "header only": _truncated(_header_end),
+    "truncated in the payload": _truncated(lambda b: (_header_end(b) + len(b)) // 2),
+    "payload byte flipped": lambda path, good: _sidecar(path).write_bytes(
+        _flip(good, _header_end(good) + 3)),
+    "header byte flipped": lambda path, good: _sidecar(path).write_bytes(
+        _flip(good, _header_end(good) - 4)),
+    "another format version": _other_format,
+    "a corpus sidecar in its place": _corpus_sidecar_in_its_place,
+    "headed as a corpus sidecar": lambda path, good: _sidecar(path).write_bytes(
+        _forge(good, kind="corpus")),
+    **{f"forged: {name}": _fault_of_table_fields(name) for name in WRONG_TABLE_FIELDS},
+}
+
+
+class TestBrokenEmbeddingSidecar:
+    def test_forging_reproduces_the_writer(self, good_table_sidecar):
+        assert _forge(good_table_sidecar) == good_table_sidecar
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_falls_back_to_the_parse_until_saved_again(
+        self, table_file, good_table_sidecar, fault
+    ):
+        """The read parses and leaves the broken sidecar as it is; saving
+        the table again repairs it."""
+        want = _parse_table(table_file)
+        TABLE_FAULTS[fault](table_file, good_table_sidecar)
+        broken = _sidecar(table_file).read_bytes()
+        assert broken != good_table_sidecar
+        _assert_same_table(load_embeddings(table_file), want)
+        assert _sidecar(table_file).read_bytes() == broken
+        save_embeddings(table_file, *want)
+        assert _sidecar(table_file).read_bytes() == good_table_sidecar
+        assert _leftovers(table_file.parent, "emb.jsonl") == []
+
+    @pytest.mark.parametrize("edit", STALE_EDITS)
+    def test_stale_after_the_file_is_edited(self, table_file, good_table_sidecar, edit):
+        """The sidecar of the file before an edit is not used: the edited
+        file is parsed, on every read, and the stale sidecar left as it is."""
+        ids, vectors = _parse_table(table_file)
+        text = STALE_EDITS[edit](ids, vectors, table_file.read_text(encoding="utf-8"))
+        table_file.write_bytes(text.encode("utf-8"))
+        want = _parse_table(table_file)
+        for _ in range(2):
+            _assert_same_table(load_embeddings(table_file), want)
+            assert _sidecar(table_file).read_bytes() == good_table_sidecar
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_replace_raises(self, table_file, monkeypatch, error):
+        """A failed sidecar write leaves no sidecar and no temporary file;
+        an OSError is no error of the save."""
+        table = _parse_table(table_file)
+        _sidecar(table_file).unlink()
+
+        def replace(src, dst):
+            assert Path(src).is_file()  # the complete temporary file
+            raise error("replace failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        if error is OSError:
+            save_embeddings(table_file, *table)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                save_embeddings(table_file, *table)
+        assert _leftovers(table_file.parent, "emb.jsonl") == []
+        assert not _sidecar(table_file).exists()
+        monkeypatch.undo()
+        _assert_same_table(load_embeddings(table_file), table)
+
+
+FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
+@st.composite
+def _tables(draw):
+    """An embedding table the reader accepts: 1-4 unique ids, non-ASCII
+    among them, and d from 1 to 3."""
+    ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=dim, max_size=dim),
+                         min_size=len(ids), max_size=len(ids)))
+    return ids, np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+@example((["\u00e9\u2028", "x"], np.array([[-0.0], [5e-324]])))
+@example((["s"], np.array([[1e308, -0.0, 5e-324]])))
+def test_embedding_sidecar_reads_equal_the_parse(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.jsonl"
+        save_embeddings(path, *table)
+        sidecar = _sidecar(path).read_bytes()
+        with _no_table_parse():
+            got = load_embeddings(path)
+        _sidecar(path).unlink()
+        want = load_embeddings(path)
+        _assert_same_table(got, want)
+        assert got[0] == table[0]
+        assert got[1].tobytes() == table[1].tobytes()
+        assert not _sidecar(path).exists()
+        save_embeddings(path, *want)
+        assert _sidecar(path).read_bytes() == sidecar
+
+
+def test_no_sidecar_for_a_file_rewritten_between_two_reads(tmp_path, monkeypatch):
+    """A corpus file that is not UTF-8 when first read is read again to
+    name the failure. Rewritten in between, it is parsed as it now is, and
+    no sidecar is written for the bytes first read."""
+    path, valid = tmp_path / "file.jsonl", tmp_path / "valid.jsonl"
+    _write_corpus(valid)
+    path.write_bytes(b"\xff\n")
+    first_read = corpus_module.read_text_lines
+
+    def rewritten(name):
+        path.write_bytes(valid.read_bytes())
+        return first_read(name)
+
+    monkeypatch.setattr(corpus_module, "read_text_lines", rewritten)
+    load_corpus(path)
+    assert not _sidecar(path).exists()
+
+
+def _through_fifo(fifo, other_end, run):
+    """``run()`` on the FIFO ``fifo`` while a thread runs ``other_end``
+    on it (a FIFO's open waits for its other end); returns what each end
+    returned."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(other_end()), daemon=True)
+    thread.start()
+    result = run()
+    thread.join(timeout=30)
+    assert got, "the other end of the FIFO did not finish"
+    return result, got[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestNoSidecarBesideAFifo:
+    """A file that is not a regular one, a FIFO like ``/dev/stdout``, gets
+    no sidecar, from a save or from a read."""
+
+    def test_save_embeddings(self, tmp_path):
+        fifo = tmp_path / "emb.jsonl"
+        os.mkfifo(fifo)
+        table = (["a", "b"], np.array([[0.5, -1.0], [2.0, 0.25]]))
+        _, text = _through_fifo(fifo, fifo.read_bytes, lambda: save_embeddings(fifo, *table))
+        plain = tmp_path / "plain.jsonl"
+        save_embeddings(plain, *table)
+        assert text == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "emb.jsonl", "plain.jsonl", "plain.jsonl.cache"]
+
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_embeddings"])
+    def test_read(self, tmp_path, reader):
+        plain = tmp_path / "plain.jsonl"
+        if reader == "load_corpus":
+            want = _parse(_write_corpus(plain))
+        else:
+            plain.write_text('{"segment_id": "a", "vector": [0.5, 1.0]}\n')
+        fifo = tmp_path / "file.jsonl"
+        os.mkfifo(fifo)
+        got, _ = _through_fifo(fifo, lambda: fifo.write_bytes(plain.read_bytes()),
+                               lambda: getattr(corpus_module, reader)(fifo))
+        if reader == "load_corpus":
+            _assert_same(got, want)
+        else:
+            _assert_same_table(got, _parse_table(plain))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.jsonl", "plain.jsonl"]

@@ -221,6 +221,22 @@ class TestIntraInterStats:
         with pytest.raises(DataError, match="^labels must be mutually orderable: "):
             intra_inter_stats(RNG.normal(size=(3, 2)), ["x", None, "x"])
 
+    @pytest.mark.parametrize("labels, names", [
+        ([1, "1", 2, "2"], "str and int"),
+        (["x", 2.5, "x", 2.5], "str and float"),
+        ([np.int64(1), np.str_("1"), None, np.str_("1")], "str_ and int64"),
+    ])
+    def test_labels_of_mixed_types_rejected(self, labels, names):
+        """Strings among other labels are an error naming both types, not
+        one class each for 1 and "1"."""
+        with pytest.raises(DataError, match=f"^labels mix {names} values$"):
+            intra_inter_stats(RNG.normal(size=(4, 2)), labels)
+
+    def test_labels_of_one_non_string_type(self):
+        vectors = RNG.normal(size=(4, 2))
+        assert (intra_inter_stats(vectors, [1, 1, 2, 2])
+                == intra_inter_stats(vectors, ["1", "1", "2", "2"]))
+
     def test_single_label_rejected(self):
         with pytest.raises(EvaluationError):
             intra_inter_stats(RNG.normal(size=(3, 2)), ["a", "a", "a"])
@@ -601,6 +617,16 @@ class TestProtocol:
             select_top_labels(labels, m)
         with pytest.raises(DataError, match=message):
             accuracy_curve(np.ones((4, 2)), labels, m, (2,), 0)
+
+    def test_labels_of_mixed_types_rejected(self):
+        labels = [1, "1", 2, "2", None]
+        with pytest.raises(DataError, match="^labels mix str and int values$"):
+            select_top_labels(labels, 2)
+        with pytest.raises(DataError, match="^labels mix str and int values$"):
+            accuracy_curve(np.ones((5, 2)), labels, 2, (2,), 0)
+
+    def test_labels_of_one_non_string_type(self):
+        assert select_top_labels([3, 1, 1, 2, 2, None], 2) == (1, 2)
 
     def test_accuracy_curve_shape_and_range(self):
         rng = np.random.default_rng(6)
