@@ -16,7 +16,7 @@ are self-describing.
 import math
 from dataclasses import dataclass, fields
 
-from .corpus import SynthConfig, read_text_lines
+from .corpus import SynthConfig, decode_lines
 from .disentangle import DisentangleConfig
 from .errors import ConfigError, ParseError
 from .seeding import check_fields
@@ -135,9 +135,11 @@ def _parse_pairs(entries):
 
 
 def _read_config_lines(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
     entries = []
     try:
-        for lineno, line in read_text_lines(path):
+        for lineno, line in decode_lines(path, data):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

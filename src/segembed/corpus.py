@@ -6,9 +6,9 @@ A corpus file is UTF-8 JSON-lines, one object per segment with string keys
 ``speaker_id`` and ``unit_label``, and ``features`` (array of T arrays of F
 numbers). ``load_corpus`` reads all of it; ``load_labels`` reads its level
 and labels, which a sidecar (below) holds without a frame, and otherwise
-those of ``load_corpus``, with its checks and errors. A ``Corpus`` packs
-the frames of its segments once, in order, into one matrix: the one
-layout that training, embedding and the sidecar read.
+parses the file as ``load_corpus`` does, with its checks and errors. A
+``Corpus`` packs the frames of its segments once, in order, into one
+matrix: the one layout that training, embedding and the sidecar read.
 An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ``vector`` (a non-empty array of numbers); in memory it is one table: the
 ids as a list of str and the vectors as the rows of one (N, d) float64
@@ -27,8 +27,8 @@ alone, and there are two kinds:
 - ``corpus``: the header goes on with ``"feature_dim": F, "level": L,
   "segments": [[segment_id, utterance_id, speaker_id, unit_label, T],
   ...]``, and the payload is the packed frames (``Corpus.frames``).
-  ``load_corpus`` writes it once it has parsed the file and every check
-  has passed.
+  ``load_corpus`` and ``load_labels`` write it once they have parsed the
+  file and every check has passed.
 - ``embeddings``: the header goes on with ``"dim": d, "segment_ids":
   [...]``, and the payload is the (N, d) matrix. Only ``save_embeddings``
   writes it, beside the file, hashing the bytes it wrote, and only for a
@@ -41,13 +41,15 @@ have the documented types and sizes; ``load_corpus`` still builds its
 result through ``Segment``, ``Corpus`` and the level and id checks, and
 ``load_embeddings`` through the checks on ids and values above. Otherwise
 the file, which stays the reference, is parsed, with its errors and line
-numbers; ``load_corpus`` then rewrites the corpus sidecar (``load_labels``
-does both through ``load_corpus``). A sidecar is written only beside a
-regular file, never beside a device or a FIFO. The write goes through a
-temporary file in the same directory, with the file's permissions less the
-umask, and ``os.replace``; an ``OSError`` on the way leaves no sidecar and
-no temporary file, and is not an error of the read or the save. A sidecar
-is never required: deleting it is always safe.
+numbers, and a corpus sidecar is rewritten. Every reader opens its file
+once and parses the bytes it hashed, so a pipe or a FIFO reads as a
+regular file does; bytes that are not UTF-8 are a ParseError naming their
+offset. A sidecar is written only beside a regular file, never beside a
+device or a FIFO. The write goes through a temporary file in the same
+directory, with the file's permissions less the umask, and
+``os.replace``; an ``OSError`` on the way leaves no sidecar and no
+temporary file, and is not an error of the read or the save. A sidecar is
+never required: deleting it is always safe.
 """
 
 import contextlib
@@ -302,14 +304,28 @@ def synth_corpus(cfg: SynthConfig, seed: int) -> Corpus:
     return Corpus(tuple(segments))
 
 
-def read_text_lines(path):
-    """Yield (line number, line) of a UTF-8 text file; a file that is not
-    valid UTF-8 raises ParseError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+def decode_lines(path, data: bytes):
+    """Yield (line number, line) of ``data``, the bytes of the file ``path``,
+    decoded as UTF-8 and split as reading the file as text does; bytes that
+    are not valid UTF-8 raise ParseError naming the file, the byte offset
+    and the line."""
+    try:
+        yield from enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1)
+    except UnicodeDecodeError as exc:
+        try:  # exc's position is in a decode chunk; one decode of all of data names the byte
+            data.decode("utf-8")
+        except UnicodeDecodeError as in_file:
+            exc = in_file
+        line = len(data[:exc.start + 1].splitlines())
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start} (line {line}): "
+                         f"{exc.reason}") from exc
+
+
+def _read_file(path):
+    """The bytes of the file ``path``, from its one open, and their sha256."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 _CORPUS_DECODER = json.JSONDecoder()
@@ -434,7 +450,7 @@ def _corpus_of(f_dim, level, rows, frames) -> Corpus:
 
 def _parse_corpus(path, lines) -> Corpus:
     """The Corpus of the corpus file ``path`` from its ``lines``, as
-    ``read_text_lines`` gives them: the parse path, with every check and
+    ``decode_lines`` gives them: the parse path, with every check and
     error message of the format. Each non-blank line is one record, whose
     metadata keys (_RECORD_KEYS) must have the documented types before its
     level and then its features are checked. A file without records raises
@@ -477,24 +493,11 @@ def _parse_corpus(path, lines) -> Corpus:
     return Corpus(tuple(segments))
 
 
-def load_corpus(path) -> Corpus:
-    """Read a JSON-lines corpus file, preserving record order: from its
-    sidecar when that was written for these bytes, else by parsing it, and
-    then writing the sidecar (module docstring)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    corpus_sha256 = hashlib.sha256(data).hexdigest()
-    cached = _read_corpus_sidecar(path, corpus_sha256)
-    if cached is not None:
-        try:
-            return _corpus_of(*cached)
-        except SegembedError:  # a sidecar that fails a check: the parse decides
-            pass
-    try:  # the bytes already read, decoded and split as read_text_lines does
-        corpus = _parse_corpus(
-            path, enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1))
-    except UnicodeDecodeError:  # the file again, to name the failure as read_text_lines does
-        return _parse_corpus(path, read_text_lines(path))
+def _parse_and_keep(path, data, corpus_sha256: str) -> Corpus:
+    """The Corpus of ``data``, the bytes of the corpus file ``path`` of
+    sha256 ``corpus_sha256``, by the parse, whose result it then keeps in
+    the sidecar (module docstring)."""
+    corpus = _parse_corpus(path, decode_lines(path, data))
     _write_sidecar(path, "corpus", corpus_sha256, {
         "feature_dim": corpus.feature_dim, "level": corpus.level,
         "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
@@ -503,20 +506,33 @@ def load_corpus(path) -> Corpus:
     return corpus
 
 
+def load_corpus(path) -> Corpus:
+    """Read a JSON-lines corpus file, preserving record order: from its
+    sidecar when that was written for these bytes, else by parsing it, and
+    then writing the sidecar (module docstring)."""
+    data, corpus_sha256 = _read_file(path)
+    cached = _read_corpus_sidecar(path, corpus_sha256)
+    if cached is not None:
+        try:
+            return _corpus_of(*cached)
+        except SegembedError:  # a sidecar that fails a check: the parse decides
+            pass
+    return _parse_and_keep(path, data, corpus_sha256)
+
+
 def load_labels(path):
     """``(level, {segment_id: unit_label})`` of a corpus file, in record
     order, for commands that need no frames.
 
-    They come from the corpus's sidecar when ``load_corpus`` has written
-    one for these bytes, which decodes no frame. Otherwise they are those
-    of ``load_corpus(path)``, with every check and error of a full read,
-    frames included, and it writes the sidecar.
+    They come from the corpus's sidecar when one was written for these
+    bytes, which decodes no frame. Otherwise the bytes already read are
+    parsed as ``load_corpus`` parses them, with every check and error of a
+    full read, frames included, and the sidecar is written.
     """
-    with open(path, "rb") as fh:
-        corpus_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    data, corpus_sha256 = _read_file(path)
     cached = _read_corpus_sidecar(path, corpus_sha256)
     if cached is None:
-        corpus = load_corpus(path)
+        corpus = _parse_and_keep(path, data, corpus_sha256)
         return corpus.level, {s.segment_id: s.unit_label for s in corpus.segments}
     _, level, rows, _ = cached
     return level, {row[0]: row[3] for row in rows}
@@ -604,42 +620,19 @@ def load_embeddings(path):
     vector must be a non-empty 1-D array of numbers, of one shared
     dimension, and finite. The table comes from the file's sidecar when
     ``save_embeddings`` wrote one for these bytes (module docstring); the
-    read writes none. Otherwise the file is decoded in one pass into one
-    matrix, with one dtype check and one finiteness check; only a file
-    that fails a check, or whose text holds ``true`` or ``false``, is read
-    again line by line, to name the first bad line.
+    read writes none. Otherwise the bytes already read are parsed line by
+    line, and the first line that fails a check is named.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cached = _read_embedding_sidecar(path, hashlib.sha256(data).hexdigest())
+    data, embeddings_sha256 = _read_file(path)
+    cached = _read_embedding_sidecar(path, embeddings_sha256)
     if cached is not None:
         return cached
-    try:  # the bytes already read, decoded as reading the file as text does
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError:  # the file again, to name the failure as read_text_lines does
-        return _load_embeddings_by_line(path, read_text_lines(path))
-    return _parse_embeddings(path, text)
-
-
-def _parse_embeddings(path, text):
-    """The embedding table of the text of the file ``path``: one pass, or
-    ``_load_embeddings_by_line`` when that pass fails a check."""
-    try:
-        records = [json.loads(line) for line in text.split("\n") if line.strip()]
-        ids = [rec["segment_id"] for rec in records]
-        mat = np.array([rec["vector"] for rec in records])
-        if (not has_bool_literal(text) and set(map(type, ids)) == {str}
-                and len(set(ids)) == len(ids) and mat.dtype.kind in "fiu"
-                and mat.ndim == 2 and mat.shape[1] and np.isfinite(mat).all()):
-            return ids, mat.astype(np.float64, copy=False)
-    except (KeyError, *DECODE_ERRORS):
-        pass  # the line-by-line read names the failure
-    return _load_embeddings_by_line(path, enumerate(io.StringIO(text), start=1))
+    return _load_embeddings_by_line(path, decode_lines(path, data))
 
 
 def _load_embeddings_by_line(path, lines):
     """The embedding table of the file ``path`` from its ``lines``, as
-    ``read_text_lines`` gives them, one line at a time: the first failed
+    ``decode_lines`` gives them, one line at a time: the first failed
     check raises with its line number. A file without vectors gives ([], a
     (0, 0) matrix)."""
     ids, rows = [], []

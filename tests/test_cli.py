@@ -328,6 +328,25 @@ class TestPipeline:
         assert len(std) == 3
         capsys.readouterr()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_eval_reads_a_corpus_piped_to_stdin(self, run_dir, tmp_path, capsys):
+        """``--corpus /dev/stdin`` reads the pipe once, as a file is read,
+        and writes the same report."""
+        corpus = run_dir / "corpus.jsonl"
+        emb = ["--embeddings", f"a={run_dir}/embeddings_a.jsonl"]
+        assert run_cli(tmp_path, "eval-sim", "--corpus", str(corpus), *emb) == 0
+        piped = tmp_path / "piped"
+        result = subprocess.run(
+            [sys.executable, "-m", "segembed.cli", "--out-dir", str(piped), *TINY,
+             "eval-sim", "--corpus", "/dev/stdin", *emb],
+            input=corpus.read_bytes(), env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (piped / "cosine_gap.csv").read_bytes() == (
+            tmp_path / "cosine_gap.csv").read_bytes()
+        capsys.readouterr()
+
     def test_eval_commands_read_no_frames(self, run_dir, tmp_path, monkeypatch, capsys):
         def no_frames(path):
             raise AssertionError(f"load_corpus({path}) called by an eval command")
@@ -1130,6 +1149,20 @@ class TestBadInputs:
         err = self._stale_sidecar_changes_nothing(capsys, path, stale_embeddings, lambda: (
             self._eval(corpus_dir, tmp_path, "eval-sim", path)))
         assert f"{path}: not valid UTF-8" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_embeddings_piped_to_stdin_not_utf8(self, corpus_dir, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "segembed.cli", "--out-dir", str(tmp_path), *TINY,
+             "eval-sim", "--corpus", str(corpus_dir / "corpus.jsonl"),
+             "--embeddings", "a=/dev/stdin"],
+            input=b"\xff\xfe{}\n", env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.decode() == (
+            "segembed: error: /dev/stdin: not valid UTF-8 at byte 0 (line 1): "
+            "invalid start byte\n")
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -177,6 +177,15 @@ class TestParsedValues:
             parse_config(path)
         assert str(info.value) == f"{path}:2: {message}"
 
+    def test_bytes_not_utf8_are_named_by_their_offset_in_the_file(self, tmp_path):
+        """Past the first 8 KiB decode chunk too."""
+        path = tmp_path / "run.cfg"
+        path.write_bytes((b"# " + b"x" * 97 + b"\n") * 200 + b"seed = 1\xc3(\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == (
+            f"{path}: not valid UTF-8 at byte 20008 (line 201): invalid continuation byte")
+
     def test_override_errors_keep_their_prefix(self):
         with pytest.raises(ConfigError) as info:
             parse_config(None, ["train.epochs=soon"])

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from segembed.corpus import (
     Corpus,
-    _load_embeddings_by_line,
     Segment,
     SynthConfig,
     load_corpus,
     load_embeddings,
     load_labels,
     make_batches,
-    read_text_lines,
     save_corpus,
     save_embeddings,
     split_corpus,
@@ -277,6 +275,20 @@ class TestLoadLabels:
                                 ":3: segment 's2': features must be a T x F matrix, got ndim=1")
 
 
+@pytest.mark.parametrize("reader", [load_corpus, load_labels, load_embeddings],
+                         ids=lambda reader: reader.__name__)
+def test_bytes_not_utf8_are_named_by_their_offset_in_the_file(tmp_path, reader):
+    """A bad byte past the first 8 KiB decode chunk is named by its offset
+    in the file and its line, ``\r\n`` and ``\r`` each ending one line;
+    the blank lines before it hold no record."""
+    path = tmp_path / "f.jsonl"
+    path.write_bytes((b" " * 98 + b"\r\n") * 100 + (b" " * 99 + b"\r") * 100 + b"\xff\n")
+    with pytest.raises(ParseError) as got:
+        reader(path)
+    assert str(got.value) == (
+        f"{path}: not valid UTF-8 at byte 20000 (line 201): invalid start byte")
+
+
 class TestEmbeddingFile:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -297,13 +309,16 @@ class TestEmbeddingFile:
         ['{"segment_id": "a", "vector": [1, %s]}' % (10**30)],
         ['{"segment_id": "untrue", "vector": [1, 2]}', '{"segment_id": "b", "vector": [3, 4]}'],
     ])
-    def test_one_pass_equals_line_by_line(self, tmp_path, lines):
+    def test_valid_lines_give_their_table(self, tmp_path, lines):
+        """Blank lines skipped, extra keys ignored, integers read as floats;
+        a file without vectors gives ([], a (0, 0) matrix)."""
         path = tmp_path / "e.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
+        records = [json.loads(line) for line in lines if line.strip()]
+        want = np.array([rec["vector"] for rec in records], dtype=np.float64)
         got_ids, got = load_embeddings(path)
-        want_ids, want = _load_embeddings_by_line(path, read_text_lines(path))
-        assert got_ids == want_ids
-        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got_ids == [rec["segment_id"] for rec in records]
+        assert got.dtype == np.float64 and got.shape == (want.shape if records else (0, 0))
         assert got.tobytes() == want.tobytes()
 
     GOOD = '{"segment_id": "s%d", "vector": [0.5, 1, -2]}'
@@ -338,14 +353,11 @@ class TestEmbeddingFile:
         pytest.param('{"segment_id": "x", "vector": [1%s, 2, 3]}' % ("0" * 400), ParseError,
                      ":3: int too large to convert to float", id="int-beyond-float"),
     ])
-    def test_bad_line_is_named_as_line_by_line(self, tmp_path, bad, error, message):
+    def test_bad_line_is_named(self, tmp_path, bad, error, message):
         path = tmp_path / "e.jsonl"
         path.write_text("\n".join([self.GOOD % 0, self.GOOD % 1, bad, self.GOOD % 3]) + "\n")
         with pytest.raises(error) as got:
             load_embeddings(path)
-        with pytest.raises(error) as want:
-            _load_embeddings_by_line(path, read_text_lines(path))
-        assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}{message}")
 
     def test_first_bad_line_wins_over_a_later_one(self, tmp_path):

@@ -1,8 +1,8 @@
 """The sidecars, ``<path>.cache``, of corpus and embedding files: what
 ``load_corpus``, ``load_labels`` and ``load_embeddings`` build from one
 equals what the parse builds, a sidecar that is broken, stale, forged,
-unreadable or unwritable only costs the parse, and none is written beside
-a file that is not a regular one."""
+unreadable or unwritable only costs the parse, none is written beside a
+file that is not a regular one, and every read opens its file once."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ import os
 import stat
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -18,19 +19,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segembed import config as config_module
 from segembed import corpus as corpus_module
 from segembed.corpus import (
     LEVELS,
     SynthConfig,
+    decode_lines,
     load_corpus,
     load_embeddings,
     load_labels,
-    read_text_lines,
     save_corpus,
     save_embeddings,
     synth_corpus,
 )
-from segembed.errors import DataError, NumericError, ParseError
+from segembed.errors import DataError, NumericError, ParseError, SegembedError
 
 
 def _sidecar(path):
@@ -39,7 +41,7 @@ def _sidecar(path):
 
 def _parse(path):
     """The reference: the corpus as the parse path reads it."""
-    return corpus_module._parse_corpus(path, read_text_lines(path))
+    return corpus_module._parse_corpus(path, decode_lines(path, path.read_bytes()))
 
 
 def _labels_of(corpus):
@@ -440,7 +442,7 @@ def test_sidecar_reads_equal_the_parse(text):
 
 def _parse_table(path):
     """The reference: the embedding table as the parse reads it."""
-    return corpus_module._parse_embeddings(path, path.read_text(encoding="utf-8"))
+    return corpus_module._load_embeddings_by_line(path, decode_lines(path, path.read_bytes()))
 
 
 def _assert_same_table(got, want):
@@ -456,9 +458,8 @@ def _assert_same_table(got, want):
 
 def _no_table_parse():
     """Inside it, a read that parses the embedding file fails the test."""
-    fail = AssertionError("the embedding file was parsed")
-    return mock.patch.multiple(corpus_module, _parse_embeddings=mock.Mock(side_effect=fail),
-                               _load_embeddings_by_line=mock.Mock(side_effect=fail))
+    return mock.patch.object(corpus_module, "_load_embeddings_by_line",
+                             side_effect=AssertionError("the embedding file was parsed"))
 
 
 TABLE_IDS = ["s0", "s1", "\u00e9t\u00e9", "s3", "\u2028", "s5"]
@@ -700,41 +701,61 @@ def test_embedding_sidecar_reads_equal_the_parse(table):
         assert _sidecar(path).read_bytes() == sidecar
 
 
-def test_no_sidecar_for_a_file_rewritten_between_two_reads(tmp_path, monkeypatch):
-    """A corpus file that is not UTF-8 when first read is read again to
-    name the failure. Rewritten in between, it is parsed as it now is, and
-    no sidecar is written for the bytes first read."""
-    path, valid = tmp_path / "file.jsonl", tmp_path / "valid.jsonl"
-    _write_corpus(valid)
-    path.write_bytes(b"\xff\n")
-    first_read = corpus_module.read_text_lines
+def test_sidecar_is_that_of_the_bytes_parsed(tmp_path, monkeypatch):
+    """A corpus file rewritten after ``load_corpus`` has read it gets the
+    sidecar of the bytes that were read and parsed; the next read, of the
+    new bytes, does not use it, parses them and replaces it."""
+    path, other = tmp_path / "corpus.jsonl", _write_corpus(tmp_path / "other.jsonl", seed=6)
+    first = _write_corpus(path).read_bytes()
+    want = _parse(path)
+    parse = corpus_module._parse_corpus
 
-    def rewritten(name):
-        path.write_bytes(valid.read_bytes())
-        return first_read(name)
+    def rewritten_after_the_read(name, lines):
+        path.write_bytes(other.read_bytes())
+        return parse(name, lines)
 
-    monkeypatch.setattr(corpus_module, "read_text_lines", rewritten)
-    load_corpus(path)
-    assert not _sidecar(path).exists()
+    monkeypatch.setattr(corpus_module, "_parse_corpus", rewritten_after_the_read)
+    _assert_same(load_corpus(path), want)
+    monkeypatch.undo()
+    header = json.loads(_sidecar(path).read_bytes().split(b"\n", 1)[0])
+    assert header["corpus_sha256"] == hashlib.sha256(first).hexdigest()
+    assert load_labels(path) == _labels_of(_parse(other))
+    load_corpus(other)
+    assert _sidecar(path).read_bytes() == _sidecar(other).read_bytes()
 
 
-def _through_fifo(fifo, other_end, run):
-    """``run()`` on the FIFO ``fifo`` while a thread runs ``other_end``
-    on it (a FIFO's open waits for its other end); returns what each end
-    returned."""
-    got = []
-    thread = threading.Thread(target=lambda: got.append(other_end()), daemon=True)
-    thread.start()
-    result = run()
-    thread.join(timeout=30)
-    assert got, "the other end of the FIFO did not finish"
-    return result, got[0]
+def _through_fifo(fifo, other_end, run, timeout=20):
+    """``run()`` on the FIFO ``fifo`` while ``other_end`` runs on it (a
+    FIFO's open waits for its other end), each in a daemon thread, so that
+    an end that waits for ever fails the test instead of stalling it;
+    returns what each end returned, and raises what ``run()`` raised."""
+    outcomes = {}
+
+    def call(end, fn):
+        try:
+            outcomes[end] = (True, fn())
+        except BaseException as exc:  # handed to the test's thread
+            outcomes[end] = (False, exc)
+
+    threads = [threading.Thread(target=call, args=end, daemon=True)
+               for end in (("run", run), ("other", other_end))]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert len(outcomes) == 2, f"an end of the FIFO did not finish: {sorted(outcomes)} did"
+    (ran, result), (_, got) = outcomes["run"], outcomes["other"]
+    if not ran:
+        raise result
+    return result, got
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestNoSidecarBesideAFifo:
-    """A file that is not a regular one, a FIFO like ``/dev/stdout``, gets
-    no sidecar, from a save or from a read."""
+    """A file that is not a regular one, a FIFO like ``/dev/stdin`` or
+    ``/dev/stdout``, is read once and gets no sidecar, from a save or from
+    a read."""
 
     def test_save_embeddings(self, tmp_path):
         fifo = tmp_path / "emb.jsonl"
@@ -747,19 +768,93 @@ class TestNoSidecarBesideAFifo:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "emb.jsonl", "plain.jsonl", "plain.jsonl.cache"]
 
-    @pytest.mark.parametrize("reader", ["load_corpus", "load_embeddings"])
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_labels", "load_embeddings"])
     def test_read(self, tmp_path, reader):
         plain = tmp_path / "plain.jsonl"
-        if reader == "load_corpus":
-            want = _parse(_write_corpus(plain))
-        else:
+        if reader == "load_embeddings":
             plain.write_text('{"segment_id": "a", "vector": [0.5, 1.0]}\n')
+        else:
+            want = _parse(_write_corpus(plain))
         fifo = tmp_path / "file.jsonl"
         os.mkfifo(fifo)
         got, _ = _through_fifo(fifo, lambda: fifo.write_bytes(plain.read_bytes()),
                                lambda: getattr(corpus_module, reader)(fifo))
         if reader == "load_corpus":
             _assert_same(got, want)
+        elif reader == "load_labels":
+            assert got == _labels_of(want)
         else:
             _assert_same_table(got, _parse_table(plain))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.jsonl", "plain.jsonl"]
+
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_labels", "load_embeddings"])
+    def test_bytes_not_utf8(self, tmp_path, reader):
+        fifo = tmp_path / "file.jsonl"
+        os.mkfifo(fifo)
+        with pytest.raises(ParseError, match=r"file\.jsonl: not valid UTF-8 at byte 0 \(line 1\)"):
+            _through_fifo(fifo, lambda: fifo.write_bytes(b"\xff"),
+                          lambda: getattr(corpus_module, reader)(fifo))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.jsonl"]
+
+
+# -- one open per read -------------------------------------------------------
+
+
+def _corpus_case(tmp_path, kind):
+    path = tmp_path / "corpus.jsonl"
+    if kind in ("sidecar hit", "miss"):
+        _write_corpus(path)
+        if kind == "sidecar hit":
+            load_corpus(path)
+    else:
+        path.write_bytes(b'{"segment_id": "ok"...\n' if kind == "parse error" else b"\xff\n")
+    return path
+
+
+def _table_case(tmp_path, kind):
+    path = tmp_path / "emb.jsonl"
+    if kind in ("sidecar hit", "miss"):
+        save_embeddings(path, ["a", "b"], np.array([[0.5, 1.0], [2.0, -1.0]]))
+        if kind == "miss":
+            _sidecar(path).unlink()
+    else:
+        path.write_bytes(b'{"segment_id": "a", "vector": [1, 2\n' if kind == "parse error"
+                         else b"\xff\n")
+    return path
+
+
+def _config_case(tmp_path, kind):
+    path = tmp_path / "run.cfg"
+    path.write_bytes({"parse error": b"seed 3\n", "not UTF-8": b"\xff\n"}.get(kind, b"seed = 3\n"))
+    return path
+
+
+READERS = {"load_corpus": (load_corpus, _corpus_case),
+           "load_labels": (load_labels, _corpus_case),
+           "load_embeddings": (load_embeddings, _table_case),
+           "parse_config": (config_module.parse_config, _config_case)}
+
+
+@pytest.mark.parametrize("kind", ["sidecar hit", "miss", "parse error", "not UTF-8"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_read_opens_its_file_once(tmp_path, monkeypatch, reader, kind):
+    """A read opens its input once, whatever it finds there, so that a pipe
+    or a FIFO reads as a regular file does; opening a sidecar is not
+    counted. A config file has no sidecar: its hit is its miss."""
+    read, make = READERS[reader]
+    path = os.fspath(make(tmp_path, kind))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == path:
+            opened.append(file)
+        return open(file, *args, **kwargs)
+
+    for module in (corpus_module, config_module):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    if kind in ("sidecar hit", "miss"):
+        read(path)
+    else:
+        with pytest.raises(SegembedError):
+            read(path)
+    assert len(opened) == 1
