@@ -14,42 +14,54 @@ An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ids as a list of str and the vectors as the rows of one (N, d) float64
 matrix. Both round-trip bit-exactly at double precision.
 
-A parsed file is kept beside it as ``<path>.cache``, a sidecar, so that
-later reads skip the JSON: a one-line ASCII JSON header, then one payload
-of little-endian float64, row-major. The header is ``{"format": V,
+A parsed or saved file is kept beside it as ``<path>.cache``, a sidecar,
+so that later reads skip the JSON: a one-line ASCII JSON header, then one
+payload of little-endian float64, row-major. The header is ``{"format": V,
 "<kind>_sha256": S, "payload_sha256": P, ...}``, keys in that order: V is
 the version of the sidecar's layout and of the parse rules it was written
 under, S the sha256 of the file's bytes, and P the sha256 of every byte
 after P's closing quote, the rest of the header and the payload, so that a
 changed byte anywhere is caught. A sidecar is a function of the file bytes
-alone, and there are two kinds:
+alone, and there are three kinds:
 
 - ``corpus``: the header goes on with ``"feature_dim": F, "level": L,
   "segments": [[segment_id, utterance_id, speaker_id, unit_label, T],
   ...]``, and the payload is the packed frames (``Corpus.frames``).
-  ``load_corpus`` and ``load_labels`` write it once they have parsed the
-  file and every check has passed.
+  ``save_corpus`` writes it, hashing the bytes it wrote, for a corpus
+  whose every id and label has the type the parse requires (so ``synth``
+  leaves one); ``load_corpus`` and ``load_labels`` write it once they have
+  parsed the file and every check has passed. Either way its bytes are
+  the same.
 - ``embeddings``: the header goes on with ``"dim": d, "segment_ids":
   [...]``, and the payload is the (N, d) matrix. Only ``save_embeddings``
   writes it, beside the file, hashing the bytes it wrote, and only for a
   table that ``load_embeddings`` returns: at least one row, unique string
   ids, d >= 1 and every value finite. ``load_embeddings`` writes nothing.
+- ``checkpoint``: the header goes on with ``"meta": {...}, "shapes":
+  {component: {key: shape, ...}, ...}``, components and keys in storage
+  order, and the payload is every array in that order. Only
+  ``neuralcore.save_checkpoint`` writes it, hashing the bytes it wrote,
+  and only when ``neuralcore.load_checkpoint`` reads those bytes back as
+  they were saved: a meta dict, string component names and keys, and
+  float64 arrays of finite values. ``load_checkpoint`` writes nothing.
 
 A reader uses a sidecar only when V is this module's version, the kind
 and S are those of the file it reads, P holds, and the header's fields
 have the documented types and sizes; ``load_corpus`` still builds its
-result through ``Segment``, ``Corpus`` and the level and id checks, and
-``load_embeddings`` through the checks on ids and values above. Otherwise
-the file, which stays the reference, is parsed, with its errors and line
-numbers, and a corpus sidecar is rewritten. Every reader opens its file
-once and parses the bytes it hashed, so a pipe or a FIFO reads as a
-regular file does; bytes that are not UTF-8 are a ParseError naming their
-offset. A sidecar is written only beside a regular file, never beside a
-device or a FIFO. The write goes through a temporary file in the same
-directory, with the file's permissions less the umask, and
-``os.replace``; an ``OSError`` on the way leaves no sidecar and no
-temporary file, and is not an error of the read or the save. A sidecar is
-never required: deleting it is always safe.
+result through ``Segment``, ``Corpus`` and the level and id checks,
+``load_embeddings`` through the checks on ids and values above, and
+``load_checkpoint`` through ``ComponentParams``. Otherwise the file, which
+stays the reference, is parsed, with its errors and line numbers, and a
+corpus sidecar is rewritten. Every reader opens its file once and parses
+the bytes it hashed, so a pipe or a FIFO reads as a regular file does;
+bytes that are not UTF-8 are a ParseError naming their offset. A sidecar
+is written only beside a path that is itself a regular file (``os.lstat``):
+never beside a device, a FIFO or a symbolic link, so neither
+``/dev/stdin`` nor a symlinked corpus gets one. The write goes through a
+temporary file in the same directory, with the file's permissions less
+the umask, and ``os.replace``; an ``OSError`` on the way leaves no sidecar
+and no temporary file, and is not an error of the read or the save. A
+sidecar is never required: deleting it is always safe.
 """
 
 import contextlib
@@ -342,8 +354,8 @@ _SIDECAR_FORMAT = 1
 
 
 def _sidecar_head(kind: str, source_sha256: str, payload_sha256: str) -> bytes:
-    """The bytes a sidecar of ``kind`` ("corpus" or "embeddings") begins
-    with, which its payload checksum does not cover."""
+    """The bytes a sidecar of ``kind`` ("corpus", "embeddings" or
+    "checkpoint") begins with, which its payload checksum does not cover."""
     return (f'{{"format": {_SIDECAR_FORMAT}, "{kind}_sha256": "{source_sha256}", '
             f'"payload_sha256": "{payload_sha256}"').encode()
 
@@ -377,12 +389,12 @@ def _write_sidecar(path, kind: str, source_sha256: str, fields: dict, payload) -
     the rest of the header line, then ``payload`` as little-endian float64,
     row-major. It goes through a temporary file that no exit leaves behind,
     with the permissions of the file less the umask; an OSError leaves the
-    sidecar as it was. A file that is not a regular one gets none."""
+    sidecar as it was. A path that is not itself a regular file gets none."""
     try:
-        file_mode = os.stat(path).st_mode
+        file_mode = os.lstat(path).st_mode
     except OSError:
         return
-    if not stat.S_ISREG(file_mode):  # a device or a FIFO: its bytes are not kept
+    if not stat.S_ISREG(file_mode):  # a device, a FIFO or a symlink: its bytes are not kept
         return
     rest = f", {json.dumps(fields)[1:]}\n".encode()
     payload = np.ascontiguousarray(payload, dtype="<f8")
@@ -493,16 +505,26 @@ def _parse_corpus(path, lines) -> Corpus:
     return Corpus(tuple(segments))
 
 
+def _keep_corpus(path, corpus_sha256: str, corpus: Corpus) -> None:
+    """Write the corpus sidecar of ``corpus`` for the file ``path`` of
+    sha256 ``corpus_sha256``, unless an id or label has a type that the
+    parse rejects (``_RECORD_KEYS``), as one built in memory may."""
+    rows = [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
+            for s in corpus.segments]
+    types = {(type(sid), type(uid), type(spk), type(unit)) for sid, uid, spk, unit, _ in rows}
+    if all(issubclass(t, str) or nullable and t is type(None)
+           for row_types in types for t, (_, nullable) in zip(row_types, _RECORD_KEYS)):
+        _write_sidecar(path, "corpus", corpus_sha256, {
+            "feature_dim": corpus.feature_dim, "level": corpus.level, "segments": rows,
+        }, corpus.frames)
+
+
 def _parse_and_keep(path, data, corpus_sha256: str) -> Corpus:
     """The Corpus of ``data``, the bytes of the corpus file ``path`` of
     sha256 ``corpus_sha256``, by the parse, whose result it then keeps in
     the sidecar (module docstring)."""
     corpus = _parse_corpus(path, decode_lines(path, data))
-    _write_sidecar(path, "corpus", corpus_sha256, {
-        "feature_dim": corpus.feature_dim, "level": corpus.level,
-        "segments": [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
-                     for s in corpus.segments],
-    }, corpus.frames)
+    _keep_corpus(path, corpus_sha256, corpus)
     return corpus
 
 
@@ -539,8 +561,11 @@ def load_labels(path):
 
 
 def save_corpus(path, corpus: Corpus) -> None:
-    """Write a corpus as JSON-lines; round-trips through load_corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a corpus as JSON-lines, one record per segment in order, and
+    then its sidecar (module docstring), hashing the bytes written;
+    round-trips through load_corpus."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         for seg in corpus.segments:
             rec = {
                 "segment_id": seg.segment_id,
@@ -550,7 +575,10 @@ def save_corpus(path, corpus: Corpus) -> None:
                 "level": seg.level,
                 "features": seg.features.tolist(),
             }
-            fh.write(json.dumps(rec) + "\n")
+            line = (json.dumps(rec) + "\n").encode("utf-8")
+            fh.write(line)
+            digest.update(line)
+    _keep_corpus(path, digest.hexdigest(), corpus)
 
 
 def embedding_matrix(ids, vectors) -> np.ndarray:

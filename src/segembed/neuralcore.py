@@ -11,7 +11,12 @@ optimizer (Adam) checks and updates a component in place with a few
 whole-vector operations, and a forward's gradient views cost one slice
 per array; an update that would make a parameter non-finite raises before
 it writes one. Also houses checkpoint serialization, and the
-check of a loaded checkpoint's components against their layouts.
+check of a loaded checkpoint's components against their layouts. A
+checkpoint is one JSON document; ``save_checkpoint`` also leaves its binary
+sidecar, ``<path>.cache``, which ``load_checkpoint`` reads instead of the
+JSON when it was written for the file's bytes. Its layout and the rules
+for its use are in the ``segembed.corpus`` module docstring, and that
+module's one sidecar reader and writer read and write it.
 
 Forward passes take a batch packed as all frames of its segments and the
 segments' lengths (training gathers them from the corpus's frames, packed
@@ -42,6 +47,8 @@ first and each step's inputs one contiguous block, so a batch costs a few
 tape nodes per step (max T steps) rather than several per frame.
 """
 
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -50,12 +57,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import _read_file, _read_sidecar, _write_sidecar
 from .errors import (
     DECODE_ERRORS,
     DataError,
     DimensionError,
     NumericError,
     ParseError,
+    SegembedError,
     has_bool_literal,
     json_numbers,
 )
@@ -500,19 +509,34 @@ def grad_step(params: ComponentParams, grad, state: OptimState) -> None:
 
 
 def save_checkpoint(path, components: dict, meta: dict | None = None) -> None:
-    """Single JSON document: component name -> named arrays with shapes.
+    """Single JSON document: component name -> named arrays with shapes;
+    then its sidecar (``segembed.corpus``), hashing the bytes written, when
+    ``load_checkpoint`` reads them back as they are saved.
 
     Round-trips bit-exactly: floats are serialized in their shortest
     round-tripping decimal form.
     """
-    doc = {"meta": meta or {}, "components": {}}
+    meta = meta or {}
+    doc = {"meta": meta, "components": {}}
     for name, params in components.items():
         doc["components"][name] = {
             key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for key, arr in params.arrays.items()
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+    data = json.dumps(doc).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    shapes = {name: {key: entry["shape"] for key, entry in arrays.items()}
+              for name, arrays in doc["components"].items()}
+    arrays = [arr for params in components.values() for arr in params.arrays.values()]
+    if not (isinstance(meta, dict) and all(arr.dtype == np.float64 for arr in arrays)
+            and all(isinstance(name, str) and all(isinstance(key, str) for key in keys)
+                    for name, keys in shapes.items())):
+        return  # the parse would reject it, or give back other names or values
+    payload = np.concatenate([arr.ravel() for arr in arrays] or [np.zeros(0)])
+    if np.isfinite(payload).all():
+        _write_sidecar(path, "checkpoint", hashlib.sha256(data).hexdigest(),
+                       {"meta": meta, "shapes": shapes}, payload)
 
 
 def _require_object(path, key, value) -> None:
@@ -541,21 +565,54 @@ def _checkpoint_array(path, name, key, entry, scan_bools) -> np.ndarray:
     return data.reshape(shape)
 
 
-def load_checkpoint(path):
-    """Inverse of save_checkpoint -> (components dict, meta dict).
+def _is_shape(shape) -> bool:
+    """Whether ``shape`` is a checkpoint sidecar's array shape: a list of
+    ints >= 0."""
+    return isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
 
-    Invalid JSON, a missing ``components``, ``data`` or ``shape`` key, a
-    ``components``, component or ``meta`` value that is not a JSON object,
-    a ``data`` or ``shape`` entry that is not a JSON number (a string or a
-    boolean included), a ``shape`` entry that is not a JSON integer, and
-    data whose size does not match its shape raise ``ParseError``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+def _read_checkpoint_sidecar(path, checkpoint_sha256: str):
+    """The sidecar of the checkpoint ``path`` as (meta, shapes, payload)
+    when ``_read_sidecar`` takes it for these checkpoint bytes, ``meta`` is
+    a dict, ``shapes`` maps component names to {key: shape} dicts of
+    non-negative int sizes and the payload holds their values; else None."""
+    sidecar = _read_sidecar(path, "checkpoint", checkpoint_sha256)
+    if sidecar is None:
+        return None
+    header, payload = sidecar
+    meta, shapes = header.get("meta"), header.get("shapes")
+    if not (isinstance(meta, dict) and isinstance(shapes, dict)
+            and all(isinstance(arrays, dict) and all(map(_is_shape, arrays.values()))
+                    for arrays in shapes.values())
+            and 8 * sum(math.prod(shape) for arrays in shapes.values()
+                        for shape in arrays.values()) == len(payload)):
+        return None
+    return meta, shapes, payload
+
+
+def _checkpoint_of(meta, shapes, payload):
+    """(components, meta) of a checkpoint sidecar: each array its slice of
+    the payload, each component a ComponentParams through its checks."""
+    values, offset, components = np.frombuffer(payload, dtype="<f8"), 0, {}
+    for name, arrays in shapes.items():
+        views = {}
+        for key, shape in arrays.items():
+            size = math.prod(shape)
+            views[key] = values[offset:offset + size].reshape(shape)
+            offset += size
+        components[name] = ComponentParams(name, views)
+    return components, meta
+
+
+def _parse_checkpoint(path, data: bytes):
+    """(components, meta) of ``data``, the bytes of the checkpoint
+    ``path``, decoded as a text-mode read decodes them and parsed, with
+    every check and error message of the format (``load_checkpoint``)."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "components" not in doc:
         raise ParseError(f"{path}: missing key 'components'")
     _require_object(path, "components", doc["components"])
@@ -569,6 +626,29 @@ def load_checkpoint(path):
              for key, entry in arrays.items()},
         )
     return components, doc.get("meta", {})
+
+
+def load_checkpoint(path):
+    """Inverse of save_checkpoint -> (components dict, meta dict).
+
+    The file is opened once and its bytes hashed. The result comes from
+    the checkpoint's sidecar when ``save_checkpoint`` wrote one for these
+    bytes (``segembed.corpus``); the read writes none. Otherwise the bytes
+    are parsed: invalid JSON, a missing ``components``, ``data`` or
+    ``shape`` key, a ``components``, component or ``meta`` value that is
+    not a JSON object, a ``data`` or ``shape`` entry that is not a JSON
+    number (a string or a boolean included), a ``shape`` entry that is not
+    a JSON integer, and data whose size does not match its shape raise
+    ``ParseError``.
+    """
+    data, checkpoint_sha256 = _read_file(path)
+    cached = _read_checkpoint_sidecar(path, checkpoint_sha256)
+    if cached is not None:
+        try:
+            return _checkpoint_of(*cached)
+        except (SegembedError, ValueError):  # a value or a rank the arrays may not have
+            pass
+    return _parse_checkpoint(path, data)
 
 
 def load_components(path, kind: str, names: dict):

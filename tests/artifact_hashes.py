@@ -23,21 +23,24 @@ into the listing. Run it on two checkouts and ``diff`` the listings to
 check that a change keeps the outputs byte for byte. pytest does not
 collect this file.
 
-Every pipeline writes the corpus sidecar beside its corpus: the joint and
-``rnn`` runs when ``train`` reads the corpus, and the main pipeline, which
-saves its corpus with ``save_corpus`` and reads only its labels, when
-``eval-cluster`` first reads them (a corpus without a sidecar is read with
-``load_corpus``, which writes it). So the listing holds
-``corpus.jsonl.cache``, ``joint/corpus.jsonl.cache`` and
-``rnn/corpus.jsonl.cache``. ``save_embeddings`` writes the embedding
-sidecar beside every embedding file it writes, so the listing holds
+Every pipeline writes the corpus sidecar beside its corpus when it saves
+it (``synth``, and the main pipeline's ``save_corpus``), so the listing
+holds ``corpus.jsonl.cache``, ``joint/corpus.jsonl.cache`` and
+``rnn/corpus.jsonl.cache``, the same bytes that a parse of the corpus
+keeps. ``save_embeddings`` writes the embedding sidecar beside every
+embedding file it writes, so the listing holds
 ``embeddings_a.jsonl.cache``, ``embeddings_b.jsonl.cache``,
 ``embeddings_d.jsonl.cache``, ``rnn/embeddings_a.jsonl.cache`` and
-``rnn/embeddings_d.jsonl.cache`` too. A sidecar's bytes are a function of
-its file's bytes alone (the format version, the file's sha256, the rows or
-ids, the frames or vectors as little-endian float64 and a sha256 of those,
-with no timestamp or process id), so these eight lines are as
-deterministic as the files beside them.
+``rnn/embeddings_d.jsonl.cache`` too, and ``save_checkpoint`` writes the
+checkpoint sidecar beside every checkpoint: ``model_a.json.cache``,
+``model_b.json.cache``, ``refine.json.cache``,
+``joint/model_c.json.cache``, ``rnn/model_a.json.cache``,
+``rnn/model_b.json.cache`` and ``rnn/refine.json.cache``. A sidecar's
+bytes are a function of its file's bytes alone (the format version, the
+file's sha256, the rows, ids or shapes, the frames, vectors or arrays as
+little-endian float64 and a sha256 of those, with no timestamp or process
+id), so these fifteen lines are as deterministic as the files beside
+them.
 
 The last bits of the dense products depend on how many threads the BLAS
 library splits them over, so the script pins every BLAS/OpenMP thread

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from segembed import cli
+from segembed import cli, neuralcore
+from segembed import corpus as corpus_module
 from segembed.cli import main
 from segembed.config import parse_config
 from segembed.corpus import load_corpus, load_embeddings, save_embeddings
@@ -602,6 +603,32 @@ class TestCorpusSidecar:
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == (
             ["corpus.jsonl"] + (["corpus.jsonl.cache"] if sidecar.is_file() else []))
         capsys.readouterr()
+
+
+def test_pipeline_parses_no_json_that_another_command_wrote(tmp_path, monkeypatch, capsys):
+    """synth, train, refine and embed each read only what the commands
+    before them wrote, and every writer leaves its sidecar: with the JSON
+    parses of the corpus and of the checkpoint made to fail, each command
+    still exits 0."""
+    def parsed(*args):
+        raise AssertionError("JSON that a command wrote was parsed")
+
+    monkeypatch.setattr(corpus_module, "_parse_corpus", parsed)
+    monkeypatch.setattr(neuralcore, "_parse_checkpoint", parsed)
+    corpus, model = str(tmp_path / "corpus.jsonl"), str(tmp_path / "model_a.json")
+    for args in (
+        ["synth"],
+        ["train", "--corpus", corpus, "--variant", "a"],
+        ["refine", "--corpus", corpus, "--checkpoint", model],
+        ["embed", "--corpus", corpus, "--checkpoint", model, "--variant", "a"],
+        ["embed", "--corpus", corpus, "--checkpoint", model,
+         "--refine", str(tmp_path / "refine.json"), "--variant", "d"],
+    ):
+        assert run_cli(tmp_path, *args) == 0, (args, capsys.readouterr().err)
+    assert {p.name for p in tmp_path.glob("*.cache")} == {
+        "corpus.jsonl.cache", "model_a.json.cache", "refine.json.cache",
+        "embeddings_a.jsonl.cache", "embeddings_d.jsonl.cache"}
+    capsys.readouterr()
 
 
 class TestBadInputs:

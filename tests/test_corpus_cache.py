@@ -1,17 +1,22 @@
-"""The sidecars, ``<path>.cache``, of corpus and embedding files: what
-``load_corpus``, ``load_labels`` and ``load_embeddings`` build from one
-equals what the parse builds, a sidecar that is broken, stale, forged,
-unreadable or unwritable only costs the parse, none is written beside a
-file that is not a regular one, and every read opens its file once."""
+"""The sidecars, ``<path>.cache``, of corpus, embedding and checkpoint
+files: what ``load_corpus``, ``load_labels``, ``load_embeddings`` and
+``load_checkpoint`` build from one equals what the parse builds, what
+``save_corpus`` writes equals what the parse keeps, a sidecar that is
+broken, stale, forged, unreadable or unwritable only costs the parse, none
+is written beside a path that is not itself a regular file, and every read
+opens its file once."""
 
 import hashlib
 import json
+import math
 import os
 import stat
 import tempfile
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,8 +26,10 @@ from hypothesis import strategies as st
 
 from segembed import config as config_module
 from segembed import corpus as corpus_module
+from segembed import neuralcore
 from segembed.corpus import (
     LEVELS,
+    Corpus,
     SynthConfig,
     decode_lines,
     load_corpus,
@@ -33,6 +40,14 @@ from segembed.corpus import (
     synth_corpus,
 )
 from segembed.errors import DataError, NumericError, ParseError, SegembedError
+from segembed.neuralcore import (
+    ComponentParams,
+    ModelDims,
+    init_encoder,
+    init_refine,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def _sidecar(path):
@@ -74,9 +89,15 @@ def _leftovers(directory, name="corpus.jsonl"):
 
 
 def _write_corpus(path, seed=5, **synth):
+    """Write a small synthetic corpus's file to ``path`` as a writer other
+    than ``save_corpus`` would: its bytes only, leaving a sidecar already
+    beside it as it is."""
     cfg = dict(n_units=3, n_speakers=2, instances_per_unit_speaker=2, feature_dim=4,
                length_range=(1, 4))
-    save_corpus(path, synth_corpus(SynthConfig(**{**cfg, **synth}), seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "corpus.jsonl"
+        save_corpus(saved, synth_corpus(SynthConfig(**{**cfg, **synth}), seed))
+        path.write_bytes(saved.read_bytes())
     return path
 
 
@@ -95,7 +116,7 @@ def good_sidecar(corpus_file):
 class TestSidecarUse:
     def test_a_miss_writes_it_and_later_reads_use_it(self, corpus_file):
         want = _parse(corpus_file)
-        assert not _sidecar(corpus_file).exists()  # save_corpus writes none
+        assert not _sidecar(corpus_file).exists()
         assert load_labels(corpus_file) == _labels_of(want)
         assert _sidecar(corpus_file).is_file()
         with _no_parse():
@@ -437,6 +458,58 @@ def test_sidecar_reads_equal_the_parse(text):
         assert list(cached[1].items()) == list(labels[1].items())
 
 
+class TestSaveCorpus:
+    """``save_corpus`` leaves no sidecar for a corpus whose ids or labels
+    the parse rejects (``test_saved_sidecar_equals_the_kept_one`` has the
+    others)."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("segment_id", 7, "segment_id must be a string"),
+        ("utterance_id", None, "utterance_id must be a string"),
+        ("speaker_id", 0.5, "speaker_id must be a string or null"),
+        ("unit_label", ["u"], "unit_label must be a string or null"),
+    ])
+    def test_no_sidecar_for_a_corpus_the_parse_rejects(self, corpus_file, key, value, message):
+        """A Segment built in memory does not check its ids' and labels'
+        types; saved over a file with a sidecar, such a corpus leaves that
+        stale sidecar as it is, which does not stand in for the parse."""
+        load_corpus(corpus_file)
+        stale = _sidecar(corpus_file).read_bytes()
+        good = _parse(corpus_file)
+        corpus = Corpus((replace(good[0], **{key: value}), *good.segments[1:]))
+        save_corpus(corpus_file, corpus)
+        for _ in range(2):
+            with pytest.raises(ParseError, match=f":1: {message}$"):
+                load_corpus(corpus_file)
+            assert _sidecar(corpus_file).read_bytes() == stale
+        _sidecar(corpus_file).unlink()
+        save_corpus(corpus_file, corpus)
+        assert not _sidecar(corpus_file).exists()
+        assert _leftovers(corpus_file.parent) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(_corpus_lines())
+def test_saved_sidecar_equals_the_kept_one(text):
+    """For any corpus the parse reads, saving it leaves the sidecar that a
+    parse of the saved file keeps, and reads of it equal that parse."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source, saved = Path(tmp) / "source.jsonl", Path(tmp) / "saved.jsonl"
+        source.write_text(text, encoding="utf-8")
+        save_corpus(saved, _parse(source))
+        with _no_parse():
+            got = load_corpus(saved)
+            labels = load_labels(saved)
+        sidecar = _sidecar(saved).read_bytes()
+        _sidecar(saved).unlink()
+        want = load_corpus(saved)
+        _assert_same(got, want)
+        _assert_same(want, _parse(source))
+        assert list(labels[1].items()) == list(_labels_of(want)[1].items())
+        assert _sidecar(saved).read_bytes() == sidecar
+        assert sorted(os.listdir(tmp)) == ["saved.jsonl", "saved.jsonl.cache", "source.jsonl"]
+
+
 # -- the embedding sidecar ---------------------------------------------------
 
 
@@ -724,6 +797,403 @@ def test_sidecar_is_that_of_the_bytes_parsed(tmp_path, monkeypatch):
     assert _sidecar(path).read_bytes() == _sidecar(other).read_bytes()
 
 
+# -- the checkpoint sidecar -------------------------------------------------
+
+
+DIMS = ModelDims(feature_dim=3, embed_dim=4, enc_hidden=5, refine_hidden=2)
+META = {"kind": "disentangled", "dims": dict(vars(DIMS)), "note": "\u00e9t\u00e9", "steps": [1, -0.0]}
+
+
+def _parse_checkpoint(path):
+    """The reference: the checkpoint as the parse reads it."""
+    return neuralcore._parse_checkpoint(path, Path(path).read_bytes())
+
+
+def _assert_same_checkpoint(got, want):
+    """Same meta, components in order, keys in order, shapes and array
+    bits; each component's arrays are views of its own writable flat."""
+    (got_components, got_meta), (want_components, want_meta) = got, want
+    assert json.dumps(got_meta) == json.dumps(want_meta)
+    assert list(got_components) == list(want_components)
+    for name, params in got_components.items():
+        other = want_components[name]
+        assert params.name == other.name == name
+        assert [(k, a.shape) for k, a in params.arrays.items()] == [
+            (k, a.shape) for k, a in other.arrays.items()]
+        assert params.flat.tobytes() == other.flat.tobytes()
+        assert params.flat.dtype == np.float64 and params.flat.flags.writeable
+        assert all(a.base is params.flat for a in params.arrays.values() if a.size)
+
+
+def _no_checkpoint_parse():
+    """Inside it, a read that parses the checkpoint fails the test."""
+    return mock.patch.object(neuralcore, "_parse_checkpoint",
+                             side_effect=AssertionError("the checkpoint was parsed"))
+
+
+def _components():
+    return {"E_p": init_encoder(DIMS, 0), "refine": init_refine(DIMS, 1)}
+
+
+@pytest.fixture
+def checkpoint_file(tmp_path):
+    """A checkpoint, with the sidecar ``save_checkpoint`` wrote."""
+    path = tmp_path / "model.json"
+    save_checkpoint(path, _components(), META)
+    return path
+
+
+@pytest.fixture
+def good_checkpoint_sidecar(checkpoint_file):
+    return _sidecar(checkpoint_file).read_bytes()
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the type and message of the
+    SegembedError it raises."""
+    try:
+        return "returned", read(path)
+    except SegembedError as exc:
+        return "raised", (type(exc), str(exc))
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "returned":
+        _assert_same_checkpoint(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+class TestCheckpointSidecarUse:
+    def test_save_writes_it_and_reads_use_it(self, checkpoint_file, good_checkpoint_sidecar):
+        want = _parse_checkpoint(checkpoint_file)
+        with _no_checkpoint_parse():
+            _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+        _sidecar(checkpoint_file).unlink()
+        _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+        assert not _sidecar(checkpoint_file).exists()  # a read writes none
+        save_checkpoint(checkpoint_file, *want)
+        assert _sidecar(checkpoint_file).read_bytes() == good_checkpoint_sidecar
+        assert _leftovers(checkpoint_file.parent, "model.json") == []
+
+    def test_the_json_is_what_it_was(self, checkpoint_file):
+        components = _components()
+        doc = {"meta": META, "components": {
+            name: {key: {"shape": list(a.shape), "data": a.ravel().tolist()}
+                   for key, a in params.arrays.items()}
+            for name, params in components.items()}}
+        assert checkpoint_file.read_bytes() == json.dumps(doc).encode()
+
+    def test_header_holds_the_file_checksum_and_the_shapes(
+        self, checkpoint_file, good_checkpoint_sidecar
+    ):
+        header = json.loads(good_checkpoint_sidecar.split(b"\n", 1)[0])
+        components = _components()
+        assert list(header) == ["format", "checkpoint_sha256", "payload_sha256", "meta",
+                                "shapes"]
+        assert header["format"] == corpus_module._SIDECAR_FORMAT
+        assert header["checkpoint_sha256"] == hashlib.sha256(
+            checkpoint_file.read_bytes()).hexdigest()
+        assert header["meta"] == json.loads(json.dumps(META))
+        assert header["shapes"] == {
+            name: {key: list(a.shape) for key, a in params.arrays.items()}
+            for name, params in components.items()}
+        payload = np.concatenate([params.flat for params in components.values()])
+        assert good_checkpoint_sidecar.endswith(payload.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("file_mode", [0o600, 0o640, 0o666], ids=oct)
+    def test_never_more_readable_than_the_checkpoint(self, checkpoint_file, file_mode):
+        """The sidecar has the checkpoint's permissions less the umask."""
+        os.chmod(checkpoint_file, file_mode)
+        _sidecar(checkpoint_file).unlink()
+        umask = os.umask(0o022)
+        try:
+            save_checkpoint(checkpoint_file, _components(), META)  # keeps the file's mode
+        finally:
+            os.umask(umask)
+        mode = stat.S_IMODE(os.stat(_sidecar(checkpoint_file)).st_mode)
+        assert mode == file_mode & ~0o022
+
+    @pytest.mark.parametrize("components, meta", [
+        (_components(), [1]),
+        ({1: init_refine(DIMS, 1)}, {}),
+        ({"c": SimpleNamespace(arrays={0: np.zeros(2)})}, {}),
+        ({"c": SimpleNamespace(arrays={"w": np.arange(3)})}, {}),
+        ({"c": SimpleNamespace(arrays={"w": np.array([True, False])})}, {}),
+        ({"c": SimpleNamespace(arrays={"w": np.array([0.5, np.inf])})}, {}),
+    ], ids=["meta a list", "component name an int", "array key an int", "int array",
+            "boolean array", "non-finite array"])
+    def test_no_sidecar_unless_read_back_as_saved(self, checkpoint_file, components, meta):
+        """Saved over a file with a sidecar, a checkpoint that the read does
+        not give back as it was saved leaves that stale sidecar as it is;
+        the read is the parse, result or error."""
+        stale = _sidecar(checkpoint_file).read_bytes()
+        save_checkpoint(checkpoint_file, components, meta)
+        want = _outcome(_parse_checkpoint, checkpoint_file)
+        for _ in range(2):
+            _assert_same_outcome(_outcome(load_checkpoint, checkpoint_file), want)
+            assert _sidecar(checkpoint_file).read_bytes() == stale
+        _sidecar(checkpoint_file).unlink()
+        save_checkpoint(checkpoint_file, components, meta)
+        assert not _sidecar(checkpoint_file).exists()
+        assert _leftovers(checkpoint_file.parent, "model.json") == []
+
+
+def _shapes(edit):
+    """A header change: ``edit`` applied to a copy of the shapes."""
+    def change(header, payload):
+        shapes = json.loads(json.dumps(header["shapes"]))
+        edit(shapes)
+        return {"shapes": shapes}
+    return change
+
+
+def _set_shape(name, key, shape):
+    return _shapes(lambda shapes: shapes[name].__setitem__(key, shape(shapes[name][key])))
+
+
+# Header changes a checkpoint sidecar may not have, though both checksums
+# hold; each is a function of the header and payload, giving the changes.
+WRONG_CHECKPOINT_FIELDS = {
+    "meta a list": lambda h, p: {"meta": [h["meta"]]},
+    "meta null": lambda h, p: {"meta": None},
+    "shapes a list": lambda h, p: {"shapes": list(h["shapes"].values())},
+    "component a list": _shapes(lambda s: s.__setitem__("refine", list(s["refine"].values()))),
+    "shape a string": _set_shape("E_p", "b_in", str),
+    "shape an int": _set_shape("E_p", "b_in", lambda shape: shape[0]),
+    "shape entry a boolean": _set_shape("E_p", "b_in", lambda shape: [True] * len(shape)),
+    "shape entry a float": _set_shape("E_p", "b_in", lambda shape: [float(n) for n in shape]),
+    "shape entries negative": _set_shape("E_p", "w_in", lambda shape: [-n for n in shape]),
+    "shape of another size": _set_shape("E_p", "w_in", lambda shape: [shape[0] + 1, shape[1]]),
+    "shape of rank 65": _set_shape("E_p", "b_in", lambda shape: [1] * 64 + shape),
+    "no payload": lambda h, p: {"frames": b""},
+    "payload one value short": lambda h, p: {"frames": p[:-8]},
+    "payload one value long": lambda h, p: {"frames": p + p[:8]},
+    "NaN value": lambda h, p: {"frames": np.full(len(p) // 8, np.nan).tobytes()},
+}
+
+
+def _fault_of_checkpoint_fields(name):
+    def fault(path, good):
+        line, payload = good.split(b"\n", 1)
+        header = json.loads(line)
+        _sidecar(path).write_bytes(_forge(good, **WRONG_CHECKPOINT_FIELDS[name](header, payload)))
+    return fault
+
+
+CHECKPOINT_FAULTS = {
+    "empty": _truncated(lambda b: 0),
+    "truncated in the checksums": _truncated(lambda b: 100),
+    "truncated in the shapes": _truncated(lambda b: _header_end(b) - 10),
+    "header only": _truncated(_header_end),
+    "truncated in the payload": _truncated(lambda b: (_header_end(b) + len(b)) // 2),
+    "payload byte flipped": lambda path, good: _sidecar(path).write_bytes(
+        _flip(good, _header_end(good) + 3)),
+    "last payload byte flipped": lambda path, good: _sidecar(path).write_bytes(
+        _flip(good, len(good) - 1)),
+    "header byte flipped": lambda path, good: _sidecar(path).write_bytes(
+        _flip(good, _header_end(good) - 4)),
+    "byte appended": lambda path, good: _sidecar(path).write_bytes(good + b"\0"),
+    "another format version": _other_format,
+    "headed as an embedding sidecar": lambda path, good: _sidecar(path).write_bytes(
+        _forge(good, kind="embeddings")),
+    **{f"forged: {name}": _fault_of_checkpoint_fields(name) for name in WRONG_CHECKPOINT_FIELDS},
+}
+
+
+def _checkpoint_text(edit):
+    """An edit of a checkpoint's text: ``edit`` applied to its document."""
+    def change(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return change
+
+
+# Edits of a checkpoint after its sidecar was written, as functions of its
+# text, giving the new text: a checkpoint the parse reads, or one it rejects.
+STALE_CHECKPOINT_EDITS = {
+    "a value": _checkpoint_text(
+        lambda doc: doc["components"]["E_p"]["b_in"]["data"].__setitem__(0, 1.5)),
+    "the meta": _checkpoint_text(lambda doc: doc["meta"].__setitem__("note", "x")),
+    "a component dropped": _checkpoint_text(lambda doc: doc["components"].pop("refine")),
+    "CRLF and indented": lambda text: json.dumps(json.loads(text), indent=1).replace("\n", "\r\n"),
+    "truncated": lambda text: text[:-2],
+    "a data key missing": _checkpoint_text(lambda doc: doc["components"]["E_p"]["w_in"].pop("data")),
+    "a value a boolean": _checkpoint_text(
+        lambda doc: doc["components"]["refine"]["b1"]["data"].__setitem__(1, True)),
+    "a value not finite": lambda text: text.replace(
+        '"data": [', '"data": [NaN, ', 1).replace('"shape": [3, 5]', '"shape": [16]', 1),
+}
+
+
+class TestBrokenCheckpointSidecar:
+    def test_forging_reproduces_the_writer(self, good_checkpoint_sidecar):
+        assert _forge(good_checkpoint_sidecar) == good_checkpoint_sidecar
+
+    @pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
+    def test_falls_back_to_the_parse_until_saved_again(
+        self, checkpoint_file, good_checkpoint_sidecar, fault
+    ):
+        """The read parses and leaves the broken sidecar as it is; saving
+        the checkpoint again repairs it."""
+        want = _parse_checkpoint(checkpoint_file)
+        CHECKPOINT_FAULTS[fault](checkpoint_file, good_checkpoint_sidecar)
+        broken = _sidecar(checkpoint_file).read_bytes()
+        assert broken != good_checkpoint_sidecar
+        _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+        assert _sidecar(checkpoint_file).read_bytes() == broken
+        save_checkpoint(checkpoint_file, *want)
+        assert _sidecar(checkpoint_file).read_bytes() == good_checkpoint_sidecar
+        assert _leftovers(checkpoint_file.parent, "model.json") == []
+
+    def test_every_header_byte_flipped(self, checkpoint_file, good_checkpoint_sidecar):
+        want = _parse_checkpoint(checkpoint_file)
+        for i in range(_header_end(good_checkpoint_sidecar)):
+            _sidecar(checkpoint_file).write_bytes(_flip(good_checkpoint_sidecar, i))
+            _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+
+    @pytest.mark.parametrize("edit", STALE_CHECKPOINT_EDITS)
+    def test_stale_after_the_file_is_edited(self, checkpoint_file, good_checkpoint_sidecar, edit):
+        """The sidecar of the checkpoint before an edit is not used: the
+        edited file is parsed, on every read, with the parse's result or
+        error, and the stale sidecar left as it is."""
+        text = STALE_CHECKPOINT_EDITS[edit](checkpoint_file.read_text(encoding="utf-8"))
+        checkpoint_file.write_bytes(text.encode("utf-8"))
+        want = _outcome(_parse_checkpoint, checkpoint_file)
+        for _ in range(2):
+            _assert_same_outcome(_outcome(load_checkpoint, checkpoint_file), want)
+            assert _sidecar(checkpoint_file).read_bytes() == good_checkpoint_sidecar
+
+    def test_directory_at_the_sidecar_path(self, checkpoint_file):
+        want = _parse_checkpoint(checkpoint_file)
+        _sidecar(checkpoint_file).unlink()
+        _sidecar(checkpoint_file).mkdir()
+        save_checkpoint(checkpoint_file, *want)
+        _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+        assert _sidecar(checkpoint_file).is_dir()
+        assert _leftovers(checkpoint_file.parent, "model.json") == []
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_replace_raises(self, checkpoint_file, monkeypatch, error):
+        """A failed sidecar write leaves no sidecar and no temporary file;
+        an OSError is no error of the save."""
+        want = _parse_checkpoint(checkpoint_file)
+        _sidecar(checkpoint_file).unlink()
+
+        def replace(src, dst):
+            assert Path(src).is_file()  # the complete temporary file
+            raise error("replace failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        if error is OSError:
+            save_checkpoint(checkpoint_file, *want)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint(checkpoint_file, *want)
+        assert _leftovers(checkpoint_file.parent, "model.json") == []
+        assert not _sidecar(checkpoint_file).exists()
+        monkeypatch.undo()
+        _assert_same_checkpoint(load_checkpoint(checkpoint_file), want)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | FLOATS | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values,
+                                                                  max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _checkpoints(draw):
+    """Components and meta that ``load_checkpoint`` reads back as saved:
+    1-3 components of 0-3 arrays, each of rank 0-3 with sizes from 0, and
+    a JSON object of meta, non-ASCII among names, keys and strings."""
+    components = {}
+    for name in draw(st.lists(IDS, min_size=1, max_size=3, unique=True)):
+        arrays = {}
+        for key in draw(st.lists(IDS, max_size=3, unique=True)):
+            shape = draw(st.lists(st.integers(0, 3), max_size=3))
+            values = draw(st.lists(FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+            arrays[key] = np.array(values, dtype=np.float64).reshape(shape)
+        components[name] = ComponentParams(name, arrays)
+    return components, draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_checkpoints())
+def test_checkpoint_sidecar_reads_equal_the_parse(checkpoint):
+    components, meta = checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(path, components, meta)
+        sidecar = _sidecar(path).read_bytes()
+        with _no_checkpoint_parse():
+            got = load_checkpoint(path)
+        _sidecar(path).unlink()
+        want = load_checkpoint(path)
+        _assert_same_checkpoint(got, want)
+        assert json.dumps(got[1]) == json.dumps(meta)
+        for name, params in components.items():
+            assert [(k, a.shape) for k, a in got[0][name].arrays.items()] == [
+                (k, a.shape) for k, a in params.arrays.items()]
+            assert got[0][name].flat.tobytes() == params.flat.tobytes()
+        assert not _sidecar(path).exists()
+        save_checkpoint(path, *want)
+        assert _sidecar(path).read_bytes() == sidecar
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestNoSidecarBesideASymlink:
+    """A path that is a symbolic link, here to ``/proc/self/fd/N`` of an
+    open regular file as ``/dev/stdin`` is when a file is redirected to
+    it, gets no sidecar: not beside the link, nor beside the file."""
+
+    @staticmethod
+    def _through_link(tmp_path, data, use):
+        """``use(link)`` on a link to ``/proc/self/fd/N`` of a file holding
+        ``data``; returns its result and the file's bytes after it."""
+        target = tmp_path / "target" / "file"
+        target.parent.mkdir()
+        target.write_bytes(data)
+        fd = os.open(target, os.O_RDONLY)
+        try:
+            link = tmp_path / "link.jsonl"
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            result = use(link)
+        finally:
+            os.close(fd)
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "link.jsonl", "target", "target/file"]
+        return result, target.read_bytes()
+
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_labels"])
+    def test_corpus_read(self, tmp_path, reader):
+        data = _write_corpus(tmp_path / "plain.jsonl").read_bytes()
+        want = _parse(tmp_path / "plain.jsonl")
+        (tmp_path / "plain.jsonl").unlink()
+        got, _ = self._through_link(tmp_path, data, getattr(corpus_module, reader))
+        if reader == "load_corpus":
+            _assert_same(got, want)
+        else:
+            assert got == _labels_of(want)
+
+    @pytest.mark.parametrize("writer", ["save_corpus", "save_embeddings", "save_checkpoint"])
+    def test_save(self, tmp_path, writer):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = _parse(_write_corpus(Path(tmp) / "corpus.jsonl"))
+            save = {"save_corpus": lambda path: save_corpus(path, corpus),
+                    "save_embeddings": lambda path: save_embeddings(
+                        path, ["a", "b"], np.array([[0.5, -1.0], [2.0, 0.25]])),
+                    "save_checkpoint": lambda path: save_checkpoint(path, _components(), META),
+                    }[writer]
+            plain = Path(tmp) / "plain"
+            save(plain)
+            _, written = self._through_link(tmp_path, b"", save)
+            assert written == plain.read_bytes()
+
+
 def _through_fifo(fifo, other_end, run, timeout=20):
     """``run()`` on the FIFO ``fifo`` while ``other_end`` runs on it (a
     FIFO's open waits for its other end), each in a daemon thread, so that
@@ -768,18 +1238,36 @@ class TestNoSidecarBesideAFifo:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "emb.jsonl", "plain.jsonl", "plain.jsonl.cache"]
 
-    @pytest.mark.parametrize("reader", ["load_corpus", "load_labels", "load_embeddings"])
+    def test_save_checkpoint(self, tmp_path):
+        fifo = tmp_path / "model.json"
+        os.mkfifo(fifo)
+        _, text = _through_fifo(fifo, fifo.read_bytes,
+                                lambda: save_checkpoint(fifo, _components(), META))
+        plain = tmp_path / "plain.json"
+        save_checkpoint(plain, _components(), META)
+        assert text == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "plain.json", "plain.json.cache"]
+
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_labels", "load_embeddings",
+                                        "load_checkpoint"])
     def test_read(self, tmp_path, reader):
         plain = tmp_path / "plain.jsonl"
         if reader == "load_embeddings":
             plain.write_text('{"segment_id": "a", "vector": [0.5, 1.0]}\n')
+        elif reader == "load_checkpoint":
+            save_checkpoint(plain, _components(), META)
+            _sidecar(plain).unlink()
         else:
             want = _parse(_write_corpus(plain))
         fifo = tmp_path / "file.jsonl"
         os.mkfifo(fifo)
+        read = load_checkpoint if reader == "load_checkpoint" else getattr(corpus_module, reader)
         got, _ = _through_fifo(fifo, lambda: fifo.write_bytes(plain.read_bytes()),
-                               lambda: getattr(corpus_module, reader)(fifo))
-        if reader == "load_corpus":
+                               lambda: read(fifo))
+        if reader == "load_checkpoint":
+            _assert_same_checkpoint(got, _parse_checkpoint(plain))
+        elif reader == "load_corpus":
             _assert_same(got, want)
         elif reader == "load_labels":
             assert got == _labels_of(want)
@@ -823,6 +1311,17 @@ def _table_case(tmp_path, kind):
     return path
 
 
+def _checkpoint_case(tmp_path, kind):
+    path = tmp_path / "model.json"
+    if kind in ("sidecar hit", "miss"):
+        save_checkpoint(path, _components(), META)
+        if kind == "miss":
+            _sidecar(path).unlink()
+    else:
+        path.write_bytes(b'{"components": {' if kind == "parse error" else b"\xff\n")
+    return path
+
+
 def _config_case(tmp_path, kind):
     path = tmp_path / "run.cfg"
     path.write_bytes({"parse error": b"seed 3\n", "not UTF-8": b"\xff\n"}.get(kind, b"seed = 3\n"))
@@ -832,6 +1331,7 @@ def _config_case(tmp_path, kind):
 READERS = {"load_corpus": (load_corpus, _corpus_case),
            "load_labels": (load_labels, _corpus_case),
            "load_embeddings": (load_embeddings, _table_case),
+           "load_checkpoint": (load_checkpoint, _checkpoint_case),
            "parse_config": (config_module.parse_config, _config_case)}
 
 
