@@ -8,7 +8,9 @@ numbers). ``load_corpus`` reads all of it; ``load_labels`` reads its level
 and labels, which a sidecar (below) holds without a frame, and otherwise
 parses the file as ``load_corpus`` does, with its checks and errors. A
 ``Corpus`` packs the frames of its segments once, in order, into one
-matrix: the one layout that training, embedding and the sidecar read.
+read-only matrix: the one layout that training, embedding and the sidecar
+read, and the one copy of the frames, of which each of its segments'
+features is a read-only view.
 An embedding file is JSON-lines with keys ``segment_id`` (a string) and
 ``vector`` (a non-empty array of numbers); in memory it is one table: the
 ids as a list of str and the vectors as the rows of one (N, d) float64
@@ -27,9 +29,9 @@ alone, and there are three kinds:
 - ``corpus``: the header goes on with ``"feature_dim": F, "level": L,
   "segments": [[segment_id, utterance_id, speaker_id, unit_label, T],
   ...]``, and the payload is the packed frames (``Corpus.frames``).
-  ``save_corpus`` writes it, hashing the bytes it wrote, for a corpus
-  whose every id and label has the type the parse requires (so ``synth``
-  leaves one); ``load_corpus`` and ``load_labels`` write it once they have
+  ``save_corpus`` writes it, hashing the bytes it wrote (a ``Segment``'s
+  ids and labels have the types the parse requires, so every saved corpus
+  reads back); ``load_corpus`` and ``load_labels`` write it once they have
   parsed the file and every check has passed. Either way its bytes are
   the same.
 - ``embeddings``: the header goes on with ``"dim": d, "segment_ids":
@@ -47,17 +49,21 @@ alone, and there are three kinds:
 
 A reader uses a sidecar only when V is this module's version, the kind
 and S are those of the file it reads, P holds, and the header's fields
-have the documented types and sizes; ``load_corpus`` still builds its
-result through ``Segment``, ``Corpus`` and the level and id checks,
-``load_embeddings`` through the checks on ids and values above, and
-``load_checkpoint`` through ``ComponentParams``. Otherwise the file, which
-stays the reference, is parsed, with its errors and line numbers, and a
-corpus sidecar is rewritten. Every reader opens its file once and parses
-the bytes it hashed, so a pipe or a FIFO reads as a regular file does;
-bytes that are not UTF-8 are a ParseError naming their offset. A sidecar
-is written only beside a path that is itself a regular file (``os.lstat``):
-never beside a device, a FIFO or a symbolic link, so neither
-``/dev/stdin`` nor a symlinked corpus gets one. The write goes through a
+have the documented types and sizes: for a corpus, a known level, F >= 1,
+every T >= 1, unique segment ids and a payload of sum T x F values.
+``load_corpus`` then makes one aligned float64 copy of the payload, checks
+it once for finite values and builds the ``Corpus`` over it, each segment
+a read-only view of its rows, with no check per segment and no second
+copy; a non-finite value leaves the decision to the parse.
+``load_embeddings`` builds its table through the checks on ids and values
+above, and ``load_checkpoint`` through ``ComponentParams``. Otherwise the
+file, which stays the reference, is parsed, with its errors and line
+numbers, and a corpus sidecar is rewritten. Every reader opens its file
+once and parses the bytes it hashed, so a pipe or a FIFO reads as a
+regular file does; bytes that are not UTF-8 are a ParseError naming their
+offset. A sidecar is written only beside a path that is itself a regular
+file (``os.lstat``): never beside a device, a FIFO or a symbolic link, so
+neither ``/dev/stdin`` nor a symlinked corpus gets one. The write goes through a
 temporary file in the same directory, with the file's permissions less
 the umask, and ``os.replace``; an ``OSError`` on the way leaves no sidecar
 and no temporary file, and is not an error of the read or the save. A
@@ -115,6 +121,14 @@ def _check_level(segment_id, level) -> None:
         )
 
 
+def _type_error(key: str, value, nullable: bool):
+    """The message "<key> must be ..." when ``value``, of the record key
+    ``key`` (_RECORD_KEYS), has not the type the format requires; else None."""
+    if isinstance(value, str) or nullable and value is None:
+        return None
+    return f"{key} must be {'a string or null' if nullable else 'a string'}"
+
+
 def validate_features(frames, segment_id: str, scan_bools: bool = False) -> np.ndarray:
     """Check a feature matrix: 2-D, T >= 1, all values finite numbers
     (``scan_bools`` as in ``errors.json_numbers``)."""
@@ -138,7 +152,9 @@ def validate_features(frames, segment_id: str, scan_bools: bool = False) -> np.n
 
 @dataclass(frozen=True)
 class Segment:
-    """One spoken linguistic unit: features plus metadata."""
+    """One spoken linguistic unit: features plus metadata, whose ids,
+    labels and level have the types and values a corpus record must have,
+    so that every Segment can be saved and read back."""
 
     segment_id: str
     utterance_id: str
@@ -148,6 +164,10 @@ class Segment:
     features: np.ndarray
 
     def __post_init__(self):
+        for key, nullable in _RECORD_KEYS:
+            error = _type_error(key, getattr(self, key), nullable)
+            if error:
+                raise DataError(f"segment {self.segment_id!r}: {error}")
         _check_level(self.segment_id, self.level)
         object.__setattr__(
             self, "features", validate_features(self.features, self.segment_id)
@@ -158,15 +178,25 @@ class Segment:
         return self.features.shape[0]
 
 
+def _row(segment: Segment) -> tuple:
+    """(segment_id, utterance_id, speaker_id, unit_label, T) of ``segment``:
+    a row of a corpus sidecar's header."""
+    return (segment.segment_id, segment.utterance_id, segment.speaker_id,
+            segment.unit_label, segment.n_frames)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Ordered, immutable collection of segments with a common feature dim
     and level and unique segment ids.
 
     Built, it packs every segment's frames once, in corpus order, into the
-    (sum T, F) float64 matrix ``frames``, with each segment's length in
-    ``lengths`` and first row in ``starts``, all three read-only; ``gather``
-    reads a batch from them as one row gather.
+    (sum T, F) float64 matrix ``frames``, its one copy of them, with each
+    segment's length in ``lengths`` and first row in ``starts``, all three
+    read-only. It holds segments of its own, whose ``features`` are
+    read-only views of their rows of ``frames``; the segments it was given
+    are left as they are. ``gather`` reads a batch from it as one row
+    gather.
     """
 
     segments: tuple
@@ -191,15 +221,8 @@ class Corpus:
             if s.segment_id in seen:
                 raise DataError(f"duplicate segment_id {s.segment_id!r}")
             seen.add(s.segment_id)
-        lengths = np.array([s.n_frames for s in segments], dtype=np.intp)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "feature_dim", dims.pop())
-        object.__setattr__(self, "level", levels.pop())
-        packed = {"frames": np.concatenate([s.features for s in segments]),
-                  "lengths": lengths, "starts": np.cumsum(lengths) - lengths}
-        for name, array in packed.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        _fill(self, np.concatenate([s.features for s in segments]), levels.pop(),
+              list(map(_row, segments)))
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -216,6 +239,27 @@ class Corpus:
         ends = np.cumsum(lengths)
         rows = np.arange(ends[-1]) + np.repeat(self.starts[idx] - (ends - lengths), lengths)
         return self.frames[rows], lengths
+
+
+def _fill(corpus, frames, level, rows) -> Corpus:
+    """Give ``corpus``, a Corpus being built, every field, and return it:
+    its segments are ``rows`` (``_row``) at ``level``, their frames packed
+    in order in ``frames``, and they have passed every check of ``Segment``
+    and ``Corpus``. ``frames`` becomes read-only, and each segment is built
+    around its view of it without the checks."""
+    frames.flags.writeable = False
+    lengths = np.array([row[4] for row in rows], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    lengths.flags.writeable = starts.flags.writeable = False
+    segments = []
+    for (sid, uid, spk, unit, n_frames), start in zip(rows, starts.tolist()):
+        segment = object.__new__(Segment)
+        vars(segment).update(segment_id=sid, utterance_id=uid, speaker_id=spk,
+                             unit_label=unit, level=level, features=frames[start:start + n_frames])
+        segments.append(segment)
+    vars(corpus).update(segments=tuple(segments), feature_dim=frames.shape[1], level=level,
+                        frames=frames, lengths=lengths, starts=starts)
+    return corpus
 
 
 @dataclass(frozen=True)
@@ -425,7 +469,8 @@ def _is_row(row) -> bool:
     utterance_id, speaker_id, unit_label, T] of the documented types, T >= 1."""
     return (isinstance(row, list) and len(row) == 5
             and isinstance(row[0], str) and isinstance(row[1], str)
-            and all(v is None or isinstance(v, str) for v in row[2:4])
+            and (row[2] is None or isinstance(row[2], str))
+            and (row[3] is None or isinstance(row[3], str))
             and type(row[4]) is int and row[4] >= 1)
 
 
@@ -448,16 +493,14 @@ def _read_corpus_sidecar(path, corpus_sha256: str):
 
 
 def _corpus_of(f_dim, level, rows, frames) -> Corpus:
-    """The Corpus a sidecar holds, through every check of ``Segment`` and
-    ``Corpus``; each segment's features are its own rows of one writable
-    float64 copy of the payload."""
-    table = np.frombuffer(frames, dtype="<f8").astype(np.float64).reshape(-1, f_dim)
-    ends = np.cumsum([row[4] for row in rows]).tolist()
-    return Corpus(tuple(
-        Segment(segment_id=sid, utterance_id=uid, speaker_id=spk, unit_label=unit,
-                level=level, features=table[end - n_frames:end])
-        for (sid, uid, spk, unit, n_frames), end in zip(rows, ends)
-    ))
+    """The Corpus a sidecar holds, whose header ``_read_corpus_sidecar``
+    has checked: ``frames`` is one aligned float64 copy of the payload,
+    checked once for finite values (a DataError otherwise), and each
+    segment's features a read-only view of its rows of it."""
+    table = np.frombuffer(frames, dtype="<f8").reshape(-1, f_dim).astype(np.float64)
+    if not np.isfinite(table).all():
+        raise DataError("non-finite frame values in the sidecar")
+    return _fill(object.__new__(Corpus), table, level, rows)
 
 
 def _parse_corpus(path, lines) -> Corpus:
@@ -480,10 +523,9 @@ def _parse_corpus(path, lines) -> Corpus:
         for key, nullable in _RECORD_KEYS:
             if not nullable and key not in rec:
                 raise ParseError(f"{path}:{lineno}: missing key {key!r}")
-            value = rec.get(key)
-            if not (isinstance(value, str) or nullable and value is None):
-                kind = "a string or null" if nullable else "a string"
-                raise ParseError(f"{path}:{lineno}: {key} must be {kind}")
+            error = _type_error(key, rec.get(key), nullable)
+            if error:
+                raise ParseError(f"{path}:{lineno}: {error}")
         try:
             _check_level(rec["segment_id"], rec["level"])
             if has_bool_literal(line):  # only a scan finds a boolean among numbers
@@ -507,16 +549,11 @@ def _parse_corpus(path, lines) -> Corpus:
 
 def _keep_corpus(path, corpus_sha256: str, corpus: Corpus) -> None:
     """Write the corpus sidecar of ``corpus`` for the file ``path`` of
-    sha256 ``corpus_sha256``, unless an id or label has a type that the
-    parse rejects (``_RECORD_KEYS``), as one built in memory may."""
-    rows = [[s.segment_id, s.utterance_id, s.speaker_id, s.unit_label, s.n_frames]
-            for s in corpus.segments]
-    types = {(type(sid), type(uid), type(spk), type(unit)) for sid, uid, spk, unit, _ in rows}
-    if all(issubclass(t, str) or nullable and t is type(None)
-           for row_types in types for t, (_, nullable) in zip(row_types, _RECORD_KEYS)):
-        _write_sidecar(path, "corpus", corpus_sha256, {
-            "feature_dim": corpus.feature_dim, "level": corpus.level, "segments": rows,
-        }, corpus.frames)
+    sha256 ``corpus_sha256``."""
+    _write_sidecar(path, "corpus", corpus_sha256, {
+        "feature_dim": corpus.feature_dim, "level": corpus.level,
+        "segments": list(map(_row, corpus.segments)),
+    }, corpus.frames)
 
 
 def _parse_and_keep(path, data, corpus_sha256: str) -> Corpus:
@@ -735,7 +772,8 @@ def make_batches(corpus, batch_size: int, seed: int, drop_last: bool = True):
 
 
 def split_corpus(corpus: Corpus, test_fraction: float, seed: int):
-    """Seeded shuffle split -> (train Corpus, test Corpus)."""
+    """Seeded shuffle split -> (train Corpus, test Corpus), each in corpus
+    order, its frames gathered from ``corpus.frames`` in one pass."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     m = len(corpus)
@@ -743,7 +781,10 @@ def split_corpus(corpus: Corpus, test_fraction: float, seed: int):
     n_test = max(1, int(round(m * test_fraction)))
     if n_test >= m:
         raise DataError("split leaves no training segments")
-    test_idx = set(int(i) for i in order[:n_test])
-    train = [corpus[i] for i in range(m) if i not in test_idx]
-    test = [corpus[i] for i in range(m) if i in test_idx]
-    return Corpus(tuple(train)), Corpus(tuple(test))
+    in_test = np.zeros(m, dtype=bool)
+    in_test[order[:n_test]] = True
+    return tuple(
+        _fill(object.__new__(Corpus), corpus.gather(indices)[0], corpus.level,
+              [_row(corpus[i]) for i in indices.tolist()])
+        for indices in (np.flatnonzero(~in_test), np.flatnonzero(in_test))
+    )

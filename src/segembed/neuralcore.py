@@ -562,7 +562,10 @@ def _checkpoint_array(path, name, key, entry, scan_bools) -> np.ndarray:
         raise ParseError(
             f"{path}: {name}.{key}: {data.size} values do not fill shape {shape}"
         )
-    return data.reshape(shape)
+    try:
+        return data.reshape(shape)
+    except ValueError as exc:  # more dimensions than numpy's limit
+        raise ParseError(f"{path}: {name}.{key}: a shape of {len(shape)} entries: {exc}") from exc
 
 
 def _is_shape(shape) -> bool:
@@ -638,8 +641,8 @@ def load_checkpoint(path):
     ``shape`` key, a ``components``, component or ``meta`` value that is
     not a JSON object, a ``data`` or ``shape`` entry that is not a JSON
     number (a string or a boolean included), a ``shape`` entry that is not
-    a JSON integer, and data whose size does not match its shape raise
-    ``ParseError``.
+    a JSON integer, data whose size does not match its shape, and a shape
+    of more entries than numpy's limit on dimensions raise ``ParseError``.
     """
     data, checkpoint_sha256 = _read_file(path)
     cached = _read_checkpoint_sidecar(path, checkpoint_sha256)

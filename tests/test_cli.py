@@ -992,6 +992,23 @@ class TestBadInputs:
         err = self._one_error_line(capsys, code)
         assert err == f"segembed: error: {path}: E_p.b_in: shape {text} must hold JSON integers\n"
 
+    def test_checkpoint_shape_of_more_dimensions_than_numpy_holds(
+        self, corpus_dir, model_a, tmp_path, capsys
+    ):
+        """A shape of E_p.b_in with 65 entries whose product is its data's
+        size is a ParseError naming the array, not numpy's ValueError."""
+        doc = json.loads(model_a)
+        entry = doc["components"]["E_p"]["b_in"]
+        entry["shape"] = [1] * 64 + [len(entry["data"])]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(
+            tmp_path, "embed", "--corpus", str(corpus_dir / "corpus.jsonl"),
+            "--checkpoint", str(path), "--variant", "a",
+        )
+        err = self._one_error_line(capsys, code)
+        assert err.startswith(f"segembed: error: {path}: E_p.b_in: a shape of 65 entries: ")
+
     @pytest.mark.parametrize("command", ["embed", "refine"])
     @pytest.mark.parametrize("text, message", [
         ('"0.25"', "could not convert string to float"),

@@ -95,9 +95,13 @@ class TestSegmentAndCorpus:
         assert np.array_equal(corpus.frames, np.concatenate([s.features for s in segments]))
         assert corpus.lengths.tolist() == [2, 1, 4]
         assert corpus.starts.tolist() == [0, 2, 3]
-        for array in (corpus.frames, corpus.lengths, corpus.starts):
+        for array in (corpus.frames, corpus.lengths, corpus.starts, corpus[0].features):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+        for given, held in zip(segments, corpus.segments):  # the given segments keep their own
+            assert given.features.flags.writeable
+            assert not np.shares_memory(given.features, corpus.frames)
+            assert np.shares_memory(held.features, corpus.frames)
 
 
 class TestCorpusFile:

@@ -29,7 +29,6 @@ from segembed import corpus as corpus_module
 from segembed import neuralcore
 from segembed.corpus import (
     LEVELS,
-    Corpus,
     SynthConfig,
     decode_lines,
     load_corpus,
@@ -37,6 +36,7 @@ from segembed.corpus import (
     load_labels,
     save_corpus,
     save_embeddings,
+    split_corpus,
     synth_corpus,
 )
 from segembed.errors import DataError, NumericError, ParseError, SegembedError
@@ -458,10 +458,50 @@ def test_sidecar_reads_equal_the_parse(text):
         assert list(cached[1].items()) == list(labels[1].items())
 
 
+def _array_bytes(corpus):
+    """The bytes of the distinct arrays that ``corpus`` holds, each array
+    followed through its bases to the one that owns its memory."""
+    owners = {}
+    for array in (corpus.frames, corpus.lengths, corpus.starts,
+                  *(s.features for s in corpus.segments)):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+def _hit(path):
+    load_corpus(path)
+    with _no_parse():
+        return load_corpus(path)
+
+
+BUILDS = {
+    "sidecar hit": _hit,
+    "parse": _parse,
+    "synth_corpus": lambda path: synth_corpus(SynthConfig(n_units=3, n_speakers=2), 5),
+    "split_corpus train": lambda path: split_corpus(_parse(path), 0.25, 1)[0],
+    "split_corpus test": lambda path: split_corpus(_parse(path), 0.25, 1)[1],
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_segments_are_read_only_views_of_the_one_copy_of_the_frames(corpus_file, build):
+    corpus = BUILDS[build](corpus_file)
+    frames = corpus.frames
+    assert frames.flags.c_contiguous and frames.flags.aligned and not frames.flags.writeable
+    for segment, start, n_frames in zip(corpus.segments, corpus.starts, corpus.lengths):
+        assert not segment.features.flags.writeable
+        assert np.shares_memory(segment.features, frames)
+        view = frames[start:start + n_frames]
+        assert segment.features.__array_interface__ == view.__array_interface__
+    assert _array_bytes(corpus) == frames.nbytes + corpus.lengths.nbytes + corpus.starts.nbytes
+
+
 class TestSaveCorpus:
-    """``save_corpus`` leaves no sidecar for a corpus whose ids or labels
-    the parse rejects (``test_saved_sidecar_equals_the_kept_one`` has the
-    others)."""
+    """A ``Segment`` has the ids and labels the parse requires, so
+    ``save_corpus`` writes no file that ``load_corpus`` rejects
+    (``test_saved_sidecar_equals_the_kept_one`` has the round trip)."""
 
     @pytest.mark.parametrize("key, value, message", [
         ("segment_id", 7, "segment_id must be a string"),
@@ -469,23 +509,13 @@ class TestSaveCorpus:
         ("speaker_id", 0.5, "speaker_id must be a string or null"),
         ("unit_label", ["u"], "unit_label must be a string or null"),
     ])
-    def test_no_sidecar_for_a_corpus_the_parse_rejects(self, corpus_file, key, value, message):
-        """A Segment built in memory does not check its ids' and labels'
-        types; saved over a file with a sidecar, such a corpus leaves that
-        stale sidecar as it is, which does not stand in for the parse."""
-        load_corpus(corpus_file)
-        stale = _sidecar(corpus_file).read_bytes()
-        good = _parse(corpus_file)
-        corpus = Corpus((replace(good[0], **{key: value}), *good.segments[1:]))
-        save_corpus(corpus_file, corpus)
-        for _ in range(2):
-            with pytest.raises(ParseError, match=f":1: {message}$"):
-                load_corpus(corpus_file)
-            assert _sidecar(corpus_file).read_bytes() == stale
-        _sidecar(corpus_file).unlink()
-        save_corpus(corpus_file, corpus)
-        assert not _sidecar(corpus_file).exists()
-        assert _leftovers(corpus_file.parent) == []
+    def test_a_segment_the_parse_rejects_cannot_be_built(self, corpus_file, key, value, message):
+        """Such a Segment is a DataError naming it, as the parse's record
+        is a ParseError with the same message."""
+        good = _parse(corpus_file)[0]
+        segment_id = value if key == "segment_id" else good.segment_id
+        with pytest.raises(DataError, match=f"^segment {segment_id!r}: {message}$"):
+            replace(good, **{key: value})
 
 
 @settings(max_examples=50, deadline=None)
