@@ -150,11 +150,12 @@ def validate_features(frames, segment_id: str, scan_bools: bool = False) -> np.n
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """One spoken linguistic unit: features plus metadata, whose ids,
     labels and level have the types and values a corpus record must have,
-    so that every Segment can be saved and read back."""
+    so that every Segment can be saved and read back. Segments, like
+    corpora, compare and hash by identity."""
 
     segment_id: str
     utterance_id: str
@@ -185,7 +186,7 @@ def _row(segment: Segment) -> tuple:
             segment.unit_label, segment.n_frames)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Ordered, immutable collection of segments with a common feature dim
     and level and unique segment ids.
@@ -202,9 +203,9 @@ class Corpus:
     segments: tuple
     feature_dim: int = field(init=False)
     level: str = field(init=False)
-    frames: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    frames: np.ndarray = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)

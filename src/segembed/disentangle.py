@@ -174,8 +174,8 @@ def linear_probe_accuracy(vectors, labels, seed: int) -> float:
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != len(labels):
         raise DataError("vectors must be (N, d) with one label per row")
-    classes = sorted(set(labels))
-    y = np.asarray([classes.index(l) for l in labels])
+    classes = {label: i for i, label in enumerate(sorted(set(labels)))}
+    y = np.asarray([classes[l] for l in labels])
     n = mat.shape[0]
     order = rng_for(seed, "probe:split").permutation(n)
     n_train = max(len(classes), round(n / 2))

@@ -8,7 +8,13 @@ than yield inf or NaN statistics.
 
 The cosine gap report gives exact means over all same-label and
 different-label unordered pairs (computed via the norm-of-summed-unit-
-vectors identity, so no quadratic pair enumeration is needed). Clustering
+vectors identity, so no quadratic pair enumeration is needed). It groups
+the rows by label once, so its cost does not grow with labels x rows: one
+``np.unique``, one stable argsort that makes each label's rows one
+contiguous block in input order, and one ``.sum(axis=0)`` per block. That
+sum adds the rows in the order a per-label boolean mask gave them, so the
+statistics keep every bit; ``np.add.reduceat`` is not used, because it
+adds a block's rows in another order and moves the last bits. Clustering
 accuracy normalizes a label x cluster confusion matrix, picks each label's
 best cluster, and sums that mass.
 
@@ -141,21 +147,24 @@ def intra_inter_stats(vectors, labels) -> CosineGapReport:
     unit = mat / norms[:, None]
 
     _check_label_types(labels)
-    # sum of pairwise dots within a set = (||sum||^2 - count) / 2 on unit rows
-    labels = np.asarray(labels)
     try:
-        groups = np.unique(labels)
+        # equal_nan=False: a NaN label shares its class with no other row
+        _, group = np.unique(np.asarray(labels), return_inverse=True, equal_nan=False)
     except TypeError as exc:  # labels that do not order, such as None among strings
         raise DataError(f"labels must be mutually orderable: {exc}") from exc
+    # each label's rows as one contiguous block in input order; summed by a
+    # slice's .sum(axis=0), not np.add.reduceat (see the module docstring)
+    grouped = unit[np.argsort(group, kind="stable")]
+    # sum of pairwise dots within a set = (||sum||^2 - count) / 2 on unit rows
     intra_sum = 0.0
     intra_count = 0
-    for label in groups:
-        rows = unit[labels == label]
-        if rows.shape[0] < 2:
-            continue
-        s = rows.sum(axis=0)
-        intra_sum += (float(s @ s) - rows.shape[0]) / 2.0
-        intra_count += rows.shape[0] * (rows.shape[0] - 1) // 2
+    start = 0
+    for count in np.bincount(group).tolist():
+        if count >= 2:
+            s = grouped[start:start + count].sum(axis=0)
+            intra_sum += (float(s @ s) - count) / 2.0
+            intra_count += count * (count - 1) // 2
+        start += count
     s_all = unit.sum(axis=0)
     total_sum = (float(s_all @ s_all) - n) / 2.0
     total_count = n * (n - 1) // 2
@@ -404,7 +413,7 @@ def cluster_accuracy(counts) -> float:
     # argmax of c(i, j) = C[i, j] / total equals argmax of C[i, j]; summing
     # the counts before the one division keeps the result exact
     best = np.argmax(counts, axis=1)  # ties -> smallest cluster index
-    return float(sum(counts[i, best[i]] for i in range(counts.shape[0])) / total)
+    return float(counts[np.arange(counts.shape[0]), best].sum() / total)
 
 
 def select_top_labels(labels, m: int):

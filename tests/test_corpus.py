@@ -88,6 +88,19 @@ class TestSegmentAndCorpus:
         with pytest.raises(DataError):
             Corpus((_segment(0), _segment(1, level="phoneme")))
 
+    def test_two_equal_corpora_compare_by_identity(self):
+        a, b = (Corpus((_segment(0), _segment(1))) for _ in range(2))
+        assert a == a and a != b
+
+    def test_two_equal_segments_compare_by_identity(self):
+        a, b = _segment(0), _segment(0)
+        assert a == a and a != b
+
+    def test_segment_hashes_by_identity(self):
+        a, b = _segment(0), _segment(0)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_frames_are_the_segments_concatenated_read_only(self):
         segments = tuple(_segment(i, n_frames=n) for i, n in enumerate([2, 1, 4]))
         corpus = Corpus(segments)

@@ -164,6 +164,41 @@ def brute_intra_inter(vectors, labels):
     return float(np.mean(intra)), float(np.mean(inter))
 
 
+def mask_loop_stats(vectors, labels):
+    """``intra_inter_stats`` as one boolean mask over every row per label,
+    the loop it ran before it grouped the rows once: its bit reference."""
+    mat = np.asarray(vectors, dtype=np.float64)
+    n = mat.shape[0]
+    unit = mat / np.linalg.norm(mat, axis=1)[:, None]
+    labels = np.asarray(labels)
+    intra_sum = 0.0
+    intra_count = 0
+    for label in np.unique(labels):
+        rows = unit[labels == label]
+        if rows.shape[0] < 2:
+            continue
+        s = rows.sum(axis=0)
+        intra_sum += (float(s @ s) - rows.shape[0]) / 2.0
+        intra_count += rows.shape[0] * (rows.shape[0] - 1) // 2
+    s_all = unit.sum(axis=0)
+    total_sum = (float(s_all @ s_all) - n) / 2.0
+    inter_count = n * (n - 1) // 2 - intra_count
+    if intra_count == 0:
+        raise EvaluationError("no intra-class pair (all labels are singletons)")
+    if inter_count == 0:
+        raise EvaluationError("no inter-class pair (single label)")
+    return CosineGapReport(
+        intra_sum / intra_count, (total_sum - intra_sum) / inter_count, intra_count, inter_count
+    )
+
+
+def _report_or_error(stats, vectors, labels):
+    try:
+        return stats(vectors, labels)
+    except EvaluationError as exc:
+        return str(exc)
+
+
 class TestIntraInterStats:
     def test_hand_example(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -212,6 +247,28 @@ class TestIntraInterStats:
         assert (report.intra_pairs, report.inter_pairs) == (len(intra), len(inter))
         assert abs(report.intra - math.fsum(intra) / len(intra)) <= 1e-12
         assert abs(report.inter - math.fsum(inter) / len(inter)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 150), min_size=2, max_size=300),
+        as_text=st.booleans(),
+        dim=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_label_mask_loop_bit_for_bit(self, codes, as_text, dim, seed):
+        """Grouping the rows once adds each label's rows in the order the
+        per-label masks did, so every float is the same, not just close."""
+        labels = [f"w{c}" for c in codes] if as_text else codes
+        vectors = np.random.default_rng(seed).normal(size=(len(labels), dim))
+        assert (_report_or_error(intra_inter_stats, vectors, labels)
+                == _report_or_error(mask_loop_stats, vectors, labels))
+
+    def test_nan_labels_are_singletons_as_in_the_mask_loop(self):
+        vectors = RNG.normal(size=(6, 3))
+        labels = [np.nan, 1.0, np.nan, 1.0, 2.0, np.nan]
+        report = intra_inter_stats(vectors, labels)
+        assert report == mask_loop_stats(vectors, labels)
+        assert report.intra_pairs == 1
 
     def test_all_singletons_rejected(self):
         with pytest.raises(EvaluationError):
